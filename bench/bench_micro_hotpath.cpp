@@ -1,6 +1,6 @@
 // A4: google-benchmark microbenchmarks of the per-request hot path — the
 // operations every QoS decision pays: CRC32 partitioning, wire codec,
-// leaky-bucket update, QoS-table lookup, and the listener->worker FIFO.
+// leaky-bucket update, QoS-table lookup, and the worker hand-off queues.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -380,7 +380,11 @@ BENCHMARK(BM_UdpBatchRoundTripFallback)->Arg(32);
 //
 //   Arg(0) kSharedQueue:    one shared BlockingQueue (mutex+condvar, bulk
 //                           pop_many) -> any worker -> shard-mutex decision,
-//                           key re-hashed inside with_entry
+//                           key re-hashed inside with_entry. The server no
+//                           longer runs this hand-off (its shared-queue
+//                           workers receive from the socket themselves,
+//                           DESIGN.md §9.1); the arm stays as the recorded
+//                           BENCH_PR5 baseline.
 //   Arg(1) kShardPerWorker: per-worker SpscQueue (lock-free SPSC ring) ->
 //                           owning worker -> ShardOwnerToken mutex-free
 //                           decision reusing the listener's hash

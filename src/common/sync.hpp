@@ -100,7 +100,7 @@ enum class LockRank : int {
                           // probe HTTP clients only; held while a probe RPC
                           // runs, which acquires kQueue inside HttpClient —
                           // hence below kQueue. Never touched by pick())
-  kQueue = 70,            // BlockingQueue::mu_ (fifo, http, pool, replication)
+  kQueue = 70,            // BlockingQueue::mu_ (http, pool, replication)
   kWorkerPark = 72,       // QosServerNode per-worker park mu (leaf; guards
                           // only the parked flag, never held over work)
   kUringSubmit = 74,      // UdpSocket uring send-ring mu (leaf; serializes

@@ -51,8 +51,8 @@ enum class RefillMode {
 /// core (not server/) because the discrete-event simulator models the same
 /// two modes — Fig. 10–12 shapes can be reproduced per mode.
 enum class ThreadingMode {
-  /// The paper's §III-C architecture: one shared FIFO, any worker decides
-  /// any key under the key's shard mutex.
+  /// The paper's §III-C architecture: one shared FIFO (the listen socket's
+  /// receive queue), any worker decides any key under the key's shard mutex.
   kSharedQueue,
   /// Shared-nothing thread-per-core: the listener routes each key to the
   /// worker owning its shard over an SPSC ring; decisions run mutex-free

@@ -4,8 +4,14 @@
 #include <fcntl.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
+
+#if defined(__linux__)
+#include <linux/sock_diag.h>
+#endif
 
 #include <algorithm>
 #include <cassert>
@@ -160,8 +166,23 @@ void Fd::reset() {
 
 UdpSocket::UdpSocket(Fd fd) : fd_(std::move(fd)) {}
 UdpSocket::~UdpSocket() = default;
-UdpSocket::UdpSocket(UdpSocket&& other) noexcept = default;
-UdpSocket& UdpSocket::operator=(UdpSocket&& other) noexcept = default;
+
+UdpSocket::UdpSocket(UdpSocket&& other) noexcept
+    : fd_(std::move(other.fd_)),
+      data_path_(other.data_path_),
+      uring_(std::move(other.uring_)),
+      rcvtimeo_us_(other.rcvtimeo_us_.load(std::memory_order_relaxed)) {}
+
+UdpSocket& UdpSocket::operator=(UdpSocket&& other) noexcept {
+  if (this != &other) {
+    fd_ = std::move(other.fd_);
+    data_path_ = other.data_path_;
+    uring_ = std::move(other.uring_);
+    rcvtimeo_us_.store(other.rcvtimeo_us_.load(std::memory_order_relaxed),
+                       std::memory_order_relaxed);
+  }
+  return *this;
+}
 
 Result<UdpSocket> UdpSocket::bind(const SockAddr& addr) {
   Fd fd(::socket(AF_INET, SOCK_DGRAM, 0));
@@ -382,6 +403,22 @@ void UdpSocket::RecvBatch::ensure_slot_bytes(std::size_t min_slot_bytes) {
   arena_.assign(capacity_ * slot_bytes_, 0);
 }
 
+bool UdpSocket::set_recv_timeout(Duration timeout) {
+  // Whole microseconds, rounded up so a positive wait never becomes the
+  // kernel's "no limit" encoding (0); the kernel rounds on to a jiffy.
+  const std::int64_t us =
+      timeout.count() < 0 ? 0 : (timeout.count() + 999) / 1000;
+  if (rcvtimeo_us_.load(std::memory_order_relaxed) == us) return true;
+  timeval tv{};
+  tv.tv_sec = static_cast<time_t>(us / 1'000'000);
+  tv.tv_usec = static_cast<suseconds_t>(us % 1'000'000);
+  if (::setsockopt(fd_.get(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) != 0) {
+    return false;
+  }
+  rcvtimeo_us_.store(us, std::memory_order_relaxed);
+  return true;
+}
+
 Result<std::size_t> UdpSocket::recv_many(RecvBatch& batch, Duration timeout) {
   batch.count_ = 0;
 #if JANUS_HAVE_URING
@@ -391,13 +428,16 @@ Result<std::size_t> UdpSocket::recv_many(RecvBatch& batch, Duration timeout) {
 #endif
   const bool use_mmsg = resolved_data_path() == DataPath::kMmsg;
   (void)use_mmsg;
-  int ready = wait_readable(fd_.get(), timeout);
-  if (ready < 0) return Error(errno_msg("udp poll"));  // purity-ok: error path
-  if (ready == 0) return std::size_t{0};
+  // The wait happens inside the first receive syscall, bounded by
+  // SO_RCVTIMEO; a timeout surfaces as EAGAIN with nothing received.
+  const bool wait = timeout.count() != 0;
+  if (wait && !set_recv_timeout(timeout)) {
+    return Error(errno_msg("udp SO_RCVTIMEO"));  // purity-ok: error path
+  }
 
-  // Raw receive into the arena slots: one recvmmsg, or a non-blocking
-  // recvfrom loop on the fallback path. `raw` counts kernel-delivered
-  // datagrams before fault filtering.
+  // Raw receive into the arena slots: one recvmmsg, or a recvfrom loop on
+  // the fallback path. `raw` counts kernel-delivered datagrams before fault
+  // filtering.
   std::size_t raw = 0;
   std::size_t raw_lens[kMaxBatch];
   bool truncated[kMaxBatch];
@@ -415,11 +455,13 @@ Result<std::size_t> UdpSocket::recv_many(RecvBatch& batch, Duration timeout) {
       hdrs[i].msg_hdr.msg_name = &batch.addrs_[i];
       hdrs[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
     }
-    // A signal landing mid-drain makes recvmmsg report EINTR only when
-    // nothing was received yet (a partial batch returns its count), so the
-    // correct reaction is to retry — surfacing an error here used to tear
-    // down callers on a harmless SIGPROF/SIGCHLD. net.udp.eintr injects
-    // that signal deterministically.
+    // MSG_WAITFORONE blocks for the first datagram only, then drains what
+    // is already queued without waiting. A signal landing mid-drain makes
+    // recvmmsg report EINTR only when nothing was received yet (a partial
+    // batch returns its count), so the correct reaction is to retry —
+    // surfacing an error here used to tear down callers on a harmless
+    // SIGPROF/SIGCHLD. net.udp.eintr injects that signal deterministically.
+    const int flags = wait ? MSG_WAITFORONE : MSG_DONTWAIT;
     int n;
     for (;;) {
       if (testing::FaultInjector::instance().should_fire(
@@ -428,8 +470,8 @@ Result<std::size_t> UdpSocket::recv_many(RecvBatch& batch, Duration timeout) {
         errno = EINTR;
       } else {
         n = ::recvmmsg(fd_.get(), hdrs,
-                       static_cast<unsigned int>(batch.capacity_),
-                       MSG_DONTWAIT, nullptr);
+                       static_cast<unsigned int>(batch.capacity_), flags,
+                       nullptr);
       }
       if (n >= 0) break;
       if (errno == EINTR) continue;
@@ -445,9 +487,10 @@ Result<std::size_t> UdpSocket::recv_many(RecvBatch& batch, Duration timeout) {
 #endif
   {
     // Fallback: identical semantics, one syscall per datagram. The first
-    // datagram is guaranteed present (poll said readable); the rest drain
-    // non-blocking until EAGAIN or the batch is full. EINTR mid-drain keeps
-    // the datagrams already received and retries the interrupted syscall.
+    // recvfrom waits (unless timeout is 0); the rest drain non-blocking
+    // until EAGAIN or the batch is full. EINTR mid-drain keeps the
+    // datagrams already received and retries the interrupted syscall.
+    int flags = wait ? 0 : MSG_DONTWAIT;
     while (raw < batch.capacity_) {
       sockaddr_in& sa = batch.addrs_[raw];
       socklen_t salen = sizeof(sa);
@@ -459,7 +502,7 @@ Result<std::size_t> UdpSocket::recv_many(RecvBatch& batch, Duration timeout) {
       } else {
         n = ::recvfrom(fd_.get(),
                        batch.arena_.data() + raw * batch.slot_bytes_,
-                       batch.slot_bytes_, MSG_DONTWAIT | MSG_TRUNC,
+                       batch.slot_bytes_, flags | MSG_TRUNC,
                        reinterpret_cast<sockaddr*>(&sa), &salen);
       }
       if (n < 0) {
@@ -470,6 +513,7 @@ Result<std::size_t> UdpSocket::recv_many(RecvBatch& batch, Duration timeout) {
       raw_lens[raw] = static_cast<std::size_t>(n);
       truncated[raw] = static_cast<std::size_t>(n) > batch.slot_bytes_;
       ++raw;
+      flags = MSG_DONTWAIT;
     }
   }
 
@@ -573,7 +617,7 @@ Result<std::size_t> UdpSocket::recv_many_uring(RecvBatch& batch,
   if (!s.ok()) return Error(s.error().message);  // purity-ok: error path
 
   // Nothing ready: flush pending SQEs (arm + provides) and wait once, like
-  // the poll() in the classic path. EINTR — real or injected via
+  // the first receive of the other providers. EINTR — real or injected via
   // net.udp.eintr — retries the wait; datagrams already drained would have
   // returned above without waiting at all.
   if (batch.count_ == 0) {
@@ -785,6 +829,24 @@ Result<SockAddr> UdpSocket::local_addr() const {
     return Error(errno_msg("getsockname"));
   }
   return SockAddr::from_native(sa);
+}
+
+std::size_t UdpSocket::pending_bytes() const {
+  int bytes = 0;
+  if (::ioctl(fd_.get(), FIONREAD, &bytes) != 0 || bytes < 0) return 0;
+  return static_cast<std::size_t>(bytes);
+}
+
+std::uint32_t UdpSocket::receive_drops() const {
+#if defined(__linux__) && defined(SO_MEMINFO)
+  std::uint32_t mem[SK_MEMINFO_VARS] = {};
+  socklen_t len = sizeof(mem);
+  if (::getsockopt(fd_.get(), SOL_SOCKET, SO_MEMINFO, mem, &len) == 0 &&
+      len > SK_MEMINFO_DROPS * sizeof(std::uint32_t)) {
+    return mem[SK_MEMINFO_DROPS];
+  }
+#endif
+  return 0;
 }
 
 Result<TcpStream> TcpStream::connect(const SockAddr& addr, Duration timeout) {

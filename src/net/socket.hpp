@@ -1,7 +1,8 @@
 // RAII socket primitives for the real-transport driver: UDP endpoints with
 // poll-based receive timeouts (the router's 100 µs retry timer needs
-// sub-millisecond waits) and blocking TCP streams for the HTTP front end.
-// IPv4 only — Janus nodes address each other by resolved A records.
+// sub-millisecond waits), batched receives that wait inside the syscall,
+// and blocking TCP streams for the HTTP front end. IPv4 only — Janus nodes
+// address each other by resolved A records.
 #pragma once
 
 #include <netinet/in.h>
@@ -187,10 +188,15 @@ class UdpSocket {
   };
   UringStats uring_stats() const;
 
-  /// Wait up to `timeout` for readability, then drain up to
-  /// batch.capacity() datagrams in one recvmmsg (or a non-blocking recvfrom
-  /// loop where unavailable/disabled). Returns the number received into
-  /// `batch`; 0 = timeout. Fault semantics are per-datagram: each received
+  /// Wait up to `timeout` (0 = never, < 0 = forever) for the first
+  /// datagram, then drain up to batch.capacity() datagrams in one recvmmsg
+  /// (or a recvfrom loop where unavailable/disabled). Returns the number
+  /// received into `batch`; 0 = timeout. The mmsg and fallback providers
+  /// wait inside the receive syscall (SO_RCVTIMEO, MSG_WAITFORONE), where
+  /// the kernel wakes one blocked thread per arriving datagram; poll()
+  /// would wake them all. SO_RCVTIMEO is per socket, so threads sharing one
+  /// must pass the same timeout. The uring provider has a single consumer
+  /// (DESIGN.md §13). Fault semantics are per-datagram: each received
   /// datagram consults net.udp.drop_rx independently, exactly as the
   /// single-datagram recv() does.
   Result<std::size_t> recv_many(RecvBatch& batch, Duration timeout);
@@ -209,6 +215,14 @@ class UdpSocket {
   /// Local address after bind (resolves ephemeral ports).
   Result<SockAddr> local_addr() const;
 
+  /// Payload bytes of the datagram at the head of the kernel receive queue
+  /// (SIOCINQ); 0 when the queue is empty.
+  std::size_t pending_bytes() const;
+  /// Datagrams the kernel dropped because this socket's receive buffer was
+  /// full (SO_MEMINFO, SK_MEMINFO_DROPS). Monotonic modulo 2^32; 0 where the
+  /// kernel does not report it.
+  std::uint32_t receive_drops() const;
+
   int fd() const { return fd_.get(); }
 
   // Out of line: detail::UringState is incomplete here.
@@ -223,9 +237,13 @@ class UdpSocket {
   Result<std::size_t> recv_many_uring(RecvBatch& batch, Duration timeout);
   Status send_many_uring(std::span<const OutDatagram> batch);
   void arm_uring_recv();
+  /// Make SO_RCVTIMEO match `timeout` (> 0, or < 0 for no limit), with a
+  /// setsockopt only when it differs from rcvtimeo_us_.
+  bool set_recv_timeout(Duration timeout);
   Fd fd_;
   DataPath data_path_ = DataPath::kAuto;
   std::unique_ptr<detail::UringState> uring_;  // non-null iff kUring active
+  std::atomic<std::int64_t> rcvtimeo_us_{0};  // µs; 0 = no limit (kernel's)
   static std::atomic<bool> batch_syscalls_enabled_;
 };
 

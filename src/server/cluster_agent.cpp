@@ -34,6 +34,7 @@ void ClusterAgent::stop() {
   bool expected = false;
   if (!stopping_.compare_exchange_strong(expected, true)) return;
   if (thread_.joinable()) thread_.join();
+  if (streamer_.joinable()) streamer_.join();
 }
 
 void ClusterAgent::loop() {
@@ -121,23 +122,33 @@ wire::ClusterAckStatus ClusterAgent::apply_epoch_update(
   send_ack(stream, wire::ClusterAckStatus::kOk);
   stream.shutdown_write();
 
-  for (std::size_t owner = 0; owner < outgoing.size(); ++owner) {
-    if (outgoing[owner].empty()) continue;
-    const cluster::Member& target = map.value().members[owner];
-    if (target.cluster_addr.port == 0) {
-      send_errors_.fetch_add(1, std::memory_order_relaxed);
-      JLOG_WARN("cluster: %zu entries for %s lost (no cluster port)",
-                outgoing[owner].size(), target.name.c_str());
-      continue;
+  // Stream from a second thread so this loop keeps accepting inbound
+  // batches. Members that trade keys in one reshard stream to each other
+  // at once; two loops each blocked in their own send_batch never accept
+  // the other's batch, both time out, and the late batch then overwrites
+  // whatever the receiver admitted after its migration window closed.
+  if (streamer_.joinable()) streamer_.join();  // the previous epoch's stream
+  streamer_ = std::thread([this, map = map.value(),
+                           outgoing = std::move(outgoing),
+                           from = leaving ? wire::kNotAMember
+                                          : update.self_index]() mutable {
+    for (std::size_t owner = 0; owner < outgoing.size(); ++owner) {
+      if (outgoing[owner].empty()) continue;
+      const cluster::Member& target = map.members[owner];
+      if (target.cluster_addr.port == 0) {
+        send_errors_.fetch_add(1, std::memory_order_relaxed);
+        JLOG_WARN("cluster: %zu entries for %s lost (no cluster port)",
+                  outgoing[owner].size(), target.name.c_str());
+        continue;
+      }
+      wire::MigrationBatch batch;
+      batch.epoch = map.epoch;
+      batch.from_index = from;
+      batch.final_batch = true;
+      batch.entries = std::move(outgoing[owner]);
+      send_batch(target.cluster_addr, std::move(batch));
     }
-    wire::MigrationBatch batch;
-    batch.epoch = map.value().epoch;
-    batch.from_index =
-        leaving ? wire::kNotAMember : update.self_index;
-    batch.final_batch = true;
-    batch.entries = std::move(outgoing[owner]);
-    send_batch(target.cluster_addr, std::move(batch));
-  }
+  });
   JLOG_INFO("cluster: agent applied epoch %llu (self=%u%s)",
             static_cast<unsigned long long>(map.value().epoch),
             static_cast<unsigned>(update.self_index),

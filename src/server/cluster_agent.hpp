@@ -9,7 +9,7 @@
 //      discipline);
 //   3. ack the coordinator (publishes stay fast even for big tables);
 //   4. stream the extracted entries to their new owners as MigrationBatch
-//      frames over the same control port.
+//      frames over the same control port, from a sender thread.
 //
 // Inbound, a MigrationBatch at the current (or a newer — publishes race
 // batches between peers) epoch installs its entries; while the node's
@@ -17,8 +17,10 @@
 // have not arrived yet are silently deferred, so a key's bucket is never
 // double-spent across the flip.
 //
-// Single-threaded by construction: one accept loop handles connections
-// serially, so epoch handling needs no locking beyond the ShardMapHolder.
+// One accept loop handles connections serially, so epoch handling needs no
+// locking beyond the ShardMapHolder. Only step 4 runs elsewhere: a sender
+// thread streams the batches while the loop keeps accepting the peers'
+// batches (two members trading keys stream to each other at once).
 #pragma once
 
 #include <atomic>
@@ -109,6 +111,9 @@ class ClusterAgent {
   std::atomic<std::uint64_t> epoch_updates_{0};
   std::atomic<std::uint64_t> batches_received_{0};
   std::atomic<std::uint64_t> send_errors_{0};
+  /// Streams one epoch's outbound batches (step 4). Started and joined by
+  /// the accept loop (each epoch joins the previous one), joined by stop().
+  std::thread streamer_;
   std::thread thread_;
 };
 

@@ -67,11 +67,11 @@ QosServerNode::QosServerNode(net::UdpSocket socket, net::SockAddr addr,
       sink_(store),
       admission_(std::make_unique<core::AdmissionController>(
           SteadyClock::instance(), source_, config_.admission)),
-      fifo_(config_.fifo_capacity),
       received_(metrics_.counter("server.received")),
       answered_(metrics_.counter("server.answered")),
       malformed_(metrics_.counter("server.malformed")),
       dropped_(metrics_.counter("server.fifo_dropped")),
+      socket_dropped_(metrics_.counter("server.socket_dropped")),
       maint_rejected_(metrics_.counter("server.maint_queue_reject")),
       watchdog_stalls_(metrics_.counter("server.watchdog_stalls")),
       queue_wait_us_(metrics_.histogram("server.queue_wait_us")),
@@ -102,10 +102,16 @@ QosServerNode::QosServerNode(net::UdpSocket socket, net::SockAddr addr,
   service_exemplar_.set_threshold(config_.slow_exemplar_us);
 
   // Provider selection happens before any I/O thread exists (the uring
-  // switch is not safe under concurrent recv/send). A refused kUring means
-  // the kernel failed the end-to-end capability probe: degrade to the kAuto
-  // rules and say so once — server.data_path carries the outcome forever.
-  if (!socket_.set_data_path(config_.data_path)) {
+  // switch is not safe under concurrent recv/send). kUring is refused in
+  // two cases, both degrading to the kAuto rules: the shared-queue workers
+  // all receive from the socket while the uring receive ring has a single
+  // consumer, and the kernel may fail the end-to-end capability probe. Say
+  // so once — server.data_path carries the outcome forever.
+  if (config_.data_path == net::UdpSocket::DataPath::kUring && !sharded) {
+    JLOG_WARN("server: data-path 'uring' runs only with shard-per-worker "
+              "threading; using '%s'",
+              net::UdpSocket::data_path_name(socket_.resolved_data_path()));
+  } else if (!socket_.set_data_path(config_.data_path)) {
     JLOG_WARN("server: data-path '%s' unavailable on this kernel; using '%s'",
               net::UdpSocket::data_path_name(config_.data_path),
               net::UdpSocket::data_path_name(socket_.resolved_data_path()));
@@ -136,11 +142,12 @@ QosServerNode::QosServerNode(net::UdpSocket socket, net::SockAddr addr,
     }
   }
 
-  // Fused mode folds worker 0 into the listener thread: spawn the fused
-  // loop in its place and only workers 1..N-1 as standalone threads.
+  // Shared-queue workers receive for themselves; shard-per-worker has a
+  // listener, and fused mode folds worker 0 into it: spawn the fused loop
+  // in its place and only workers 1..N-1 as standalone threads.
   if (fused_) {
     listener_ = std::thread([this] { listener_loop_fused(); });
-  } else {
+  } else if (sharded) {
     listener_ = std::thread([this] { listener_loop(); });
   }
   for (std::size_t i = fused_ ? 1 : 0; i < n; ++i) {
@@ -287,7 +294,7 @@ std::string QosServerNode::render_hot_key_statusz() const {
 
 void QosServerNode::watchdog_pass() {
   if (stopping_.load(std::memory_order_acquire)) return;
-  publish_uring_stats();
+  publish_socket_stats();
   const bool sharded =
       config_.threading == core::ThreadingMode::kShardPerWorker;
   const std::uint64_t ts =
@@ -323,10 +330,11 @@ void QosServerNode::watchdog_pass() {
     return;
   }
 
+  // Shared queue: the FIFO is the listen socket's receive queue.
   const auto answered =
       static_cast<std::uint64_t>(answered_.value());
-  const bool backlog = fifo_.size() > 0;
-  if (backlog && answered == watchdog_last_answered_) {
+  const std::size_t head_bytes = socket_.pending_bytes();
+  if (head_bytes > 0 && answered == watchdog_last_answered_) {
     if (watchdog_answered_strikes_ < 2) ++watchdog_answered_strikes_;
     if (watchdog_answered_strikes_ >= 2) {
       watchdog_stalls_.inc();
@@ -334,9 +342,9 @@ void QosServerNode::watchdog_pass() {
                              TraceStage::kWatchdog, /*trace=*/0,
                              /*arg=*/0, ts);
       JLOG_WARN(
-          "server: watchdog: shared FIFO has backlog (%zu) but no request "
-          "completed for two full ticks",
-          fifo_.size());
+          "server: watchdog: listen socket has a queued datagram (%zu "
+          "bytes) but no request completed for two full ticks",
+          head_bytes);
       FlightRecorder::instance().trigger_auto_dump("watchdog stall");
     }
   } else {
@@ -358,19 +366,18 @@ void QosServerNode::stop() {
   if (!stopping_.compare_exchange_strong(expected, true)) return;
   // Order matters twice over. Periodic dispatchers may be blocked waiting on
   // worker latches, so they are stopped while the workers still drain
-  // commands. And the listener must be joined BEFORE the workers are allowed
-  // to exit: it is the sole SPSC producer, and a worker that observed
-  // stopping_ with an empty ring could otherwise exit while the listener's
-  // final batch was still being fanned out — stranding accepted jobs that
-  // would never be answered (the shutdown-ordering regression in
-  // tests/server/test_server_shutdown.cpp). listener_done_ is the gate the
-  // sharded workers wait on; the shared FIFO gets the same guarantee from
-  // shutting it down only after the producer is gone (pop_many drains
-  // whatever was pushed before returning 0).
+  // commands. And the shard-per-worker listener must be joined BEFORE the
+  // workers are allowed to exit: it is the sole SPSC producer, and a worker
+  // that observed stopping_ with an empty ring could otherwise exit while
+  // the listener's final batch was still being fanned out — stranding
+  // accepted jobs that would never be answered (the shutdown-ordering
+  // regression in tests/server/test_server_shutdown.cpp). listener_done_ is
+  // the gate the sharded workers wait on. A shared-queue worker answers
+  // every datagram it received before it looks at stopping_ again, so it
+  // strands nothing; unread datagrams stay in the socket, never counted.
   for (auto& task : maintenance_) task->stop();
   if (listener_.joinable()) listener_.join();
   listener_done_.store(true, std::memory_order_release);
-  fifo_.shutdown();
   for (auto& w : worker_state_) {
     MutexLock lock(w->park_mu);
     w->park_cv.notify_one();
@@ -378,15 +385,10 @@ void QosServerNode::stop() {
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
   }
-  // Final uring-counter delta: the watchdog (now joined) can no longer
+  // Final socket-counter delta: the watchdog (now joined) can no longer
   // race this, and the I/O threads are gone, so the snapshot is exact.
-  publish_uring_stats();
+  publish_socket_stats();
   if (admin_) admin_->stop();
-}
-
-bool QosServerNode::timing_sampled() {
-  thread_local std::uint64_t seq = 0;
-  return (seq++ & ((1u << kTimingSampleShift) - 1)) == 0;
 }
 
 void QosServerNode::wake_worker(WorkerState& w) {
@@ -395,21 +397,25 @@ void QosServerNode::wake_worker(WorkerState& w) {
   w.park_cv.notify_one();
 }
 
+QosServerNode::BatchSampler QosServerNode::begin_batch(std::size_t n) {
+  // Per-datagram semantics under batching: every datagram counts in
+  // server.received and takes its own turn in the timing sample, exactly
+  // as when they arrived one syscall apiece.
+  received_.inc(static_cast<std::int64_t>(n));
+  recv_batch_size_.record(static_cast<std::int64_t>(n));
+  return BatchSampler(timing_seq_, n);
+}
+
 void QosServerNode::listener_loop() {
-  // One wakeup = one recvmmsg draining up to recv_batch datagrams + one
-  // bulk push: into the shared FIFO (kSharedQueue) or fanned out to the
-  // owning workers' SPSC rings (kShardPerWorker). Scratch buffers live
-  // across iterations, so a warm listener's only per-datagram allocation is
-  // each Job's owning copy of the (small) frame — the arena itself is
-  // reused.
-  const bool sharded =
-      config_.threading == core::ThreadingMode::kShardPerWorker;
+  // Shard-per-worker: one wakeup = one recvmmsg draining up to recv_batch
+  // datagrams, fanned out to the owning workers' SPSC rings. The receive
+  // arena lives across iterations, so a warm listener's only per-datagram
+  // allocation is each Job's owning copy of the (small) frame.
   FlightRecorder::label_current_thread("server.listener");
   net::UdpSocket::RecvBatch batch(config_.recv_batch);
-  std::vector<Job> jobs;
-  // purity-ok: loop-start setup — sized once per thread, before any traffic
-  jobs.reserve(batch.capacity());
   std::vector<bool> touched(worker_state_.size(), false);
+  const core::ShardedQosTable& table = admission_->table();
+  const std::size_t workers = worker_state_.size();
 
   while (!stopping_.load(std::memory_order_relaxed)) {
     auto got = socket_.recv_many(batch, millis(50));
@@ -420,48 +426,16 @@ void QosServerNode::listener_loop() {
     }
     const std::size_t n = got.value();
     if (n == 0) continue;  // timeout: re-check stopping_
-    // Per-datagram semantics under batching: every datagram counts in
-    // server.received and takes its own turn in the 1-in-2^k timing
-    // sample, exactly as when they arrived one syscall apiece.
-    received_.inc(static_cast<std::int64_t>(n));
-    recv_batch_size_.record(static_cast<std::int64_t>(n));
+    BatchSampler sample = begin_batch(n);
 
-    if (!sharded) {
-      jobs.clear();
-      for (std::size_t i = 0; i < n; ++i) {
-        const TimePoint enqueued =
-            timing_sampled() ? SteadyClock::instance().now() : kTimeZero;
-        auto data = batch.data(i);
-        // purity-ok: per-datagram owning copy — the one documented
-        // purity-ok: decision-path allocation (io_uring item removes it)
-        std::vector<std::uint8_t> payload(data.begin(), data.end());
-        // purity-ok: amortized growth into the reserved jobs scratch vector
-        jobs.push_back(Job{net::UdpSocket::Datagram{std::move(payload),
-                                                    batch.from(i)},
-                           enqueued});
-      }
-      const std::size_t accepted = fifo_.try_push_many(jobs);
-      if (accepted < n) {
-        // FIFO full: drop the overflow. The router's retry covers transient
-        // overload; sustained overload is what the scalability experiments
-        // measure — the fifo_dropped counter (exposed via /metrics) is the
-        // direct saturation signal behind the paper's Fig. 10/12 knees.
-        dropped_.inc(static_cast<std::int64_t>(n - accepted));
-      }
-      continue;
-    }
-
-    // Shard-per-worker fan-out: hash each key once (the same CRC pass the
-    // decision reuses), derive the owning shard from the upper hash bits,
-    // the owning worker from `shard % workers`, and push to that worker's
-    // SPSC ring. Malformed frames carry hash 0 and go to worker 0, which
-    // answers kMalformed exactly as a shared-queue worker would.
-    const core::ShardedQosTable& table = admission_->table();
-    const std::size_t workers = worker_state_.size();
+    // Fan-out: hash each key once (the same CRC pass the decision reuses),
+    // derive the owning shard from the upper hash bits, the owning worker
+    // from `shard % workers`, and push to that worker's SPSC ring.
+    // Malformed frames carry hash 0 and go to worker 0, which answers
+    // kMalformed exactly as a shared-queue worker would.
     std::fill(touched.begin(), touched.end(), false);
     for (std::size_t i = 0; i < n; ++i) {
-      const TimePoint enqueued =
-          timing_sampled() ? SteadyClock::instance().now() : kTimeZero;
+      const TimePoint enqueued = sample.next();
       auto data = batch.data(i);
       std::size_t hash = 0;
       std::size_t target = 0;
@@ -474,8 +448,8 @@ void QosServerNode::listener_loop() {
         }
       }
       WorkerState& w = *worker_state_[target];
-      // purity-ok: per-datagram owning copy — the one documented
-      // purity-ok: decision-path allocation (io_uring item removes it)
+      // purity-ok: per-datagram owning copy — the shard-per-worker hand-off
+      // purity-ok: (the fused uring listener and shared-queue workers skip it)
       std::vector<std::uint8_t> payload(data.begin(), data.end());
       if (!w.jobs.try_push(Job{net::UdpSocket::Datagram{std::move(payload),
                                                         batch.from(i)},
@@ -695,25 +669,33 @@ void QosServerNode::run_jobs(std::span<const JobView> jobs,
 }
 
 void QosServerNode::worker_loop() {
-  // kSharedQueue: one wakeup = up to send_batch jobs popped under one FIFO
-  // lock, decided under shard mutexes, replies flushed in one sendmmsg.
+  // kSharedQueue, run to completion: the listen socket's receive queue is
+  // the paper's FIFO. Each worker blocks in recv_many, which the kernel
+  // ends for one waiter per arriving datagram; the worker decides the whole
+  // batch in place over the RecvBatch slots (under the shard mutexes) and
+  // answers it with one sendmmsg. One wake-up per request, no hand-off, no
+  // per-datagram copy.
   FlightRecorder::label_current_thread("server.worker");
-  const std::size_t batch = config_.send_batch;
-  std::vector<Job> jobs;
+  net::UdpSocket::RecvBatch batch(config_.recv_batch);
   std::vector<JobView> views;
   // purity-ok: loop-start setup — sized once per thread, before any traffic
-  jobs.reserve(batch);
-  // purity-ok: loop-start setup — sized once per thread, before any traffic
-  views.reserve(batch);
-  ReplyBuffers buf(batch);
+  views.reserve(batch.capacity());
+  ReplyBuffers buf(batch.capacity());
 
-  while (true) {
-    jobs.clear();
-    if (fifo_.pop_many(jobs, batch) == 0) break;  // shutdown + drained
+  while (!stopping_.load(std::memory_order_relaxed)) {
+    auto got = socket_.recv_many(batch, millis(50));
+    if (!got.ok()) {
+      // purity-ok: recv-error path only — never taken for healthy traffic
+      JLOG_WARN("server: recv failed: %s", got.error().message.c_str());
+      continue;
+    }
+    const std::size_t n = got.value();
+    if (n == 0) continue;  // timeout: re-check stopping_
+    BatchSampler sample = begin_batch(n);
     views.clear();
-    for (const Job& j : jobs) {
+    for (std::size_t i = 0; i < n; ++i) {
       // purity-ok: amortized growth into the reserved views scratch vector
-      views.push_back(JobView{j.dg.data, &j.dg.from, j.enqueued, j.key_hash});
+      views.push_back(JobView{batch.data(i), &batch.from(i), sample.next()});
     }
     run_jobs(views, /*token=*/nullptr, buf);
   }
@@ -880,13 +862,11 @@ void QosServerNode::listener_loop_fused() {
     bool did_work = false;
 
     if (n > 0) {
-      received_.inc(static_cast<std::int64_t>(n));
-      recv_batch_size_.record(static_cast<std::int64_t>(n));
+      BatchSampler sample = begin_batch(n);
       inline_jobs.clear();
       std::fill(touched.begin(), touched.end(), false);
       for (std::size_t i = 0; i < n; ++i) {
-        const TimePoint enqueued =
-            timing_sampled() ? SteadyClock::instance().now() : kTimeZero;
+        const TimePoint enqueued = sample.next();
         auto data = batch.data(i);
         std::size_t hash = 0;
         std::size_t target = 0;
@@ -936,7 +916,12 @@ void QosServerNode::listener_loop_fused() {
   }
 }
 
-void QosServerNode::publish_uring_stats() {
+void QosServerNode::publish_socket_stats() {
+  // u32 arithmetic keeps the delta right across the kernel counter's wrap.
+  const std::uint32_t drops = socket_.receive_drops();
+  socket_dropped_.inc(static_cast<std::int64_t>(drops - socket_drops_last_));
+  socket_drops_last_ = drops;
+
   const net::UdpSocket::UringStats cur = socket_.uring_stats();
   uring_recv_batches_.inc(
       static_cast<std::int64_t>(cur.recv_batches - uring_last_.recv_batches));

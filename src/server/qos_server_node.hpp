@@ -4,9 +4,10 @@
 //
 // Two threading modes (core::ThreadingMode, DESIGN.md §9):
 //
-//   kSharedQueue (the paper's architecture):
-//     UDP listener ──> bounded FIFO ──> N worker threads ──> sendmmsg
-//     any worker decides any key under the key's shard mutex
+//   kSharedQueue (the paper's architecture, run to completion):
+//     socket receive queue (the FIFO) ──> N workers: recvmmsg ──> decide
+//     in place ──> sendmmsg. Any worker decides any key under the key's
+//     shard mutex; the kernel wakes one blocked worker per datagram.
 //
 //   kShardPerWorker (shared-nothing thread-per-core):
 //     UDP listener ──┬─> SPSC ring w0 ──> worker 0 (owns shards 0,N,2N..)
@@ -18,18 +19,18 @@
 //     delivered on each worker's maintenance queue instead of locks taken
 //     by the periodic threads.
 //
-// Workers answer over the same socket the listener reads from; the server
-// never tracks whether a response arrived — the router retries (§III-B).
+// Workers answer over the same socket requests arrive on; the server never
+// tracks whether a response arrived — the router retries (§III-B).
 //
 // Concurrency model (DESIGN.md §8): the node itself holds no locks beyond
 // the per-worker park mutex (`server.worker_park`, rank kWorkerPark) that
 // guards only the idle/parked handshake. Shared state lives behind the
-// annotated sync layer of its parts — the shared FIFO's `common.queue`
-// mutex, the table's `core.qos_shard` shards (shared-queue mode only), the
-// periodic threads' `common.periodic` — plus atomics for the stop flag and
-// counters. In shard-per-worker mode a table shard is touched only by its
-// owning worker: no thread may use the locked table accessors while the
-// node runs (HA snapshot replication therefore pairs with kSharedQueue).
+// annotated sync layer of its parts — the table's `core.qos_shard` shards
+// (shared-queue mode only), the periodic threads' `common.periodic` — plus
+// atomics for the stop flag and counters. In shard-per-worker mode a table
+// shard is touched only by its owning worker: no thread may use the locked
+// table accessors while the node runs (HA snapshot replication therefore
+// pairs with kSharedQueue).
 #pragma once
 
 #include <atomic>
@@ -59,12 +60,15 @@ namespace janus::server {
 
 struct QosServerConfig {
   std::size_t worker_threads = 4;  // "N equals the number of vCPUs" (§III-C)
+  /// Shard-per-worker only: datagrams buffered across the workers' SPSC
+  /// rings. Shared-queue mode queues in the socket's kernel buffer.
   std::size_t fifo_capacity = 65536;
-  /// Max datagrams drained per listener wakeup (one recvmmsg + one bulk
-  /// FIFO push). Clamped to UdpSocket::kMaxBatch. 1 = per-datagram syscalls.
+  /// Max datagrams per recvmmsg: a shared-queue worker's batch (decided and
+  /// answered as a unit) or the shard-per-worker listener's drain. Clamped
+  /// to UdpSocket::kMaxBatch. 1 = per-datagram syscalls.
   std::size_t recv_batch = 32;
-  /// Max jobs a worker pops per wakeup; its replies go out in one sendmmsg.
-  /// Clamped to UdpSocket::kMaxBatch. 1 = per-datagram syscalls.
+  /// Shard-per-worker only: max jobs a worker pops per wakeup; its replies
+  /// go out in one sendmmsg. Clamped to UdpSocket::kMaxBatch.
   std::size_t send_batch = 32;
   /// Decision scheduling: the paper's shared FIFO or shared-nothing
   /// shard-per-worker (see file header). janusd --threading.
@@ -88,8 +92,9 @@ struct QosServerConfig {
   /// DESIGN.md §13). kUring combined with kShardPerWorker activates the
   /// fused run-to-completion listener: the listener thread doubles as
   /// worker 0, deciding its own shards straight out of the receive batch
-  /// (no SPSC hand-off, no per-datagram payload copy). When the kernel
-  /// capability probe fails the node silently degrades to the kAuto rules;
+  /// (no SPSC hand-off, no per-datagram payload copy). The uring receive
+  /// ring has one consumer, so kSharedQueue (N receiving workers) runs the
+  /// kAuto rules instead, as when the kernel capability probe fails;
   /// server.data_path reports what actually runs.
   net::UdpSocket::DataPath data_path = net::UdpSocket::DataPath::kAuto;
   /// Pin shard-per-worker threads (and the fused listener) each to its own
@@ -201,15 +206,11 @@ class QosServerNode {
   QosServerNode(net::UdpSocket socket, net::SockAddr addr,
                 db::RuleStore& store, QosServerConfig config);
 
-  /// Datagram plus its enqueue timestamp, so workers can attribute latency
-  /// to queue wait vs. service time (the paper's §V saturation signature is
-  /// exactly queue-wait growth). Timing is sampled: the listener stamps one
-  /// job in every 1 << kTimingSampleShift and leaves the rest at kTimeZero,
-  /// keeping the per-request cost of the latency histograms to a branch
-  /// (bench_micro_hotpath bounds the regression at <5%). The sample counter
-  /// is thread-local (timing_sampled()) — no shared cache line on the path.
-  /// In shard-per-worker mode the listener also carries the key's hash so
-  /// the worker never rehashes (PR 4 single-hash path end to end).
+  /// A shard-per-worker hand-off: datagram plus its receive timestamp, so
+  /// workers can attribute latency to queue wait vs. service time (the
+  /// paper's §V saturation signature is exactly queue-wait growth), plus
+  /// the key's hash so the worker never rehashes (PR 4 single-hash path
+  /// end to end).
   struct Job {
     net::UdpSocket::Datagram dg;
     TimePoint enqueued{kTimeZero};
@@ -217,11 +218,33 @@ class QosServerNode {
   };
   static constexpr std::uint64_t kTimingSampleShift = 3;  // 1-in-8
 
+  /// Timing sample over one receive batch: one datagram in every
+  /// 1 << kTimingSampleShift carries the batch's receive time (one clock
+  /// read per batch), the rest kTimeZero, so the latency histograms cost a
+  /// branch per request (bench_micro_hotpath bounds it at <5%). The batch
+  /// claims its sequence numbers from one node-wide counter with one
+  /// fetch_add, so the ratio is exact however many threads receive.
+  class BatchSampler {
+   public:
+    BatchSampler(std::atomic<std::uint64_t>& seq, std::size_t n)
+        : next_(seq.fetch_add(n, std::memory_order_relaxed)) {}
+    /// Stamp for the batch's next datagram, in receive order.
+    TimePoint next() {
+      if ((next_++ & ((1u << kTimingSampleShift) - 1)) != 0) return kTimeZero;
+      if (at_ == kTimeZero) at_ = SteadyClock::instance().now();
+      return at_;
+    }
+
+   private:
+    std::uint64_t next_;
+    TimePoint at_{kTimeZero};
+  };
+
   /// What run_jobs actually consumes: a borrowed view of one request. The
-  /// queued paths build views over popped Jobs (whose owning buffers
-  /// outlive the run_jobs call); the fused run-to-completion path builds
-  /// them straight over the RecvBatch slots — the decision never touches a
-  /// per-datagram heap copy at all.
+  /// shard-per-worker workers build views over popped Jobs (whose owning
+  /// buffers outlive the run_jobs call); the shared-queue workers and the
+  /// fused listener build them straight over the RecvBatch slots — the
+  /// decision never touches a per-datagram heap copy at all.
   struct JobView {
     std::span<const std::uint8_t> data;
     const net::SockAddr* from = nullptr;
@@ -280,6 +303,8 @@ class QosServerNode {
     std::vector<std::string_view> traces;
   };
 
+  /// Shard-per-worker listener: receives, hashes each key once, and fans
+  /// the datagrams out to the owning workers' SPSC rings.
   JANUS_HOT_PATH_IO void listener_loop();
   /// Run-to-completion mode (uring + shard-per-worker, DESIGN.md §13): the
   /// listener thread IS worker 0. It drains the uring receive batch,
@@ -289,22 +314,23 @@ class QosServerNode {
   /// Busy-polls while traffic flows; after kFusedIdleSpins empty polls it
   /// parks in a bounded io_uring_enter wait instead of spinning.
   JANUS_HOT_PATH_IO void listener_loop_fused();
-  JANUS_HOT_PATH_IO void worker_loop();  // kSharedQueue
+  /// kSharedQueue run to completion: receive a batch from the shared listen
+  /// socket, decide it in place, answer it with one send_many.
+  JANUS_HOT_PATH_IO void worker_loop();
   JANUS_HOT_PATH_IO void worker_loop_sharded(std::size_t index);
 
+  /// Count a receive batch of n datagrams (server.received,
+  /// server.recv_batch) and claim its n timing-sample slots.
+  BatchSampler begin_batch(std::size_t n);
   /// Process one batch of request views: decode, decide (mode-appropriate),
-  /// flush all replies in one batched send, record timings. Shared by both
-  /// worker loops and the fused listener; `token` is null in shared-queue
+  /// flush all replies in one batched send, record timings. Shared by every
+  /// worker loop and the fused listener; `token` is null in shared-queue
   /// mode (locked decisions) and the owner's ShardOwnerToken in
   /// shard-per-worker mode (mutex-free).
   JANUS_HOT_PATH_LOCKS void run_jobs(std::span<const JobView> jobs,
                                      const core::ShardOwnerToken* token,
                                      ReplyBuffers& buf);
   static constexpr int kFusedIdleSpins = 64;
-
-  /// 1-in-2^kTimingSampleShift decimation with a thread-local counter — no
-  /// shared cache line bounces between the listener and anything else.
-  static bool timing_sampled();
 
   void wake_worker(WorkerState& w);
   /// Enqueue `kind` to every worker (retrying while queues are full) and,
@@ -326,10 +352,11 @@ class QosServerNode {
   /// One watchdog tick (PeriodicTask): flags workers with queued work but
   /// no progress since the previous tick.
   void watchdog_pass();
-  /// Pull the socket's monotonic uring counters and publish the delta into
-  /// the server.uring_* metrics. Runs on the watchdog tick and once at
-  /// stop() (no tick races stop(): the periodic tasks are joined first).
-  void publish_uring_stats();
+  /// Pull the socket's monotonic counters (receive-buffer drops, uring
+  /// stats) and publish the deltas into server.socket_dropped and the
+  /// server.uring_* metrics. Runs on the watchdog tick and once at stop()
+  /// (no tick races stop(): the periodic tasks are joined first).
+  void publish_socket_stats();
   /// Drain + execute every command on worker 0's maintenance queue; the
   /// fused listener calls this between batches (it owns worker 0's shards).
   bool drain_maintenance(WorkerState& st);
@@ -344,14 +371,14 @@ class QosServerNode {
   core::DbRuleSource source_;
   core::DbRuleSink sink_;
   std::unique_ptr<core::AdmissionController> admission_;
-  BlockingQueue<Job> fifo_;                                 // kSharedQueue
   std::vector<std::unique_ptr<WorkerState>> worker_state_;  // kShardPerWorker
 
   MetricsRegistry metrics_;
   Counter& received_;
   Counter& answered_;
   Counter& malformed_;
-  Counter& dropped_;
+  Counter& dropped_;           // server.fifo_dropped (shard-per-worker rings)
+  Counter& socket_dropped_;    // server.socket_dropped (never in received_)
   Counter& maint_rejected_;    // server.maint_queue_reject
   Counter& watchdog_stalls_;   // server.watchdog_stalls
   HistogramMetric& queue_wait_us_;
@@ -359,8 +386,9 @@ class QosServerNode {
   Exemplar& queue_wait_exemplar_;  // slowest-sample trace/key, /statusz
   Exemplar& service_exemplar_;
   // Batch-size distributions: mean(server.recv_batch) is the direct
-  // syscalls-amortized signal (datagrams per listener wakeup); likewise
-  // server.send_batch for worker reply bursts.
+  // syscalls-amortized signal (datagrams per receive wakeup); likewise
+  // server.send_batch for reply bursts. A shared-queue worker answers its
+  // receive batch as one burst, so there the two means are equal.
   HistogramMetric& recv_batch_size_;
   HistogramMetric& send_batch_size_;
   Gauge& threading_mode_;  // 0 = shared-queue, 1 = shard-per-worker
@@ -368,7 +396,7 @@ class QosServerNode {
   /// 3 uring — operators see degraded-probe outcomes here, not in logs.
   Gauge& data_path_gauge_;
   // server.uring_*: deltas of the socket's monotonic uring counters,
-  // published by publish_uring_stats() (all flat when the provider is off).
+  // published by publish_socket_stats() (all flat when the provider is off).
   Counter& uring_recv_batches_;
   Counter& uring_recv_datagrams_;
   Counter& uring_send_batches_;
@@ -393,10 +421,11 @@ class QosServerNode {
   std::vector<std::uint8_t> watchdog_strikes_;
   std::uint64_t watchdog_last_answered_ = 0;
   std::uint8_t watchdog_answered_strikes_ = 0;
-  /// Last-published uring counter snapshot (watchdog thread + stop() only,
-  /// which never overlap — the periodic tasks are joined before stop()
-  /// publishes the final delta).
+  /// Last-published socket counter snapshots (watchdog thread + stop()
+  /// only, which never overlap — the periodic tasks are joined before
+  /// stop() publishes the final delta).
   net::UdpSocket::UringStats uring_last_;
+  std::uint32_t socket_drops_last_ = 0;
   /// True when this node runs the fused run-to-completion listener (uring
   /// provider active + shard-per-worker). Set once in the constructor.
   bool fused_ = false;
@@ -412,6 +441,8 @@ class QosServerNode {
   std::atomic<std::uint64_t> migrated_in_count_{0};
   std::atomic<std::uint64_t> migrated_out_count_{0};
   std::atomic<std::uint64_t> stale_nacks_count_{0};
+  /// BatchSampler sequence, shared by every receiving thread.
+  std::atomic<std::uint64_t> timing_seq_{0};
 
   std::atomic<bool> stopping_{false};
   /// Set after the listener thread is joined: shard-per-worker workers must
@@ -419,7 +450,7 @@ class QosServerNode {
   /// (tests/server/test_server_shutdown.cpp pins the no-stranded-job
   /// invariant).
   std::atomic<bool> listener_done_{false};
-  std::thread listener_;
+  std::thread listener_;  // shard-per-worker only (plain or fused)
   std::vector<std::thread> workers_;
   std::vector<std::unique_ptr<PeriodicTask>> maintenance_;
   std::unique_ptr<net::AdminServer> admin_;

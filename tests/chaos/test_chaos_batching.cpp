@@ -47,6 +47,22 @@ class BatchedChaosTest
   }
 };
 
+TEST_P(BatchedChaosTest, DataPathGaugeReportsTheProviderThatRuns) {
+  // server.data_path reports what actually runs. The io_uring receive ring
+  // has a single consumer, so a shared-queue server (every worker receives)
+  // asked for uring runs mmsg, as when the capability probe fails.
+  const bool shared_uring =
+      data_path_ == net::UdpSocket::DataPath::kUring &&
+      threading_ == core::ThreadingMode::kSharedQueue;
+  const net::UdpSocket::DataPath want =
+      shared_uring ? net::UdpSocket::DataPath::kMmsg : data_path_;
+  EXPECT_EQ(server_->resolved_data_path(), want);
+  EXPECT_EQ(server_->metrics().snapshot().at("server.data_path"),
+            static_cast<std::int64_t>(want));
+  EXPECT_EQ(server_->fused(),
+            data_path_ == net::UdpSocket::DataPath::kUring && !shared_uring);
+}
+
 TEST_P(BatchedChaosTest, DefaultReplyRetryAccountingUnchanged) {
   // The §III-B contract is per *attempt*, not per syscall: batching must not
   // change how many times the retry fault point fires or how retries count.

@@ -7,6 +7,7 @@
 // forked janusd processes; this suite is where the sharp edges live.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -185,8 +186,18 @@ TEST_P(ClusterAgentModeTest, ReshardMigratesSpentCreditExactlyOnce) {
   ASSERT_TRUE(epoch.ok()) << epoch.error().message;
   EXPECT_EQ(holder_.epoch(), 2u);
 
+  // ClusterAgent::apply_epoch_update extracts, acks, and only then streams
+  // the buckets, so reshard() can return while batches are still in
+  // flight: wait (bounded) until every extracted entry has landed.
+  std::uint64_t extracted = 0;
+  for (auto& bundle : bundles_) extracted += bundle->node->migrated_out();
   std::uint64_t moved = 0;
-  for (auto& bundle : bundles_) moved += bundle->node->migrated_in();
+  for (int i = 0; i < 500; ++i) {
+    moved = 0;
+    for (auto& bundle : bundles_) moved += bundle->node->migrated_in();
+    if (moved > 0 && moved >= extracted) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
   EXPECT_GT(moved, 0u) << "a 2->3 reshard must migrate some keys";
 
   // Exactly 60 more admissions per key, wherever it lives now: migrated

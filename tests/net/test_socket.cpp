@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <set>
 #include <string>
 #include <thread>
@@ -281,6 +283,75 @@ INSTANTIATE_TEST_SUITE_P(
                       UdpSocket::DataPath::kUring),
     [](const ::testing::TestParamInfo<UdpSocket::DataPath>& info) {
       return UdpSocket::data_path_name(info.param);
+    });
+
+// Threads sharing one socket are woken one per arriving datagram: the mmsg
+// and fallback providers wait inside the receive syscall, where the kernel
+// queues blocked receivers as exclusive waiters. A poll()-based wait wakes
+// every waiter, and all but one come back empty before their timeout. (The
+// io_uring receive ring has a single consumer, so it is not instantiated.)
+class UdpSocketSharedReceiveTest : public UdpSocketProviderTest {};
+
+TEST_P(UdpSocketSharedReceiveTest, OneDatagramWakesExactlyOneReceiver) {
+  UdpSocket server = make_server();
+  auto addr = server.local_addr().value();
+  auto client = UdpSocket::create();
+  ASSERT_TRUE(client.ok());
+
+  constexpr int kReceivers = 4;
+  const Duration timeout = seconds(2);
+  struct Outcome {
+    bool ok = false;
+    std::size_t got = 0;
+    std::chrono::steady_clock::duration waited{};
+  };
+  std::vector<Outcome> outcomes(kReceivers);
+  std::atomic<int> started{0};
+  std::vector<std::thread> receivers;
+  for (int t = 0; t < kReceivers; ++t) {
+    receivers.emplace_back([&, t] {
+      UdpSocket::RecvBatch batch(8);
+      started.fetch_add(1);
+      const auto start = std::chrono::steady_clock::now();
+      auto n = server.recv_many(batch, timeout);
+      outcomes[t].waited = std::chrono::steady_clock::now() - start;
+      outcomes[t].ok = n.ok();
+      if (n.ok()) outcomes[t].got = n.value();
+    });
+  }
+  // Gaps long enough for each woken receiver to take its datagram before
+  // the next one lands, even on a loaded host.
+  while (started.load() < kReceivers) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // all block
+  for (int i = 0; i < kReceivers; ++i) {
+    EXPECT_TRUE(
+        client.value().send_to(addr, bytes("wake-" + std::to_string(i))).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  for (auto& th : receivers) th.join();
+
+  for (int t = 0; t < kReceivers; ++t) {
+    const auto waited_ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            outcomes[t].waited)
+            .count();
+    EXPECT_TRUE(outcomes[t].ok) << "receiver " << t;
+    EXPECT_EQ(outcomes[t].got, 1u)
+        << "receiver " << t << " returned after " << waited_ms << " ms";
+    if (outcomes[t].got == 0) {
+      EXPECT_GE(outcomes[t].waited, timeout)
+          << "receiver " << t << " woke with nothing to receive after "
+          << waited_ms << " ms";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DataPaths, UdpSocketSharedReceiveTest,
+    ::testing::Values(UdpSocket::DataPath::kFallback,
+                      UdpSocket::DataPath::kMmsg),
+    [](const ::testing::TestParamInfo<UdpSocket::DataPath>& param_info) {
+      return UdpSocket::data_path_name(param_info.param);
     });
 
 TEST(UdpSocketBatchTest, FallbackPathMatchesBatchSyscalls) {

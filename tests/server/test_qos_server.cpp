@@ -1,8 +1,10 @@
 #include "server/qos_server_node.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -11,6 +13,7 @@
 #include "common/json_lint.hpp"
 #include "router/udp_qos_client.hpp"
 #include "testing/fault_injector.hpp"
+#include "wire/codec.hpp"
 
 namespace janus::server {
 namespace {
@@ -336,6 +339,66 @@ TEST_P(QosServerModeTest, WatchdogFlagsStalledWorker) {
   EXPECT_GT(stalls.value(), 0)
       << "watchdog never flagged the sleeping worker";
   server->stop();
+}
+
+TEST_F(QosServerTest, SocketDropsCountedWhenReceiveBufferOverflows) {
+  // The shared-queue workers' only queue is the listen socket's kernel
+  // receive buffer. Stall the only worker, then send more than the buffer
+  // holds: the kernel's drops must surface as server.socket_dropped, and
+  // every datagram that did land must still be accounted for.
+  QosServerConfig cfg;
+  cfg.worker_threads = 1;
+  cfg.watchdog_interval = millis(20);
+  auto server = start_server(cfg);
+
+  // A fresh socket carries the same default buffer as the listen socket.
+  // Each datagram is charged more than its payload, so a blast of
+  // rcvbuf / payload frames (plus slack) cannot all fit.
+  auto sender = net::UdpSocket::bind({"127.0.0.1", 0});
+  ASSERT_TRUE(sender.ok());
+  int rcvbuf = 0;
+  socklen_t len = sizeof(rcvbuf);
+  ASSERT_EQ(::getsockopt(sender.value().fd(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                         &len),
+            0);
+  wire::QosRequest req;
+  req.key = std::string(512, 'k');
+  const std::vector<std::uint8_t> frame = wire::encode(req);
+  const std::size_t blast =
+      static_cast<std::size_t>(rcvbuf) / frame.size() + 64;
+
+  // The stall (1 s) outlasts the blast with room for a loaded host.
+  testing::ScopedFault slow(testing::FaultPoint::kServerSlowService,
+                            {.max_fires = 1, .param = 1000000});
+  auto& received = server->metrics().counter("server.received");
+  ASSERT_TRUE(sender.value().send_to(server->addr(), frame).ok());
+  for (int i = 0; i < 2000 && received.value() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(received.value(), 1) << "the worker never took the stall";
+  for (std::size_t i = 0; i < blast; ++i) {
+    (void)sender.value().send_to(server->addr(), frame);
+  }
+
+  auto& socket_dropped = server->metrics().counter("server.socket_dropped");
+  for (int i = 0; i < 300 && socket_dropped.value() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_GT(socket_dropped.value(), 0)
+      << "a " << blast << "-datagram blast into a " << rcvbuf
+      << "-byte buffer behind a stalled worker dropped nothing";
+  server->stop();
+
+  auto counter = [&](const char* name) {
+    return server->metrics().counter(name).value();
+  };
+  EXPECT_LT(counter("server.received"), static_cast<std::int64_t>(blast) + 1);
+  EXPECT_EQ(counter("server.received"),
+            counter("server.answered") + counter("server.fifo_dropped") +
+                counter("server.malformed") +
+                counter("server.cluster_deferred"));
+  EXPECT_EQ(server->requests_in_flight(), 0)
+      << "kernel drops never reached the node and must not count in flight";
 }
 
 TEST_F(QosServerTest, ChaosFaultFireTriggersParseableAutoDump) {

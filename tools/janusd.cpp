@@ -24,6 +24,11 @@
 //                 [--probe-ms 5] [--probe-age-ms 250] [--probe-reuse 16]
 //                 [--probe-d 3] [--probe-timeout-ms 50]
 //
+// `--data-path uring` takes effect with `--threading shard-per-worker` (the
+// fused loop, DESIGN.md §13.4): the default shared-queue workers all
+// receive from one socket, and the uring receive ring has one consumer, so
+// they run mmsg.
+//
 // The gateway role is the paper's ELB tier: an L7 balancer in front of
 // router nodes. Under `--policy prequal` the probe flags tune the async
 // probe pool (interval, staleness bound T, reuse budget R, power-of-d) —
