@@ -52,7 +52,6 @@ struct Node {
   static Node start(db::RuleStore& store) {
     server::QosServerConfig cfg;
     cfg.worker_threads = 2;
-    cfg.threading = core::ThreadingMode::kShardPerWorker;
     cfg.sync_interval = Duration{0};
     cfg.checkpoint_interval = Duration{0};
     auto node = server::QosServerNode::start({"127.0.0.1", 0}, store, cfg);
@@ -129,11 +128,10 @@ double failover_round() {
   copts.enable_bfd = true;
   cluster::ClusterCoordinator coordinator(holder, copts,
                                           SteadyClock::instance());
-  cluster::MemberSpec spec{
-      .member = master.member("qos-0"),
-      .bfd_addr = responder.value()->local_addr(),
-      .standby = standby.member("qos-0"),
-  };
+  cluster::MemberSpec spec;
+  spec.member = master.member("qos-0");
+  spec.bfd_addr = responder.value()->local_addr();
+  spec.standby = standby.member("qos-0");
   auto epoch = coordinator.bootstrap({spec});
   if (!epoch.ok()) std::exit(1);
 
@@ -187,8 +185,10 @@ double clustered_decisions_per_sec() {
   copts.enable_bfd = false;
   cluster::ClusterCoordinator coordinator(holder, copts,
                                           SteadyClock::instance());
-  auto epoch = coordinator.bootstrap(
-      {{.member = a.member("qos-0")}, {.member = b.member("qos-1")}});
+  std::vector<cluster::MemberSpec> members(2);
+  members[0].member = a.member("qos-0");
+  members[1].member = b.member("qos-1");
+  auto epoch = coordinator.bootstrap(std::move(members));
   if (!epoch.ok()) std::exit(1);
 
   const auto map = holder.snapshot();

@@ -1,6 +1,7 @@
 // A4: google-benchmark microbenchmarks of the per-request hot path — the
 // operations every QoS decision pays: CRC32 partitioning, wire codec,
-// leaky-bucket update, QoS-table lookup, and the worker hand-off queues.
+// leaky-bucket update, QoS-table lookup, and contended decisions under the
+// shard mutexes.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -19,14 +20,10 @@
 #include "common/transparent_hash.hpp"
 #include "common/histogram.hpp"
 #include "common/metrics.hpp"
-#include "common/mpmc_queue.hpp"
-#include "common/spsc_queue.hpp"
 #include "common/sync.hpp"
 #include "core/admission.hpp"
 #include "core/key_router.hpp"
-#include "db/rule_store.hpp"
 #include "net/socket.hpp"
-#include "server/qos_server_node.hpp"
 #include "wire/codec.hpp"
 
 namespace {
@@ -204,15 +201,6 @@ void BM_JanusMutexLockUnlock(benchmark::State& state) {
 }
 BENCHMARK(BM_JanusMutexLockUnlock);
 
-void BM_MpmcQueuePingPong(benchmark::State& state) {
-  MpmcQueue<int> queue(1024);
-  for (auto _ : state) {
-    queue.try_push(1);
-    benchmark::DoNotOptimize(queue.try_pop());
-  }
-}
-BENCHMARK(BM_MpmcQueuePingPong);
-
 void BM_HistogramRecord(benchmark::State& state) {
   Histogram h;
   std::int64_t v = 1;
@@ -373,33 +361,18 @@ void BM_UdpBatchRoundTripFallback(benchmark::State& state) {
 }
 BENCHMARK(BM_UdpBatchRoundTripFallback)->Arg(32);
 
-// ---- PR 5 acceptance: decision throughput, both threading modes -----------
-// Four workers drain a pre-dispatched backlog of warm-key decisions — the
-// exact artifact each mode's listener hands its workers (the untimed
-// prefill below plays the listener):
-//
-//   Arg(0) kSharedQueue:    one shared BlockingQueue (mutex+condvar, bulk
-//                           pop_many) -> any worker -> shard-mutex decision,
-//                           key re-hashed inside with_entry. The server no
-//                           longer runs this hand-off (its shared-queue
-//                           workers receive from the socket themselves,
-//                           DESIGN.md §9.1); the arm stays as the recorded
-//                           BENCH_PR5 baseline.
-//   Arg(1) kShardPerWorker: per-worker SpscQueue (lock-free SPSC ring) ->
-//                           owning worker -> ShardOwnerToken mutex-free
-//                           decision reusing the listener's hash
-//
-// Keys are the paper's 64-byte tenant/operation shape (the PR 4 CRC
-// acceptance shape); the mix is hot — half the load hammers 4 keys — so
-// shared-queue mode pays shard-mutex contention where the owner-token path
-// by construction cannot. The real_time ratio Arg(0)/Arg(1) is
-// BENCH_PR5.json's shard_per_worker_speedup; tools/run_bench_suite.sh and
-// tools/check_threading_doc.sh enforce the 1.5x floor.
+// ---- Contended decisions: the recorder-overhead subject (BENCH_PR6) -------
+// Four threads decide interleaved slices of one 131 072-op warm-key mix —
+// thread w takes ops w, w+4, w+8, ... — through AdmissionController::check
+// under the shard mutexes, as the server's workers do. Keys are the paper's
+// 64-byte tenant/operation shape (the CRC32 benchmarks' key shape); the mix
+// is hot — half the ops hammer 4 keys — so the hot shards' mutexes contend.
+// run_bench_suite.sh times this with the flight recorder armed and
+// disarmed (JANUS_DEEP_OBS=0) for BENCH_PR6.json's recorder_overhead_ratio.
 void BM_ServerDecisionContended(benchmark::State& state) {
-  constexpr std::size_t kWorkers = 4;
+  constexpr std::size_t kThreads = 4;
   constexpr std::size_t kOpsPerIter = 1u << 17;  // 131072
   constexpr std::size_t kKeys = 64;  // spans all 16 shards
-  const bool shard_per_worker = state.range(0) == 1;
 
   SteadyClock clock;
   WarmSource source;
@@ -408,203 +381,33 @@ void BM_ServerDecisionContended(benchmark::State& state) {
   core::AdmissionController admission(clock, source, cfg);
 
   std::vector<std::string> keys;
-  std::vector<std::size_t> hashes;
   for (std::size_t i = 0; i < kKeys; ++i) {
     std::string key = "tenant-" + std::to_string(i) + "/checkout.place-order";
     key.resize(64, 'x');
     keys.push_back(std::move(key));
-    hashes.push_back(TransparentStringHash::hash_bytes(keys.back()));
     admission.check(keys.back());  // warm: decisions below are all cached
   }
   // Hot shard mix: half the ops hammer keys 0..3 (which collide onto a few
-  // hot shards), the rest round-robin over all 64. Hot shards convoy the
-  // shared-queue mode's shard mutexes; the owner-token path cannot convoy.
-  auto pick = [&](std::size_t seq) -> std::uint32_t {
-    return static_cast<std::uint32_t>((seq % 100) < 50 ? seq % 4
-                                                       : seq % kKeys);
-  };
-
-  struct Dispatch {
-    std::uint32_t key_idx;
-    std::size_t hash;
+  // hot shards), the rest round-robin over all 64.
+  auto pick = [](std::size_t seq) {
+    return (seq % 100) < 50 ? seq % 4 : seq % kKeys;
   };
 
   for (auto _ : state) {
-    if (!shard_per_worker) {
-      state.PauseTiming();
-      BlockingQueue<Dispatch> fifo(1u << 18);
-      {
-        std::vector<Dispatch> burst;
-        std::size_t sent = 0;
-        while (sent < kOpsPerIter) {
-          burst.clear();
-          for (std::size_t i = 0;
-               i < 32 && sent + burst.size() < kOpsPerIter; ++i) {
-            const std::uint32_t k = pick(sent + i);
-            burst.push_back(Dispatch{k, hashes[k]});
-          }
-          sent += fifo.try_push_many(burst);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (std::size_t seq = t; seq < kOpsPerIter; seq += kThreads) {
+          benchmark::DoNotOptimize(admission.check(keys[pick(seq)]).allowed);
         }
-        fifo.shutdown();  // workers drain the backlog, then exit
-      }
-      state.ResumeTiming();
-      std::vector<std::thread> workers;
-      for (std::size_t w = 0; w < kWorkers; ++w) {
-        workers.emplace_back([&] {
-          std::vector<Dispatch> burst;
-          burst.reserve(32);
-          while (true) {
-            burst.clear();
-            if (fifo.pop_many(burst, 32) == 0) break;
-            for (const Dispatch& d : burst) {
-              benchmark::DoNotOptimize(
-                  admission.check(keys[d.key_idx]).allowed);
-            }
-          }
-        });
-      }
-      for (auto& t : workers) t.join();
-    } else {
-      state.PauseTiming();
-      // Ring sizing: the key set and mix are deterministic, and the most
-      // loaded worker sees 47k of the 131k ops — comfortably inside a
-      // 1 << 16 ring (one slot unusable). A failed try_push would silently
-      // shrink the sharded mode's work and fake the speedup, so any drift
-      // in the key → worker mapping aborts the benchmark instead.
-      std::vector<std::unique_ptr<SpscQueue<Dispatch>>> rings;
-      for (std::size_t w = 0; w < kWorkers; ++w) {
-        rings.push_back(std::make_unique<SpscQueue<Dispatch>>(1u << 16));
-      }
-      const core::ShardedQosTable& table = admission.table();
-      for (std::size_t seq = 0; seq < kOpsPerIter; ++seq) {
-        const std::uint32_t k = pick(seq);
-        const std::size_t w = table.shard_index_of(hashes[k]) % kWorkers;
-        if (!rings[w]->try_push(Dispatch{k, hashes[k]})) {
-          state.SkipWithError("sharded prefill overflowed its ring");
-          break;
-        }
-      }
-      state.ResumeTiming();
-      std::vector<std::thread> workers;
-      for (std::size_t w = 0; w < kWorkers; ++w) {
-        workers.emplace_back([&, w] {
-          const core::ShardOwnerToken token =
-              admission.claim_shards(w, kWorkers);
-          SpscQueue<Dispatch>& ring = *rings[w];
-          while (auto d = ring.try_pop()) {
-            benchmark::DoNotOptimize(
-                admission.check_owned(token, keys[d->key_idx], d->hash)
-                    .allowed);
-          }
-        });
-      }
-      for (auto& t : workers) t.join();
+      });
     }
+    for (auto& th : threads) th.join();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kOpsPerIter));
 }
-BENCHMARK(BM_ServerDecisionContended)->Arg(0)->Arg(1)
-    ->UseRealTime()->Unit(benchmark::kMillisecond);
-
-// PR 9 acceptance pair: the SAME contended decision workload, but end to
-// end through a real QosServerNode over loopback UDP — socket included,
-// which is exactly what the in-process benchmark above cannot see. Arg(0)
-// runs the server's listener on the mmsg provider (kShardPerWorker,
-// listener thread + one worker, SPSC hand-off with a per-datagram payload
-// copy); Arg(1) runs io_uring, which in shard-per-worker mode comes up as
-// the fused run-to-completion loop (listener IS the worker, decisions made
-// inline over the registered receive buffers — no hand-off, no copy). The
-// client half is identical in both runs (mmsg send_many/recv_many), so the
-// wall-clock ratio isolates the server's data path. BENCH_PR9.json derives
-// uring_vs_mmsg_decision_speedup from the real_time medians; the
-// acceptance floor is 1.3x.
-void BM_ServerDecisionEndToEnd(benchmark::State& state) {
-  const bool use_uring = state.range(0) == 1;
-  if (use_uring && !net::UdpSocket::uring_supported()) {
-    state.SkipWithError("kernel lacks usable io_uring");
-    return;
-  }
-  constexpr std::size_t kBurst = 32;
-  constexpr std::size_t kBursts = 256;  // 8192 decisions per iteration
-  constexpr std::size_t kKeys = 64;
-
-  db::Database db;
-  db::RuleStore store(db);
-  std::vector<std::string> keys;
-  for (std::size_t i = 0; i < kKeys; ++i) {
-    std::string key = "tenant-" + std::to_string(i) + "/checkout.place-order";
-    key.resize(64, 'x');
-    if (!store.put({.key = key, .refill_per_sec = 1e9, .capacity = 1e12,
-                    .credit = 1e12}).ok()) {
-      state.SkipWithError("rule provision failed");
-      return;
-    }
-    keys.push_back(std::move(key));
-  }
-
-  server::QosServerConfig scfg;
-  scfg.worker_threads = 1;
-  scfg.threading = core::ThreadingMode::kShardPerWorker;
-  scfg.data_path = use_uring ? net::UdpSocket::DataPath::kUring
-                             : net::UdpSocket::DataPath::kMmsg;
-  scfg.sync_interval = Duration{0};
-  scfg.checkpoint_interval = Duration{0};
-  auto server = server::QosServerNode::start({"127.0.0.1", 0}, store, scfg);
-  if (!server.ok()) {
-    state.SkipWithError("server start failed");
-    return;
-  }
-  const net::SockAddr addr = server.value()->addr();
-
-  auto client_r = net::UdpSocket::create();
-  if (!client_r.ok()) {
-    state.SkipWithError("client socket failed");
-    return;
-  }
-  net::UdpSocket client = std::move(client_r).take();
-  client.set_data_path(net::UdpSocket::DataPath::kMmsg);
-
-  // Hot mix as above: half the burst hammers keys 0..3, the rest
-  // round-robins — pre-encoded once, reused every iteration.
-  std::vector<std::vector<std::uint8_t>> frames(kKeys);
-  for (std::size_t i = 0; i < kKeys; ++i) {
-    wire::QosRequest req;
-    req.request_id = i;
-    req.type = wire::RequestType::kCheck;
-    req.cost = 1;
-    req.key = keys[i];
-    wire::encode_to(req, frames[i]);
-  }
-  std::vector<net::UdpSocket::OutDatagram> burst(kBurst);
-  net::UdpSocket::RecvBatch replies(kBurst);
-
-  for (auto _ : state) {
-    for (std::size_t b = 0; b < kBursts; ++b) {
-      for (std::size_t i = 0; i < kBurst; ++i) {
-        const std::size_t seq = b * kBurst + i;
-        const std::size_t k = (seq % 100) < 50 ? seq % 4 : seq % kKeys;
-        burst[i] = {addr, frames[k]};
-      }
-      if (!client.send_many(burst).ok()) {
-        state.SkipWithError("send_many failed");
-        return;
-      }
-      std::size_t got = 0;
-      while (got < kBurst) {
-        auto n = client.recv_many(replies, seconds(5));
-        if (!n.ok() || n.value() == 0) {
-          state.SkipWithError("reply batch lost");
-          return;
-        }
-        got += n.value();
-      }
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kBurst * kBursts));
-}
-BENCHMARK(BM_ServerDecisionEndToEnd)->Arg(0)->Arg(1)
+BENCHMARK(BM_ServerDecisionContended)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -2,8 +2,7 @@
 // trace events covering the whole decision path (stage enter/exit at the
 // gateway, router and server worker, queue depth at dispatch, sampled
 // admission verdicts, queue rejects, fault-point fires, watchdog stalls).
-// The rings are the same thread-local ownership story as ShardOwnerToken:
-// each ring has exactly one writer — the thread that registered it — so the
+// Each ring has exactly one writer — the thread that registered it — so the
 // hot path takes no lock and allocates nothing after the thread's first
 // event. Readers (the /tracez admin endpoint, the chaos auto-dump) snapshot
 // concurrently through a per-slot seqlock.

@@ -8,23 +8,22 @@
 //
 // Three flavors, from strictest to most permissive:
 //
-//   JANUS_HOT_PATH        — the pure decision kernel. No allocation, no
+//   JANUS_HOT_PATH        — the pure kernels the decision path calls: key
+//                           hashing and shard choice, the wire codec, the
+//                           hot-key sketch, the flight recorder, the
+//                           gateway's pick. No allocation, no
 //                           janus::Mutex/SharedMutex acquisition, no
-//                           blocking syscall, no throw. This is the
-//                           ShardOwnerToken `_owned` path and the
-//                           `_unlocked` table accessors: the caller has
-//                           already proven exclusive ownership, so the
-//                           body must be branch-and-arithmetic only.
+//                           blocking syscall, no throw: the body must be
+//                           branch-and-arithmetic only.
 //
-//   JANUS_HOT_PATH_LOCKS  — the shared-queue decision path. Leaf mutexes
+//   JANUS_HOT_PATH_LOCKS  — the decision path itself. Leaf mutexes
 //                           (the per-shard `core.qos_shard` lock, the
 //                           `common.metrics_stripe` histogram stripe) are
 //                           allowed; allocation, blocking syscalls and
 //                           throw are still banned.
 //
-//   JANUS_HOT_PATH_IO     — the listener/worker event loops. Locks plus
-//                           blocking socket/queue syscalls (recvmmsg,
-//                           poll, SPSC pop, CondVar park) are allowed;
+//   JANUS_HOT_PATH_IO     — the worker event loops. Locks plus blocking
+//                           socket syscalls (recvmmsg, poll) are allowed;
 //                           allocation and throw are still banned.
 //
 // The macros expand to `[[clang::annotate("janus::hot_path[_locks|_io]")]]`

@@ -1,11 +1,9 @@
 // Space-Saving top-k sketch for hot-key telemetry (DESIGN.md §10).
 //
 // One sketch lives inside each QosTable shard and is fed from the decision
-// path: under shard-per-worker threading the shard owner is the only writer
-// (no lock), under shared-queue threading the caller already holds the shard
-// mutex. Readers (/statusz, /metrics) never take the shard mutex — each slot
-// carries its own seqlock version so a snapshot is safe against the owned
-// writers that bypass the mutex entirely.
+// path, whose caller already holds the shard mutex. Readers (/statusz,
+// /metrics) never take the shard mutex — each slot carries its own seqlock
+// version so a snapshot is safe against the writer holding it.
 //
 // Space-Saving semantics: a miss evicts the current minimum-count slot and
 // inherits its count as `overestimate`, so for any reported key
@@ -43,8 +41,8 @@ class HotKeySketch {
   static constexpr std::size_t kKeyBytes = 48;
 
   /// Count one (weighted) decision for `key`. Single writer per sketch —
-  /// the shard owner thread or a holder of the shard mutex; concurrent
-  /// note() calls on the same sketch are a contract violation.
+  /// the holder of the shard mutex; concurrent note() calls on the same
+  /// sketch are a contract violation.
   JANUS_HOT_PATH void note(std::string_view key, std::uint64_t hash,
                            bool allowed, std::uint64_t weight) {
     Slot* min_slot = nullptr;

@@ -11,7 +11,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/mpmc_queue.hpp"
+#include "common/blocking_queue.hpp"
 
 namespace janus {
 

@@ -38,80 +38,68 @@ QosEntry AdmissionController::make_entry(std::string_view key, TimePoint now) {
   };
 }
 
-void AdmissionController::note_decision_telemetry(std::string_view key,
-                                                  std::size_t hash,
-                                                  const Decision& d,
-                                                  TimePoint now,
-                                                  const ShardOwnerToken* token) {
-  // 1-in-2^kDecisionSampleShift sampling keeps the armed recorder inside the
-  // <3% BM_ServerDecisionContended budget (BENCH_PR6.json); the sketch adds
-  // the sample stride as weight so reported counts stay approximately true.
-  if (!FlightRecorder::enabled() || !FlightRecorder::decision_sampled()) {
-    return;
-  }
-  const std::uint64_t weight = FlightRecorder::kDecisionSampleWeight;
-  if (token != nullptr) {
-    table_.note_decision_owned(*token, key, hash, d.allowed, weight);
-  } else {
-    // purity-ok: shared-queue branch only — never taken under an owner token
-    table_.note_decision(key, hash, d.allowed, weight);
-  }
-  FlightRecorder::record(
-      TraceEventType::kAdmission, TraceStage::kAdmission, hash,
-      pack_admission_arg(d.allowed, static_cast<std::uint8_t>(d.origin),
-                         d.remaining_millicredits),
-      static_cast<std::uint64_t>(now.count()));
-}
-
 Decision AdmissionController::decide(std::string_view key, std::uint32_t cost,
                                      bool consume) {
   checks_.inc();
   const TimePoint now = clock_.now();
   const bool lazy = config_.refill_mode == RefillMode::kOnAccess;
   const std::size_t hash = TransparentStringHash::hash_bytes(key);
+  // 1-in-2^kDecisionSampleShift sampling keeps the armed recorder inside the
+  // <3% BM_ServerDecisionContended budget (BENCH_PR6.json); the sketch adds
+  // the sample stride as weight so reported counts stay approximately true.
+  const bool sampled =
+      FlightRecorder::enabled() && FlightRecorder::decision_sampled();
 
-  // Fast path: the bucket is already cached; decide under the shard lock.
-  auto cached = table_.with_entry_prehashed(key, hash, [&](QosEntry& entry) {
+  // Runs under the key's shard lock, which also serializes the shard's
+  // hot-key sketch: a sampled decision is noted without locking again.
+  auto run = [&](QosEntry& entry, HotKeySketch& sketch,
+                 Decision::Origin origin) {
     Decision d;
-    d.origin = Decision::Origin::kCached;
+    d.origin = origin;
     if (lazy) entry.bucket.refill(now);
     d.allowed = consume ? entry.bucket.try_consume_no_refill(cost)
                         : entry.bucket.millicredits() >=
                               static_cast<std::int64_t>(cost) *
                                   LeakyBucket::kMillisPerCredit;
     d.remaining_millicredits = entry.bucket.millicredits();
+    if (sampled) {
+      sketch.note(key, hash, d.allowed, FlightRecorder::kDecisionSampleWeight);
+    }
     return d;
-  });
-  if (cached) {
-    (cached->allowed ? allowed_ : denied_).inc();
-    note_decision_telemetry(key, hash, *cached, now, nullptr);
-    return *cached;
-  }
+  };
 
-  // First touch: fetch the rule from the database *outside* the shard lock
-  // (a slow DB round-trip must not block other keys in the shard), then
-  // create-if-absent. If another thread won the race our fetched rule is
-  // discarded and its entry is used — identical to the paper's behaviour
-  // where concurrent first touches serialize on the table.
-  // purity-ok: first-touch cold branch (DB fetch + rule/key copy)
-  QosEntry fresh = make_entry(key, now);
-  Decision d = table_.with_entry_or_create_prehashed(
-      key, hash, [&] { return std::move(fresh); },
-      [&](QosEntry& entry) {
-        Decision inner;
-        inner.origin = entry.is_default ? Decision::Origin::kDefault
-                                        : Decision::Origin::kFetched;
-        if (lazy) entry.bucket.refill(now);
-        inner.allowed = consume
-                            ? entry.bucket.try_consume_no_refill(cost)
-                            : entry.bucket.millicredits() >=
-                                  static_cast<std::int64_t>(cost) *
-                                      LeakyBucket::kMillisPerCredit;
-        inner.remaining_millicredits = entry.bucket.millicredits();
-        return inner;
+  // Fast path: the bucket is already cached.
+  auto cached = table_.with_entry_prehashed(
+      key, hash, [&](QosEntry& entry, HotKeySketch& sketch) {
+        return run(entry, sketch, Decision::Origin::kCached);
       });
+  Decision d;
+  if (cached) {
+    d = *cached;
+  } else {
+    // First touch: fetch the rule from the database *outside* the shard
+    // lock (a slow DB round-trip must not block other keys in the shard),
+    // then create-if-absent. If another thread won the race our fetched
+    // rule is discarded and its entry is used — identical to the paper's
+    // behaviour where concurrent first touches serialize on the table.
+    // purity-ok: first-touch cold branch (DB fetch + rule/key copy)
+    QosEntry fresh = make_entry(key, now);
+    d = table_.with_entry_or_create_prehashed(
+        key, hash, [&] { return std::move(fresh); },
+        [&](QosEntry& entry, HotKeySketch& sketch) {
+          return run(entry, sketch,
+                     entry.is_default ? Decision::Origin::kDefault
+                                      : Decision::Origin::kFetched);
+        });
+  }
   (d.allowed ? allowed_ : denied_).inc();
-  note_decision_telemetry(key, hash, d, now, nullptr);
+  if (sampled) {
+    FlightRecorder::record(
+        TraceEventType::kAdmission, TraceStage::kAdmission, hash,
+        pack_admission_arg(d.allowed, static_cast<std::uint8_t>(d.origin),
+                           d.remaining_millicredits),
+        static_cast<std::uint64_t>(now.count()));
+  }
   return d;
 }
 
@@ -121,85 +109,6 @@ Decision AdmissionController::check(std::string_view key, std::uint32_t cost) {
 
 Decision AdmissionController::probe(std::string_view key, std::uint32_t cost) {
   return decide(key, cost, /*consume=*/false);
-}
-
-Decision AdmissionController::decide_owned(const ShardOwnerToken& token,
-                                           std::string_view key,
-                                           std::size_t hash,
-                                           std::uint32_t cost, bool consume) {
-  checks_.inc();
-  const TimePoint now = clock_.now();
-  const bool lazy = config_.refill_mode == RefillMode::kOnAccess;
-
-  // Same two-step shape as decide(), minus every mutex: the token is the
-  // proof that this thread is the only one that can touch the key's shard.
-  // The DB fetch on first touch happens inline — unlike decide() there is
-  // no shard lock to keep it out from under (the DB's own locks are a
-  // lower-rank domain and this thread holds nothing).
-  auto run = [&](QosEntry& entry) {
-    Decision d;
-    d.origin = Decision::Origin::kCached;
-    if (lazy) entry.bucket.refill(now);
-    d.allowed = consume ? entry.bucket.try_consume_no_refill(cost)
-                        : entry.bucket.millicredits() >=
-                              static_cast<std::int64_t>(cost) *
-                                  LeakyBucket::kMillisPerCredit;
-    d.remaining_millicredits = entry.bucket.millicredits();
-    return d;
-  };
-
-  auto cached =  // unlocked-ok: owner-token call site (shard-per-worker)
-      table_.with_entry_unlocked(token, key, hash, run);
-  if (cached) {
-    (cached->allowed ? allowed_ : denied_).inc();
-    note_decision_telemetry(key, hash, *cached, now, &token);
-    return *cached;
-  }
-
-  // purity-ok: first-touch cold branch (DB fetch + rule/key copy)
-  QosEntry fresh = make_entry(key, now);
-  const bool is_default = fresh.is_default;
-  Decision d =  // unlocked-ok: owner-token call site (shard-per-worker)
-      table_.with_entry_or_create_unlocked(
-          token, key, hash, [&] { return std::move(fresh); },
-          [&](QosEntry& entry) {
-            Decision inner = run(entry);
-            inner.origin = is_default ? Decision::Origin::kDefault
-                                      : Decision::Origin::kFetched;
-            return inner;
-          });
-  (d.allowed ? allowed_ : denied_).inc();
-  note_decision_telemetry(key, hash, d, now, &token);
-  return d;
-}
-
-Decision AdmissionController::check_owned(const ShardOwnerToken& token,
-                                          std::string_view key,
-                                          std::size_t hash,
-                                          std::uint32_t cost) {
-  return decide_owned(token, key, hash, cost, /*consume=*/true);
-}
-
-Decision AdmissionController::probe_owned(const ShardOwnerToken& token,
-                                          std::string_view key,
-                                          std::size_t hash,
-                                          std::uint32_t cost) {
-  return decide_owned(token, key, hash, cost, /*consume=*/false);
-}
-
-bool AdmissionController::invalidate_owned(const ShardOwnerToken& token,
-                                           std::string_view key,
-                                           std::size_t hash) {
-  // unlocked-ok: owner-token call site (shard-per-worker)
-  return table_.erase_unlocked(token, key, hash);
-}
-
-void AdmissionController::refill_owned(const ShardOwnerToken& token) {
-  const TimePoint now = clock_.now();
-  // unlocked-ok: owner-token call site (shard-per-worker)
-  table_.for_each_owned(token, [&](const std::string&, QosEntry& entry) {
-    entry.bucket.refill(now);
-  });
 }
 
 void AdmissionController::refill_all() {
@@ -260,68 +169,6 @@ std::size_t AdmissionController::checkpoint_now(RuleSink& sink) {
   // Snapshot credits under the locks, write to the sink outside them.
   std::vector<std::pair<std::string, double>> credits;
   table_.for_each([&](const std::string& key, QosEntry& entry) {
-    if (entry.is_default) return;
-    entry.bucket.refill(now);
-    credits.emplace_back(key, entry.bucket.credit());
-  });
-  for (const auto& [key, credit] : credits) sink.checkpoint(key, credit);
-  return credits.size();
-}
-
-std::size_t AdmissionController::sync_owned(const ShardOwnerToken& token) {
-  const TimePoint now = clock_.now();
-  std::size_t changed = 0;
-
-  // Keys first, then fetch+update — same shape as sync_now(), but only for
-  // the token's shards and with no locks anywhere: the owner cannot race
-  // itself, and nobody else may touch these shards. (Fetching inside the
-  // walk would also be safe; the two-pass shape keeps the DB access pattern
-  // identical between modes.)
-  std::vector<std::string> keys;
-  // unlocked-ok: owner-token call site (shard-per-worker)
-  table_.for_each_owned(token, [&](const std::string& key, QosEntry&) {
-    keys.push_back(key);
-  });
-
-  for (const auto& key : keys) {
-    auto fetched = source_.fetch(key);
-    const std::size_t h = TransparentStringHash::hash_bytes(key);
-    // unlocked-ok: owner-token call site (shard-per-worker)
-    table_.with_entry_unlocked(token, key, h, [&](QosEntry& entry) {
-      if (fetched) {
-        const bool differs = entry.is_default ||
-                             entry.rule.capacity != fetched->capacity ||
-                             entry.rule.refill_per_sec != fetched->refill_per_sec;
-        if (differs) {
-          entry.rule.capacity = fetched->capacity;
-          entry.rule.refill_per_sec = fetched->refill_per_sec;
-          entry.is_default = false;
-          entry.bucket.reconfigure(fetched->capacity, fetched->refill_per_sec,
-                                   now);
-          entry.bucket.set_credit(
-              fetched->initial_credit.value_or(fetched->capacity));
-          ++changed;
-        }
-      } else if (!entry.is_default) {
-        entry.rule.capacity = config_.default_rule.capacity;
-        entry.rule.refill_per_sec = config_.default_rule.refill_per_sec;
-        entry.is_default = true;
-        entry.bucket.reconfigure(config_.default_rule.capacity,
-                                 config_.default_rule.refill_per_sec, now);
-        ++changed;
-      }
-      return 0;
-    });
-  }
-  return changed;
-}
-
-std::size_t AdmissionController::checkpoint_owned(const ShardOwnerToken& token,
-                                                  RuleSink& sink) {
-  const TimePoint now = clock_.now();
-  std::vector<std::pair<std::string, double>> credits;
-  // unlocked-ok: owner-token call site (shard-per-worker)
-  table_.for_each_owned(token, [&](const std::string& key, QosEntry& entry) {
     if (entry.is_default) return;
     entry.bucket.refill(now);
     credits.emplace_back(key, entry.bucket.credit());

@@ -5,7 +5,6 @@
 // and shards>1 quantifies the fix (ablation bench A2).
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -33,36 +32,6 @@ struct QosEntry {
   bool is_default = false;
 };
 
-class ShardedQosTable;
-
-/// Capability proving exclusive ownership of a disjoint subset of shards —
-/// the compile-time guard on the unsynchronized accessors below. Only
-/// ShardedQosTable::claim_shards() can mint one (private constructor), so
-/// shared-queue code physically cannot call `*_unlocked`: every such call
-/// site must name a token, and obtaining a token is the act of declaring
-/// the shard-per-worker ownership contract (DESIGN.md §9: "a shard is
-/// touched only by its owning worker; maintenance goes through its queue").
-class ShardOwnerToken {
- public:
-  std::size_t worker_index() const { return worker_index_; }
-  std::size_t worker_count() const { return worker_count_; }
-
-  /// Shards are remapped onto workers by `shard % worker_count`; every
-  /// shard has exactly one owner and (when shard_count >= worker_count)
-  /// every worker owns at least one shard.
-  bool owns(std::size_t shard_index) const {
-    return shard_index % worker_count_ == worker_index_;
-  }
-
- private:
-  friend class ShardedQosTable;
-  ShardOwnerToken(std::size_t worker_index, std::size_t worker_count)
-      : worker_index_(worker_index), worker_count_(worker_count) {}
-
-  std::size_t worker_index_;
-  std::size_t worker_count_;
-};
-
 class ShardedQosTable {
  public:
   explicit ShardedQosTable(std::size_t shard_count = 16);
@@ -76,21 +45,24 @@ class ShardedQosTable {
   template <typename Fn>
   auto with_entry(std::string_view key, Fn&& fn)
       -> std::optional<decltype(fn(std::declval<QosEntry&>()))> {
-    return with_entry_prehashed(key, TransparentStringHash::hash_bytes(key),
-                                std::forward<Fn>(fn));
+    return with_entry_prehashed(
+        key, TransparentStringHash::hash_bytes(key),
+        [&](QosEntry& entry, HotKeySketch&) { return fn(entry); });
   }
 
-  /// with_entry() with a caller-supplied hash — for callers (the admission
-  /// path) that reuse the hash for hot-key accounting after the lookup.
+  /// with_entry() with a caller-supplied hash, for the admission path:
+  /// `fn(entry, sketch)` also gets the shard's hot-key sketch, so a sampled
+  /// decision is counted inside its own critical section.
   template <typename Fn>
   JANUS_HOT_PATH_LOCKS auto with_entry_prehashed(std::string_view key,
                                                  std::size_t hash, Fn&& fn)
-      -> std::optional<decltype(fn(std::declval<QosEntry&>()))> {
+      -> std::optional<decltype(fn(std::declval<QosEntry&>(),
+                                   std::declval<HotKeySketch&>()))> {
     Shard& shard = *shards_[shard_index_of(hash)];
     MutexLock lock(shard.mu);
     auto it = shard.entries.find(PrehashedKey{key, hash});
     if (it == shard.entries.end()) return std::nullopt;
-    return fn(it->second);
+    return fn(it->second, shard.hot_keys);
   }
 
   /// Get the entry, creating it via `factory` if absent, then run `fn` on it
@@ -104,14 +76,17 @@ class ShardedQosTable {
       -> decltype(fn(std::declval<QosEntry&>())) {
     return with_entry_or_create_prehashed(
         key, TransparentStringHash::hash_bytes(key),
-        std::forward<Factory>(factory), std::forward<Fn>(fn));
+        std::forward<Factory>(factory),
+        [&](QosEntry& entry, HotKeySketch&) { return fn(entry); });
   }
 
-  /// with_entry_or_create() with a caller-supplied hash.
+  /// with_entry_or_create() with a caller-supplied hash; `fn` gets the
+  /// shard's hot-key sketch as in with_entry_prehashed().
   template <typename Fn, typename Factory>
   JANUS_HOT_PATH_LOCKS auto with_entry_or_create_prehashed(
       std::string_view key, std::size_t hash, Factory&& factory, Fn&& fn)
-      -> decltype(fn(std::declval<QosEntry&>())) {
+      -> decltype(fn(std::declval<QosEntry&>(),
+                     std::declval<HotKeySketch&>())) {
     Shard& shard = *shards_[shard_index_of(hash)];
     MutexLock lock(shard.mu);
     auto it = shard.entries.find(PrehashedKey{key, hash});
@@ -119,126 +94,28 @@ class ShardedQosTable {
       // purity-ok: first touch only — owning key string built exactly once
       it = shard.entries.emplace(std::string(key), factory()).first;
     }
-    return fn(it->second);
+    return fn(it->second, shard.hot_keys);
   }
 
   // ---- hot-key top-k telemetry ---------------------------------------------
   //
   // Each shard carries a HotKeySketch fed from the admission path with
   // pre-weighted (sampled) decision counts. The sketch is internally
-  // seqlocked per slot: writers are serialized by the same discipline as the
-  // entry map (shard mutex in shared-queue mode, owner token in
-  // shard-per-worker mode) while hot_keys() readers stay lock-free.
-
-  /// Count a (weighted) decision under the shard lock — shared-queue mode.
-  JANUS_HOT_PATH_LOCKS void note_decision(std::string_view key,
-                                          std::size_t hash, bool allowed,
-                                          std::uint64_t weight) {
-    Shard& shard = *shards_[shard_index_of(hash)];
-    MutexLock lock(shard.mu);
-    shard.hot_keys.note(key, hash, allowed, weight);
-  }
-
-  /// Count a (weighted) decision without the lock — the caller's token
-  /// proves single-writer access to the shard (and thus its sketch).
-  JANUS_HOT_PATH JANUS_NO_THREAD_SAFETY_ANALYSIS void note_decision_owned(
-      const ShardOwnerToken& token, std::string_view key, std::size_t hash,
-      bool allowed, std::uint64_t weight) {
-    const std::size_t si = shard_index_of(hash);
-    assert(token.owns(si));
-    (void)token;
-    shards_[si]->hot_keys.note(key, hash, allowed, weight);
-  }
+  // seqlocked per slot: its writers hold the shard mutex (the decision's own
+  // critical section, see with_entry_prehashed) while hot_keys() readers
+  // stay lock-free.
 
   /// Merge every shard's sketch and return the top `k` keys by decision
   /// count (or by rejection count). Lock-free: reads only the per-slot
-  /// seqlocks, so it is safe from any thread in either threading mode.
+  /// seqlocks, so it is safe from any thread.
   std::vector<HotKeyCount> hot_keys(bool by_rejects = false,
                                     std::size_t k = 16) const;
-
-  // ---- shard-per-worker (shared-nothing) owner-token API -------------------
-  //
-  // The unsynchronized accessors skip the shard mutex entirely: the caller's
-  // ShardOwnerToken is the proof that no other thread can touch the shard
-  // (QosServerNode pins each shard to exactly one worker and routes all
-  // maintenance through that worker's command queue). They are annotated
-  // JANUS_NO_THREAD_SAFETY_ANALYSIS because the safety argument is ownership,
-  // not a mutex — the one thing Clang's analysis cannot see. Debug builds
-  // still assert the token actually owns the probed shard.
-
-  /// Mint the ownership capability for worker `worker_index` of
-  /// `worker_count`. The resulting partition is exhaustive and disjoint:
-  /// shard s belongs to worker `s % worker_count`.
-  ShardOwnerToken claim_shards(std::size_t worker_index,
-                               std::size_t worker_count) const {
-    assert(worker_count > 0 && worker_index < worker_count);
-    return ShardOwnerToken(worker_index, worker_count);
-  }
-
-  /// Lock-free equivalent of with_entry(): caller supplies the key's hash
-  /// (computed once on the dispatch path) and its ownership token.
-  template <typename Fn>
-  JANUS_HOT_PATH JANUS_NO_THREAD_SAFETY_ANALYSIS auto with_entry_unlocked(
-      const ShardOwnerToken& token, std::string_view key, std::size_t hash,
-      Fn&& fn) -> std::optional<decltype(fn(std::declval<QosEntry&>()))> {
-    const std::size_t si = shard_index_of(hash);
-    assert(token.owns(si));
-    (void)token;
-    Shard& shard = *shards_[si];
-    auto it = shard.entries.find(PrehashedKey{key, hash});
-    if (it == shard.entries.end()) return std::nullopt;
-    return fn(it->second);
-  }
-
-  /// Lock-free equivalent of with_entry_or_create().
-  template <typename Fn, typename Factory>
-  JANUS_HOT_PATH JANUS_NO_THREAD_SAFETY_ANALYSIS auto
-  with_entry_or_create_unlocked(const ShardOwnerToken& token,
-                                std::string_view key, std::size_t hash,
-                                Factory&& factory, Fn&& fn)
-      -> decltype(fn(std::declval<QosEntry&>())) {
-    const std::size_t si = shard_index_of(hash);
-    assert(token.owns(si));
-    (void)token;
-    Shard& shard = *shards_[si];
-    auto it = shard.entries.find(PrehashedKey{key, hash});
-    if (it == shard.entries.end()) {
-      // purity-ok: first touch only — owning key string built exactly once
-      it = shard.entries.emplace(std::string(key), factory()).first;
-    }
-    return fn(it->second);
-  }
-
-  /// Lock-free erase (kSync invalidation on the owner worker).
-  JANUS_HOT_PATH JANUS_NO_THREAD_SAFETY_ANALYSIS bool erase_unlocked(
-      const ShardOwnerToken& token, std::string_view key, std::size_t hash) {
-    const std::size_t si = shard_index_of(hash);
-    assert(token.owns(si));
-    (void)token;
-    Shard& shard = *shards_[si];
-    auto it = shard.entries.find(PrehashedKey{key, hash});
-    if (it == shard.entries.end()) return false;
-    shard.entries.erase(it);
-    return true;
-  }
-
-  /// Visit every entry of every shard the token owns, without locks — the
-  /// owner-side refill/sync/checkpoint walk.
-  template <typename Fn>
-  JANUS_NO_THREAD_SAFETY_ANALYSIS void for_each_owned(
-      const ShardOwnerToken& token, Fn&& fn) {
-    for (std::size_t si = token.worker_index(); si < shards_.size();
-         si += token.worker_count()) {
-      for (auto& [key, entry] : shards_[si]->entries) fn(key, entry);
-    }
-  }
 
   /// Shard choice from the upper half of the SplitMix64-finalized CRC: a
   /// different mixing than the router's plain `crc % N`, so shard choice
   /// stays independent of server choice (otherwise one server's table would
   /// collapse into a single shard) — while the whole decision still pays
-  /// for exactly one CRC pass over the key. Public because the
-  /// shard-per-worker listener derives the owning worker from it.
+  /// for exactly one CRC pass over the key.
   JANUS_HOT_PATH std::size_t shard_index_of(std::size_t hash) const {
     return (hash >> (sizeof(std::size_t) * 4)) % shards_.size();
   }
@@ -266,8 +143,8 @@ class ShardedQosTable {
     std::unordered_map<std::string, QosEntry, TransparentStringHash,
                        TransparentStringEq>
         entries JANUS_GUARDED_BY(mu);
-    // Not guarded by mu: internally seqlocked. Writers follow the entry
-    // map's ownership discipline; readers (hot_keys) are lock-free.
+    // Written only under mu (one writer at a time); internally seqlocked so
+    // readers (hot_keys) need no lock.
     HotKeySketch hot_keys;
   };
 

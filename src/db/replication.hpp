@@ -8,7 +8,7 @@
 #include <cstddef>
 #include <memory>
 
-#include "common/mpmc_queue.hpp"
+#include "common/blocking_queue.hpp"
 #include "db/database.hpp"
 
 namespace janus::db {

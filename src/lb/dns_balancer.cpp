@@ -45,8 +45,7 @@ Result<DnsAnswer> DnsBalancer::query(const std::string& name) {
 }
 
 void DnsBalancer::run_health_checks(const HealthProbe& probe,
-                                    int unhealthy_threshold,
-                                    int healthy_threshold) {
+                                    int unhealthy_threshold) {
   // Probe outside the lock: probes can take hundreds of milliseconds.
   std::vector<std::pair<std::string, net::SockAddr>> targets;
   {
@@ -61,17 +60,10 @@ void DnsBalancer::run_health_checks(const HealthProbe& probe,
     auto it = failover_.find(name);
     if (it == failover_.end()) continue;
     FailoverState& st = it->second;
-    if (healthy) {
-      st.consecutive_failures = 0;
-      ++st.consecutive_successes;
-    } else {
-      st.consecutive_successes = 0;
-      ++st.consecutive_failures;
-    }
+    st.consecutive_failures = healthy ? 0 : st.consecutive_failures + 1;
     if (!st.on_secondary && st.consecutive_failures >= unhealthy_threshold) {
       st.on_secondary = true;
       st.consecutive_failures = 0;
-      st.consecutive_successes = 0;
     }
   }
 }
@@ -87,11 +79,9 @@ bool DnsBalancer::force_failover(const std::string& name) {
   auto it = failover_.find(name);
   if (it == failover_.end() || it->second.on_secondary) return false;
   it->second.on_secondary = true;
-  // Reset the probe counters: the next health-check rounds judge the
-  // secondary from a clean slate, and a recovered primary still needs
-  // healthy_threshold consecutive successes to flip back.
+  // Reset the probe counter: the next health-check rounds judge the
+  // secondary from a clean slate.
   it->second.consecutive_failures = 0;
-  it->second.consecutive_successes = 0;
   return true;
 }
 
@@ -107,7 +97,6 @@ void DnsBalancer::rotate_failover(const std::string& name,
   }
   st.secondary = std::move(new_secondary);
   st.consecutive_failures = 0;
-  st.consecutive_successes = 0;
 }
 
 Result<net::SockAddr> CachingResolver::resolve(const std::string& name) {

@@ -49,12 +49,11 @@ class DnsBalancer {
   /// Resolve. Round-robin records rotate one step per query.
   Result<DnsAnswer> query(const std::string& name);
 
-  /// Probe every failover record once; flips resolution after
-  /// `unhealthy_threshold` consecutive failures and back after
-  /// `healthy_threshold` consecutive successes (Route53 semantics).
+  /// Probe every failover record's current target once; flips resolution
+  /// to the secondary after `unhealthy_threshold` consecutive failures. The
+  /// way back is rotate_failover(), which installs a new secondary.
   void run_health_checks(const HealthProbe& probe,
-                         int unhealthy_threshold = 3,
-                         int healthy_threshold = 2);
+                         int unhealthy_threshold = 3);
 
   /// True if `name` currently resolves to its secondary (failed over).
   bool failed_over(const std::string& name) const;
@@ -78,7 +77,6 @@ class DnsBalancer {
     net::SockAddr secondary;
     bool on_secondary = false;
     int consecutive_failures = 0;
-    int consecutive_successes = 0;
   };
 
   Duration default_ttl_;

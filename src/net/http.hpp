@@ -13,7 +13,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/mpmc_queue.hpp"
+#include "common/blocking_queue.hpp"
 #include "common/result.hpp"
 #include "net/socket.hpp"
 

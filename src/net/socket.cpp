@@ -14,80 +14,20 @@
 #endif
 
 #include <algorithm>
-#include <cassert>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <thread>
 
-#include "common/sync.hpp"
-#include "net/uring.hpp"
 #include "testing/fault_injector.hpp"
 
 namespace janus::net {
-
-namespace detail {
-
-#if JANUS_HAVE_URING
-/// Per-socket io_uring provider state (DESIGN.md §13). Two rings so send
-/// completions never interleave with the multishot receive stream:
-///
-///   recv_ring — single-consumer, unguarded: exactly one thread (the
-///               listener / fused worker) calls recv_many on a socket, the
-///               same ownership rule the SPSC job queues already rely on.
-///   send_ring — guarded by submit_mu (LockRank::kUringSubmit): workers
-///               flush reply batches concurrently in shared-queue mode.
-struct UringState {
-  uring::Ring recv_ring;
-  uring::Ring send_ring;
-  Mutex submit_mu{LockRank::kUringSubmit, "net.uring_submit"};
-  // Armed multishot recvmsg template. The kernel copies it at submission,
-  // but it must stay stable while an arm SQE is in flight.
-  msghdr recv_hdr{};
-  bool recv_armed = false;
-  // Buffer ids delivered to the app by the last recv_many; recycled to the
-  // kernel at the start of the next call (results are views into the
-  // slots, so they stay valid exactly until then).
-  std::vector<unsigned> owned_bids;
-  // Stats (relaxed: polled by the admin/metrics thread while hot threads
-  // increment).
-  std::atomic<std::uint64_t> recv_batches{0};
-  std::atomic<std::uint64_t> recv_datagrams{0};
-  std::atomic<std::uint64_t> send_batches{0};
-  std::atomic<std::uint64_t> send_datagrams{0};
-  std::atomic<std::uint64_t> rearms{0};
-  std::atomic<std::uint64_t> buf_recycles{0};
-  std::atomic<std::uint64_t> send_errors{0};
-};
-#else
-struct UringState {};
-#endif
-
-}  // namespace detail
 
 namespace {
 
 std::string errno_msg(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
-
-#if JANUS_HAVE_URING
-// Receive buffer geometry: each registered slot holds the recvmsg metadata
-// header (io_uring_recvmsg_out + the armed name buffer) in front of up to
-// kRecvSlotBytes of payload, so truncation semantics match the mmsg path
-// exactly. 256 slots let multishot keep landing datagrams while the app
-// still owns a full kMaxBatch of views from the previous batch.
-constexpr unsigned kUringRecvSlots = 256;
-constexpr std::uint32_t kUringSlotHeaderBytes =
-    sizeof(io_uring_recvmsg_out) + sizeof(sockaddr_in);
-constexpr std::uint32_t kUringSlotBytes =
-    static_cast<std::uint32_t>(UdpSocket::kRecvSlotBytes) +
-    kUringSlotHeaderBytes;
-constexpr unsigned kUringRecvSq = 64;    // rearm + buffer-provide SQEs
-constexpr unsigned kUringRecvCq = 1024;  // >= slots + provide completions
-constexpr unsigned kUringSendSq = 64;    // one chunk of send_many
-constexpr unsigned kUringSendCq = 128;
-#endif
 
 /// poll() one fd for readability. Returns: 1 ready, 0 timeout, -1 error.
 /// timeout < 0 blocks indefinitely. Sub-millisecond timeouts round up to
@@ -164,20 +104,15 @@ void Fd::reset() {
   }
 }
 
-UdpSocket::UdpSocket(Fd fd) : fd_(std::move(fd)) {}
-UdpSocket::~UdpSocket() = default;
-
 UdpSocket::UdpSocket(UdpSocket&& other) noexcept
     : fd_(std::move(other.fd_)),
       data_path_(other.data_path_),
-      uring_(std::move(other.uring_)),
       rcvtimeo_us_(other.rcvtimeo_us_.load(std::memory_order_relaxed)) {}
 
 UdpSocket& UdpSocket::operator=(UdpSocket&& other) noexcept {
   if (this != &other) {
     fd_ = std::move(other.fd_);
     data_path_ = other.data_path_;
-    uring_ = std::move(other.uring_);
     rcvtimeo_us_.store(other.rcvtimeo_us_.load(std::memory_order_relaxed),
                        std::memory_order_relaxed);
   }
@@ -227,23 +162,6 @@ Status UdpSocket::send_to(const SockAddr& dest,
 }
 
 Result<std::optional<UdpSocket::Datagram>> UdpSocket::recv(Duration timeout) {
-#if JANUS_HAVE_URING
-  if (resolved_data_path() == DataPath::kUring) {
-    // The armed multishot recvmsg consumes every datagram on the socket, so
-    // a recvfrom here would starve. Borrow the batched path; this is the
-    // cold convenience API, so the per-call batch (and the copy out of the
-    // registered slot) costs the same order as the 64 KiB buffer below.
-    RecvBatch one(1);
-    auto got = recv_many(one, timeout);
-    if (!got.ok()) return Error(got.error().message);
-    if (got.value() == 0) return std::optional<Datagram>{};
-    Datagram dg;
-    auto view = one.data(0);
-    dg.data.assign(view.begin(), view.end());
-    dg.from = one.from(0);
-    return std::optional<Datagram>{std::move(dg)};
-  }
-#endif
   int ready = wait_readable(fd_.get(), timeout);
   if (ready < 0) return Error(errno_msg("udp poll"));
   if (ready == 0) return std::optional<Datagram>{};
@@ -280,20 +198,11 @@ bool UdpSocket::batch_syscalls_enabled() {
 #endif
 }
 
-bool UdpSocket::uring_supported() {
-#if JANUS_HAVE_URING
-  return uring::kernel_supports_uring();
-#else
-  return false;
-#endif
-}
-
 const char* UdpSocket::data_path_name(DataPath path) {
   switch (path) {
     case DataPath::kAuto: return "auto";
     case DataPath::kFallback: return "fallback";
     case DataPath::kMmsg: return "mmsg";
-    case DataPath::kUring: return "uring";
   }
   return "unknown";
 }
@@ -303,50 +212,11 @@ std::optional<UdpSocket::DataPath> UdpSocket::data_path_from_name(
   if (name == "auto") return DataPath::kAuto;
   if (name == "fallback") return DataPath::kFallback;
   if (name == "mmsg") return DataPath::kMmsg;
-  if (name == "uring") return DataPath::kUring;
   return std::nullopt;
-}
-
-bool UdpSocket::set_data_path(DataPath path) {
-  if (path == data_path_ && (path != DataPath::kUring || uring_ != nullptr)) {
-    return true;
-  }
-  if (path == DataPath::kUring) {
-#if JANUS_HAVE_URING
-    const uring::Support support = uring::probed_support();
-    if (support == uring::Support::kNone) return false;
-    auto st = std::make_unique<detail::UringState>();
-    const uring::BufMode mode = support == uring::Support::kBufRing
-                                    ? uring::BufMode::kBufRing
-                                    : uring::BufMode::kLegacy;
-    if (!st->recv_ring.init(kUringRecvSq, kUringRecvCq, nullptr) ||
-        !st->recv_ring.init_buf_ring(kUringRecvSlots, kUringSlotBytes, mode,
-                                     nullptr) ||
-        !st->send_ring.init(kUringSendSq, kUringSendCq, nullptr)) {
-      return false;
-    }
-    st->owned_bids.reserve(kUringRecvSlots);
-    st->recv_hdr = msghdr{};
-    st->recv_hdr.msg_namelen = sizeof(sockaddr_in);
-    uring_ = std::move(st);
-#else
-    return false;
-#endif
-  } else {
-    // Dropping the rings cancels any armed multishot receive; datagrams the
-    // kernel already landed in registered slots are lost, which is why the
-    // provider must be switched before the I/O threads start.
-    uring_.reset();
-  }
-  data_path_ = path;
-  return true;
 }
 
 UdpSocket::DataPath UdpSocket::resolved_data_path() const {
   switch (data_path_) {
-    case DataPath::kUring:
-      if (uring_ != nullptr) return DataPath::kUring;
-      break;  // degraded: fall through to the auto rules
     case DataPath::kMmsg:
 #if JANUS_HAVE_MMSG
       return DataPath::kMmsg;
@@ -361,23 +231,6 @@ UdpSocket::DataPath UdpSocket::resolved_data_path() const {
   return batch_syscalls_enabled() ? DataPath::kMmsg : DataPath::kFallback;
 }
 
-UdpSocket::UringStats UdpSocket::uring_stats() const {
-  UringStats out;
-#if JANUS_HAVE_URING
-  if (uring_ != nullptr) {
-    const detail::UringState& st = *uring_;
-    out.recv_batches = st.recv_batches.load(std::memory_order_relaxed);
-    out.recv_datagrams = st.recv_datagrams.load(std::memory_order_relaxed);
-    out.send_batches = st.send_batches.load(std::memory_order_relaxed);
-    out.send_datagrams = st.send_datagrams.load(std::memory_order_relaxed);
-    out.rearms = st.rearms.load(std::memory_order_relaxed);
-    out.buf_recycles = st.buf_recycles.load(std::memory_order_relaxed);
-    out.send_errors = st.send_errors.load(std::memory_order_relaxed);
-  }
-#endif
-  return out;
-}
-
 UdpSocket::RecvBatch::RecvBatch(std::size_t capacity, std::size_t slot_bytes)
     : capacity_(std::min(std::max<std::size_t>(1, capacity), kMaxBatch)),
       slot_bytes_(slot_bytes) {
@@ -390,17 +243,6 @@ UdpSocket::RecvBatch::RecvBatch(std::size_t capacity, std::size_t slot_bytes)
 
 std::span<const std::uint8_t> UdpSocket::RecvBatch::data(std::size_t i) const {
   return {ptrs_[i], lens_[i]};
-}
-
-void UdpSocket::RecvBatch::ensure_slot_bytes(std::size_t min_slot_bytes) {
-  if (slot_bytes_ >= min_slot_bytes) return;
-  // A re-layout invalidates every view from the previous call; providers
-  // only revalidate between batches, when no results are outstanding.
-  assert(count_ == 0 && "RecvBatch resized while holding results");
-  count_ = 0;
-  slot_bytes_ = min_slot_bytes;
-  // purity-ok: one-time geometry revalidation; steady state never re-grows
-  arena_.assign(capacity_ * slot_bytes_, 0);
 }
 
 bool UdpSocket::set_recv_timeout(Duration timeout) {
@@ -421,11 +263,6 @@ bool UdpSocket::set_recv_timeout(Duration timeout) {
 
 Result<std::size_t> UdpSocket::recv_many(RecvBatch& batch, Duration timeout) {
   batch.count_ = 0;
-#if JANUS_HAVE_URING
-  if (resolved_data_path() == DataPath::kUring) {
-    return recv_many_uring(batch, timeout);
-  }
-#endif
   const bool use_mmsg = resolved_data_path() == DataPath::kMmsg;
   (void)use_mmsg;
   // The wait happens inside the first receive syscall, bounded by
@@ -532,222 +369,7 @@ Result<std::size_t> UdpSocket::recv_many(RecvBatch& batch, Duration timeout) {
   return batch.count_;
 }
 
-#if JANUS_HAVE_URING
-
-void UdpSocket::arm_uring_recv() {
-  detail::UringState& st = *uring_;
-  io_uring_sqe* sqe = st.recv_ring.next_sqe();
-  if (sqe == nullptr) return;  // SQ momentarily full: retried next call
-  sqe->opcode = IORING_OP_RECVMSG;
-  sqe->fd = fd_.get();
-  sqe->addr = reinterpret_cast<std::uint64_t>(&st.recv_hdr);
-  sqe->ioprio = IORING_RECV_MULTISHOT;
-  sqe->flags = IOSQE_BUFFER_SELECT;
-  sqe->buf_group = uring::kRecvBufGroup;
-  st.recv_armed = true;
-  st.rearms.fetch_add(1, std::memory_order_relaxed);
-}
-
-Result<std::size_t> UdpSocket::recv_many_uring(RecvBatch& batch,
-                                               Duration timeout) {
-  detail::UringState& st = *uring_;
-  uring::Ring& ring = st.recv_ring;
-  auto& faults = testing::FaultInjector::instance();
-
-  // The uring provider delivers zero-copy views of up to kRecvSlotBytes; a
-  // batch built with smaller slots is revalidated so its advertised
-  // geometry matches what data(i) can actually return.
-  batch.ensure_slot_bytes(kRecvSlotBytes);
-
-  // Views from the previous batch die here: hand their slots back to the
-  // kernel (a tail store in buf-ring mode, provide SQEs that ride the next
-  // enter() otherwise).
-  if (!st.owned_bids.empty()) {
-    for (unsigned bid : st.owned_bids) ring.buf_recycle(bid);
-    st.buf_recycles.fetch_add(st.owned_bids.size(),
-                              std::memory_order_relaxed);
-    st.owned_bids.clear();
-    ring.buf_publish();
-  }
-  if (!st.recv_armed) arm_uring_recv();
-
-  // Drain completions the multishot already landed; stop at capacity and
-  // leave the rest for the next call (their slots stay kernel-owned).
-  auto drain = [&]() -> Status {
-    while (batch.count_ < batch.capacity_ && ring.cq_ready() > 0) {
-      const io_uring_cqe* cqe = ring.cq_at(0);
-      const std::int32_t res = cqe->res;
-      const std::uint32_t flags = cqe->flags;
-      const std::uint64_t user_data = cqe->user_data;
-      ring.cq_advance(1);
-      if (user_data == uring::kProvideUserData) continue;
-      if ((flags & IORING_CQE_F_MORE) == 0) st.recv_armed = false;
-      if (res < 0) {
-        // Multishot termination. ENOBUFS (app owns every slot) and EINTR
-        // re-arm on the next pass; anything else is a real socket error.
-        if (res == -ENOBUFS || res == -EINTR) continue;
-        errno = -res;
-        return Error(errno_msg("udp uring recvmsg"));  // purity-ok: error path
-      }
-      if ((flags & IORING_CQE_F_BUFFER) == 0) continue;
-      const unsigned bid = flags >> IORING_CQE_BUFFER_SHIFT;
-      // purity-ok: reserved to ring capacity at setup, never reallocates
-      st.owned_bids.push_back(bid);
-      unsigned char* slot = ring.buf_slot(bid);
-      const auto* out = reinterpret_cast<const io_uring_recvmsg_out*>(slot);
-      if ((out->flags & MSG_TRUNC) != 0) continue;  // drop, as if lost
-      if (faults.should_fire(testing::FaultPoint::kNetUdpDropRx)) continue;
-      const std::uint8_t* payload = slot + kUringSlotHeaderBytes;
-      const std::size_t idx = batch.count_++;
-      batch.ptrs_[idx] = payload;
-      batch.lens_[idx] = out->payloadlen;
-      if (out->namelen >= sizeof(sockaddr_in)) {
-        sockaddr_in sa;
-        std::memcpy(&sa, slot + sizeof(io_uring_recvmsg_out), sizeof(sa));
-        batch.froms_[idx] = SockAddr::from_native(sa);
-      } else {
-        batch.froms_[idx] = SockAddr{};
-      }
-      st.recv_datagrams.fetch_add(1, std::memory_order_relaxed);
-    }
-    return Status::success();
-  };
-
-  Status s = drain();
-  if (!s.ok()) return Error(s.error().message);  // purity-ok: error path
-
-  // Nothing ready: flush pending SQEs (arm + provides) and wait once, like
-  // the first receive of the other providers. EINTR — real or injected via
-  // net.udp.eintr — retries the wait; datagrams already drained would have
-  // returned above without waiting at all.
-  if (batch.count_ == 0) {
-    const long long ns = timeout.count() < 0 ? -1 : timeout.count();
-    for (;;) {
-      if (!st.recv_armed) arm_uring_recv();
-      const unsigned min_complete = timeout.count() == 0 ? 0u : 1u;
-      int rc;
-      if (faults.should_fire(testing::FaultPoint::kNetUdpEintr)) {
-        rc = -EINTR;
-      } else {
-        rc = ring.enter(min_complete, ns);
-      }
-      if (rc == -EINTR) continue;
-      if (rc < 0 && rc != -ETIME) {
-        errno = -rc;
-        return Error(errno_msg("udp uring enter"));  // purity-ok: error path
-      }
-      break;
-    }
-    s = drain();
-    if (!s.ok()) return Error(s.error().message);  // purity-ok: error path
-  } else if (ring.sq_pending() > 0) {
-    (void)ring.enter(0, -1);  // flush provides/arm without waiting
-  }
-
-  st.recv_batches.fetch_add(1, std::memory_order_relaxed);
-  return batch.count_;
-}
-
-Status UdpSocket::send_many_uring(std::span<const OutDatagram> batch) {
-  detail::UringState& st = *uring_;
-  auto& faults = testing::FaultInjector::instance();
-  MutexLock lock(st.submit_mu);
-  uring::Ring& ring = st.send_ring;
-
-  std::size_t keep[kMaxBatch];
-  sockaddr_in natives[kMaxBatch];
-  ::msghdr hdrs[kMaxBatch];
-  ::iovec iovs[kMaxBatch];
-  std::size_t pos = 0;
-  while (pos < batch.size()) {
-    const std::size_t chunk = std::min(batch.size() - pos, kMaxBatch);
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < chunk; ++i) {
-      const OutDatagram& dg = batch[pos + i];
-      if (faults.should_fire(testing::FaultPoint::kNetUdpDelayUs)) {
-        // purity-ok: fault-injection delay, chaos builds only
-        std::this_thread::sleep_for(std::chrono::microseconds(
-            faults.param(testing::FaultPoint::kNetUdpDelayUs)));
-      }
-      if (faults.should_fire(testing::FaultPoint::kNetUdpDropTx)) {
-        continue;  // vanishes in flight; sender still sees success
-      }
-      auto native = dg.to.to_native();  // purity-ok: error-path alloc inside
-      if (!native.ok()) return Error(native.error().message);  // purity-ok: error path
-      natives[kept] = native.value();
-      keep[kept] = pos + i;
-      ++kept;
-    }
-
-    // One sendmsg SQE per datagram, one enter() for the whole chunk; the
-    // submit-and-wait keeps OutDatagram's "alive for the duration of the
-    // call" contract — UDP sendmsg completes once the datagram is queued,
-    // so the wait does not stretch to network round trips.
-    for (std::size_t i = 0; i < kept; ++i) {
-      const OutDatagram& dg = batch[keep[i]];
-      iovs[i] = {const_cast<std::uint8_t*>(dg.data.data()), dg.data.size()};
-      hdrs[i] = msghdr{};
-      hdrs[i].msg_name = &natives[i];
-      hdrs[i].msg_namelen = sizeof(sockaddr_in);
-      hdrs[i].msg_iov = &iovs[i];
-      hdrs[i].msg_iovlen = 1;
-      io_uring_sqe* sqe = ring.next_sqe();
-      // SQ is sized to kMaxBatch and drained before unlock, so this cannot
-      // run dry mid-chunk.
-      sqe->opcode = IORING_OP_SENDMSG;
-      sqe->fd = fd_.get();
-      sqe->addr = reinterpret_cast<std::uint64_t>(&hdrs[i]);
-      sqe->user_data = i;
-    }
-    std::size_t reaped = 0;
-    int first_err = 0;
-    while (reaped < kept) {
-      int rc = ring.enter(static_cast<unsigned>(kept - reaped), -1);
-      if (rc < 0 && rc != -EINTR) {
-        errno = -rc;
-        return Error(errno_msg("udp uring enter"));  // purity-ok: error path
-      }
-      while (ring.cq_ready() > 0) {
-        const io_uring_cqe* cqe = ring.cq_at(0);
-        if (cqe->res < 0 && first_err == 0) first_err = -cqe->res;
-        ring.cq_advance(1);
-        ++reaped;
-      }
-    }
-    if (first_err != 0) {
-      st.send_errors.fetch_add(1, std::memory_order_relaxed);
-      errno = first_err;
-      return Error(errno_msg("udp uring sendmsg"));  // purity-ok: error path
-    }
-    st.send_datagrams.fetch_add(kept, std::memory_order_relaxed);
-    pos += chunk;
-  }
-  st.send_batches.fetch_add(1, std::memory_order_relaxed);
-  return Status::success();
-}
-
-#else  // !JANUS_HAVE_URING
-
-void UdpSocket::arm_uring_recv() {}
-
-Result<std::size_t> UdpSocket::recv_many_uring(RecvBatch&, Duration) {
-  // purity-ok: non-Linux stub, unreachable (resolved path never kUring)
-  return Error("uring data path unavailable on this platform");
-}
-
-Status UdpSocket::send_many_uring(std::span<const OutDatagram>) {
-  // purity-ok: non-Linux stub, unreachable (resolved path never kUring)
-  return Error("uring data path unavailable on this platform");
-}
-
-#endif  // JANUS_HAVE_URING
-
 Status UdpSocket::send_many(std::span<const OutDatagram> batch) {
-#if JANUS_HAVE_URING
-  if (resolved_data_path() == DataPath::kUring) {
-    return send_many_uring(batch);
-  }
-#endif
   auto& faults = testing::FaultInjector::instance();
   const bool use_mmsg = resolved_data_path() == DataPath::kMmsg;
   (void)use_mmsg;
@@ -793,7 +415,7 @@ Status UdpSocket::send_many(std::span<const OutDatagram> batch) {
       std::size_t sent = 0;
       while (sent < kept) {
         // UDP sendmmsg queues into socket buffers and returns — it does not
-        // wait for the network, so holding a shard lock across it is bounded.
+        // wait for the network.
         // purity-ok: non-waiting datagram enqueue
         int n = ::sendmmsg(fd_.get(), hdrs + sent,
                            static_cast<unsigned int>(kept - sent), 0);

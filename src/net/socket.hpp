@@ -9,7 +9,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -31,10 +30,6 @@
 #endif
 
 namespace janus::net {
-
-namespace detail {
-struct UringState;  // socket.cpp: per-socket io_uring rings + stats
-}
 
 /// An IPv4 endpoint ("127.0.0.1", 8080).
 struct SockAddr {
@@ -101,11 +96,9 @@ class UdpSocket {
 
   /// Reusable scratch for recv_many: slot buffers and address storage are
   /// allocated once here and reused across calls, so a steady-state
-  /// listener performs no per-wakeup heap allocation inside the socket
-  /// layer. Results are views into this batch's arena (mmsg/fallback
-  /// providers) or into the socket's registered receive buffers (uring
-  /// provider) — valid until the next recv_many call on this batch or on
-  /// the socket that filled it, whichever comes first.
+  /// receiver performs no per-wakeup heap allocation inside the socket
+  /// layer. Results are views into this batch's arena, valid until the next
+  /// recv_many call on this batch.
   class RecvBatch {
    public:
     explicit RecvBatch(std::size_t capacity,
@@ -119,12 +112,6 @@ class UdpSocket {
 
     /// Per-slot payload capacity this batch was built with.
     std::size_t slot_bytes() const { return slot_bytes_; }
-    /// Providers revalidate batch geometry before reuse: a batch built with
-    /// smaller slots than the provider's per-datagram payload capacity is
-    /// grown in place (results from any earlier call are discarded — the
-    /// batch must be between recv_many calls, asserted via size()==0 inside
-    /// recv_many). Growing is one-way; a larger batch is never shrunk.
-    void ensure_slot_bytes(std::size_t min_slot_bytes);
 
    private:
     friend class UdpSocket;
@@ -152,53 +139,29 @@ class UdpSocket {
   ///               default: existing callers see no behavior change.
   ///   kFallback — force the recvfrom/sendto loops.
   ///   kMmsg     — force recvmmsg/sendmmsg.
-  ///   kUring    — io_uring: multishot recvmsg feeding RecvBatch from
-  ///               registered receive buffers (zero per-datagram syscalls,
-  ///               zero copies into the batch), batched sendmsg
-  ///               submissions for send_many. Requires kernel support —
-  ///               see set_data_path.
-  enum class DataPath { kAuto = 0, kFallback, kMmsg, kUring };
+  enum class DataPath { kAuto = 0, kFallback, kMmsg };
 
-  /// Select this socket's provider. Returns false — leaving the provider
-  /// unchanged — when `path` is kUring and the end-to-end capability probe
-  /// says the kernel cannot run it; callers treat false as "degraded to
-  /// the mmsg path". Not thread-safe with concurrent recv/send on the same
-  /// socket: switch before the I/O threads start.
-  bool set_data_path(DataPath path);
+  /// Select this socket's provider. Not thread-safe with concurrent
+  /// recv/send on the same socket: switch before the I/O threads start.
+  void set_data_path(DataPath path) { data_path_ = path; }
   DataPath data_path() const { return data_path_; }
   /// The provider recv_many/send_many will actually use right now (kAuto
-  /// resolved to kMmsg or kFallback; kUring only when active).
+  /// resolved to kMmsg or kFallback).
   DataPath resolved_data_path() const;
 
-  /// Process-wide result of the io_uring end-to-end capability probe.
-  static bool uring_supported();
   static const char* data_path_name(DataPath path);
   static std::optional<DataPath> data_path_from_name(std::string_view name);
-
-  /// Uring provider counters (all zero when the provider never activated).
-  /// Snapshot is monotonic; safe to poll from an admin thread.
-  struct UringStats {
-    std::uint64_t recv_batches = 0;    // recv_many calls served by uring
-    std::uint64_t recv_datagrams = 0;  // datagrams delivered via uring
-    std::uint64_t send_batches = 0;    // send_many flushes via uring
-    std::uint64_t send_datagrams = 0;  // datagrams submitted via uring
-    std::uint64_t rearms = 0;          // multishot recvmsg (re)arms
-    std::uint64_t buf_recycles = 0;    // receive buffers returned to kernel
-    std::uint64_t send_errors = 0;     // per-datagram sendmsg CQE failures
-  };
-  UringStats uring_stats() const;
 
   /// Wait up to `timeout` (0 = never, < 0 = forever) for the first
   /// datagram, then drain up to batch.capacity() datagrams in one recvmmsg
   /// (or a recvfrom loop where unavailable/disabled). Returns the number
-  /// received into `batch`; 0 = timeout. The mmsg and fallback providers
-  /// wait inside the receive syscall (SO_RCVTIMEO, MSG_WAITFORONE), where
-  /// the kernel wakes one blocked thread per arriving datagram; poll()
-  /// would wake them all. SO_RCVTIMEO is per socket, so threads sharing one
-  /// must pass the same timeout. The uring provider has a single consumer
-  /// (DESIGN.md §13). Fault semantics are per-datagram: each received
-  /// datagram consults net.udp.drop_rx independently, exactly as the
-  /// single-datagram recv() does.
+  /// received into `batch`; 0 = timeout. Both providers wait inside the
+  /// receive syscall (SO_RCVTIMEO, MSG_WAITFORONE), where the kernel wakes
+  /// one blocked thread per arriving datagram; poll() would wake them all.
+  /// SO_RCVTIMEO is per socket, so threads sharing one must pass the same
+  /// timeout. Fault semantics are per-datagram: each received datagram
+  /// consults net.udp.drop_rx independently, exactly as the single-datagram
+  /// recv() does.
   Result<std::size_t> recv_many(RecvBatch& batch, Duration timeout);
 
   /// Send a batch of datagrams with one sendmmsg (or a sendto loop).
@@ -225,24 +188,19 @@ class UdpSocket {
 
   int fd() const { return fd_.get(); }
 
-  // Out of line: detail::UringState is incomplete here.
-  ~UdpSocket();
+  // Hand-written moves: the timeout cache is an atomic.
   UdpSocket(UdpSocket&& other) noexcept;
   UdpSocket& operator=(UdpSocket&& other) noexcept;
   UdpSocket(const UdpSocket&) = delete;
   UdpSocket& operator=(const UdpSocket&) = delete;
 
  private:
-  explicit UdpSocket(Fd fd);  // out of line: members need complete UringState
-  Result<std::size_t> recv_many_uring(RecvBatch& batch, Duration timeout);
-  Status send_many_uring(std::span<const OutDatagram> batch);
-  void arm_uring_recv();
+  explicit UdpSocket(Fd fd) : fd_(std::move(fd)) {}
   /// Make SO_RCVTIMEO match `timeout` (> 0, or < 0 for no limit), with a
   /// setsockopt only when it differs from rcvtimeo_us_.
   bool set_recv_timeout(Duration timeout);
   Fd fd_;
   DataPath data_path_ = DataPath::kAuto;
-  std::unique_ptr<detail::UringState> uring_;  // non-null iff kUring active
   std::atomic<std::int64_t> rcvtimeo_us_{0};  // µs; 0 = no limit (kernel's)
   static std::atomic<bool> batch_syscalls_enabled_;
 };

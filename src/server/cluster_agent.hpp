@@ -5,8 +5,7 @@
 //   1. flip the node's epoch FIRST — stale-epoch frames start bouncing the
 //      instant a newer map exists, before any migration work;
 //   2. extract every entry this node no longer owns under the new map
-//      (grouped by new owner, honoring the threading mode's ownership
-//      discipline);
+//      (grouped by new owner, under the shard locks);
 //   3. ack the coordinator (publishes stay fast even for big tables);
 //   4. stream the extracted entries to their new owners as MigrationBatch
 //      frames over the same control port, from a sender thread.

@@ -14,6 +14,7 @@
 #include "lb/gateway_balancer.hpp"
 #include "router/router_node.hpp"
 #include "server/qos_server_node.hpp"
+#include "../server/server_model.hpp"
 #include "testing/fault_injector.hpp"
 
 namespace janus::chaos {
@@ -24,6 +25,9 @@ namespace janus::chaos {
 /// also proven with the cluster epoch gate in the hot path (DESIGN.md §11).
 enum class Topology { kSingleProcess, kCluster };
 
+/// Variants of the QoS server's one execution model (DESIGN.md §9.1).
+using server::ServerModel;
+
 class ChaosStackTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -33,10 +37,10 @@ class ChaosStackTest : public ::testing::Test {
 
     server::QosServerConfig scfg;
     scfg.worker_threads = 2;
-    scfg.threading = threading_;
     scfg.data_path = data_path_;
     scfg.sync_interval = Duration{0};
     scfg.checkpoint_interval = Duration{0};
+    server::apply_server_model(server_model_, scfg);
     auto server = server::QosServerNode::start({"127.0.0.1", 0}, *store_, scfg);
     ASSERT_TRUE(server.ok()) << server.error().message;
     server_ = std::move(server).take();
@@ -56,7 +60,8 @@ class ChaosStackTest : public ::testing::Test {
       cluster::ShardMap map;
       map.epoch = 1;
       map.members.push_back(cluster::Member{.name = "qos-0",
-                                            .udp_addr = server_->addr()});
+                                            .udp_addr = server_->addr(),
+                                            .cluster_addr = {}});
       ASSERT_TRUE(holder_.publish(map));
       router_->attach_shard_map(&holder_);
       server_->set_cluster_epoch(1);
@@ -92,15 +97,14 @@ class ChaosStackTest : public ::testing::Test {
     return resp.ok() ? resp.value().body : std::string();
   }
 
-  /// QoS server threading mode the stack comes up in. Subclasses set this
-  /// before ChaosStackTest::SetUp() runs (it is baked into the server at
-  /// start); every invariant in the suite must hold in either mode.
-  core::ThreadingMode threading_ = core::ThreadingMode::kSharedQueue;
-  /// Batched-I/O provider for the QoS server's listener socket; subclasses
-  /// set before SetUp() (baked into the server at start, like threading_).
-  /// Skip uring instantiations when UdpSocket::uring_supported() is false.
+  /// Batched-I/O provider for the QoS server's listen socket. Subclasses
+  /// set this before ChaosStackTest::SetUp() runs (it is baked into the
+  /// server at start).
   net::UdpSocket::DataPath data_path_ = net::UdpSocket::DataPath::kAuto;
-  /// Routing topology; subclasses set before SetUp(), like threading_.
+  /// Execution-model variant, applied over data_path_; subclasses set it
+  /// before SetUp(), like data_path_.
+  ServerModel server_model_ = ServerModel::kSharedQueue;
+  /// Routing topology; subclasses set before SetUp(), like data_path_.
   Topology topology_ = Topology::kSingleProcess;
   /// Gateway routing policy; subclasses set before SetUp(). Every chaos
   /// invariant — including PR 2's per-request fault semantics — must hold

@@ -3,8 +3,8 @@
 // in recvmmsg/sendmmsg bursts — drops are still consulted once per datagram,
 // retry accounting still counts attempts not syscalls, and quota is still
 // never over-admitted under loss. The whole suite runs once per data-path
-// provider (fallback loops, recvmmsg/sendmmsg, io_uring when the kernel
-// supports it), proving every provider is observably identical.
+// provider (fallback loops, recvmmsg/sendmmsg), proving both providers are
+// observably identical.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -23,44 +23,27 @@ using testing::FaultInjector;
 using testing::FaultPoint;
 using testing::ScopedFault;
 
-/// Value-parameterized over (data-path provider, server threading mode): the
-/// server's listener socket runs the fallback loops, recvmmsg/sendmmsg, or
-/// io_uring; the server comes up in kSharedQueue or kShardPerWorker (uring +
-/// kShardPerWorker is the fused run-to-completion mode, DESIGN.md §13). All
-/// combinations must be observably identical — the provider changes syscall
-/// counts and buffer ownership, the threading mode changes scheduling and
-/// locking, neither may change fault semantics. The uring instantiations
-/// skip cleanly when the kernel capability probe fails.
+/// Value-parameterized over (data-path provider, execution-model variant):
+/// the server's listen socket runs the fallback loops or recvmmsg/sendmmsg,
+/// with buckets refilled on access or by the periodic pass. All must be
+/// observably identical — the provider changes syscall counts, never fault
+/// semantics.
 class BatchedChaosTest
     : public ChaosStackTest,
       public ::testing::WithParamInterface<
-          std::tuple<net::UdpSocket::DataPath, core::ThreadingMode>> {
+          std::tuple<net::UdpSocket::DataPath, ServerModel>> {
  protected:
   void SetUp() override {
     data_path_ = std::get<0>(GetParam());
-    if (data_path_ == net::UdpSocket::DataPath::kUring &&
-        !net::UdpSocket::uring_supported()) {
-      GTEST_SKIP() << "kernel lacks usable io_uring (capability probe failed)";
-    }
-    threading_ = std::get<1>(GetParam());
+    server_model_ = std::get<1>(GetParam());
     ChaosStackTest::SetUp();
   }
 };
 
 TEST_P(BatchedChaosTest, DataPathGaugeReportsTheProviderThatRuns) {
-  // server.data_path reports what actually runs. The io_uring receive ring
-  // has a single consumer, so a shared-queue server (every worker receives)
-  // asked for uring runs mmsg, as when the capability probe fails.
-  const bool shared_uring =
-      data_path_ == net::UdpSocket::DataPath::kUring &&
-      threading_ == core::ThreadingMode::kSharedQueue;
-  const net::UdpSocket::DataPath want =
-      shared_uring ? net::UdpSocket::DataPath::kMmsg : data_path_;
-  EXPECT_EQ(server_->resolved_data_path(), want);
+  EXPECT_EQ(server_->resolved_data_path(), data_path_);
   EXPECT_EQ(server_->metrics().snapshot().at("server.data_path"),
-            static_cast<std::int64_t>(want));
-  EXPECT_EQ(server_->fused(),
-            data_path_ == net::UdpSocket::DataPath::kUring && !shared_uring);
+            static_cast<std::int64_t>(data_path_));
 }
 
 TEST_P(BatchedChaosTest, DefaultReplyRetryAccountingUnchanged) {
@@ -236,23 +219,16 @@ INSTANTIATE_TEST_SUITE_P(
     ProviderAndThreadingModes, BatchedChaosTest,
     ::testing::Combine(
         ::testing::Values(net::UdpSocket::DataPath::kFallback,
-                          net::UdpSocket::DataPath::kMmsg,
-                          net::UdpSocket::DataPath::kUring),
-        ::testing::Values(core::ThreadingMode::kSharedQueue,
-                          core::ThreadingMode::kShardPerWorker)),
+                          net::UdpSocket::DataPath::kMmsg),
+        ::testing::Values(ServerModel::kSharedQueue,
+                          ServerModel::kPeriodicRefillSharedQueue)),
     [](const ::testing::TestParamInfo<
-        std::tuple<net::UdpSocket::DataPath, core::ThreadingMode>>& tpi) {
-      std::string name;
-      switch (std::get<0>(tpi.param)) {
-        case net::UdpSocket::DataPath::kFallback: name = "FallbackLoops"; break;
-        case net::UdpSocket::DataPath::kMmsg: name = "BatchedSyscalls"; break;
-        case net::UdpSocket::DataPath::kUring: name = "IoUring"; break;
-        default: name = "Auto"; break;
-      }
-      name += std::get<1>(tpi.param) == core::ThreadingMode::kShardPerWorker
-                  ? "ShardPerWorker"
-                  : "SharedQueue";
-      return name;
+        std::tuple<net::UdpSocket::DataPath, ServerModel>>& tpi) {
+      std::string name =
+          std::get<0>(tpi.param) == net::UdpSocket::DataPath::kFallback
+              ? "FallbackLoops"
+              : "BatchedSyscalls";
+      return name + server::server_model_name(std::get<1>(tpi.param));
     });
 
 }  // namespace

@@ -18,19 +18,18 @@ using testing::FaultInjector;
 using testing::FaultPoint;
 using testing::ScopedFault;
 
-/// The paper's robustness invariants must hold regardless of how the QoS
-/// server schedules decisions AND regardless of topology — the cluster's
-/// epoch-stamped v3 path must not change a single verdict — AND regardless
-/// of the gateway's routing policy (RR, least-connections, Prequal), so
-/// the core ones run across the full
-/// {threading mode} x {topology} x {routing policy} cube.
+/// The paper's robustness invariants must hold regardless of topology — the
+/// cluster's epoch-stamped v3 path must not change a single verdict — AND
+/// regardless of the gateway's routing policy (RR, least-connections,
+/// Prequal), so the core ones run across the full
+/// {execution-model variant} x {topology} x {routing policy} cube.
 class ChaosModeTest
     : public ChaosStackTest,
       public ::testing::WithParamInterface<
-          std::tuple<core::ThreadingMode, Topology, lb::RoutingPolicy>> {
+          std::tuple<ServerModel, Topology, lb::RoutingPolicy>> {
  protected:
   void SetUp() override {
-    threading_ = std::get<0>(GetParam());
+    server_model_ = std::get<0>(GetParam());
     topology_ = std::get<1>(GetParam());
     gateway_policy_ = std::get<2>(GetParam());
     ChaosStackTest::SetUp();
@@ -176,18 +175,16 @@ TEST_P(ChaosModeTest, SlowServerInflatesServiceTimeNotCorrectness) {
 INSTANTIATE_TEST_SUITE_P(
     Modes, ChaosModeTest,
     ::testing::Combine(
-        ::testing::Values(core::ThreadingMode::kSharedQueue,
-                          core::ThreadingMode::kShardPerWorker),
+        ::testing::Values(ServerModel::kSharedQueue,
+                          ServerModel::kFallbackLoopsSharedQueue,
+                          ServerModel::kPeriodicRefillSharedQueue),
         ::testing::Values(Topology::kSingleProcess, Topology::kCluster),
         ::testing::Values(lb::RoutingPolicy::kRoundRobin,
                           lb::RoutingPolicy::kLeastConnections,
                           lb::RoutingPolicy::kPrequal)),
     [](const ::testing::TestParamInfo<
-        std::tuple<core::ThreadingMode, Topology, lb::RoutingPolicy>>& tpi) {
-      std::string name =
-          std::get<0>(tpi.param) == core::ThreadingMode::kShardPerWorker
-              ? "ShardPerWorker"
-              : "SharedQueue";
+        std::tuple<ServerModel, Topology, lb::RoutingPolicy>>& tpi) {
+      std::string name = server::server_model_name(std::get<0>(tpi.param));
       name += std::get<1>(tpi.param) == Topology::kCluster ? "Cluster"
                                                            : "SingleProcess";
       switch (std::get<2>(tpi.param)) {

@@ -78,9 +78,9 @@ INSTANTIATE_TEST_SUITE_P(
         TransitionCase{BfdState::kUp, BfdState::kDown, BfdState::kDown},
         TransitionCase{BfdState::kUp, BfdState::kInit, BfdState::kUp},
         TransitionCase{BfdState::kUp, BfdState::kUp, BfdState::kUp}),
-    [](const auto& info) {
-      return std::string(bfd_state_name(info.param.local)) + "Recv" +
-             std::string(bfd_state_name(info.param.remote));
+    [](const auto& param_info) {
+      return std::string(bfd_state_name(param_info.param.local)) + "Recv" +
+             std::string(bfd_state_name(param_info.param.remote));
     });
 
 TEST(BfdStateMachineTest, DetectionTimeIsMultiplierTimesInterval) {

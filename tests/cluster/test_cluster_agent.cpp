@@ -19,6 +19,7 @@
 #include "router/udp_qos_client.hpp"
 #include "server/cluster_agent.hpp"
 #include "server/qos_server_node.hpp"
+#include "../server/server_model.hpp"
 #include "testing/fault_injector.hpp"
 #include "wire/cluster_codec.hpp"
 
@@ -30,12 +31,14 @@ struct NodeBundle {
   std::unique_ptr<ClusterAgent> agent;
 
   cluster::MemberSpec spec(const std::string& name) const {
-    return {.member = {.name = name,
-                       .udp_addr = node->addr(),
-                       .cluster_addr = agent->local_addr()}};
+    cluster::MemberSpec out;
+    out.member = {.name = name,
+                  .udp_addr = node->addr(),
+                  .cluster_addr = agent->local_addr()};
+    return out;
   }
 
-  /// Agent first (it drives work through the node's worker queues).
+  /// Agent first (it drives migration passes over the node's table).
   void shutdown() {
     if (agent) agent->stop();
     if (node) node->stop();
@@ -62,12 +65,12 @@ class ClusterAgentTest : public ::testing::Test {
     testing::FaultInjector::instance().disarm_all();
   }
 
-  NodeBundle& start_node(core::ThreadingMode mode, Duration window = millis(250)) {
+  NodeBundle& start_node(Duration window = millis(250)) {
     QosServerConfig cfg;
     cfg.worker_threads = 2;
-    cfg.threading = mode;
     cfg.sync_interval = Duration{0};
     cfg.checkpoint_interval = Duration{0};
+    apply_server_model(server_model_, cfg);
     auto node = QosServerNode::start({"127.0.0.1", 0}, *store_, cfg);
     EXPECT_TRUE(node.ok()) << node.error().message;
     auto bundle = std::make_unique<NodeBundle>();
@@ -124,6 +127,8 @@ class ClusterAgentTest : public ::testing::Test {
     return admitted;
   }
 
+  /// Execution-model variant of every node start_node() launches.
+  ServerModel server_model_ = ServerModel::kSharedQueue;
   db::Database db_;
   std::unique_ptr<db::RuleStore> store_;
   std::vector<std::unique_ptr<NodeBundle>> bundles_;
@@ -132,8 +137,8 @@ class ClusterAgentTest : public ::testing::Test {
 };
 
 TEST_F(ClusterAgentTest, BootstrapSetsEpochOnEveryMember) {
-  NodeBundle& a = start_node(core::ThreadingMode::kShardPerWorker);
-  NodeBundle& b = start_node(core::ThreadingMode::kShardPerWorker);
+  NodeBundle& a = start_node();
+  NodeBundle& b = start_node();
   start_coordinator({a.spec("qos-0"), b.spec("qos-1")});
   if (HasFatalFailure()) return;
   EXPECT_EQ(holder_.epoch(), 1u);
@@ -144,7 +149,7 @@ TEST_F(ClusterAgentTest, BootstrapSetsEpochOnEveryMember) {
 }
 
 TEST_F(ClusterAgentTest, StaleEpochFrameIsNackedWithCurrentEpoch) {
-  NodeBundle& a = start_node(core::ThreadingMode::kShardPerWorker);
+  NodeBundle& a = start_node();
   start_coordinator({a.spec("qos-0")});
   if (HasFatalFailure()) return;
   // A frame stamped with a bygone epoch bounces with the live one attached.
@@ -158,14 +163,21 @@ TEST_F(ClusterAgentTest, StaleEpochFrameIsNackedWithCurrentEpoch) {
   EXPECT_TRUE(ok.allowed);
 }
 
+/// Migration in each variant of the execution model (server_model.hpp).
 class ClusterAgentModeTest
     : public ClusterAgentTest,
-      public ::testing::WithParamInterface<core::ThreadingMode> {};
+      public ::testing::WithParamInterface<ServerModel> {
+ protected:
+  void SetUp() override {
+    server_model_ = GetParam();
+    ClusterAgentTest::SetUp();
+  }
+};
 
 TEST_P(ClusterAgentModeTest, ReshardMigratesSpentCreditExactlyOnce) {
-  NodeBundle& a = start_node(GetParam());
-  NodeBundle& b = start_node(GetParam());
-  NodeBundle& c = start_node(GetParam());
+  NodeBundle& a = start_node();
+  NodeBundle& b = start_node();
+  NodeBundle& c = start_node();
   start_coordinator({a.spec("qos-0"), b.spec("qos-1")});
   if (HasFatalFailure()) return;
 
@@ -209,8 +221,8 @@ TEST_P(ClusterAgentModeTest, ReshardMigratesSpentCreditExactlyOnce) {
 }
 
 TEST_P(ClusterAgentModeTest, LeavingMemberStreamsEverythingAway) {
-  NodeBundle& a = start_node(GetParam());
-  NodeBundle& b = start_node(GetParam());
+  NodeBundle& a = start_node();
+  NodeBundle& b = start_node();
   start_coordinator({a.spec("qos-0"), b.spec("qos-1")});
   if (HasFatalFailure()) return;
 
@@ -236,8 +248,8 @@ TEST_P(ClusterAgentModeTest, LeavingMemberStreamsEverythingAway) {
 TEST_P(ClusterAgentModeTest, StalledMigrationDefersInsteadOfOverAdmitting) {
   // cluster.migrate.stall delays every outgoing batch by 150ms — inside the
   // 400ms inbound window, so deferral (not fresh buckets) bridges the gap.
-  NodeBundle& a = start_node(GetParam(), /*window=*/millis(400));
-  NodeBundle& b = start_node(GetParam(), /*window=*/millis(400));
+  NodeBundle& a = start_node(/*window=*/millis(400));
+  NodeBundle& b = start_node(/*window=*/millis(400));
   start_coordinator({a.spec("qos-0")});
   if (HasFatalFailure()) return;
 
@@ -266,12 +278,11 @@ TEST_P(ClusterAgentModeTest, StalledMigrationDefersInsteadOfOverAdmitting) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, ClusterAgentModeTest,
-    ::testing::Values(core::ThreadingMode::kSharedQueue,
-                      core::ThreadingMode::kShardPerWorker),
-    [](const auto& info) {
-      return info.param == core::ThreadingMode::kSharedQueue
-                 ? "SharedQueue"
-                 : "ShardPerWorker";
+    ::testing::Values(ServerModel::kSharedQueue,
+                      ServerModel::kFallbackLoopsSharedQueue,
+                      ServerModel::kPeriodicRefillSharedQueue),
+    [](const ::testing::TestParamInfo<ServerModel>& tpi) {
+      return server_model_name(tpi.param);
     });
 
 }  // namespace

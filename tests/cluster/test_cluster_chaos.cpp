@@ -94,10 +94,11 @@ class ClusterChaosTest : public ClusterFixture {
   }
 
   cluster::MemberSpec spec_of(const ServerProcess& p) {
-    return {.member = {.name = p.name,
-                       .udp_addr = p.udp,
-                       .cluster_addr = p.cluster},
-            .bfd_addr = p.bfd};
+    cluster::MemberSpec spec;
+    spec.member = {
+        .name = p.name, .udp_addr = p.udp, .cluster_addr = p.cluster};
+    spec.bfd_addr = p.bfd;
+    return spec;
   }
 
   /// One router round-trip; returns the body ("TRUE"/"FALSE", empty on
@@ -179,15 +180,13 @@ TEST_F(ClusterChaosTest, Round1SigkillMasterPromotesStandbyWithExactCredit) {
   testing::FaultInjector::instance().seed(kChaosSeed + 1);
 
   // Master qos-0 snapshots its table over HA every 20ms; the standby pulls
-  // and restores. Both are shared-queue (the HA walk needs locked access).
+  // and restores.
   ServerProcess& master = spawn_server(
-      "qos-0", {"--threading", "shared-queue", "--bfd-listen", "127.0.0.1:0",
-                "--ha-listen", "127.0.0.1:0"});
-  ServerProcess& peer = spawn_server("qos-1", {"--threading", "shared-queue"});
+      "qos-0", {"--bfd-listen", "127.0.0.1:0", "--ha-listen", "127.0.0.1:0"});
+  ServerProcess& peer = spawn_server("qos-1");
   ServerProcess& standby = spawn_server(
       "qos-0-standby",
-      {"--threading", "shared-queue", "--ha-master",
-       master.ha.to_string(), "--ha-ms", "20"});
+      {"--ha-master", master.ha.to_string(), "--ha-ms", "20"});
   ASSERT_FALSE(::testing::Test::HasFailure());
 
   start_router();
@@ -245,14 +244,11 @@ TEST_F(ClusterChaosTest, Round1SigkillMasterPromotesStandbyWithExactCredit) {
 TEST_F(ClusterChaosTest, Round2ReshardMidLoadNeverOverAdmits) {
   testing::FaultInjector::instance().seed(kChaosSeed + 2);
 
-  // Shard-per-worker servers: the reshard must ride the maintenance-command
-  // path and the epoch gate must hold on the zero-alloc fast path.
-  ServerProcess& s0 = spawn_server("qos-0", {"--threading", "shard-per-worker",
-                                             "--migrate-window-ms", "500"});
-  ServerProcess& s1 = spawn_server("qos-1", {"--threading", "shard-per-worker",
-                                             "--migrate-window-ms", "500"});
-  ServerProcess& s2 = spawn_server("qos-2", {"--threading", "shard-per-worker",
-                                             "--migrate-window-ms", "500"});
+  // The reshard runs as locked passes next to live decisions, and the epoch
+  // gate must hold on the zero-alloc fast path.
+  ServerProcess& s0 = spawn_server("qos-0", {"--migrate-window-ms", "500"});
+  ServerProcess& s1 = spawn_server("qos-1", {"--migrate-window-ms", "500"});
+  ServerProcess& s2 = spawn_server("qos-2", {"--migrate-window-ms", "500"});
   ASSERT_FALSE(::testing::Test::HasFailure());
 
   start_router();
@@ -325,13 +321,11 @@ TEST_F(ClusterChaosTest, Round3BfdPartitionPromotesStandbyWithoutDoubleSpend) {
   testing::FaultInjector::instance().seed(kChaosSeed + 3);
 
   ServerProcess& master = spawn_server(
-      "qos-0", {"--threading", "shared-queue", "--bfd-listen", "127.0.0.1:0",
-                "--ha-listen", "127.0.0.1:0"});
-  ServerProcess& peer = spawn_server("qos-1", {"--threading", "shared-queue"});
+      "qos-0", {"--bfd-listen", "127.0.0.1:0", "--ha-listen", "127.0.0.1:0"});
+  ServerProcess& peer = spawn_server("qos-1");
   ServerProcess& standby = spawn_server(
       "qos-0-standby",
-      {"--threading", "shared-queue", "--ha-master",
-       master.ha.to_string(), "--ha-ms", "20"});
+      {"--ha-master", master.ha.to_string(), "--ha-ms", "20"});
   ASSERT_FALSE(::testing::Test::HasFailure());
 
   start_router();

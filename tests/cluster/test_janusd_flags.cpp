@@ -1,0 +1,209 @@
+// janusd's command line: every role accepts only its own flags (plus the
+// observability flags). An unknown flag must stop the node before it binds
+// anything — exit 2, naming the flag — instead of starting with the typo
+// silently ignored.
+#include <poll.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <gtest/gtest.h>
+
+#include <chrono>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "common/clock.hpp"
+
+namespace janus {
+namespace {
+
+struct Outcome {
+  bool exited = false;  // false: still running at the deadline (killed)
+  int code = -1;
+  std::string output;   // stdout + stderr
+};
+
+/// Run janusd with `args`, collecting its output until it exits, `timeout`
+/// passes, or the output contains `until` (non-empty); in the last two cases
+/// it is killed.
+Outcome run_janusd(const std::vector<std::string>& args, Duration timeout,
+                   const std::string& until = {}) {
+  Outcome out;
+  // argv is built before fork: the child may only make async-signal-safe
+  // calls.
+  std::vector<char*> argv;
+  argv.push_back(const_cast<char*>(JANUS_JANUSD_BIN));
+  for (const std::string& a : args) {
+    argv.push_back(const_cast<char*>(a.c_str()));
+  }
+  argv.push_back(nullptr);
+  int fds[2];
+  if (::pipe(fds) != 0) return out;
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::dup2(fds[1], STDOUT_FILENO);
+    ::dup2(fds[1], STDERR_FILENO);
+    ::close(fds[0]);
+    ::close(fds[1]);
+    ::execv(JANUS_JANUSD_BIN, argv.data());
+    ::_exit(127);
+  }
+  ::close(fds[1]);
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  int status = 0;
+  bool open = true;
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (open) {
+      pollfd pfd{fds[0], POLLIN, 0};
+      if (::poll(&pfd, 1, 20) > 0) {
+        char buf[512];
+        const ssize_t n = ::read(fds[0], buf, sizeof(buf));
+        if (n > 0) {
+          out.output.append(buf, static_cast<std::size_t>(n));
+        } else {
+          open = false;
+        }
+      }
+    } else {
+      ::usleep(20'000);
+    }
+    if (::waitpid(pid, &status, WNOHANG) == pid) {
+      out.exited = true;
+      out.code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+      break;
+    }
+    if (!until.empty() && out.output.find(until) != std::string::npos) break;
+  }
+  if (!out.exited) {
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, &status, 0);
+  }
+  ::close(fds[0]);
+  return out;
+}
+
+/// The flags each role needs to start, so only the flag under test can stop
+/// it.
+std::vector<std::string> startable(const std::string& role) {
+  if (role == "server") {
+    const std::string rules = ::testing::TempDir() + "janusd_flags.rules";
+    std::FILE* f = std::fopen(rules.c_str(), "w");
+    if (f != nullptr) {
+      std::fputs("tenant = 1 1\n", f);
+      std::fclose(f);
+    }
+    return {"server", "--listen", "127.0.0.1:0", "--rules", rules};
+  }
+  return {role, "--listen", "127.0.0.1:0", "--backends", "127.0.0.1:9"};
+}
+
+class JanusdFlagsTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(JanusdFlagsTest, UnknownFlagExitsTwoNamingIt) {
+  std::vector<std::string> args = startable(GetParam());
+  args.push_back("--no-such-flag");
+  args.push_back("1");
+  const Outcome out = run_janusd(args, seconds(5));
+  ASSERT_TRUE(out.exited) << GetParam() << " started despite --no-such-flag:\n"
+                          << out.output;
+  EXPECT_EQ(out.code, 2) << out.output;
+  EXPECT_NE(out.output.find("--no-such-flag"), std::string::npos)
+      << "the message must name the unknown flag:\n" << out.output;
+  EXPECT_EQ(out.output.find(" on 127.0.0.1:"), std::string::npos)
+      << "nothing may be bound before the flags are checked:\n" << out.output;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Roles, JanusdFlagsTest, ::testing::Values("server", "router", "gateway"),
+    [](const auto& param_info) { return param_info.param; });
+
+TEST(JanusdRoleFlagsTest, FlagsOfAnotherRoleAreUnknown) {
+  // --policy belongs to the gateway, --threading to no role at all.
+  for (const char* flag : {"--policy", "--threading"}) {
+    std::vector<std::string> args = startable("server");
+    args.push_back(flag);
+    args.push_back("x");
+    const Outcome out = run_janusd(args, seconds(5));
+    ASSERT_TRUE(out.exited) << "server started with " << flag << ":\n"
+                            << out.output;
+    EXPECT_EQ(out.code, 2) << out.output;
+    EXPECT_NE(out.output.find(flag), std::string::npos) << out.output;
+  }
+}
+
+TEST(JanusdRoleFlagsTest, SwitchOfARemovedModelIsUnknown) {
+  // --pin-workers took no value. Rejected by name, it cannot swallow the
+  // flag after it.
+  std::vector<std::string> args = startable("server");
+  args.push_back("--pin-workers");
+  args.push_back("--workers");
+  args.push_back("2");
+  const Outcome out = run_janusd(args, seconds(5));
+  ASSERT_TRUE(out.exited) << "server started with --pin-workers:\n"
+                          << out.output;
+  EXPECT_EQ(out.code, 2) << out.output;
+  EXPECT_NE(out.output.find("'--pin-workers'"), std::string::npos)
+      << out.output;
+}
+
+TEST(JanusdRoleFlagsTest, UringDataPathIsRejected) {
+  // The server runs the mmsg provider or the fallback loops; any other
+  // --data-path value stops it before it binds.
+  std::vector<std::string> args = startable("server");
+  args.push_back("--data-path");
+  args.push_back("uring");
+  const Outcome out = run_janusd(args, seconds(5));
+  ASSERT_TRUE(out.exited) << "server started with --data-path uring:\n"
+                          << out.output;
+  EXPECT_EQ(out.code, 2) << out.output;
+  EXPECT_NE(out.output.find("--data-path"), std::string::npos) << out.output;
+  EXPECT_NE(out.output.find("'uring'"), std::string::npos) << out.output;
+  EXPECT_EQ(out.output.find(" on 127.0.0.1:"), std::string::npos)
+      << out.output;
+}
+
+TEST(JanusdRoleFlagsTest, ValueFlagWithoutValueExitsTwo) {
+  std::vector<std::string> args = startable("server");
+  args.push_back("--workers");
+  const Outcome out = run_janusd(args, seconds(5));
+  ASSERT_TRUE(out.exited) << out.output;
+  EXPECT_EQ(out.code, 2) << out.output;
+  EXPECT_NE(out.output.find("--workers needs a value"), std::string::npos)
+      << out.output;
+}
+
+TEST(JanusdRoleFlagsTest, UnknownRoleExitsTwo) {
+  const Outcome out = run_janusd({"balancer", "--listen", "127.0.0.1:0"},
+                                 seconds(5));
+  ASSERT_TRUE(out.exited) << out.output;
+  EXPECT_EQ(out.code, 2) << out.output;
+  EXPECT_NE(out.output.find("unknown role 'balancer'"), std::string::npos)
+      << out.output;
+}
+
+TEST(JanusdRoleFlagsTest, KnownServerFlagsStartTheNodeWithHa) {
+  // The flags the one execution model keeps are accepted together, the HA
+  // snapshot server included: the node binds and reports what it runs.
+  std::vector<std::string> args = startable("server");
+  for (const char* a : {"--workers", "2", "--shards", "8", "--data-path",
+                        "fallback", "--ha-listen", "127.0.0.1:0"}) {
+    args.push_back(a);
+  }
+  const Outcome out =
+      run_janusd(args, seconds(10), "janusd: ha snapshot server on ");
+  EXPECT_FALSE(out.exited) << "exit " << out.code << ":\n" << out.output;
+  EXPECT_NE(out.output.find("janusd: QoS server on 127.0.0.1:"),
+            std::string::npos)
+      << out.output;
+  EXPECT_NE(out.output.find("2 workers, data-path fallback"),
+            std::string::npos)
+      << out.output;
+  EXPECT_NE(out.output.find("janusd: ha snapshot server on 127.0.0.1:"),
+            std::string::npos)
+      << out.output;
+}
+
+}  // namespace
+}  // namespace janus

@@ -1,97 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
+#include <memory>
 #include <thread>
 #include <vector>
 
-#include "common/mpmc_queue.hpp"
-#include "common/spsc_queue.hpp"
+#include "common/blocking_queue.hpp"
 
 namespace janus {
 namespace {
-
-// ---------------------------------------------------------------- MpmcQueue
-
-TEST(MpmcQueueTest, PushPopSingleThread) {
-  MpmcQueue<int> q(8);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_EQ(q.try_pop(), std::optional<int>(1));
-  EXPECT_EQ(q.try_pop(), std::optional<int>(2));
-  EXPECT_EQ(q.try_pop(), std::nullopt);
-}
-
-TEST(MpmcQueueTest, CapacityRoundedToPowerOfTwo) {
-  MpmcQueue<int> q(5);
-  EXPECT_EQ(q.capacity(), 8u);
-}
-
-TEST(MpmcQueueTest, FullQueueRejectsPush) {
-  MpmcQueue<int> q(4);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.try_push(i));
-  EXPECT_FALSE(q.try_push(99));
-  EXPECT_EQ(q.try_pop(), std::optional<int>(0));
-  EXPECT_TRUE(q.try_push(99));  // slot freed
-}
-
-TEST(MpmcQueueTest, FifoOrderPreserved) {
-  MpmcQueue<int> q(128);
-  for (int i = 0; i < 100; ++i) ASSERT_TRUE(q.try_push(i));
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(q.try_pop(), std::optional<int>(i));
-}
-
-TEST(MpmcQueueTest, WrapAroundManyTimes) {
-  MpmcQueue<int> q(4);
-  for (int round = 0; round < 1000; ++round) {
-    ASSERT_TRUE(q.try_push(round));
-    ASSERT_EQ(q.try_pop(), std::optional<int>(round));
-  }
-}
-
-TEST(MpmcQueueTest, MovesNonCopyableTypes) {
-  MpmcQueue<std::unique_ptr<int>> q(4);
-  EXPECT_TRUE(q.try_push(std::make_unique<int>(7)));
-  auto out = q.try_pop();
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(**out, 7);
-}
-
-TEST(MpmcQueueTest, ConcurrentProducersConsumersConserveSum) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr int kPerProducer = 20000;
-  MpmcQueue<int> q(1024);
-  std::atomic<long long> consumed_sum{0};
-  std::atomic<int> consumed_count{0};
-
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        const int value = p * kPerProducer + i;
-        while (!q.try_push(value)) std::this_thread::yield();
-      }
-    });
-  }
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      while (consumed_count.load() < kProducers * kPerProducer) {
-        if (auto v = q.try_pop()) {
-          consumed_sum.fetch_add(*v);
-          consumed_count.fetch_add(1);
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  const long long n = static_cast<long long>(kProducers) * kPerProducer;
-  EXPECT_EQ(consumed_count.load(), n);
-  EXPECT_EQ(consumed_sum.load(), n * (n - 1) / 2);
-}
 
 // ------------------------------------------------------------ BlockingQueue
 
@@ -162,146 +79,66 @@ TEST(BlockingQueueTest, SizeTracksContents) {
   EXPECT_EQ(q.size(), 1u);
 }
 
-// ---------------------------------------------------------------- SpscQueue
-
-TEST(SpscQueueTest, BasicPushPop) {
-  SpscQueue<int> q(4);
-  EXPECT_TRUE(q.empty());
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_FALSE(q.empty());
-  EXPECT_EQ(q.try_pop(), std::optional<int>(1));
+TEST(BlockingQueueTest, FifoOrderPreserved) {
+  BlockingQueue<int> q;
+  for (int i = 0; i < 1000; ++i) ASSERT_TRUE(q.try_push(i));
+  for (int i = 0; i < 1000; ++i) EXPECT_EQ(q.try_pop(), std::optional<int>(i));
   EXPECT_EQ(q.try_pop(), std::nullopt);
 }
 
-TEST(SpscQueueTest, FullRejects) {
-  SpscQueue<int> q(3);
-  std::size_t pushed = 0;
-  while (q.try_push(static_cast<int>(pushed))) ++pushed;
-  EXPECT_GE(pushed, 3u);
-  EXPECT_EQ(q.try_pop(), std::optional<int>(0));
-  EXPECT_TRUE(q.try_push(99));
+TEST(BlockingQueueTest, MovesNonCopyableTypes) {
+  BlockingQueue<std::unique_ptr<int>> q;
+  ASSERT_TRUE(q.try_push(std::make_unique<int>(7)));
+  auto v = q.pop();
+  ASSERT_TRUE(v.has_value());
+  ASSERT_NE(*v, nullptr);
+  EXPECT_EQ(**v, 7);
 }
 
-TEST(SpscQueueTest, TwoThreadStress) {
-  SpscQueue<int> q(64);
-  constexpr int kItems = 200000;
-  std::thread producer([&q] {
-    for (int i = 0; i < kItems; ++i) {
-      while (!q.try_push(i)) std::this_thread::yield();
-    }
-  });
-  long long sum = 0;
-  int received = 0;
-  while (received < kItems) {
-    if (auto v = q.try_pop()) {
-      EXPECT_EQ(*v, received);  // order preserved
-      sum += *v;
-      ++received;
-    }
-  }
-  producer.join();
-  EXPECT_EQ(sum, static_cast<long long>(kItems) * (kItems - 1) / 2);
+TEST(BlockingQueueTest, BoundedQueueAcceptsAgainAfterPop) {
+  BlockingQueue<int> q(1);
+  ASSERT_TRUE(q.try_push(1));
+  EXPECT_FALSE(q.try_push(2));
+  EXPECT_EQ(q.pop(), std::optional<int>(1));
+  EXPECT_TRUE(q.try_push(3));
+  EXPECT_EQ(q.pop(), std::optional<int>(3));
 }
 
-TEST(SpscQueueTest, SizeApproxTracksContents) {
-  // Single-threaded, size_approx is exact — the worker_queue_depth gauges
-  // read it after every push burst / drain.
-  SpscQueue<int> q(8);
-  EXPECT_EQ(q.size_approx(), 0u);
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.try_push(i));
-  EXPECT_EQ(q.size_approx(), 5u);
-  q.try_pop();
-  q.try_pop();
-  EXPECT_EQ(q.size_approx(), 3u);
-  while (q.try_pop()) {
-  }
-  EXPECT_EQ(q.size_approx(), 0u);
-}
+TEST(BlockingQueueTest, ConcurrentProducersConsumersConserveSum) {
+  // Bounded, so producers also meet a full queue; consumers block in pop()
+  // and leave only once shutdown has drained the queue.
+  constexpr int kProducers = 4;
+  constexpr int kConsumers = 4;
+  constexpr int kPerProducer = 5000;
+  BlockingQueue<int> q(64);
+  std::atomic<long long> consumed_sum{0};
+  std::atomic<int> consumed_count{0};
 
-TEST(SpscQueueTest, SizeApproxCorrectAcrossWraparound) {
-  // The head/tail indices are free-running; the mask arithmetic must stay
-  // right long after both counters exceed the capacity.
-  SpscQueue<int> q(4);
-  for (int round = 0; round < 1000; ++round) {
-    ASSERT_TRUE(q.try_push(round));
-    ASSERT_TRUE(q.try_push(round + 1));
-    EXPECT_EQ(q.size_approx(), 2u);
-    EXPECT_EQ(q.try_pop(), std::optional<int>(round));
-    EXPECT_EQ(q.try_pop(), std::optional<int>(round + 1));
-    EXPECT_EQ(q.size_approx(), 0u);
-  }
-}
-
-TEST(SpscQueueTest, MovesNonCopyableTypes) {
-  SpscQueue<std::unique_ptr<int>> q(4);
-  ASSERT_TRUE(q.try_push(std::make_unique<int>(11)));
-  auto out = q.try_pop();
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(**out, 11);
-}
-
-TEST(SpscQueueTest, FullQueueStressNeverLosesOrReordersAccepted) {
-  // A tiny ring kept near-full: the producer records exactly which items the
-  // queue accepted; the consumer must see precisely that sequence. This is
-  // the shard-per-worker overload regime — the listener drops on a full
-  // ring, and a drop must never corrupt what was already accepted.
-  SpscQueue<int> q(4);
-  constexpr int kAttempts = 100000;
-  std::atomic<long long> accepted_sum{0};
-  std::atomic<int> accepted_count{0};
-  std::atomic<bool> done{false};
-
-  std::thread producer([&] {
-    for (int i = 0; i < kAttempts; ++i) {
-      if (q.try_push(i)) {
-        accepted_sum.fetch_add(i, std::memory_order_relaxed);
-        accepted_count.fetch_add(1, std::memory_order_relaxed);
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&q, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        const int value = p * kPerProducer + i;
+        while (!q.try_push(value)) std::this_thread::yield();
       }
-    }
-    done.store(true, std::memory_order_release);
-  });
-
-  long long consumed_sum = 0;
-  int consumed_count = 0;
-  int last = -1;
-  while (true) {
-    if (auto v = q.try_pop()) {
-      EXPECT_GT(*v, last);  // accepted subsequence keeps its order
-      last = *v;
-      consumed_sum += *v;
-      ++consumed_count;
-    } else if (done.load(std::memory_order_acquire) && q.empty()) {
-      break;
-    }
+    });
   }
-  producer.join();
-  EXPECT_EQ(consumed_count, accepted_count.load());
-  EXPECT_EQ(consumed_sum, accepted_sum.load());
-  EXPECT_GT(consumed_count, 0);
-  EXPECT_LT(consumed_count, kAttempts);  // the tiny ring did reject some
-}
-
-TEST(SpscQueueTest, TwoThreadStressWithConcurrentSizeApprox) {
-  // size_approx from the consumer side while the producer races: the value
-  // may lag but must stay within [0, capacity] — the gauge contract.
-  SpscQueue<int> q(64);
-  constexpr int kItems = 100000;
-  std::thread producer([&q] {
-    for (int i = 0; i < kItems; ++i) {
-      while (!q.try_push(i)) std::this_thread::yield();
-    }
-  });
-  int received = 0;
-  while (received < kItems) {
-    const std::size_t depth = q.size_approx();
-    EXPECT_LE(depth, q.capacity());
-    if (auto v = q.try_pop()) {
-      EXPECT_EQ(*v, received);
-      ++received;
-    }
+  std::vector<std::thread> consumers;
+  for (int c = 0; c < kConsumers; ++c) {
+    consumers.emplace_back([&] {
+      while (auto v = q.pop()) {
+        consumed_sum.fetch_add(*v);
+        consumed_count.fetch_add(1);
+      }
+    });
   }
-  producer.join();
-  EXPECT_EQ(q.size_approx(), 0u);
+  for (auto& t : producers) t.join();
+  q.shutdown();
+  for (auto& t : consumers) t.join();
+
+  const long long n = static_cast<long long>(kProducers) * kPerProducer;
+  EXPECT_EQ(consumed_count.load(), n);
+  EXPECT_EQ(consumed_sum.load(), n * (n - 1) / 2);
 }
 
 }  // namespace

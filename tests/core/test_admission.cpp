@@ -4,8 +4,11 @@
 
 #include <atomic>
 #include <map>
+#include <string>
 #include <thread>
+#include <utility>
 
+#include "common/flight_recorder.hpp"
 #include "core/db_rule_adapter.hpp"
 #include "db/rule_store.hpp"
 
@@ -285,108 +288,97 @@ TEST_F(AdmissionTest, DbAdapterEndToEnd) {
   EXPECT_FALSE(replacement.check("alice").allowed);
 }
 
-// ---- shard-per-worker owner-token entry points (PR 5) ---------------------
+// ---- hot-key sampling ------------------------------------------------------
+//
+// A decision sampled for telemetry is noted in its shard's hot-key sketch
+// inside the decision's own critical section, on the cached path and on the
+// first-touch path alike. The sampler is thread-local and starts at zero, so
+// on a fresh thread exactly the 16th, 32nd, ... decisions are sampled.
 
-std::size_t hash_of(std::string_view key) {
-  return TransparentStringHash::hash_bytes(key);
-}
-
-TEST_F(AdmissionTest, OwnedCheckMatchesLockedCheckDecisionForDecision) {
-  // Two identical controllers, one driven through check(), one through
-  // check_owned() with a single all-owning token: every decision — verdict,
-  // origin, and remaining credit — must be byte-identical.
-  source_.add("alice", 5, 1);
-  AdmissionController locked(clock_, source_, config());
-  AdmissionController owned(clock_, source_, config());
-  const ShardOwnerToken token = owned.claim_shards(0, 1);
-
-  for (int i = 0; i < 8; ++i) {
-    const Decision a = locked.check("alice");
-    const Decision b = owned.check_owned(token, "alice", hash_of("alice"));
-    EXPECT_EQ(a.allowed, b.allowed) << "iteration " << i;
-    EXPECT_EQ(a.origin, b.origin) << "iteration " << i;
-    EXPECT_EQ(a.remaining_millicredits, b.remaining_millicredits)
-        << "iteration " << i;
-    clock_.advance(millis(100));
+/// Arms the flight recorder for one test and restores the previous setting.
+class ArmedRecorder {
+ public:
+  explicit ArmedRecorder(bool on = true) : was_(FlightRecorder::enabled()) {
+    FlightRecorder::set_enabled(on);
   }
-  // Unknown keys take the default-deny path identically too.
-  const Decision a = locked.check("stranger");
-  const Decision b = owned.check_owned(token, "stranger", hash_of("stranger"));
-  EXPECT_EQ(a.allowed, b.allowed);
-  EXPECT_EQ(a.origin, b.origin);
+  ~ArmedRecorder() { FlightRecorder::set_enabled(was_); }
+
+ private:
+  bool was_;
+};
+
+template <typename Fn>
+void run_on_fresh_thread(Fn&& fn) {
+  std::thread t(std::forward<Fn>(fn));
+  t.join();
 }
 
-TEST_F(AdmissionTest, OwnedProbeLeavesCreditsIntact) {
-  source_.add("alice", 2, 0);
-  AdmissionController ac(clock_, source_, config());
-  const ShardOwnerToken token = ac.claim_shards(0, 1);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_TRUE(ac.probe_owned(token, "alice", hash_of("alice")).allowed);
-  }
-  EXPECT_TRUE(ac.check_owned(token, "alice", hash_of("alice")).allowed);
-  EXPECT_TRUE(ac.check_owned(token, "alice", hash_of("alice")).allowed);
-  EXPECT_FALSE(ac.check_owned(token, "alice", hash_of("alice")).allowed);
-}
+constexpr int kSampleStride =
+    static_cast<int>(FlightRecorder::kDecisionSampleWeight);
 
-TEST_F(AdmissionTest, OwnedInvalidateForcesRefetch) {
-  source_.add("alice", 1, 0);
-  AdmissionController ac(clock_, source_, config());
-  const ShardOwnerToken token = ac.claim_shards(0, 1);
-  EXPECT_TRUE(ac.check_owned(token, "alice", hash_of("alice")).allowed);
-  EXPECT_FALSE(ac.check_owned(token, "alice", hash_of("alice")).allowed);
-  source_.add("alice", 3, 0);  // operator raises the quota
-  EXPECT_TRUE(ac.invalidate_owned(token, "alice", hash_of("alice")));
-  EXPECT_FALSE(ac.invalidate_owned(token, "alice", hash_of("alice")));
-  EXPECT_TRUE(ac.check_owned(token, "alice", hash_of("alice")).allowed);
-  EXPECT_EQ(source_.fetches(), 2);
-}
-
-TEST_F(AdmissionTest, OwnedMaintenanceUnionEqualsFullPass) {
-  // sync_owned/checkpoint_owned across all tokens must together behave like
-  // one sync_now()/checkpoint_now(): every entry updated, none twice.
-  for (int i = 0; i < 20; ++i) {
-    source_.add("k" + std::to_string(i), 1, 0);
+TEST_F(AdmissionTest, SampledFirstTouchDecisionFeedsHotKeys) {
+  ArmedRecorder armed;
+  for (int i = 0; i < kSampleStride; ++i) {
+    source_.add("k" + std::to_string(i), 10, 0);
   }
   AdmissionController ac(clock_, source_, config());
-  for (int i = 0; i < 20; ++i) {
-    ac.check("k" + std::to_string(i));  // warm all entries
-  }
-  for (int i = 0; i < 20; ++i) {
-    source_.add("k" + std::to_string(i), 7, 2);  // all rules change
-  }
-
-  constexpr std::size_t kWorkers = 3;
-  std::size_t synced = 0;
-  for (std::size_t w = 0; w < kWorkers; ++w) {
-    synced += ac.sync_owned(ac.claim_shards(w, kWorkers));
-  }
-  EXPECT_EQ(synced, 20u);  // each entry refreshed by exactly one owner
-
-  FakeSink sink;
-  std::size_t checkpointed = 0;
-  for (std::size_t w = 0; w < kWorkers; ++w) {
-    checkpointed += ac.checkpoint_owned(ac.claim_shards(w, kWorkers), sink);
-  }
-  EXPECT_EQ(checkpointed, 20u);
-  EXPECT_EQ(sink.credits_.size(), 20u);
-  for (const auto& [key, credit] : sink.credits_) {
-    EXPECT_DOUBLE_EQ(credit, 7.0) << key;  // synced capacity, untouched since
-  }
+  Decision sampled;
+  run_on_fresh_thread([&] {
+    for (int i = 0; i < kSampleStride; ++i) {
+      sampled = ac.check("k" + std::to_string(i));
+    }
+  });
+  // The sampled decision was its key's first touch.
+  EXPECT_EQ(sampled.origin, Decision::Origin::kFetched);
+  auto hot = ac.hot_keys();
+  ASSERT_EQ(hot.size(), 1u);
+  EXPECT_EQ(hot[0].key, "k" + std::to_string(kSampleStride - 1));
+  EXPECT_EQ(hot[0].hits, FlightRecorder::kDecisionSampleWeight);
+  EXPECT_EQ(hot[0].rejects, 0u);
 }
 
-TEST_F(AdmissionTest, OwnedRefillMatchesRefillAll) {
-  source_.add("alice", 10, 5);
-  AdmissionConfig cfg = config();
-  cfg.refill_mode = RefillMode::kPeriodic;
-  AdmissionController ac(clock_, source_, cfg);
-  ASSERT_TRUE(ac.check("alice", 10).allowed);  // drain the bucket
-  ASSERT_FALSE(ac.check("alice", 1).allowed);
+TEST_F(AdmissionTest, SampledCachedDecisionFeedsHotKeys) {
+  ArmedRecorder armed;
+  source_.add("alice", 100, 0);
+  AdmissionController ac(clock_, source_, config());
+  Decision sampled;
+  run_on_fresh_thread([&] {
+    for (int i = 0; i < 2 * kSampleStride; ++i) sampled = ac.check("alice");
+  });
+  EXPECT_EQ(sampled.origin, Decision::Origin::kCached);
+  auto hot = ac.hot_keys();
+  ASSERT_EQ(hot.size(), 1u);
+  EXPECT_EQ(hot[0].key, "alice");
+  EXPECT_EQ(hot[0].hits, 2 * FlightRecorder::kDecisionSampleWeight);
+}
 
-  clock_.advance(seconds(1));  // 5 credits accrue, but only on refill
-  ASSERT_FALSE(ac.check("alice", 1).allowed);  // periodic mode: not yet
-  ac.refill_owned(ac.claim_shards(0, 1));
-  EXPECT_TRUE(ac.check("alice", 5).allowed);
-  EXPECT_FALSE(ac.check("alice", 1).allowed);
+TEST_F(AdmissionTest, SampledDenialsRankInRejectHotKeys) {
+  ArmedRecorder armed;
+  source_.add("spender", 1, 0);
+  source_.add("saver", 100, 0);
+  AdmissionController ac(clock_, source_, config());
+  run_on_fresh_thread([&] {
+    // Sampled: the 16th decision (a denial of spender) and the 32nd (an
+    // admission of saver).
+    for (int i = 0; i < kSampleStride; ++i) ac.check("spender");
+    for (int i = 0; i < kSampleStride; ++i) ac.check("saver");
+  });
+  auto by_rejects = ac.hot_keys(/*by_rejects=*/true);
+  ASSERT_FALSE(by_rejects.empty());
+  EXPECT_EQ(by_rejects[0].key, "spender");
+  EXPECT_EQ(by_rejects[0].rejects, FlightRecorder::kDecisionSampleWeight);
+  EXPECT_EQ(ac.hot_keys().size(), 2u);
+}
+
+TEST_F(AdmissionTest, DisarmedRecorderFeedsNoHotKeys) {
+  ArmedRecorder disarmed(false);
+  source_.add("alice", 100, 0);
+  AdmissionController ac(clock_, source_, config());
+  run_on_fresh_thread([&] {
+    for (int i = 0; i < 4 * kSampleStride; ++i) ac.check("alice");
+  });
+  EXPECT_TRUE(ac.hot_keys().empty());
+  EXPECT_TRUE(ac.check("alice").allowed);
 }
 
 }  // namespace

@@ -157,136 +157,5 @@ TEST(ShardedQosTableTest, ConcurrentMixedOperationsKeepConsistency) {
   EXPECT_EQ(admitted.load(), kThreads * kOpsPerThread);
 }
 
-// ---- shard-per-worker owner-token API (PR 5) ------------------------------
-
-TEST(ShardOwnerTokenTest, PartitionIsExhaustiveAndDisjoint) {
-  // Every shard must have exactly one owner, for worker counts that divide
-  // the shard count and ones that do not (the `%` remap case).
-  ShardedQosTable table(16);
-  for (std::size_t workers : {1u, 2u, 3u, 4u, 5u, 16u}) {
-    std::vector<int> owners(table.shard_count(), 0);
-    for (std::size_t w = 0; w < workers; ++w) {
-      const ShardOwnerToken token = table.claim_shards(w, workers);
-      EXPECT_EQ(token.worker_index(), w);
-      EXPECT_EQ(token.worker_count(), workers);
-      for (std::size_t s = 0; s < table.shard_count(); ++s) {
-        if (token.owns(s)) ++owners[s];
-      }
-    }
-    for (std::size_t s = 0; s < table.shard_count(); ++s) {
-      EXPECT_EQ(owners[s], 1) << "shard " << s << " with " << workers
-                              << " workers";
-    }
-  }
-}
-
-TEST(ShardOwnerTokenTest, UnlockedAccessorsMatchLockedOnes) {
-  // The unlocked accessors are the same data structure minus the mutex:
-  // with a single owner they must observe exactly what the locked API wrote.
-  ShardedQosTable table(8);
-  const ShardOwnerToken token = table.claim_shards(0, 1);  // owns all shards
-
-  const std::string key = "tenant-1/op";
-  const std::size_t h = TransparentStringHash::hash_bytes(key);
-
-  // Miss before creation.
-  auto miss = table.with_entry_unlocked(token, key, h,
-                                        [](QosEntry&) { return true; });
-  EXPECT_EQ(miss, std::nullopt);
-
-  // Create through the unlocked path; read back through the locked path.
-  int factory_calls = 0;
-  table.with_entry_or_create_unlocked(
-      token, key, h,
-      [&] {
-        ++factory_calls;
-        return make_entry(10, 1);
-      },
-      [](QosEntry&) { return 0; });
-  table.with_entry_or_create_unlocked(
-      token, key, h,
-      [&] {
-        ++factory_calls;
-        return make_entry(99, 9);
-      },
-      [](QosEntry&) { return 0; });
-  EXPECT_EQ(factory_calls, 1);  // second call found the entry
-  auto cap = table.with_entry(
-      key, [](QosEntry& e) { return e.bucket.capacity(); });
-  ASSERT_TRUE(cap.has_value());
-  EXPECT_DOUBLE_EQ(*cap, 10.0);
-
-  // Unlocked erase is visible to the locked API.
-  EXPECT_TRUE(table.erase_unlocked(token, key, h));
-  EXPECT_FALSE(table.erase_unlocked(token, key, h));  // already gone
-  EXPECT_FALSE(table.contains(key));
-}
-
-TEST(ShardOwnerTokenTest, ForEachOwnedUnionCoversWholeTable) {
-  // The per-owner walks, taken together, must visit every entry exactly
-  // once — that union is what makes a fleet-wide maintenance pass complete.
-  ShardedQosTable table(16);
-  for (int i = 0; i < 200; ++i) {
-    table.with_entry_or_create(
-        "key-" + std::to_string(i), [] { return make_entry(1, 0); },
-        [](QosEntry&) { return 0; });
-  }
-
-  constexpr std::size_t kWorkers = 3;  // 16 % 3 != 0: remap path
-  std::set<std::string> seen;
-  std::size_t visits = 0;
-  for (std::size_t w = 0; w < kWorkers; ++w) {
-    const ShardOwnerToken token = table.claim_shards(w, kWorkers);
-    table.for_each_owned(token, [&](const std::string& key, QosEntry&) {
-      seen.insert(key);
-      ++visits;
-    });
-  }
-  EXPECT_EQ(visits, 200u);       // no entry visited twice
-  EXPECT_EQ(seen.size(), 200u);  // no entry missed
-}
-
-TEST(ShardOwnerTokenTest, ConcurrentOwnersNeedNoLocks) {
-  // N owner threads hammer their own shards through the unlocked accessors
-  // concurrently. Correct partition == no data race (tsan preset) and exact
-  // credit conservation per bucket.
-  ShardedQosTable table(16);
-  constexpr std::size_t kWorkers = 4;
-  constexpr int kOpsPerKey = 1000;
-
-  // 64 distinct keys, pre-created so every worker touches warm entries.
-  std::vector<std::string> keys;
-  std::vector<std::size_t> hashes;
-  for (int i = 0; i < 64; ++i) {
-    keys.push_back("k" + std::to_string(i));
-    hashes.push_back(TransparentStringHash::hash_bytes(keys.back()));
-    table.with_entry_or_create(
-        keys.back(), [] { return make_entry(1e9, 0); },
-        [](QosEntry&) { return 0; });
-  }
-
-  std::vector<std::thread> threads;
-  for (std::size_t w = 0; w < kWorkers; ++w) {
-    threads.emplace_back([&, w] {
-      const ShardOwnerToken token = table.claim_shards(w, kWorkers);
-      for (int rep = 0; rep < kOpsPerKey; ++rep) {
-        for (std::size_t i = 0; i < keys.size(); ++i) {
-          if (!token.owns(table.shard_index_of(hashes[i]))) continue;
-          auto ok = table.with_entry_unlocked(
-              token, keys[i], hashes[i],
-              [](QosEntry& e) { return e.bucket.try_consume_no_refill(1); });
-          ASSERT_TRUE(ok.has_value());
-          ASSERT_TRUE(*ok);
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  table.for_each([&](const std::string&, QosEntry& e) {
-    EXPECT_DOUBLE_EQ(1e9 - e.bucket.credit(), kOpsPerKey);
-  });
-}
-
 }  // namespace
 }  // namespace janus::core

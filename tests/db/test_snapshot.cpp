@@ -38,7 +38,7 @@ TEST_F(SnapshotTest, SnapshotAndLoadRoundTrip) {
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(rules.put({.key = "k" + std::to_string(i),
                            .refill_per_sec = i * 1.0, .capacity = 100,
-                           .credit = 100 - i}).ok());
+                           .credit = 100.0 - i}).ok());
   }
   ASSERT_TRUE(source.snapshot_to(snap_path_).ok());
 

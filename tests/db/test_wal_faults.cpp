@@ -155,7 +155,9 @@ TEST_F(WalFaultTest, AppendAfterTornWriteKeepsLogUnrecoverableOnlyAtTear) {
   ASSERT_GE(lsns.size(), 1u);
   EXPECT_EQ(lsns[0], 1u);
   for (auto lsn : lsns) EXPECT_NE(lsn, 3u);
-  if (replayed.ok()) EXPECT_LE(replayed.value(), 2u);
+  if (replayed.ok()) {
+    EXPECT_LE(replayed.value(), 2u);
+  }
 }
 
 }  // namespace

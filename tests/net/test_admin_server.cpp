@@ -10,6 +10,12 @@
 namespace janus::net {
 namespace {
 
+AdminOptions admin_options(std::string node_name) {
+  AdminOptions opts;
+  opts.node_name = std::move(node_name);
+  return opts;
+}
+
 SockAddr loopback() { return SockAddr{"127.0.0.1", 0}; }
 
 class AdminServerTest : public ::testing::Test {
@@ -30,7 +36,7 @@ TEST_F(AdminServerTest, MetricsServesPrometheusText) {
   registry_.histogram("router.e2e_us").record(450);
 
   auto admin = AdminServer::start(loopback(), registry_,
-                                  AdminOptions{.node_name = "router-0"});
+                                  admin_options("router-0"));
   ASSERT_TRUE(admin.ok()) << admin.error().message;
 
   HttpResponse resp = get(*admin.value(), "/metrics");
@@ -59,7 +65,7 @@ TEST_F(AdminServerTest, MetricsServesPrometheusText) {
 TEST_F(AdminServerTest, MetricsReflectsLiveUpdates) {
   Counter& c = registry_.counter("server.answered");
   auto admin = AdminServer::start(loopback(), registry_,
-                                  AdminOptions{.node_name = "s"});
+                                  admin_options("s"));
   ASSERT_TRUE(admin.ok()) << admin.error().message;
 
   EXPECT_NE(get(*admin.value(), "/metrics")
@@ -74,7 +80,7 @@ TEST_F(AdminServerTest, MetricsReflectsLiveUpdates) {
 TEST_F(AdminServerTest, NodeLabelIsEscaped) {
   registry_.counter("c").inc();
   auto admin = AdminServer::start(
-      loopback(), registry_, AdminOptions{.node_name = "weird\"node\\name"});
+      loopback(), registry_, admin_options("weird\"node\\name"));
   ASSERT_TRUE(admin.ok()) << admin.error().message;
 
   HttpResponse resp = get(*admin.value(), "/metrics");
@@ -108,7 +114,7 @@ TEST_F(AdminServerTest, HealthzReportsProbe) {
 TEST_F(AdminServerTest, StatuszReturnsJson) {
   registry_.counter("server.received").inc(7);
   auto admin = AdminServer::start(loopback(), registry_,
-                                  AdminOptions{.node_name = "qos-1"});
+                                  admin_options("qos-1"));
   ASSERT_TRUE(admin.ok()) << admin.error().message;
 
   HttpResponse resp = get(*admin.value(), "/statusz");

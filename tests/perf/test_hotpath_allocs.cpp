@@ -214,72 +214,6 @@ TEST(HotpathAllocTest, FullWarmDecisionPipelineIsAllocationFree) {
       << "warm decode+decide pipeline allocated on the hot path";
 }
 
-TEST(HotpathAllocTest, WarmOwnedDecisionIsAllocationFree) {
-  // PR 5's shard-per-worker path: same zero-allocation contract, but via the
-  // mutex-free owner-token accessors with the listener-computed hash.
-  ManualClock clock;
-  StaticRuleSource source;
-  AdmissionConfig cfg;
-  cfg.table_shards = 8;
-  AdmissionController ac(clock, source, cfg);
-
-  const std::string key = "tenant-42/upload-photo";
-  const auto token = ac.claim_shards(0, 1);  // one owner, all shards
-  const std::size_t hash = janus::TransparentStringHash::hash_bytes(key);
-  ASSERT_TRUE(ac.check_owned(token, key, hash, 1).allowed);  // first touch
-  warm_flight_recorder();
-
-  {
-    AllocGuard guard;
-    for (int i = 0; i < 64; ++i) {
-      auto d = ac.check_owned(token, key, hash, 1);
-      ASSERT_TRUE(d.allowed);
-    }
-    EXPECT_EQ(guard.count(), 0u)
-        << "warm check_owned() allocated; owner-token path regressed";
-  }
-  {
-    AllocGuard guard;
-    auto d = ac.probe_owned(token, key, hash, 1);
-    ASSERT_TRUE(d.allowed);
-    EXPECT_EQ(guard.count(), 0u) << "warm probe_owned() allocated";
-  }
-  EXPECT_EQ(source.fetches(), 1);
-}
-
-TEST(HotpathAllocTest, FullWarmOwnedPipelineIsAllocationFree) {
-  // The shard-per-worker worker inner loop minus the socket: datagram bytes
-  // -> view decode -> check_owned with the hash carried in the Job.
-  ManualClock clock;
-  StaticRuleSource source;
-  AdmissionConfig cfg;
-  cfg.table_shards = 8;
-  AdmissionController ac(clock, source, cfg);
-
-  wire::QosRequest req;
-  req.request_id = 1;
-  req.type = wire::RequestType::kCheck;
-  req.cost = 1;
-  req.key = "tenant-9/render";
-  std::vector<std::uint8_t> frame;
-  wire::encode_to(req, frame);
-
-  const auto token = ac.claim_shards(0, 1);
-  const std::size_t hash = janus::TransparentStringHash::hash_bytes(req.key);
-  ASSERT_TRUE(ac.check_owned(token, req.key, hash, 1).allowed);  // warm
-  warm_flight_recorder();
-
-  AllocGuard guard;
-  for (int i = 0; i < 64; ++i) {
-    auto view = wire::decode_request_view(frame);
-    ASSERT_TRUE(view.ok());
-    auto d = ac.check_owned(token, view.value().key, hash, view.value().cost);
-    ASSERT_TRUE(d.allowed);
-  }
-  EXPECT_EQ(guard.count(), 0u)
-      << "warm owned decode+decide pipeline allocated on the hot path";
-}
-
 TEST(HotpathAllocTest, ClusterEpochGateIsAllocationFree) {
   // DESIGN.md §11.3: in cluster mode every frame is v3 and the worker adds
   // exactly one branch — compare the frame's epoch against the node's —
@@ -401,8 +335,8 @@ TEST(HotpathAllocTest, ExemplarRecordIsAllocationFree) {
 
 /// Runs `iters` warm send_many/recv_many cycles between `client` and
 /// `server` under an AllocGuard and returns the allocation count. One
-/// unguarded cycle runs first so every reusable buffer (batch arena, uring
-/// registered buffers, socket-internal scratch) reaches steady-state size.
+/// unguarded cycle runs first so every reusable buffer (batch arena,
+/// socket-internal scratch) reaches steady-state size.
 std::uint64_t measure_batch_io_allocs(net::UdpSocket& client,
                                       net::UdpSocket& server, int iters) {
   const auto addr = server.local_addr().value();
@@ -430,45 +364,38 @@ std::uint64_t measure_batch_io_allocs(net::UdpSocket& client,
   return guard.count();
 }
 
-TEST(HotpathAllocTest, UringBatchIoIsAllocationFree) {
-  // PR 9's acceptance bullet: the uring submission path — multishot recvmsg
-  // completions aliased straight into RecvBatch, batched sendmsg SQEs —
-  // must stay off the heap once warm, exactly like the mmsg path it
-  // replaces. Buffer recycling, rearming, and CQE parsing all run inside
-  // the guarded region.
-  if (!net::UdpSocket::uring_supported()) {
-    GTEST_SKIP() << "kernel lacks usable io_uring (capability probe failed)";
-  }
-  auto server = net::UdpSocket::bind({"127.0.0.1", 0});
-  ASSERT_TRUE(server.ok());
-  auto client = net::UdpSocket::create();
-  ASSERT_TRUE(client.ok());
-  ASSERT_TRUE(server.value().set_data_path(net::UdpSocket::DataPath::kUring));
-  ASSERT_TRUE(client.value().set_data_path(net::UdpSocket::DataPath::kUring));
-
-  const auto allocs =
-      measure_batch_io_allocs(client.value(), server.value(), 8);
-  ASSERT_NE(allocs, ~0ull) << "uring batch I/O cycle failed";
-  EXPECT_EQ(allocs, 0u)
-      << "warm uring send_many/recv_many allocated; submission path regressed";
-}
-
 TEST(HotpathAllocTest, MmsgBatchIoIsAllocationFree) {
-  // Baseline for the uring assertion above: the mmsg provider has held this
-  // contract since PR 4 — pin it in the same harness so a regression points
-  // at the provider that broke, not the shared plumbing.
+  // The mmsg provider's contract: a warm send_many/recv_many cycle stays
+  // off the heap.
   auto server = net::UdpSocket::bind({"127.0.0.1", 0});
   ASSERT_TRUE(server.ok());
   auto client = net::UdpSocket::create();
   ASSERT_TRUE(client.ok());
-  ASSERT_TRUE(server.value().set_data_path(net::UdpSocket::DataPath::kMmsg));
-  ASSERT_TRUE(client.value().set_data_path(net::UdpSocket::DataPath::kMmsg));
+  server.value().set_data_path(net::UdpSocket::DataPath::kMmsg);
+  client.value().set_data_path(net::UdpSocket::DataPath::kMmsg);
 
   const auto allocs =
       measure_batch_io_allocs(client.value(), server.value(), 8);
   ASSERT_NE(allocs, ~0ull) << "mmsg batch I/O cycle failed";
   EXPECT_EQ(allocs, 0u)
       << "warm mmsg send_many/recv_many allocated; batch path regressed";
+}
+
+TEST(HotpathAllocTest, FallbackBatchIoIsAllocationFree) {
+  // The server's other provider: the recvfrom/sendto loops fill the same
+  // batch slots, so a warm cycle stays off the heap too.
+  auto server = net::UdpSocket::bind({"127.0.0.1", 0});
+  ASSERT_TRUE(server.ok());
+  auto client = net::UdpSocket::create();
+  ASSERT_TRUE(client.ok());
+  server.value().set_data_path(net::UdpSocket::DataPath::kFallback);
+  client.value().set_data_path(net::UdpSocket::DataPath::kFallback);
+
+  const auto allocs =
+      measure_batch_io_allocs(client.value(), server.value(), 8);
+  ASSERT_NE(allocs, ~0ull) << "fallback batch I/O cycle failed";
+  EXPECT_EQ(allocs, 0u)
+      << "warm fallback send_many/recv_many allocated; batch path regressed";
 }
 
 TEST(HotpathAllocTest, PrequalPickIsAllocationFree) {

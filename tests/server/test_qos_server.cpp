@@ -12,6 +12,7 @@
 #include "common/flight_recorder.hpp"
 #include "common/json_lint.hpp"
 #include "router/udp_qos_client.hpp"
+#include "server_model.hpp"
 #include "testing/fault_injector.hpp"
 #include "wire/codec.hpp"
 
@@ -55,14 +56,14 @@ class QosServerTest : public ::testing::Test {
   std::unique_ptr<db::RuleStore> store_;
 };
 
-/// Every end-to-end behavior must hold in both threading modes — the mode
-/// changes scheduling and locking, never observable semantics.
+/// End-to-end behaviors of the execution model, in each of its variants
+/// (server_model.hpp).
 class QosServerModeTest
     : public QosServerTest,
-      public ::testing::WithParamInterface<core::ThreadingMode> {
+      public ::testing::WithParamInterface<ServerModel> {
  protected:
   std::unique_ptr<QosServerNode> start_server(QosServerConfig cfg = {}) {
-    cfg.threading = GetParam();
+    apply_server_model(GetParam(), cfg);
     return QosServerTest::start_server(std::move(cfg));
   }
 };
@@ -214,18 +215,11 @@ TEST_P(QosServerModeTest, PeriodicRefillModeWorksEndToEnd) {
   EXPECT_TRUE(call(server->addr(), "tick").allowed);
 }
 
-TEST_P(QosServerModeTest, ThreadingModeGaugeReflectsMode) {
-  auto server = start_server();
-  const std::int64_t want =
-      GetParam() == core::ThreadingMode::kShardPerWorker ? 1 : 0;
-  EXPECT_EQ(server->metrics().snapshot().at("server.threading_mode"), want);
-}
-
 TEST_P(QosServerModeTest, TimingSamplerSamplesExactlyOneInEight) {
-  // The 1-in-8 decimation uses a thread-local counter on the listener, so a
+  // The 1-in-8 decimation claims its slots from one node-wide counter, so a
   // fresh server samples datagrams 0, 8, 16, ... deterministically: 80
   // sequential requests land exactly 10 observations in the latency
-  // histograms — in either mode (the sampling decision precedes dispatch).
+  // histograms, whichever worker receives each one.
   auto server = start_server();
   router::UdpClientConfig ccfg;
   ccfg.timeout = millis(500);
@@ -247,60 +241,12 @@ TEST_P(QosServerModeTest, TimingSamplerSamplesExactlyOneInEight) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, QosServerModeTest,
-    ::testing::Values(core::ThreadingMode::kSharedQueue,
-                      core::ThreadingMode::kShardPerWorker),
-    [](const ::testing::TestParamInfo<core::ThreadingMode>& tpi) {
-      return tpi.param == core::ThreadingMode::kShardPerWorker
-                 ? "ShardPerWorker"
-                 : "SharedQueue";
+    ::testing::Values(ServerModel::kSharedQueue,
+                      ServerModel::kFallbackLoopsSharedQueue,
+                      ServerModel::kPeriodicRefillSharedQueue),
+    [](const ::testing::TestParamInfo<ServerModel>& tpi) {
+      return server_model_name(tpi.param);
     });
-
-TEST_F(QosServerTest, ShardPerWorkerExposesDepthGauges) {
-  QosServerConfig cfg;
-  cfg.worker_threads = 2;
-  cfg.threading = core::ThreadingMode::kShardPerWorker;
-  auto server = start_server(cfg);
-  call(server->addr(), "alice");
-  auto snap = server->metrics().snapshot();
-  ASSERT_TRUE(snap.count("server.worker_queue_depth.w0"));
-  ASSERT_TRUE(snap.count("server.worker_queue_depth.w1"));
-  // The gauge is a load signal, not a linearizable count: the listener's
-  // post-push publish can land after the worker already drained, so a just-
-  // answered request may leave a stale 1. Only the range is guaranteed.
-  for (const char* g : {"server.worker_queue_depth.w0",
-                        "server.worker_queue_depth.w1"}) {
-    EXPECT_GE(snap.at(g), 0) << g;
-    EXPECT_LE(snap.at(g), 1) << g;
-  }
-  // Shared-queue mode must NOT register per-worker gauges.
-  auto shared = QosServerTest::start_server();
-  EXPECT_FALSE(
-      shared->metrics().snapshot().count("server.worker_queue_depth.w0"));
-}
-
-TEST_F(QosServerTest, AdminExposesThreadingModeAndDepth) {
-  QosServerConfig cfg;
-  cfg.worker_threads = 2;
-  cfg.threading = core::ThreadingMode::kShardPerWorker;
-  auto server = start_server(cfg);
-  auto admin_addr = server->start_admin({"127.0.0.1", 0});
-  ASSERT_TRUE(admin_addr.ok()) << admin_addr.error().message;
-
-  net::HttpClient http(admin_addr.value(), millis(2000));
-  auto metrics = http.get("/metrics");
-  ASSERT_TRUE(metrics.ok());
-  EXPECT_NE(metrics.value().body.find("janus_server_threading_mode"),
-            std::string::npos);
-  EXPECT_NE(metrics.value().body.find("janus_server_worker_queue_depth_w0"),
-            std::string::npos);
-
-  auto statusz = http.get("/statusz");
-  ASSERT_TRUE(statusz.ok());
-  EXPECT_NE(statusz.value().body.find("\"server.threading_mode\":1"),
-            std::string::npos);
-  EXPECT_NE(statusz.value().body.find("server.worker_queue_depth.w1"),
-            std::string::npos);
-}
 
 // --- QosServerConfig validation (the PR 5 bugfix): start() must reject or
 // repair nonsense instead of hanging loops / crashing on modulo-by-zero. ---
@@ -342,10 +288,10 @@ TEST_P(QosServerModeTest, WatchdogFlagsStalledWorker) {
 }
 
 TEST_F(QosServerTest, SocketDropsCountedWhenReceiveBufferOverflows) {
-  // The shared-queue workers' only queue is the listen socket's kernel
-  // receive buffer. Stall the only worker, then send more than the buffer
-  // holds: the kernel's drops must surface as server.socket_dropped, and
-  // every datagram that did land must still be accounted for.
+  // The workers' only queue is the listen socket's kernel receive buffer.
+  // Stall the only worker, then send more than the buffer holds: the
+  // kernel's drops must surface as server.socket_dropped, and every
+  // datagram that did land must still be accounted for.
   QosServerConfig cfg;
   cfg.worker_threads = 1;
   cfg.watchdog_interval = millis(20);
@@ -394,8 +340,7 @@ TEST_F(QosServerTest, SocketDropsCountedWhenReceiveBufferOverflows) {
   };
   EXPECT_LT(counter("server.received"), static_cast<std::int64_t>(blast) + 1);
   EXPECT_EQ(counter("server.received"),
-            counter("server.answered") + counter("server.fifo_dropped") +
-                counter("server.malformed") +
+            counter("server.answered") + counter("server.malformed") +
                 counter("server.cluster_deferred"));
   EXPECT_EQ(server->requests_in_flight(), 0)
       << "kernel drops never reached the node and must not count in flight";
@@ -453,36 +398,70 @@ TEST(QosServerConfigValidation, RejectsZeroShards) {
   EXPECT_NE(v.error().message.find("table_shards"), std::string::npos);
 }
 
-TEST(QosServerConfigValidation, ShardPerWorkerNeedsShardPerEveryWorker) {
-  QosServerConfig cfg;
-  cfg.worker_threads = 8;
-  cfg.admission.table_shards = 4;
-  cfg.threading = core::ThreadingMode::kShardPerWorker;
-  auto v = QosServerNode::validate_config(cfg);
-  ASSERT_FALSE(v.ok());
-  EXPECT_NE(v.error().message.find("shard-per-worker"), std::string::npos);
-  // The same deficit is fine in shared-queue mode (any worker, any shard).
-  cfg.threading = core::ThreadingMode::kSharedQueue;
-  EXPECT_TRUE(QosServerNode::validate_config(cfg).ok());
-  // And fine sharded once every worker can own at least one shard.
-  cfg.threading = core::ThreadingMode::kShardPerWorker;
-  cfg.admission.table_shards = 8;
-  EXPECT_TRUE(QosServerNode::validate_config(cfg).ok());
-}
-
 TEST(QosServerConfigValidation, ClampsBatchSizesAndFifoCapacity) {
+  // The socket's receive queue is the FIFO, so the receive batch is the
+  // only size left to clamp.
   QosServerConfig cfg;
-  cfg.recv_batch = 0;      // would spin recv_many(0) forever
-  cfg.send_batch = 100000; // recvmmsg/sendmmsg cap at kMaxBatch
-  cfg.fifo_capacity = 1;   // degenerate queue
+  cfg.recv_batch = 0;  // would spin recv_many(0) forever
   auto v = QosServerNode::validate_config(cfg);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v.value().recv_batch, 1u);
-  EXPECT_EQ(v.value().send_batch, net::UdpSocket::kMaxBatch);
-  EXPECT_EQ(v.value().fifo_capacity, 64u);
-  cfg.fifo_capacity = std::size_t{1} << 30;
-  EXPECT_EQ(QosServerNode::validate_config(cfg).value().fifo_capacity,
-            std::size_t{1} << 20);
+  cfg.recv_batch = 100000;  // recvmmsg caps at kMaxBatch
+  EXPECT_EQ(QosServerNode::validate_config(cfg).value().recv_batch,
+            net::UdpSocket::kMaxBatch);
+}
+
+TEST(QosServerConfigValidation, AcceptsAnyWorkerCountOverAnyShardCount) {
+  // Every worker decides on every shard, each under its own mutex, so no
+  // ratio of workers to shards is required.
+  QosServerConfig cfg;
+  cfg.worker_threads = 8;
+  cfg.admission.table_shards = 1;
+  auto more_workers = QosServerNode::validate_config(cfg);
+  ASSERT_TRUE(more_workers.ok()) << more_workers.error().message;
+  EXPECT_EQ(more_workers.value().worker_threads, 8u);
+  cfg.worker_threads = 1;
+  cfg.admission.table_shards = 64;
+  auto more_shards = QosServerNode::validate_config(cfg);
+  ASSERT_TRUE(more_shards.ok()) << more_shards.error().message;
+  EXPECT_EQ(more_shards.value().admission.table_shards, 64u);
+}
+
+TEST_F(QosServerTest, AdminExposesDataPathAndSocketQueueSignals) {
+  // The admin surface reports the provider that runs and the socket-queue
+  // signals that stand in for a FIFO; no per-worker queue or threading-mode
+  // gauge is registered.
+  QosServerConfig cfg;
+  cfg.worker_threads = 2;
+  cfg.data_path = net::UdpSocket::DataPath::kFallback;
+  auto server = start_server(cfg);
+  call(server->addr(), "alice");
+  auto admin_addr = server->start_admin({"127.0.0.1", 0});
+  ASSERT_TRUE(admin_addr.ok()) << admin_addr.error().message;
+
+  net::HttpClient http(admin_addr.value(), millis(2000));
+  auto metrics = http.get("/metrics");
+  ASSERT_TRUE(metrics.ok());
+  const std::string& body = metrics.value().body;
+  EXPECT_NE(body.find("janus_server_data_path{node=\"server\"} 1\n"),
+            std::string::npos)
+      << body;
+  for (const char* name : {"janus_server_socket_dropped",
+                           "janus_server_recv_batch",
+                           "janus_server_send_batch"}) {
+    EXPECT_NE(body.find(name), std::string::npos) << name;
+  }
+  for (const char* gone : {"janus_server_threading_mode",
+                           "janus_server_worker_queue_depth",
+                           "janus_server_uring"}) {
+    EXPECT_EQ(body.find(gone), std::string::npos) << gone;
+  }
+
+  auto statusz = http.get("/statusz");
+  ASSERT_TRUE(statusz.ok());
+  EXPECT_NE(statusz.value().body.find("\"server.data_path\":1"),
+            std::string::npos)
+      << statusz.value().body;
 }
 
 TEST_F(QosServerTest, StartSurfacesValidationError) {
@@ -496,13 +475,11 @@ TEST_F(QosServerTest, StartSurfacesValidationError) {
 TEST_F(QosServerTest, StartAppliesClampedConfig) {
   QosServerConfig cfg;
   cfg.recv_batch = 0;
-  cfg.fifo_capacity = 1;
   cfg.sync_interval = Duration{0};
   cfg.checkpoint_interval = Duration{0};
   auto server = QosServerNode::start({"127.0.0.1", 0}, *store_, cfg);
   ASSERT_TRUE(server.ok()) << server.error().message;
   EXPECT_EQ(server.value()->config().recv_batch, 1u);
-  EXPECT_EQ(server.value()->config().fifo_capacity, 64u);
   // The repaired config still serves traffic.
   EXPECT_TRUE(call(server.value()->addr(), "alice").allowed);
 }

@@ -1,15 +1,12 @@
-// Shutdown-ordering regression (DESIGN.md §9.1). The listener is the sole
-// SPSC producer for the sharded worker rings; QosServerNode::stop() must
-// join it BEFORE the workers are allowed to exit, or a worker that saw
-// stopping_ with a momentarily-empty ring could leave while the listener's
-// final recvmmsg batch was still being fanned out — stranding accepted jobs
-// that are then neither answered nor counted dropped. The invariant that
-// pins this down, in both threading modes, under a concurrent blast:
+// Shutdown accounting (DESIGN.md §9.1). QosServerNode::stop() must leave
+// every datagram a worker received accounted for: a worker answers its
+// whole receive batch before it looks at the stop flag again, and unread
+// datagrams stay in the socket, never counted. The invariant, under a
+// concurrent blast:
 //
-//   received == answered + fifo_dropped + malformed (+ cluster_deferred)
+//   received == answered + malformed (+ cluster_deferred)
 //
-// Every datagram the listener accepted is accounted for at the moment
-// stop() returns; a stranded job breaks the equation.
+// A batch abandoned mid-decision breaks the equation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,13 +18,14 @@
 #include "db/rule_store.hpp"
 #include "net/socket.hpp"
 #include "server/qos_server_node.hpp"
+#include "server_model.hpp"
 #include "wire/codec.hpp"
 
 namespace janus::server {
 namespace {
 
-class ServerShutdownTest
-    : public ::testing::TestWithParam<core::ThreadingMode> {
+/// Parameterized on the execution model's variants (server_model.hpp).
+class ServerShutdownTest : public ::testing::TestWithParam<ServerModel> {
  protected:
   void SetUp() override {
     store_ = std::make_unique<db::RuleStore>(db_);
@@ -44,18 +42,15 @@ std::int64_t counter_value(QosServerNode& node, const std::string& name) {
 }
 
 TEST_P(ServerShutdownTest, StopMidBlastStrandsNoAcceptedJobs) {
-  // Small rings + tiny batches widen the race window the ordering bug needs:
-  // the listener keeps fanning out while workers see stopping_ early.
+  // Tiny batches widen the window in which stop() lands mid-batch.
   for (int round = 0; round < 8; ++round) {
     QosServerConfig cfg;
     cfg.worker_threads = 4;
-    cfg.fifo_capacity = 256;
     cfg.recv_batch = 8;
-    cfg.send_batch = 8;
-    cfg.threading = GetParam();
     cfg.sync_interval = Duration{0};
     cfg.checkpoint_interval = Duration{0};
     cfg.watchdog_interval = Duration{0};
+    apply_server_model(GetParam(), cfg);
     auto started = QosServerNode::start({"127.0.0.1", 0}, *store_, cfg);
     ASSERT_TRUE(started.ok()) << started.error().message;
     auto node = std::move(started).take();
@@ -87,23 +82,22 @@ TEST_P(ServerShutdownTest, StopMidBlastStrandsNoAcceptedJobs) {
 
     const std::int64_t received = counter_value(*node, "server.received");
     const std::int64_t answered = counter_value(*node, "server.answered");
-    const std::int64_t dropped = counter_value(*node, "server.fifo_dropped");
     const std::int64_t malformed = counter_value(*node, "server.malformed");
     const std::int64_t deferred =
         counter_value(*node, "server.cluster_deferred");
     EXPECT_GT(received, 0) << "round " << round << ": blast never landed";
-    EXPECT_EQ(received, answered + dropped + malformed + deferred)
+    EXPECT_EQ(received, answered + malformed + deferred)
         << "round " << round << ": stranded jobs (received=" << received
-        << " answered=" << answered << " dropped=" << dropped
-        << " malformed=" << malformed << " deferred=" << deferred << ")";
+        << " answered=" << answered << " malformed=" << malformed
+        << " deferred=" << deferred << ")";
   }
 }
 
 TEST_P(ServerShutdownTest, StopOnIdleServerIsCleanAndIdempotent) {
   QosServerConfig cfg;
-  cfg.threading = GetParam();
   cfg.sync_interval = Duration{0};
   cfg.checkpoint_interval = Duration{0};
+  apply_server_model(GetParam(), cfg);
   auto started = QosServerNode::start({"127.0.0.1", 0}, *store_, cfg);
   ASSERT_TRUE(started.ok()) << started.error().message;
   auto node = std::move(started).take();
@@ -115,12 +109,11 @@ TEST_P(ServerShutdownTest, StopOnIdleServerIsCleanAndIdempotent) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, ServerShutdownTest,
-    ::testing::Values(core::ThreadingMode::kSharedQueue,
-                      core::ThreadingMode::kShardPerWorker),
-    [](const auto& info) {
-      return info.param == core::ThreadingMode::kSharedQueue
-                 ? "SharedQueue"
-                 : "ShardPerWorker";
+    ::testing::Values(ServerModel::kSharedQueue,
+                      ServerModel::kFallbackLoopsSharedQueue,
+                      ServerModel::kPeriodicRefillSharedQueue),
+    [](const ::testing::TestParamInfo<ServerModel>& tpi) {
+      return server_model_name(tpi.param);
     });
 
 }  // namespace

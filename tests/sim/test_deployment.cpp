@@ -354,23 +354,19 @@ TEST(ClosedLoopDriverTest, SaturatesAndMeasures) {
   EXPECT_GT(m.decided_throughput(), 1000.0);
 }
 
-TEST(SimDeploymentTest, ShardPerWorkerLiftsSerialLockCeiling) {
-  // The PR 5 tentpole in model form: kSharedQueue pays CostModel::server_lock
-  // as serial work per decision (the paper's synchronized-table ceiling),
-  // kShardPerWorker parallelizes it away. With the lock cost inflated so the
-  // serial section dominates, the same seeded closed loop must decide
-  // markedly more per second in shard-per-worker mode.
-  auto run_mode = [](core::ThreadingMode mode) {
+TEST(SimDeploymentTest, ServerLockIsTheSerialCeiling) {
+  // The paper's synchronized table in model form: every decision pays
+  // CostModel::server_lock as serial work, so one server decides at most
+  // 1/server_lock per second however many cores it has. With a 40 us lock
+  // the ceiling is 25 krps, below the ~44 krps its 4 cores could do; with a
+  // 10 us lock the cores are the limit again.
+  auto run = [](Duration lock) {
     Simulation sim;
     DeploymentConfig cfg = small_config();
     cfg.server_nodes = 1;
     cfg.router_nodes = 4;  // keep the router tier off the critical path
-    // Make the synchronized section the bottleneck: nearly the whole 45 us
-    // decision serializes (1/40 us = 25 krps ceiling), while the listener
-    // overhead is trimmed so the 4 cores could otherwise do ~44 krps.
-    cfg.costs.server_lock = micros(40);
+    cfg.costs.server_lock = lock;
     cfg.costs.server_cpu_overhead = micros(45);
-    cfg.threading = mode;
     SimDeployment dep(sim, cfg);
     provision(dep.rules(), "hot", 1e12, 1e9);
     ClosedLoopDriver driver(dep, /*clients=*/64, /*client_nodes=*/8,
@@ -384,11 +380,12 @@ TEST(SimDeploymentTest, ShardPerWorkerLiftsSerialLockCeiling) {
     return m.decided_throughput();
   };
 
-  const double shared = run_mode(core::ThreadingMode::kSharedQueue);
-  const double sharded = run_mode(core::ThreadingMode::kShardPerWorker);
-  EXPECT_GT(shared, 1000.0);
-  EXPECT_GT(sharded, shared * 1.2)
-      << "shared=" << shared << " sharded=" << sharded;
+  const double locked = run(micros(40));
+  const double unlocked = run(micros(10));
+  EXPECT_GT(locked, 1000.0);
+  EXPECT_LE(locked, 1.0 / 40e-6 * 1.01) << "decided past the lock's ceiling";
+  EXPECT_GT(unlocked, locked * 1.2)
+      << "locked=" << locked << " unlocked=" << unlocked;
 }
 
 TEST(OpenLoopDriverTest, HoldsTargetRate) {

@@ -26,7 +26,6 @@ dg_symbol_sync "§10" \
   "label_current_thread:$src/common/flight_recorder.hpp" \
   "HotKeySketch:$src/common/hotkey_sketch.hpp" \
   "HotKeyCount:$src/common/hotkey_sketch.hpp" \
-  "note_decision_owned:$src/core/qos_table.hpp" \
   "hot_keys:$src/core/qos_table.hpp" \
   "Exemplar:$src/common/metrics.hpp" \
   "ExemplarSample:$src/common/metrics.hpp" \
@@ -38,8 +37,7 @@ dg_symbol_sync "§10" \
 # The metric inventory (§6) must carry the new observability rows and the
 # lock-rank table (§8) the recorder's mutex.
 dg_require_backticked "§6/§8" \
-  server.worker_queue_reject.w server.watchdog_stalls \
-  server.maint_queue_reject common.flight_recorder \
+  server.watchdog_stalls common.flight_recorder \
   janus_server_hot_key_decisions janus_server_hot_key_rejects
 
 dg_require_artifacts "§10" \

@@ -1,49 +1,41 @@
 #!/bin/bash
-# Doc-drift guard for the threading-mode section (DESIGN.md §9.1).
-# Shard-per-worker correctness hangs on a small capability surface — the
-# owner token, the owned accessors, the per-worker queues, the maintenance
-# command plumbing. If one of those symbols is renamed or removed the
-# section must follow, and if the section loses one the ownership rule is
-# rotting. Two directions (dg_symbol_sync), plus the companion artifacts:
-# BENCH_PR5.json must exist, carry the shard_per_worker_speedup ratio, and
-# meet the 1.5x acceptance floor.
+# Doc-drift guard for the execution-model section (DESIGN.md §9.1).
+# The server's one model — N workers receiving from the shared listen
+# socket, deciding each batch in place under the shard mutexes, answering
+# it with one sendmmsg — hangs on a small surface: the worker loop, the
+# batch view and sampler, the prehashed table accessors the decision takes
+# its one lock through, and the socket probes the watchdog reads. If one of
+# those symbols is renamed or removed the section must follow, and if the
+# section loses one the model's description is rotting. Two directions
+# (dg_symbol_sync), plus the companion artifacts: the measured comparison
+# the section cites and the tests that pin the model.
 source "$(CDPATH= cd -- "$(dirname -- "$0")" && pwd)/lib/doc_guard.sh"
 dg_init check_threading_doc
 
-dg_require_section '^### 9\.1 Threading modes'
+dg_require_section '^### 9\.1 Execution model'
 
 # symbol -> file that must define it. Keep in lock-step with DESIGN.md §9.1.
 dg_symbol_sync "§9.1" \
-  "ThreadingMode:$src/core/admission.hpp" \
-  "kShardPerWorker:$src/core/admission.hpp" \
-  "ShardOwnerToken:$src/core/qos_table.hpp" \
-  "claim_shards:$src/core/qos_table.hpp" \
+  "worker_loop:$src/server/qos_server_node.hpp" \
+  "run_jobs:$src/server/qos_server_node.hpp" \
+  "JobView:$src/server/qos_server_node.hpp" \
+  "BatchSampler:$src/server/qos_server_node.hpp" \
+  "validate_config:$src/server/qos_server_node.hpp" \
+  "watchdog_pass:$src/server/qos_server_node.hpp" \
+  "with_entry_prehashed:$src/core/qos_table.hpp" \
+  "with_entry_or_create_prehashed:$src/core/qos_table.hpp" \
   "shard_index_of:$src/core/qos_table.hpp" \
-  "with_entry_unlocked:$src/core/qos_table.hpp" \
-  "with_entry_or_create_unlocked:$src/core/qos_table.hpp" \
-  "check_owned:$src/core/admission.hpp" \
-  "probe_owned:$src/core/admission.hpp" \
-  "refill_owned:$src/core/admission.hpp" \
-  "sync_owned:$src/core/admission.hpp" \
-  "checkpoint_owned:$src/core/admission.hpp" \
-  "SpscQueue:$src/common/spsc_queue.hpp" \
-  "MaintCmd:$src/server/qos_server_node.hpp" \
-  "dispatch_maintenance:$src/server/qos_server_node.hpp" \
-  "worker_loop_sharded:$src/server/qos_server_node.hpp" \
-  "validate_config:$src/server/qos_server_node.hpp"
+  "pending_bytes:$src/net/socket.hpp" \
+  "receive_drops:$src/net/socket.hpp"
 
-# The lock-rank table must carry the park handshake row (§8) and the metric
-# table the mode gauge (§6) — both are part of the threading contract.
+# The metric table must carry the socket-queue signals (§6) and the lock-rank
+# table the shard mutex (§8) — both are part of the model's contract.
 dg_require_backticked "§8/§6" \
-  server.worker_park server.threading_mode server.worker_queue_depth.w
+  core.qos_shard server.socket_dropped server.recv_batch server.send_batch
 
 dg_require_artifacts "§9.1" \
-  "$repo_root/BENCH_PR5.json" \
-  "$repo_root/tools/run_bench_suite.sh" \
-  "$repo_root/tests/perf/test_hotpath_allocs.cpp" \
-  "$repo_root/tests/sim/test_deployment.cpp"
-
-dg_bench_bound "$repo_root/BENCH_PR5.json" derived.shard_per_worker_speedup \
-  floor 1.5
+  "$repo_root/EXPERIMENTS.md" \
+  "$repo_root/tests/server/test_server_shutdown.cpp" \
+  "$repo_root/tests/perf/test_hotpath_allocs.cpp"
 
 dg_finish

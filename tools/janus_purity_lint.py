@@ -18,8 +18,9 @@ Three checks run over the whole repo (DESIGN.md §12):
              (flight_recorder.hpp, hotkey_sketch.hpp): only designated
              writers may store to a seq/version word, readers must load
              it at least twice (the double-load retry protocol), and
-             HotKeySketch::note may only be reached from the
-             ShardedQosTable note_decision fast paths.
+             HotKeySketch::note may only be reached from
+             AdmissionController::decide, inside the decision's own
+             shard critical section.
 
   lockorder  Extracts every `Mutex name{LockRank::kX, "name"}`
              construction, builds acquire-nesting edges from guard
@@ -116,8 +117,7 @@ SEQLOCK_WRITERS = {
     "PrequalPicker::publish",
 }
 NOTE_CALLERS = {
-    "ShardedQosTable::note_decision",
-    "ShardedQosTable::note_decision_owned",
+    "AdmissionController::decide",
     "HotKeySketch::note",
 }
 
@@ -752,15 +752,15 @@ def check_seqlock(idx, fixture_mode=False):
                                 "reader loads seqlock word '%s' only once "
                                 "(double-load retry protocol required)" % m.group(1),
                                 impl.sf.rel, line)))
-            # Confinement: HotKeySketch::note only from the table fast paths.
+            # Confinement: HotKeySketch::note only from the decision path.
             if key in NOTE_CALLERS or fixture_mode:
                 continue
             for callee, line in resolve_calls(idx, impl):
                 if callee == "HotKeySketch::note" and not impl.sf.waived(line):
                     findings.append(("seqlock", key, Finding(
                         "seqlock-confinement",
-                        "HotKeySketch::note reached from outside the "
-                        "ShardedQosTable note_decision fast paths",
+                        "HotKeySketch::note reached from outside "
+                        "AdmissionController::decide",
                         impl.sf.rel, line)))
     return findings
 

@@ -2,8 +2,7 @@
 //
 //   janusd server --listen 127.0.0.1:9100 --rules rules.conf
 //                 [--wal janus.wal] [--workers 4] [--shards 16]
-//                 [--threading shared-queue|shard-per-worker]
-//                 [--data-path auto|fallback|mmsg|uring] [--pin-workers]
+//                 [--data-path auto|fallback|mmsg]
 //                 [--sync-ms 5000] [--checkpoint-ms 5000]
 //                 [--snapshot janus.snap --compact-ms 60000]
 //                 [--default-rate R --default-capacity C]
@@ -24,10 +23,13 @@
 //                 [--probe-ms 5] [--probe-age-ms 250] [--probe-reuse 16]
 //                 [--probe-d 3] [--probe-timeout-ms 50]
 //
-// `--data-path uring` takes effect with `--threading shard-per-worker` (the
-// fused loop, DESIGN.md §13.4): the default shared-queue workers all
-// receive from one socket, and the uring receive ring has one consumer, so
-// they run mmsg.
+// Each role accepts only its own flags plus the observability flags below;
+// any other flag exits 2 with a message naming it.
+//
+// The server runs one execution model (DESIGN.md §9.1): --workers threads
+// all receive from the listen socket, decide each batch under the table's
+// shard locks and answer it with one sendmmsg. HA (--ha-*) runs with every
+// configuration janusd accepts.
 //
 // The gateway role is the paper's ELB tier: an L7 balancer in front of
 // router nodes. Under `--policy prequal` the probe flags tune the async
@@ -63,6 +65,10 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <map>
+#include <optional>
+#include <set>
+#include <string_view>
 
 #include "cluster/coordinator.hpp"
 #include "common/flight_recorder.hpp"
@@ -85,9 +91,23 @@ namespace {
 volatile std::sig_atomic_t g_stop = 0;
 void handle_signal(int) { g_stop = 1; }
 
-/// "--flag value" / "--flag=value" argument map; false on unknown syntax.
-bool parse_flags(int argc, char** argv, int first,
-                 std::map<std::string, std::string>& out) {
+using Flags = std::map<std::string, std::string>;
+
+/// The flags one role accepts: `values` take an argument, `switches` do
+/// not.
+struct FlagSet {
+  std::set<std::string_view> values;
+  std::set<std::string_view> switches;
+};
+
+/// Accepted by every role (see setup_observability).
+constexpr std::string_view kObservabilityFlags[] = {"admin", "stats-ms",
+                                                    "log-level", "trace-dump"};
+
+/// "--flag value" / "--flag=value" argument map; false (after printing) on
+/// unknown syntax or on a flag `role` does not accept.
+bool parse_flags(int argc, char** argv, int first, const char* role,
+                 const FlagSet& known, Flags& out) {
   for (int i = first; i < argc; ++i) {
     std::string_view arg = argv[i];
     if (!starts_with(arg, "--")) {
@@ -95,20 +115,25 @@ bool parse_flags(int argc, char** argv, int first,
       return false;
     }
     std::string name(arg.substr(2));
+    std::optional<std::string> value;
     if (auto eq = name.find('='); eq != std::string::npos) {
-      out[name.substr(0, eq)] = name.substr(eq + 1);
-      continue;
+      value = name.substr(eq + 1);
+      name.resize(eq);
     }
-    if (name == "default-allow" || name == "cluster" ||
-        name == "pin-workers") {  // boolean flags
-      out[name] = "true";
-      continue;
-    }
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "janusd: --%s needs a value\n", name.c_str());
+    const bool is_switch = known.switches.count(name) > 0;
+    if (!is_switch && known.values.count(name) == 0) {
+      std::fprintf(stderr, "janusd %s: unknown flag '--%s'\n", role,
+                   name.c_str());
       return false;
     }
-    out[name] = argv[++i];
+    if (!value && !is_switch) {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "janusd: --%s needs a value\n", name.c_str());
+        return false;
+      }
+      value = argv[++i];
+    }
+    out[name] = value.value_or("true");
   }
   return true;
 }
@@ -126,7 +151,7 @@ Result<net::SockAddr> parse_addr(const std::string& text) {
 /// `start_admin` mounts the node's admin endpoint; `registry` feeds the
 /// periodic stats line. Returns false (after printing) on a bad flag value.
 bool setup_observability(
-    const std::map<std::string, std::string>& flags, const char* role,
+    const Flags& flags, const char* role,
     MetricsRegistry& registry,
     const std::function<Result<net::SockAddr>(const net::SockAddr&)>&
         start_admin,
@@ -250,7 +275,7 @@ Status load_rules(db::RuleStore& store, const std::string& path) {
   return Status::success();
 }
 
-int run_server(const std::map<std::string, std::string>& flags) {
+int run_server(const Flags& flags) {
   auto listen_it = flags.find("listen");
   auto rules_it = flags.find("rules");
   if (listen_it == flags.end() || rules_it == flags.end()) {
@@ -296,31 +321,17 @@ int run_server(const std::map<std::string, std::string>& flags) {
   cfg.worker_threads = static_cast<std::size_t>(get_int("workers", 4));
   cfg.admission.table_shards =
       static_cast<std::size_t>(get_int("shards", 16));
-  if (auto it = flags.find("threading"); it != flags.end()) {
-    if (it->second == "shard-per-worker") {
-      cfg.threading = core::ThreadingMode::kShardPerWorker;
-    } else if (it->second == "shared-queue") {
-      cfg.threading = core::ThreadingMode::kSharedQueue;
-    } else {
-      std::fprintf(stderr,
-                   "janusd: --threading must be shared-queue or "
-                   "shard-per-worker (got '%s')\n",
-                   it->second.c_str());
-      return 2;
-    }
-  }
   if (auto it = flags.find("data-path"); it != flags.end()) {
     auto path = net::UdpSocket::data_path_from_name(it->second);
     if (!path) {
       std::fprintf(stderr,
-                   "janusd: --data-path must be auto, fallback, mmsg, or "
-                   "uring (got '%s')\n",
+                   "janusd: --data-path must be auto, fallback, or mmsg "
+                   "(got '%s')\n",
                    it->second.c_str());
       return 2;
     }
     cfg.data_path = *path;
   }
-  cfg.pin_workers = flags.count("pin-workers") > 0;
   cfg.sync_interval = millis(get_int("sync-ms", 5000));
   cfg.checkpoint_interval = millis(get_int("checkpoint-ms", 5000));
   const double default_rate = get_double("default-rate", 0.0);
@@ -333,13 +344,10 @@ int run_server(const std::map<std::string, std::string>& flags) {
     std::fprintf(stderr, "janusd: %s\n", node.error().message.c_str());
     return 1;
   }
-  std::printf("janusd: QoS server on %s (%zu rules, %zu workers, %s, "
+  std::printf("janusd: QoS server on %s (%zu rules, %zu workers, "
               "data-path %s)\n",
               node.value()->addr().to_string().c_str(), store.size(),
               cfg.worker_threads,
-              cfg.threading == core::ThreadingMode::kShardPerWorker
-                  ? "shard-per-worker"
-                  : "shared-queue",
               net::UdpSocket::data_path_name(
                   node.value()->resolved_data_path()));
   // Flushed line-by-line: cluster test fixtures parse bound ports from a
@@ -362,16 +370,6 @@ int run_server(const std::map<std::string, std::string>& flags) {
   // HA comes first so the agent's promotion hook can capture the replica.
   std::unique_ptr<server::HaSnapshotServer> ha_server;
   std::unique_ptr<server::HaReplicaClient> ha_replica;
-  if (flags.count("ha-listen") || flags.count("ha-master")) {
-    if (cfg.threading == core::ThreadingMode::kShardPerWorker) {
-      // HA replication walks the table through the locked accessors, which
-      // the shard-per-worker ownership discipline forbids while workers run.
-      std::fprintf(stderr,
-                   "janusd: HA snapshot replication requires --threading "
-                   "shared-queue\n");
-      return 2;
-    }
-  }
   if (auto it = flags.find("ha-listen"); it != flags.end()) {
     auto addr = parse_addr(it->second);
     if (!addr.ok()) {
@@ -476,8 +474,8 @@ int run_server(const std::map<std::string, std::string>& flags) {
   std::printf("janusd: stopping\n");
   if (stats_task) stats_task->stop();
   if (compactor) compactor->stop();
-  // The agent drives migration passes through the node's worker queues, so
-  // it must stop before the node's workers do.
+  // The agent drives migration passes over the node's table, so it stops
+  // before the final checkpoint.
   if (cluster_agent) cluster_agent->stop();
   if (bfd) bfd->stop();
   if (ha_replica) ha_replica->stop();
@@ -486,7 +484,7 @@ int run_server(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int run_router(const std::map<std::string, std::string>& flags) {
+int run_router(const Flags& flags) {
   const bool cluster_mode = flags.count("cluster") > 0;
   auto listen_it = flags.find("listen");
   auto backends_it = flags.find("backends");
@@ -629,7 +627,7 @@ int run_router(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int run_gateway(const std::map<std::string, std::string>& flags) {
+int run_gateway(const Flags& flags) {
   auto listen_it = flags.find("listen");
   auto backends_it = flags.find("backends");
   if (listen_it == flags.end() || backends_it == flags.end()) {
@@ -723,12 +721,38 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "usage: janusd <server|router|gateway> --flags...\n");
     return 2;
   }
-  std::map<std::string, std::string> flags;
-  if (!parse_flags(argc, argv, 2, flags)) return 2;
-
-  if (std::strcmp(argv[1], "server") == 0) return run_server(flags);
-  if (std::strcmp(argv[1], "router") == 0) return run_router(flags);
-  if (std::strcmp(argv[1], "gateway") == 0) return run_gateway(flags);
+  struct Role {
+    const char* name;
+    int (*run)(const Flags&);
+    FlagSet flags;
+  };
+  const Role roles[] = {
+      {"server", run_server,
+       {.values = {"listen", "rules", "wal", "workers", "shards", "data-path",
+                   "sync-ms", "checkpoint-ms", "snapshot", "compact-ms",
+                   "default-rate", "default-capacity", "cluster-listen",
+                   "bfd-listen", "migrate-window-ms", "ha-listen",
+                   "ha-master", "ha-ms"},
+        .switches = {}}},
+      {"router", run_router,
+       {.values = {"listen", "backends", "timeout-us", "retries", "members",
+                   "standbys", "bfd-ms", "bfd-mult"},
+        .switches = {"default-allow", "cluster"}}},
+      {"gateway", run_gateway,
+       {.values = {"listen", "backends", "policy", "timeout-ms", "workers",
+                   "probe-ms", "probe-age-ms", "probe-reuse", "probe-d",
+                   "probe-timeout-ms"},
+        .switches = {}}},
+  };
+  for (const Role& role : roles) {
+    if (std::strcmp(argv[1], role.name) != 0) continue;
+    FlagSet known = role.flags;
+    known.values.insert(std::begin(kObservabilityFlags),
+                        std::end(kObservabilityFlags));
+    Flags flags;
+    if (!parse_flags(argc, argv, 2, role.name, known, flags)) return 2;
+    return role.run(flags);
+  }
   std::fprintf(stderr, "janusd: unknown role '%s'\n", argv[1]);
   return 2;
 }

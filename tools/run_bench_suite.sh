@@ -4,53 +4,41 @@
 #   BENCH_PR4.json — PR 4 hot-path acceptance (slice-by-8 CRC32,
 #     transparent-hash lookups, zero-copy decode, batched UDP syscalls);
 #     crc32 slice-by-8 vs scalar on 64-byte keys must be >= 2.0.
-#   BENCH_PR5.json — PR 5 threading acceptance: BM_ServerDecisionContended
-#     drains the same hot-key backlog through both ThreadingModes at 4
-#     workers; shard_per_worker_speedup (real_time shared-queue /
-#     shard-per-worker) must be >= 1.5.
-#   BENCH_PR6.json — PR 6 observability acceptance: the same contended
-#     shard-per-worker drain with the flight recorder armed (default) vs
-#     disarmed (JANUS_DEEP_OBS=0); recorder_overhead_ratio (armed real_time
-#     / disarmed real_time) must be <= 1.03.
+#   BENCH_PR6.json — observability acceptance: BM_ServerDecisionContended
+#     (four threads deciding one hot-key mix under the shard mutexes) with
+#     the flight recorder armed (default) vs disarmed (JANUS_DEEP_OBS=0);
+#     recorder_overhead_ratio (armed real_time / disarmed real_time) must be
+#     <= 1.03. Times are in the bench's unit, milliseconds.
 #   BENCH_PR7.json — PR 7 cluster acceptance: bench_cluster_failover runs
 #     real master/standby/coordinator failover rounds (BFD 20ms x 3) and a
 #     two-member clustered throughput pass; failover_p99_ms — kill to first
 #     admitted decision on the promoted standby — must be < 1000.
-#   BENCH_PR9.json — PR 9 data-path acceptance: BM_ServerDecisionEndToEnd
-#     drives a real QosServerNode over loopback UDP with an identical mmsg
-#     client; /0 = server on the mmsg provider (listener + worker, SPSC
-#     hand-off), /1 = io_uring (fused run-to-completion listener).
-#     uring_vs_mmsg_decision_speedup (real_time mmsg / uring, medians)
-#     must be >= 1.3. Skipped with a notice when the kernel's io_uring
-#     fails the capability probe (the checked-in JSON is the evidence).
 #   BENCH_PR10.json — PR 10 routing acceptance: bench_pr10_prequal drives
 #     the three gateway policies over a lopsided simulated fleet (six
 #     routers, two 2x-slow stragglers, a CPU antagonist on one) with the
 #     real lb::PrequalPicker on virtual time; five seeds per policy,
 #     medians compared. prequal_vs_roundrobin_p99_speedup must be >= 1.3.
 #
-# The PR 5 ratio is derived from *real time*, never items_per_second or CPU
+# The BENCH_PR6 ratio is derived from *real time*, never items_per_second or CPU
 # time: google-benchmark attributes only the main thread's CPU to the run,
 # so on a contended multi-thread benchmark CPU-derived numbers invert the
 # comparison. Wall clock over a fixed op count is the honest metric.
 #
 # Usage:
-#   tools/run_bench_suite.sh                 # writes both files at repo root
+#   tools/run_bench_suite.sh                 # writes every file at repo root
 #   BUILD_DIR=build-rel tools/run_bench_suite.sh
-#   OUT=/tmp/b4.json OUT5=/tmp/b5.json OUT6=/tmp/b6.json OUT7=/tmp/b7.json \
+#   OUT=/tmp/b4.json OUT6=/tmp/b6.json OUT7=/tmp/b7.json OUT10=/tmp/b10.json \
 #     tools/run_bench_suite.sh
 #
-# See EXPERIMENTS.md ("PR4 — hot-path microbenchmarks", "PR5 — threading
-# mode comparison") for the recipes and how to read the derived ratios.
+# See EXPERIMENTS.md (the hot-path microbenchmarks section) for the recipes
+# and how to read the derived ratios.
 set -euo pipefail
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 build_dir=${BUILD_DIR:-"$repo_root/build"}
 out=${OUT:-"$repo_root/BENCH_PR4.json"}
-out5=${OUT5:-"$repo_root/BENCH_PR5.json"}
 out6=${OUT6:-"$repo_root/BENCH_PR6.json"}
 out7=${OUT7:-"$repo_root/BENCH_PR7.json"}
-out9=${OUT9:-"$repo_root/BENCH_PR9.json"}
 out10=${OUT10:-"$repo_root/BENCH_PR10.json"}
 bin="$build_dir/bench/bench_micro_hotpath"
 cluster_bin="$build_dir/bench/bench_cluster_failover"
@@ -74,26 +62,16 @@ fi
 
 filter='BM_Crc32Scalar|BM_Crc32Slice8|BM_TableLookup|BM_WireDecodeRequest|BM_UdpBatchRoundTrip'
 raw=$(mktemp)
-raw5=$(mktemp)
 raw6=$(mktemp)
 raw7=$(mktemp)
-raw9=$(mktemp)
 raw10=$(mktemp)
-trap 'rm -f "$raw" "$raw5" "$raw6" "$raw7" "$raw9" "$raw10"' EXIT
+trap 'rm -f "$raw" "$raw6" "$raw7" "$raw10"' EXIT
 
 "$bin" --benchmark_filter="$filter" \
        --benchmark_format=json \
        --benchmark_min_time=0.5 > "$raw"
 
-# Median of 5 repetitions: the contended-decision ratio sits near its floor
-# on a busy host, and a single run's wall clock carries scheduler noise the
-# aggregate shrugs off.
-"$bin" --benchmark_filter='BM_ServerDecisionContended' \
-       --benchmark_format=json \
-       --benchmark_min_time=1 \
-       --benchmark_repetitions=5 > "$raw5"
-
-# Recorder overhead for PR 6: same shard-per-worker drain with the flight
+# Recorder overhead for BENCH_PR6: the contended decision mix with the flight
 # recorder armed (default) vs disarmed (JANUS_DEEP_OBS=0). Runs ALTERNATE
 # armed/disarmed and the ratio is taken over each side's MINIMUM wall
 # clock: on a small (often single-CPU) host the scheduler can inflate any
@@ -103,13 +81,13 @@ trap 'rm -f "$raw" "$raw5" "$raw6" "$raw7" "$raw9" "$raw10"' EXIT
 # cost, which is what the 1.03x ceiling is about.
 : > "$raw6"
 for _rep in 1 2 3 4 5; do
-  "$bin" --benchmark_filter='BM_ServerDecisionContended/1' \
+  "$bin" --benchmark_filter='BM_ServerDecisionContended' \
          --benchmark_format=json --benchmark_min_time=1 2>/dev/null \
     | python3 -c 'import json,sys
 for b in json.load(sys.stdin)["benchmarks"]:
     if b.get("run_type") != "aggregate":
         print("armed", b["real_time"])' >> "$raw6"
-  JANUS_DEEP_OBS=0 "$bin" --benchmark_filter='BM_ServerDecisionContended/1' \
+  JANUS_DEEP_OBS=0 "$bin" --benchmark_filter='BM_ServerDecisionContended' \
          --benchmark_format=json --benchmark_min_time=1 2>/dev/null \
     | python3 -c 'import json,sys
 for b in json.load(sys.stdin)["benchmarks"]:
@@ -121,16 +99,6 @@ done
 # google-benchmark suite — each datum is a full cluster lifecycle, so it
 # drives its own repetitions). Coordinator WARN lines ride stderr.
 "$cluster_bin" > "$raw7"
-
-# End-to-end data-path comparison for PR 9. Median of 5 repetitions, same
-# rationale as the PR 5 block: wall clock over a fixed op count, scheduler
-# noise absorbed by the aggregate. On a kernel whose io_uring fails the
-# capability probe the /1 rows come back as errors; the PR 9 JSON is then
-# left untouched (the checked-in file is the acceptance evidence).
-"$bin" --benchmark_filter='BM_ServerDecisionEndToEnd' \
-       --benchmark_format=json \
-       --benchmark_min_time=0.5 \
-       --benchmark_repetitions=5 > "$raw9"
 
 # PR 10 routing comparison: deterministic virtual-time sim, five seeds per
 # policy baked into the binary (per-seed progress rides stderr).
@@ -216,71 +184,6 @@ print(f"run_bench_suite: wrote {out_path} "
       f"(crc32 64B speedup {speedup}x)")
 PY
 
-python3 - "$raw5" "$out5" <<'PY'
-import json, sys
-
-raw_path, out_path = sys.argv[1], sys.argv[2]
-with open(raw_path) as f:
-    report = json.load(f)
-
-# Keep only the median aggregates: each mode ran --benchmark_repetitions
-# times and the median wall clock is what the speedup is derived from.
-rows = {}
-for b in report.get("benchmarks", []):
-    if b.get("run_type") != "aggregate" or b.get("aggregate_name") != "median":
-        continue
-    rows[b["name"]] = {
-        "real_time_ns": b["real_time"],
-        "cpu_time_ns": b["cpu_time"],
-        **({"items_per_second": b["items_per_second"]}
-           if "items_per_second" in b else {}),
-    }
-
-SHARED = "BM_ServerDecisionContended/0/real_time_median"
-SPW = "BM_ServerDecisionContended/1/real_time_median"
-
-
-def real(name):
-    return rows.get(name, {}).get("real_time_ns")
-
-
-shared_t, spw_t = real(SHARED), real(SPW)
-if not shared_t or not spw_t:
-    print("run_bench_suite: missing BM_ServerDecisionContended rows "
-          "(expected both /0/real_time and /1/real_time)", file=sys.stderr)
-    sys.exit(1)
-
-# Wall clock per fixed-size backlog: shared-queue time over shard-per-worker
-# time IS the decision-throughput speedup. CPU-time or items_per_second
-# ratios are wrong here (main-thread attribution) — see the header comment.
-speedup = round(shared_t / spw_t, 2)
-
-doc = {
-    "generated_by": "tools/run_bench_suite.sh",
-    "benchmark_binary": "bench/bench_micro_hotpath",
-    "context": {
-        k: report.get("context", {}).get(k)
-        for k in ("host_name", "num_cpus", "mhz_per_cpu", "library_build_type")
-    },
-    "derived": {
-        # PR 5 tentpole acceptance: >= 1.5 at 4 workers, hot shard mix.
-        "shard_per_worker_speedup": speedup,
-    },
-    "benchmarks": rows,
-}
-
-if speedup < 1.5:
-    print(f"run_bench_suite: shard-per-worker decision speedup is "
-          f"{speedup}x, below the 1.5x acceptance floor", file=sys.stderr)
-    sys.exit(1)
-
-with open(out_path, "w") as f:
-    json.dump(doc, f, indent=2, sort_keys=False)
-    f.write("\n")
-print(f"run_bench_suite: wrote {out_path} "
-      f"(shard-per-worker speedup {speedup}x)")
-PY
-
 python3 - "$raw6" "$out6" <<'PY'
 import sys
 
@@ -297,7 +200,7 @@ with open(raw_path) as f:
             disarmed.append(float(value))
 
 if not armed or not disarmed:
-    print("run_bench_suite: missing BM_ServerDecisionContended/1 runs "
+    print("run_bench_suite: missing BM_ServerDecisionContended runs "
           "for the recorder overhead ratio", file=sys.stderr)
     sys.exit(1)
 
@@ -316,10 +219,10 @@ doc = {
         "recorder_overhead_ratio": ratio,
     },
     "benchmarks": {
-        "recorder_armed": {"min_real_time_ns": min(armed),
-                           "real_time_ns_runs": armed},
-        "recorder_disarmed": {"min_real_time_ns": min(disarmed),
-                              "real_time_ns_runs": disarmed},
+        "recorder_armed": {"min_real_time_ms": min(armed),
+                           "real_time_ms_runs": armed},
+        "recorder_disarmed": {"min_real_time_ms": min(disarmed),
+                              "real_time_ms_runs": disarmed},
     },
 }
 
@@ -378,76 +281,6 @@ with open(out_path, "w") as f:
     f.write("\n")
 print(f"run_bench_suite: wrote {out_path} "
       f"(failover P99 {p99} ms)")
-PY
-
-python3 - "$raw9" "$out9" <<'PY'
-import json, sys
-
-raw_path, out_path = sys.argv[1], sys.argv[2]
-with open(raw_path) as f:
-    report = json.load(f)
-
-# Median aggregates only, as in the PR 5 block.
-rows = {}
-skipped = False
-for b in report.get("benchmarks", []):
-    if b.get("error_occurred"):
-        skipped = True
-        continue
-    if b.get("run_type") != "aggregate" or b.get("aggregate_name") != "median":
-        continue
-    rows[b["name"]] = {
-        "real_time_ns": b["real_time"],
-        "cpu_time_ns": b["cpu_time"],
-        **({"items_per_second": b["items_per_second"]}
-           if "items_per_second" in b else {}),
-    }
-
-MMSG = "BM_ServerDecisionEndToEnd/0/real_time_median"
-URING = "BM_ServerDecisionEndToEnd/1/real_time_median"
-mmsg_t = rows.get(MMSG, {}).get("real_time_ns")
-uring_t = rows.get(URING, {}).get("real_time_ns")
-
-if uring_t is None and skipped:
-    # Kernel cannot run the uring provider: leave the checked-in evidence
-    # alone rather than overwrite it with a one-sided run.
-    print("run_bench_suite: io_uring capability probe failed on this "
-          "kernel; BENCH_PR9.json left unchanged", file=sys.stderr)
-    sys.exit(0)
-if not mmsg_t or not uring_t:
-    print("run_bench_suite: missing BM_ServerDecisionEndToEnd rows "
-          "(expected both /0/real_time and /1/real_time)", file=sys.stderr)
-    sys.exit(1)
-
-# Wall clock per fixed-size backlog again: mmsg time over uring time IS the
-# end-to-end decision-throughput speedup of the uring data path.
-speedup = round(mmsg_t / uring_t, 2)
-
-doc = {
-    "generated_by": "tools/run_bench_suite.sh",
-    "benchmark_binary": "bench/bench_micro_hotpath",
-    "context": {
-        k: report.get("context", {}).get(k)
-        for k in ("host_name", "num_cpus", "mhz_per_cpu", "library_build_type")
-    },
-    "derived": {
-        # PR 9 tentpole acceptance: >= 1.3 end to end (server listener on
-        # io_uring fused run-to-completion vs mmsg listener + worker).
-        "uring_vs_mmsg_decision_speedup": speedup,
-    },
-    "benchmarks": rows,
-}
-
-if speedup < 1.3:
-    print(f"run_bench_suite: uring end-to-end decision speedup is "
-          f"{speedup}x, below the 1.3x acceptance floor", file=sys.stderr)
-    sys.exit(1)
-
-with open(out_path, "w") as f:
-    json.dump(doc, f, indent=2, sort_keys=False)
-    f.write("\n")
-print(f"run_bench_suite: wrote {out_path} "
-      f"(uring end-to-end speedup {speedup}x)")
 PY
 
 python3 - "$raw10" "$out10" <<'PY'

@@ -43,8 +43,8 @@ cxx=${CXX:-c++}
 # DESIGN.md §9 that no longer matches the code.
 "$repo_root/tools/check_hotpath_doc.sh"
 
-# Threading doc guard: the chaos suites run parameterized over both
-# ThreadingModes, so the §9.1 ownership contract must match the code too.
+# Execution-model doc guard: the chaos suites drive the one server model,
+# so the §9.1 description must match the code too.
 "$repo_root/tools/check_threading_doc.sh"
 
 # Observability doc guard: the flight-recorder suites below lean on the §10
@@ -58,8 +58,8 @@ cxx=${CXX:-c++}
 # Static-analysis doc guard: §12 must match the analyzer and fixtures.
 "$repo_root/tools/check_purity_doc.sh"
 
-# Data-path doc guard: the chaos suites run parameterized over all three
-# providers, so the §13 probe/degrade contract must match the code first.
+# Data-path doc guard: the chaos suites run parameterized over both
+# providers, so the §13 provider contract must match the code first.
 "$repo_root/tools/check_datapath_doc.sh"
 
 # Load-balancer doc guard: the gateway e2e and chaos suites run
