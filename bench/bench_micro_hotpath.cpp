@@ -307,8 +307,7 @@ BENCHMARK(BM_AdmissionHotPathWithHistograms);
 // Syscall-batching sweep: N 64-byte datagrams over loopback, one
 // send_many + recv_many drain per iteration. items/s is datagrams/s; the
 // Arg(1) row is the per-datagram-syscall baseline the batch rows amortize
-// against. BatchFallback pins Arg(32) to the recvfrom/sendto loops, so the
-// delta to BM_UdpBatchRoundTrip/32 is the pure recvmmsg/sendmmsg win.
+// against.
 void BM_UdpBatchRoundTrip(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   auto sock = net::UdpSocket::bind({"127.0.0.1", 0}).take();
@@ -333,33 +332,6 @@ void BM_UdpBatchRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_UdpBatchRoundTrip)->Arg(1)->Arg(8)->Arg(32);
-
-void BM_UdpBatchRoundTripFallback(benchmark::State& state) {
-  net::UdpSocket::set_batch_syscalls_enabled(false);
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  auto sock = net::UdpSocket::bind({"127.0.0.1", 0}).take();
-  const net::SockAddr self = sock.local_addr().take();
-  const std::vector<std::uint8_t> payload(64, 0xAB);
-  const std::vector<net::UdpSocket::OutDatagram> burst(
-      n, net::UdpSocket::OutDatagram{self, payload});
-  net::UdpSocket::RecvBatch batch(n);
-  for (auto _ : state) {
-    if (!sock.send_many(burst).ok()) state.SkipWithError("send_many failed");
-    std::size_t got = 0;
-    while (got < n) {
-      auto r = sock.recv_many(batch, millis(200));
-      if (!r.ok() || r.value() == 0) {
-        state.SkipWithError("recv_many stalled");
-        break;
-      }
-      got += r.value();
-    }
-    benchmark::DoNotOptimize(got);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-  net::UdpSocket::set_batch_syscalls_enabled(true);
-}
-BENCHMARK(BM_UdpBatchRoundTripFallback)->Arg(32);
 
 // ---- Contended decisions: the recorder-overhead subject (BENCH_PR6) -------
 // Four threads decide interleaved slices of one 131 072-op warm-key mix —

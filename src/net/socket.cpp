@@ -106,13 +106,11 @@ void Fd::reset() {
 
 UdpSocket::UdpSocket(UdpSocket&& other) noexcept
     : fd_(std::move(other.fd_)),
-      data_path_(other.data_path_),
       rcvtimeo_us_(other.rcvtimeo_us_.load(std::memory_order_relaxed)) {}
 
 UdpSocket& UdpSocket::operator=(UdpSocket&& other) noexcept {
   if (this != &other) {
     fd_ = std::move(other.fd_);
-    data_path_ = other.data_path_;
     rcvtimeo_us_.store(other.rcvtimeo_us_.load(std::memory_order_relaxed),
                        std::memory_order_relaxed);
   }
@@ -184,53 +182,6 @@ Result<std::optional<UdpSocket::Datagram>> UdpSocket::recv(Duration timeout) {
   return std::optional<Datagram>{std::move(dg)};
 }
 
-std::atomic<bool> UdpSocket::batch_syscalls_enabled_{true};
-
-void UdpSocket::set_batch_syscalls_enabled(bool enabled) {
-  batch_syscalls_enabled_.store(enabled, std::memory_order_relaxed);
-}
-
-bool UdpSocket::batch_syscalls_enabled() {
-#if JANUS_HAVE_MMSG
-  return batch_syscalls_enabled_.load(std::memory_order_relaxed);
-#else
-  return false;
-#endif
-}
-
-const char* UdpSocket::data_path_name(DataPath path) {
-  switch (path) {
-    case DataPath::kAuto: return "auto";
-    case DataPath::kFallback: return "fallback";
-    case DataPath::kMmsg: return "mmsg";
-  }
-  return "unknown";
-}
-
-std::optional<UdpSocket::DataPath> UdpSocket::data_path_from_name(
-    std::string_view name) {
-  if (name == "auto") return DataPath::kAuto;
-  if (name == "fallback") return DataPath::kFallback;
-  if (name == "mmsg") return DataPath::kMmsg;
-  return std::nullopt;
-}
-
-UdpSocket::DataPath UdpSocket::resolved_data_path() const {
-  switch (data_path_) {
-    case DataPath::kMmsg:
-#if JANUS_HAVE_MMSG
-      return DataPath::kMmsg;
-#else
-      return DataPath::kFallback;
-#endif
-    case DataPath::kFallback:
-      return DataPath::kFallback;
-    case DataPath::kAuto:
-      break;
-  }
-  return batch_syscalls_enabled() ? DataPath::kMmsg : DataPath::kFallback;
-}
-
 UdpSocket::RecvBatch::RecvBatch(std::size_t capacity, std::size_t slot_bytes)
     : capacity_(std::min(std::max<std::size_t>(1, capacity), kMaxBatch)),
       slot_bytes_(slot_bytes) {
@@ -263,8 +214,6 @@ bool UdpSocket::set_recv_timeout(Duration timeout) {
 
 Result<std::size_t> UdpSocket::recv_many(RecvBatch& batch, Duration timeout) {
   batch.count_ = 0;
-  const bool use_mmsg = resolved_data_path() == DataPath::kMmsg;
-  (void)use_mmsg;
   // The wait happens inside the first receive syscall, bounded by
   // SO_RCVTIMEO; a timeout surfaces as EAGAIN with nothing received.
   const bool wait = timeout.count() != 0;
@@ -272,98 +221,52 @@ Result<std::size_t> UdpSocket::recv_many(RecvBatch& batch, Duration timeout) {
     return Error(errno_msg("udp SO_RCVTIMEO"));  // purity-ok: error path
   }
 
-  // Raw receive into the arena slots: one recvmmsg, or a recvfrom loop on
-  // the fallback path. `raw` counts kernel-delivered datagrams before fault
-  // filtering.
-  std::size_t raw = 0;
-  std::size_t raw_lens[kMaxBatch];
-  bool truncated[kMaxBatch];
-
-#if JANUS_HAVE_MMSG
-  if (use_mmsg) {
-    ::mmsghdr hdrs[kMaxBatch];
-    ::iovec iovs[kMaxBatch];
-    std::memset(hdrs, 0, sizeof(::mmsghdr) * batch.capacity_);
-    for (std::size_t i = 0; i < batch.capacity_; ++i) {
-      iovs[i] = {batch.arena_.data() + i * batch.slot_bytes_,
-                 batch.slot_bytes_};
-      hdrs[i].msg_hdr.msg_iov = &iovs[i];
-      hdrs[i].msg_hdr.msg_iovlen = 1;
-      hdrs[i].msg_hdr.msg_name = &batch.addrs_[i];
-      hdrs[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
+  // Raw receive into the arena slots with one recvmmsg.
+  ::mmsghdr hdrs[kMaxBatch];
+  ::iovec iovs[kMaxBatch];
+  std::memset(hdrs, 0, sizeof(::mmsghdr) * batch.capacity_);
+  for (std::size_t i = 0; i < batch.capacity_; ++i) {
+    iovs[i] = {batch.arena_.data() + i * batch.slot_bytes_, batch.slot_bytes_};
+    hdrs[i].msg_hdr.msg_iov = &iovs[i];
+    hdrs[i].msg_hdr.msg_iovlen = 1;
+    hdrs[i].msg_hdr.msg_name = &batch.addrs_[i];
+    hdrs[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
+  }
+  // MSG_WAITFORONE blocks for the first datagram only, then drains what is
+  // already queued without waiting. A signal landing mid-drain makes
+  // recvmmsg report EINTR only when nothing was received yet (a partial
+  // batch returns its count), so the correct reaction is to retry —
+  // surfacing an error here used to tear down callers on a harmless
+  // SIGPROF/SIGCHLD. net.udp.eintr injects that signal deterministically.
+  const int flags = wait ? MSG_WAITFORONE : MSG_DONTWAIT;
+  int n;
+  for (;;) {
+    if (testing::FaultInjector::instance().should_fire(
+            testing::FaultPoint::kNetUdpEintr)) {
+      n = -1;
+      errno = EINTR;
+    } else {
+      n = ::recvmmsg(fd_.get(), hdrs,
+                     static_cast<unsigned int>(batch.capacity_), flags,
+                     nullptr);
     }
-    // MSG_WAITFORONE blocks for the first datagram only, then drains what
-    // is already queued without waiting. A signal landing mid-drain makes
-    // recvmmsg report EINTR only when nothing was received yet (a partial
-    // batch returns its count), so the correct reaction is to retry —
-    // surfacing an error here used to tear down callers on a harmless
-    // SIGPROF/SIGCHLD. net.udp.eintr injects that signal deterministically.
-    const int flags = wait ? MSG_WAITFORONE : MSG_DONTWAIT;
-    int n;
-    for (;;) {
-      if (testing::FaultInjector::instance().should_fire(
-              testing::FaultPoint::kNetUdpEintr)) {
-        n = -1;
-        errno = EINTR;
-      } else {
-        n = ::recvmmsg(fd_.get(), hdrs,
-                       static_cast<unsigned int>(batch.capacity_), flags,
-                       nullptr);
-      }
-      if (n >= 0) break;
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return std::size_t{0};
-      return Error(errno_msg("udp recvmmsg"));  // purity-ok: error path
-    }
-    raw = static_cast<std::size_t>(n);
-    for (std::size_t i = 0; i < raw; ++i) {
-      raw_lens[i] = hdrs[i].msg_len;
-      truncated[i] = (hdrs[i].msg_hdr.msg_flags & MSG_TRUNC) != 0;
-    }
-  } else
-#endif
-  {
-    // Fallback: identical semantics, one syscall per datagram. The first
-    // recvfrom waits (unless timeout is 0); the rest drain non-blocking
-    // until EAGAIN or the batch is full. EINTR mid-drain keeps the
-    // datagrams already received and retries the interrupted syscall.
-    int flags = wait ? 0 : MSG_DONTWAIT;
-    while (raw < batch.capacity_) {
-      sockaddr_in& sa = batch.addrs_[raw];
-      socklen_t salen = sizeof(sa);
-      ssize_t n;
-      if (testing::FaultInjector::instance().should_fire(
-              testing::FaultPoint::kNetUdpEintr)) {
-        n = -1;
-        errno = EINTR;
-      } else {
-        n = ::recvfrom(fd_.get(),
-                       batch.arena_.data() + raw * batch.slot_bytes_,
-                       batch.slot_bytes_, flags | MSG_TRUNC,
-                       reinterpret_cast<sockaddr*>(&sa), &salen);
-      }
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        if (errno == EINTR) continue;
-        return Error(errno_msg("udp recvfrom"));  // purity-ok: error path
-      }
-      raw_lens[raw] = static_cast<std::size_t>(n);
-      truncated[raw] = static_cast<std::size_t>(n) > batch.slot_bytes_;
-      ++raw;
-      flags = MSG_DONTWAIT;
-    }
+    if (n >= 0) break;
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return std::size_t{0};
+    return Error(errno_msg("udp recvmmsg"));  // purity-ok: error path
   }
 
   // Fault filtering + address conversion, per datagram — a batch of N
   // consults net.udp.drop_rx exactly N times, so seeded chaos schedules
   // see the same per-datagram decision stream as the single recv() path.
   auto& faults = testing::FaultInjector::instance();
-  for (std::size_t i = 0; i < raw; ++i) {
-    if (truncated[i]) continue;  // longer than a slot: drop, as if lost
+  for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
+    // Longer than a slot: drop, as if lost.
+    if ((hdrs[i].msg_hdr.msg_flags & MSG_TRUNC) != 0) continue;
     if (faults.should_fire(testing::FaultPoint::kNetUdpDropRx)) continue;
     const std::size_t out = batch.count_++;
     batch.ptrs_[out] = batch.arena_.data() + i * batch.slot_bytes_;
-    batch.lens_[out] = static_cast<std::uint32_t>(raw_lens[i]);
+    batch.lens_[out] = hdrs[i].msg_len;
     batch.froms_[out] = SockAddr::from_native(batch.addrs_[i]);
   }
   return batch.count_;
@@ -371,8 +274,6 @@ Result<std::size_t> UdpSocket::recv_many(RecvBatch& batch, Duration timeout) {
 
 Status UdpSocket::send_many(std::span<const OutDatagram> batch) {
   auto& faults = testing::FaultInjector::instance();
-  const bool use_mmsg = resolved_data_path() == DataPath::kMmsg;
-  (void)use_mmsg;
 
   // Per-datagram fault pass, exactly mirroring send_to(): each datagram
   // consults delay_us then drop_tx independently of its batch-mates.
@@ -399,45 +300,29 @@ Status UdpSocket::send_many(std::span<const OutDatagram> batch) {
       ++kept;
     }
 
-#if JANUS_HAVE_MMSG
-    if (use_mmsg) {
-      ::mmsghdr hdrs[kMaxBatch];
-      ::iovec iovs[kMaxBatch];
-      std::memset(hdrs, 0, sizeof(::mmsghdr) * kept);
-      for (std::size_t i = 0; i < kept; ++i) {
-        const OutDatagram& dg = batch[keep[i]];
-        iovs[i] = {const_cast<std::uint8_t*>(dg.data.data()), dg.data.size()};
-        hdrs[i].msg_hdr.msg_iov = &iovs[i];
-        hdrs[i].msg_hdr.msg_iovlen = 1;
-        hdrs[i].msg_hdr.msg_name = &natives[i];
-        hdrs[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
+    ::mmsghdr hdrs[kMaxBatch];
+    ::iovec iovs[kMaxBatch];
+    std::memset(hdrs, 0, sizeof(::mmsghdr) * kept);
+    for (std::size_t i = 0; i < kept; ++i) {
+      const OutDatagram& dg = batch[keep[i]];
+      iovs[i] = {const_cast<std::uint8_t*>(dg.data.data()), dg.data.size()};
+      hdrs[i].msg_hdr.msg_iov = &iovs[i];
+      hdrs[i].msg_hdr.msg_iovlen = 1;
+      hdrs[i].msg_hdr.msg_name = &natives[i];
+      hdrs[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
+    }
+    std::size_t sent = 0;
+    while (sent < kept) {
+      // UDP sendmmsg queues into socket buffers and returns — it does not
+      // wait for the network.
+      // purity-ok: non-waiting datagram enqueue
+      int n = ::sendmmsg(fd_.get(), hdrs + sent,
+                         static_cast<unsigned int>(kept - sent), 0);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        return Error(errno_msg("udp sendmmsg"));  // purity-ok: error path
       }
-      std::size_t sent = 0;
-      while (sent < kept) {
-        // UDP sendmmsg queues into socket buffers and returns — it does not
-        // wait for the network.
-        // purity-ok: non-waiting datagram enqueue
-        int n = ::sendmmsg(fd_.get(), hdrs + sent,
-                           static_cast<unsigned int>(kept - sent), 0);
-        if (n < 0) {
-          if (errno == EINTR) continue;
-          return Error(errno_msg("udp sendmmsg"));  // purity-ok: error path
-        }
-        sent += static_cast<std::size_t>(n);
-      }
-    } else
-#endif
-    {
-      for (std::size_t i = 0; i < kept; ++i) {
-        const OutDatagram& dg = batch[keep[i]];
-        ssize_t n = ::sendto(fd_.get(), dg.data.data(), dg.data.size(), 0,
-                             reinterpret_cast<sockaddr*>(&natives[i]),
-                             sizeof(sockaddr_in));
-        if (n < 0) return Error(errno_msg("udp sendto"));  // purity-ok: error path
-        if (static_cast<std::size_t>(n) != dg.data.size()) {
-          return Error("udp sendto: short write");  // purity-ok: error path
-        }
-      }
+      sent += static_cast<std::size_t>(n);
     }
     pos += chunk;
   }

@@ -18,17 +18,6 @@
 #include "common/clock.hpp"
 #include "common/result.hpp"
 
-// Batched datagram syscalls: recvmmsg/sendmmsg move a whole batch per kernel
-// crossing and exist on Linux (glibc/musl). Elsewhere the batch API below
-// transparently falls back to a recvfrom/sendto loop — same semantics, one
-// syscall per datagram. Tests force the fallback at runtime via
-// UdpSocket::set_batch_syscalls_enabled(false) so both paths run everywhere.
-#if defined(__linux__)
-#define JANUS_HAVE_MMSG 1
-#else
-#define JANUS_HAVE_MMSG 0
-#endif
-
 namespace janus::net {
 
 /// An IPv4 endpoint ("127.0.0.1", 8080).
@@ -132,48 +121,21 @@ class UdpSocket {
     std::span<const std::uint8_t> data;
   };
 
-  /// Batched-I/O provider for recv_many/send_many (DESIGN.md §13).
-  ///
-  ///   kAuto     — mmsg when available and the process-wide batch-syscall
-  ///               toggle is on, else the recvfrom/sendto fallback. The
-  ///               default: existing callers see no behavior change.
-  ///   kFallback — force the recvfrom/sendto loops.
-  ///   kMmsg     — force recvmmsg/sendmmsg.
-  enum class DataPath { kAuto = 0, kFallback, kMmsg };
-
-  /// Select this socket's provider. Not thread-safe with concurrent
-  /// recv/send on the same socket: switch before the I/O threads start.
-  void set_data_path(DataPath path) { data_path_ = path; }
-  DataPath data_path() const { return data_path_; }
-  /// The provider recv_many/send_many will actually use right now (kAuto
-  /// resolved to kMmsg or kFallback).
-  DataPath resolved_data_path() const;
-
-  static const char* data_path_name(DataPath path);
-  static std::optional<DataPath> data_path_from_name(std::string_view name);
-
   /// Wait up to `timeout` (0 = never, < 0 = forever) for the first
   /// datagram, then drain up to batch.capacity() datagrams in one recvmmsg
-  /// (or a recvfrom loop where unavailable/disabled). Returns the number
-  /// received into `batch`; 0 = timeout. Both providers wait inside the
-  /// receive syscall (SO_RCVTIMEO, MSG_WAITFORONE), where the kernel wakes
-  /// one blocked thread per arriving datagram; poll() would wake them all.
-  /// SO_RCVTIMEO is per socket, so threads sharing one must pass the same
-  /// timeout. Fault semantics are per-datagram: each received datagram
-  /// consults net.udp.drop_rx independently, exactly as the single-datagram
-  /// recv() does.
+  /// (DESIGN.md §13). Returns the number received into `batch`; 0 =
+  /// timeout. The wait happens inside the syscall (SO_RCVTIMEO,
+  /// MSG_WAITFORONE), where the kernel wakes one blocked thread per arriving
+  /// datagram; poll() would wake them all. SO_RCVTIMEO is per socket, so
+  /// threads sharing one must pass the same timeout. Fault semantics are
+  /// per-datagram: each received datagram consults net.udp.drop_rx
+  /// independently, exactly as the single-datagram recv() does.
   Result<std::size_t> recv_many(RecvBatch& batch, Duration timeout);
 
-  /// Send a batch of datagrams with one sendmmsg (or a sendto loop).
+  /// Send a batch of datagrams with one sendmmsg per kMaxBatch chunk.
   /// Per-datagram fault semantics: net.udp.delay_us and net.udp.drop_tx
   /// fire independently for every datagram in the batch.
   Status send_many(std::span<const OutDatagram> batch);
-
-  /// Test hook: force the single-syscall fallback paths (recvfrom/sendto
-  /// loops) even where recvmmsg/sendmmsg exist, so the chaos suite proves
-  /// both paths behave identically. Process-wide; defaults to enabled.
-  static void set_batch_syscalls_enabled(bool enabled);
-  static bool batch_syscalls_enabled();
 
   /// Local address after bind (resolves ephemeral ports).
   Result<SockAddr> local_addr() const;
@@ -200,9 +162,7 @@ class UdpSocket {
   /// setsockopt only when it differs from rcvtimeo_us_.
   bool set_recv_timeout(Duration timeout);
   Fd fd_;
-  DataPath data_path_ = DataPath::kAuto;
   std::atomic<std::int64_t> rcvtimeo_us_{0};  // µs; 0 = no limit (kernel's)
-  static std::atomic<bool> batch_syscalls_enabled_;
 };
 
 /// Blocking TCP connection with poll-based timeouts.

@@ -246,7 +246,7 @@ net::HttpResponse RouterNode::dispatch(const net::HttpRequest& req,
   if (qr.status == wire::ResponseStatus::kStaleEpoch) {
     // Re-route did not converge: fail closed (or open, per policy) exactly
     // like an unanswered request — never admit against a stale partition.
-    defaults_.inc();
+    // Counted once, as a default reply, just below.
     qr.status = wire::ResponseStatus::kDefaultReply;
     qr.allowed = config_.udp.default_allow;
   }

@@ -1,6 +1,5 @@
 #include "server/qos_server_node.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -21,11 +20,6 @@ Result<QosServerConfig> QosServerNode::validate_config(QosServerConfig config) {
   if (config.admission.table_shards == 0) {
     return Error("QosServerConfig: admission.table_shards must be >= 1");
   }
-  // The batch size is clamped, not rejected: an oversized request silently
-  // degrades (recvmmsg caps the vector length anyway), and 0 would spin
-  // recv_many forever — both land in a working range.
-  config.recv_batch =
-      std::clamp<std::size_t>(config.recv_batch, 1, net::UdpSocket::kMaxBatch);
   return config;
 }
 
@@ -63,7 +57,6 @@ QosServerNode::QosServerNode(net::UdpSocket socket, net::SockAddr addr,
       service_exemplar_(metrics_.exemplar("server.service_us")),
       recv_batch_size_(metrics_.histogram("server.recv_batch")),
       send_batch_size_(metrics_.histogram("server.send_batch")),
-      data_path_gauge_(metrics_.gauge("server.data_path")),
       stale_nacks_(metrics_.counter("server.stale_epoch_nacks")),
       cluster_deferred_(metrics_.counter("server.cluster_deferred")),
       migrated_in_(metrics_.counter("server.migrated_in")),
@@ -71,12 +64,6 @@ QosServerNode::QosServerNode(net::UdpSocket socket, net::SockAddr addr,
       cluster_epoch_gauge_(metrics_.gauge("server.cluster_epoch")) {
   queue_wait_exemplar_.set_threshold(config_.slow_exemplar_us);
   service_exemplar_.set_threshold(config_.slow_exemplar_us);
-
-  // Provider selection happens before any I/O thread exists (switching is
-  // not safe under concurrent recv/send).
-  socket_.set_data_path(config_.data_path);
-  data_path_gauge_.set(
-      static_cast<std::int64_t>(socket_.resolved_data_path()));
 
   for (std::size_t i = 0; i < config_.worker_threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -440,7 +427,7 @@ void QosServerNode::worker_loop() {
   // answers it with one sendmmsg. One wake-up per request, no hand-off, no
   // per-datagram copy.
   FlightRecorder::label_current_thread("server.worker");
-  net::UdpSocket::RecvBatch batch(config_.recv_batch);
+  net::UdpSocket::RecvBatch batch(kRecvBatch);
   std::vector<JobView> views;
   // purity-ok: loop-start setup — sized once per thread, before any traffic
   views.reserve(batch.capacity());

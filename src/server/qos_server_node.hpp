@@ -45,9 +45,6 @@ namespace janus::server {
 
 struct QosServerConfig {
   std::size_t worker_threads = 4;  // "N equals the number of vCPUs" (§III-C)
-  /// Max datagrams per recvmmsg: a worker's batch, decided and answered as
-  /// a unit. Clamped to UdpSocket::kMaxBatch. 1 = per-datagram syscalls.
-  std::size_t recv_batch = 32;
   core::AdmissionConfig admission;
   /// Maintenance intervals; <= 0 disables the corresponding thread.
   Duration refill_interval = millis(10);     // only used in kPeriodic mode
@@ -62,23 +59,19 @@ struct QosServerConfig {
   /// Slow-request exemplar threshold (µs) for the server's queue-wait and
   /// service histograms; < 0 disables exemplar capture.
   std::int64_t slow_exemplar_us = 5000;
-  /// Batched-I/O provider for the listen socket (janusd --data-path,
-  /// DESIGN.md §13); server.data_path reports what actually runs.
-  net::UdpSocket::DataPath data_path = net::UdpSocket::DataPath::kAuto;
 };
 
 class QosServerNode {
  public:
   /// Binds the UDP endpoint and starts all threads. `store` (the database
   /// layer) must outlive the node. The config is validated first:
-  /// worker_threads == 0 and table_shards == 0 are rejected, and recv_batch
-  /// is clamped to a sane range.
+  /// worker_threads == 0 and table_shards == 0 are rejected.
   static Result<std::unique_ptr<QosServerNode>> start(
       const net::SockAddr& listen, db::RuleStore& store,
       QosServerConfig config = {});
 
-  /// The validation start() applies, exposed for tests: returns the
-  /// clamped config or the error that start() would surface.
+  /// The validation start() applies, exposed for tests: returns the config
+  /// unchanged or the error that start() would surface.
   static Result<QosServerConfig> validate_config(QosServerConfig config);
 
   ~QosServerNode();
@@ -86,13 +79,8 @@ class QosServerNode {
   QosServerNode& operator=(const QosServerNode&) = delete;
 
   net::SockAddr addr() const { return addr_; }
-  /// Provider the listen socket actually runs (post-probe; DESIGN.md §13).
-  net::UdpSocket::DataPath resolved_data_path() const {
-    return socket_.resolved_data_path();
-  }
   core::AdmissionController& admission() { return *admission_; }
   MetricsRegistry& metrics() { return metrics_; }
-  const QosServerConfig& config() const { return config_; }
 
   /// Mount the admin/observability HTTP endpoint (/metrics, /healthz,
   /// /statusz) — the QoS server's only HTTP surface. Returns the bound
@@ -164,6 +152,9 @@ class QosServerNode {
                 db::RuleStore& store, QosServerConfig config);
 
   static constexpr std::uint64_t kTimingSampleShift = 3;  // 1-in-8
+  /// Max datagrams per recvmmsg: a worker's batch, decided and answered as
+  /// a unit.
+  static constexpr std::size_t kRecvBatch = 32;
 
   /// Timing sample over one receive batch: one datagram in every
   /// 1 << kTimingSampleShift carries the batch's receive time (one clock
@@ -266,8 +257,6 @@ class QosServerNode {
   // as one burst, so the two means are equal.
   HistogramMetric& recv_batch_size_;
   HistogramMetric& send_batch_size_;
-  /// Resolved provider (UdpSocket::DataPath numeric): 1 fallback, 2 mmsg.
-  Gauge& data_path_gauge_;
   Counter& stale_nacks_;       // server.stale_epoch_nacks
   Counter& cluster_deferred_;  // server.cluster_deferred (migration window)
   Counter& migrated_in_;       // server.migrated_in (entries)

@@ -37,7 +37,6 @@ class ChaosStackTest : public ::testing::Test {
 
     server::QosServerConfig scfg;
     scfg.worker_threads = 2;
-    scfg.data_path = data_path_;
     scfg.sync_interval = Duration{0};
     scfg.checkpoint_interval = Duration{0};
     server::apply_server_model(server_model_, scfg);
@@ -97,14 +96,10 @@ class ChaosStackTest : public ::testing::Test {
     return resp.ok() ? resp.value().body : std::string();
   }
 
-  /// Batched-I/O provider for the QoS server's listen socket. Subclasses
-  /// set this before ChaosStackTest::SetUp() runs (it is baked into the
-  /// server at start).
-  net::UdpSocket::DataPath data_path_ = net::UdpSocket::DataPath::kAuto;
-  /// Execution-model variant, applied over data_path_; subclasses set it
-  /// before SetUp(), like data_path_.
+  /// Execution-model variant. Subclasses set this before
+  /// ChaosStackTest::SetUp() runs (it is baked into the server at start).
   ServerModel server_model_ = ServerModel::kSharedQueue;
-  /// Routing topology; subclasses set before SetUp(), like data_path_.
+  /// Routing topology; subclasses set before SetUp(), like server_model_.
   Topology topology_ = Topology::kSingleProcess;
   /// Gateway routing policy; subclasses set before SetUp(). Every chaos
   /// invariant — including PR 2's per-request fault semantics — must hold

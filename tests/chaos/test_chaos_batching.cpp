@@ -1,14 +1,12 @@
-// Chaos coverage for PR 4's batched UDP I/O: every fault-semantics invariant
-// the per-datagram pipeline guaranteed must hold verbatim when datagrams move
-// in recvmmsg/sendmmsg bursts — drops are still consulted once per datagram,
+// Chaos coverage for batched UDP I/O: every fault-semantics invariant the
+// per-datagram pipeline guaranteed must hold verbatim when datagrams move in
+// recvmmsg/sendmmsg bursts — drops are still consulted once per datagram,
 // retry accounting still counts attempts not syscalls, and quota is still
-// never over-admitted under loss. The whole suite runs once per data-path
-// provider (fallback loops, recvmmsg/sendmmsg), proving both providers are
-// observably identical.
+// never over-admitted under loss. The whole suite runs once per variant of
+// the server's execution model (server_model.hpp).
 #include <gtest/gtest.h>
 
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "chaos_stack.hpp"
@@ -23,28 +21,18 @@ using testing::FaultInjector;
 using testing::FaultPoint;
 using testing::ScopedFault;
 
-/// Value-parameterized over (data-path provider, execution-model variant):
-/// the server's listen socket runs the fallback loops or recvmmsg/sendmmsg,
-/// with buckets refilled on access or by the periodic pass. All must be
-/// observably identical — the provider changes syscall counts, never fault
-/// semantics.
-class BatchedChaosTest
-    : public ChaosStackTest,
-      public ::testing::WithParamInterface<
-          std::tuple<net::UdpSocket::DataPath, ServerModel>> {
+/// Value-parameterized over the execution-model variants: one shard or
+/// many, one worker or two, buckets refilled on access or by the periodic
+/// pass. All must be observably identical — the variant changes who
+/// receives and which lock a decision takes, never fault semantics.
+class BatchedChaosTest : public ChaosStackTest,
+                         public ::testing::WithParamInterface<ServerModel> {
  protected:
   void SetUp() override {
-    data_path_ = std::get<0>(GetParam());
-    server_model_ = std::get<1>(GetParam());
+    server_model_ = GetParam();
     ChaosStackTest::SetUp();
   }
 };
-
-TEST_P(BatchedChaosTest, DataPathGaugeReportsTheProviderThatRuns) {
-  EXPECT_EQ(server_->resolved_data_path(), data_path_);
-  EXPECT_EQ(server_->metrics().snapshot().at("server.data_path"),
-            static_cast<std::int64_t>(data_path_));
-}
 
 TEST_P(BatchedChaosTest, DefaultReplyRetryAccountingUnchanged) {
   // The §III-B contract is per *attempt*, not per syscall: batching must not
@@ -215,20 +203,14 @@ TEST_P(BatchedChaosTest, CallManyQuotaBoundHoldsUnderPartialLoss) {
   EXPECT_LE(allowed, 5);
 }
 
+// Every instance runs the one provider, recvmmsg/sendmmsg ("batched
+// syscalls"), under one execution-model variant; the instance name carries
+// both.
 INSTANTIATE_TEST_SUITE_P(
     ProviderAndThreadingModes, BatchedChaosTest,
-    ::testing::Combine(
-        ::testing::Values(net::UdpSocket::DataPath::kFallback,
-                          net::UdpSocket::DataPath::kMmsg),
-        ::testing::Values(ServerModel::kSharedQueue,
-                          ServerModel::kPeriodicRefillSharedQueue)),
-    [](const ::testing::TestParamInfo<
-        std::tuple<net::UdpSocket::DataPath, ServerModel>>& tpi) {
-      std::string name =
-          std::get<0>(tpi.param) == net::UdpSocket::DataPath::kFallback
-              ? "FallbackLoops"
-              : "BatchedSyscalls";
-      return name + server::server_model_name(std::get<1>(tpi.param));
+    ::testing::ValuesIn(server::kAllServerModels),
+    [](const ::testing::TestParamInfo<ServerModel>& tpi) {
+      return "BatchedSyscalls" + server::server_model_name(tpi.param);
     });
 
 }  // namespace

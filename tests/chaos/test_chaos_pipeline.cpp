@@ -175,9 +175,7 @@ TEST_P(ChaosModeTest, SlowServerInflatesServiceTimeNotCorrectness) {
 INSTANTIATE_TEST_SUITE_P(
     Modes, ChaosModeTest,
     ::testing::Combine(
-        ::testing::Values(ServerModel::kSharedQueue,
-                          ServerModel::kFallbackLoopsSharedQueue,
-                          ServerModel::kPeriodicRefillSharedQueue),
+        ::testing::ValuesIn(server::kAllServerModels),
         ::testing::Values(Topology::kSingleProcess, Topology::kCluster),
         ::testing::Values(lb::RoutingPolicy::kRoundRobin,
                           lb::RoutingPolicy::kLeastConnections,

@@ -278,9 +278,7 @@ TEST_P(ClusterAgentModeTest, StalledMigrationDefersInsteadOfOverAdmitting) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, ClusterAgentModeTest,
-    ::testing::Values(ServerModel::kSharedQueue,
-                      ServerModel::kFallbackLoopsSharedQueue,
-                      ServerModel::kPeriodicRefillSharedQueue),
+    ::testing::ValuesIn(kAllServerModels),
     [](const ::testing::TestParamInfo<ServerModel>& tpi) {
       return server_model_name(tpi.param);
     });

@@ -94,13 +94,6 @@ TEST(UdpSocketTest, DatagramBoundariesPreserved) {
   EXPECT_EQ(second.value()->data.size(), 6u);
 }
 
-/// Runs the body with the recvmmsg/sendmmsg fast path disabled, restoring
-/// it afterwards — the fallback loop must be observably identical.
-struct ScopedBatchSyscallsDisabled {
-  ScopedBatchSyscallsDisabled() { UdpSocket::set_batch_syscalls_enabled(false); }
-  ~ScopedBatchSyscallsDisabled() { UdpSocket::set_batch_syscalls_enabled(true); }
-};
-
 std::multiset<std::string> recv_all(UdpSocket& sock, std::size_t expect) {
   UdpSocket::RecvBatch batch(8);
   std::multiset<std::string> got;
@@ -118,34 +111,27 @@ std::multiset<std::string> recv_all(UdpSocket& sock, std::size_t expect) {
 }
 
 // ---------------------------------------------------------------------------
-// Provider-parameterized batch suite: every batched-I/O behavior below runs
-// once per data-path provider (fallback loop, recvmmsg/sendmmsg; DESIGN.md
-// §13).
+// The batch suite: every behavior of the one datagram provider,
+// recvmmsg/sendmmsg (DESIGN.md §13).
 // ---------------------------------------------------------------------------
-class UdpSocketProviderTest
-    : public ::testing::TestWithParam<UdpSocket::DataPath> {
+class UdpSocketProviderTest : public ::testing::Test {
  protected:
-  /// Bound socket running this instance's provider.
+  /// Bound receiving socket.
   UdpSocket make_server() {
     auto sock = UdpSocket::bind({"127.0.0.1", 0});
     EXPECT_TRUE(sock.ok());
-    UdpSocket server = std::move(sock).take();
-    server.set_data_path(GetParam());
-    EXPECT_EQ(server.resolved_data_path(), GetParam());
-    return server;
+    return std::move(sock).take();
   }
 
-  /// Unbound sender running this instance's provider (exercises send_many).
+  /// Unbound sender (exercises send_many).
   UdpSocket make_client() {
     auto sock = UdpSocket::create();
     EXPECT_TRUE(sock.ok());
-    UdpSocket client = std::move(sock).take();
-    client.set_data_path(GetParam());
-    return client;
+    return std::move(sock).take();
   }
 };
 
-TEST_P(UdpSocketProviderTest, RecvManyDrainsMultipleDatagrams) {
+TEST_F(UdpSocketProviderTest, RecvManyDrainsMultipleDatagrams) {
   UdpSocket server = make_server();
   auto addr = server.local_addr().value();
   auto client = UdpSocket::create();
@@ -169,7 +155,7 @@ TEST_P(UdpSocketProviderTest, RecvManyDrainsMultipleDatagrams) {
   EXPECT_EQ(got, sent);
 }
 
-TEST_P(UdpSocketProviderTest, SendManyDeliversEveryDatagram) {
+TEST_F(UdpSocketProviderTest, SendManyDeliversEveryDatagram) {
   UdpSocket server = make_server();
   auto addr = server.local_addr().value();
   UdpSocket client = make_client();
@@ -183,7 +169,7 @@ TEST_P(UdpSocketProviderTest, SendManyDeliversEveryDatagram) {
   EXPECT_EQ(recv_all(server, payloads.size()), payloads);
 }
 
-TEST_P(UdpSocketProviderTest, RecvManyTimesOutWithZero) {
+TEST_F(UdpSocketProviderTest, RecvManyTimesOutWithZero) {
   UdpSocket server = make_server();
   UdpSocket::RecvBatch batch(4);
   auto n = server.recv_many(batch, millis(20));
@@ -191,8 +177,8 @@ TEST_P(UdpSocketProviderTest, RecvManyTimesOutWithZero) {
   EXPECT_EQ(n.value(), 0u);
 }
 
-TEST_P(UdpSocketProviderTest, SingleRecvRoutesThroughProvider) {
-  // recv() must keep working whatever provider the socket runs.
+TEST_F(UdpSocketProviderTest, SingleRecvRoutesThroughProvider) {
+  // recv() (poll plus recvfrom) keeps working beside the batch path.
   UdpSocket server = make_server();
   auto addr = server.local_addr().value();
   auto client = UdpSocket::create();
@@ -205,7 +191,7 @@ TEST_P(UdpSocketProviderTest, SingleRecvRoutesThroughProvider) {
             "solo");
 }
 
-TEST_P(UdpSocketProviderTest, EintrMidBatchReturnsDrainedDatagrams) {
+TEST_F(UdpSocketProviderTest, EintrMidBatchReturnsDrainedDatagrams) {
   // Regression (PR 9): a signal interrupting the batched receive used to
   // surface as an Error even when datagrams had already been drained. The
   // injected EINTR fires before data is touched; recv_many must retry and
@@ -236,13 +222,13 @@ TEST_P(UdpSocketProviderTest, EintrMidBatchReturnsDrainedDatagrams) {
     }
     EXPECT_EQ(got, sent);
     EXPECT_EQ(inj.fires(testing::FaultPoint::kNetUdpEintr), 2u)
-        << "fault was armed but the provider never consulted it";
+        << "fault was armed but recv_many never consulted it";
   }
 }
 
-TEST_P(UdpSocketProviderTest, SmallSlotBatchIsRevalidatedOrTruncates) {
-  // A batch built with tiny slots: the providers keep the caller's slot
-  // size and drop oversized datagrams as truncated.
+TEST_F(UdpSocketProviderTest, SmallSlotBatchIsRevalidatedOrTruncates) {
+  // A batch built with tiny slots: recv_many keeps the caller's slot size
+  // and drops oversized datagrams as truncated.
   UdpSocket server = make_server();
   auto addr = server.local_addr().value();
   auto client = UdpSocket::create();
@@ -258,21 +244,13 @@ TEST_P(UdpSocketProviderTest, SmallSlotBatchIsRevalidatedOrTruncates) {
   EXPECT_EQ(n.value(), 0u);  // truncated datagram dropped
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    DataPaths, UdpSocketProviderTest,
-    ::testing::Values(UdpSocket::DataPath::kFallback,
-                      UdpSocket::DataPath::kMmsg),
-    [](const ::testing::TestParamInfo<UdpSocket::DataPath>& param_info) {
-      return UdpSocket::data_path_name(param_info.param);
-    });
-
-// Threads sharing one socket are woken one per arriving datagram: the mmsg
-// and fallback providers wait inside the receive syscall, where the kernel
-// queues blocked receivers as exclusive waiters. A poll()-based wait wakes
-// every waiter, and all but one come back empty before their timeout.
+// Threads sharing one socket are woken one per arriving datagram: recv_many
+// waits inside recvmmsg, where the kernel queues blocked receivers as
+// exclusive waiters. A poll()-based wait wakes every waiter, and all but one
+// come back empty before their timeout.
 class UdpSocketSharedReceiveTest : public UdpSocketProviderTest {};
 
-TEST_P(UdpSocketSharedReceiveTest, OneDatagramWakesExactlyOneReceiver) {
+TEST_F(UdpSocketSharedReceiveTest, OneDatagramWakesExactlyOneReceiver) {
   UdpSocket server = make_server();
   auto addr = server.local_addr().value();
   auto client = UdpSocket::create();
@@ -324,33 +302,6 @@ TEST_P(UdpSocketSharedReceiveTest, OneDatagramWakesExactlyOneReceiver) {
           << waited_ms << " ms";
     }
   }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    DataPaths, UdpSocketSharedReceiveTest,
-    ::testing::Values(UdpSocket::DataPath::kFallback,
-                      UdpSocket::DataPath::kMmsg),
-    [](const ::testing::TestParamInfo<UdpSocket::DataPath>& param_info) {
-      return UdpSocket::data_path_name(param_info.param);
-    });
-
-TEST(UdpSocketBatchTest, FallbackPathMatchesBatchSyscalls) {
-  // Same exchange as above, with recvmmsg/sendmmsg force-disabled: the
-  // per-datagram fallback loops must deliver identical results.
-  ScopedBatchSyscallsDisabled fallback;
-  auto server = UdpSocket::bind({"127.0.0.1", 0});
-  ASSERT_TRUE(server.ok());
-  auto addr = server.value().local_addr().value();
-  auto client = UdpSocket::create();
-  ASSERT_TRUE(client.ok());
-
-  const std::multiset<std::string> payloads = {"w", "xx", "yyy"};
-  std::vector<std::string> frames(payloads.begin(), payloads.end());
-  std::vector<UdpSocket::OutDatagram> burst;
-  for (const auto& f : frames) burst.push_back({addr, bytes(f)});
-  ASSERT_TRUE(client.value().send_many(burst).ok());
-
-  EXPECT_EQ(recv_all(server.value(), payloads.size()), payloads);
 }
 
 TEST(UdpSocketBatchTest, RecvBatchCapacityIsClamped) {

@@ -365,37 +365,18 @@ std::uint64_t measure_batch_io_allocs(net::UdpSocket& client,
 }
 
 TEST(HotpathAllocTest, MmsgBatchIoIsAllocationFree) {
-  // The mmsg provider's contract: a warm send_many/recv_many cycle stays
-  // off the heap.
+  // The datagram path's contract: a warm sendmmsg/recvmmsg cycle stays off
+  // the heap.
   auto server = net::UdpSocket::bind({"127.0.0.1", 0});
   ASSERT_TRUE(server.ok());
   auto client = net::UdpSocket::create();
   ASSERT_TRUE(client.ok());
-  server.value().set_data_path(net::UdpSocket::DataPath::kMmsg);
-  client.value().set_data_path(net::UdpSocket::DataPath::kMmsg);
 
   const auto allocs =
       measure_batch_io_allocs(client.value(), server.value(), 8);
   ASSERT_NE(allocs, ~0ull) << "mmsg batch I/O cycle failed";
   EXPECT_EQ(allocs, 0u)
       << "warm mmsg send_many/recv_many allocated; batch path regressed";
-}
-
-TEST(HotpathAllocTest, FallbackBatchIoIsAllocationFree) {
-  // The server's other provider: the recvfrom/sendto loops fill the same
-  // batch slots, so a warm cycle stays off the heap too.
-  auto server = net::UdpSocket::bind({"127.0.0.1", 0});
-  ASSERT_TRUE(server.ok());
-  auto client = net::UdpSocket::create();
-  ASSERT_TRUE(client.ok());
-  server.value().set_data_path(net::UdpSocket::DataPath::kFallback);
-  client.value().set_data_path(net::UdpSocket::DataPath::kFallback);
-
-  const auto allocs =
-      measure_batch_io_allocs(client.value(), server.value(), 8);
-  ASSERT_NE(allocs, ~0ull) << "fallback batch I/O cycle failed";
-  EXPECT_EQ(allocs, 0u)
-      << "warm fallback send_many/recv_many allocated; batch path regressed";
 }
 
 TEST(HotpathAllocTest, PrequalPickIsAllocationFree) {

@@ -41,6 +41,9 @@ class RouterNodeTest : public ::testing::Test {
 
   db::Database db_;
   std::unique_ptr<db::RuleStore> store_;
+  /// Shard map a test may attach to router_; declared first so it outlives
+  /// the router.
+  cluster::ShardMapHolder shard_map_;
   std::unique_ptr<server::QosServerNode> server_;
   std::unique_ptr<RouterNode> router_;
 };
@@ -131,6 +134,30 @@ TEST_F(RouterNodeTest, DeadBackendYieldsDefaultReply) {
   EXPECT_EQ(resp.value().header("X-Janus-Status"), "default-reply");
   EXPECT_GE(router.value()->metrics().snapshot().at("router.default_replies"),
             1);
+}
+
+TEST_F(RouterNodeTest, UnconvergedStaleEpochCountsOneDefaultReply) {
+  // The router's map stays at epoch 1 while the server is at epoch 2, so
+  // the first attempt and its one re-route are both NACKed. The request
+  // ends in exactly one default reply.
+  cluster::ShardMap map;
+  map.epoch = 1;
+  map.members.push_back(cluster::Member{
+      .name = "qos-0", .udp_addr = server_->addr(), .cluster_addr = {}});
+  ASSERT_TRUE(shard_map_.publish(map));
+  router_->attach_shard_map(&shard_map_);
+  server_->set_cluster_epoch(2);
+
+  net::HttpClient client(router_->addr());
+  auto resp = client.get("/qos?key=alice");
+  ASSERT_TRUE(resp.ok()) << resp.error().message;
+  EXPECT_EQ(resp.value().body, "FALSE");
+  EXPECT_EQ(resp.value().header("X-Janus-Status"), "default-reply");
+  auto snap = router_->metrics().snapshot();
+  EXPECT_EQ(snap.at("router.stale_epoch_reroutes"), 1);
+  EXPECT_EQ(snap.at("router.default_replies"), 1);
+  EXPECT_EQ(snap.at("router.forwarded"), 0);
+  EXPECT_EQ(server_->stale_epoch_nacks(), 2u);
 }
 
 TEST_F(RouterNodeTest, UnresolvableBackendYields503Default) {

@@ -241,15 +241,10 @@ TEST_P(QosServerModeTest, TimingSamplerSamplesExactlyOneInEight) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, QosServerModeTest,
-    ::testing::Values(ServerModel::kSharedQueue,
-                      ServerModel::kFallbackLoopsSharedQueue,
-                      ServerModel::kPeriodicRefillSharedQueue),
+    ::testing::ValuesIn(kAllServerModels),
     [](const ::testing::TestParamInfo<ServerModel>& tpi) {
       return server_model_name(tpi.param);
     });
-
-// --- QosServerConfig validation (the PR 5 bugfix): start() must reject or
-// repair nonsense instead of hanging loops / crashing on modulo-by-zero. ---
 
 TEST_P(QosServerModeTest, WatchdogFlagsStalledWorker) {
   // A worker that sleeps through whole watchdog ticks while work is queued
@@ -382,6 +377,9 @@ TEST_F(QosServerTest, ChaosFaultFireTriggersParseableAutoDump) {
   EXPECT_NE(content.find("\"name\":\"fault_fire\""), std::string::npos);
 }
 
+// --- QosServerConfig validation: start() must reject nonsense instead of
+// crashing on modulo-by-zero. ---
+
 TEST(QosServerConfigValidation, RejectsZeroWorkers) {
   QosServerConfig cfg;
   cfg.worker_threads = 0;
@@ -396,19 +394,6 @@ TEST(QosServerConfigValidation, RejectsZeroShards) {
   auto v = QosServerNode::validate_config(cfg);
   ASSERT_FALSE(v.ok());
   EXPECT_NE(v.error().message.find("table_shards"), std::string::npos);
-}
-
-TEST(QosServerConfigValidation, ClampsBatchSizesAndFifoCapacity) {
-  // The socket's receive queue is the FIFO, so the receive batch is the
-  // only size left to clamp.
-  QosServerConfig cfg;
-  cfg.recv_batch = 0;  // would spin recv_many(0) forever
-  auto v = QosServerNode::validate_config(cfg);
-  ASSERT_TRUE(v.ok());
-  EXPECT_EQ(v.value().recv_batch, 1u);
-  cfg.recv_batch = 100000;  // recvmmsg caps at kMaxBatch
-  EXPECT_EQ(QosServerNode::validate_config(cfg).value().recv_batch,
-            net::UdpSocket::kMaxBatch);
 }
 
 TEST(QosServerConfigValidation, AcceptsAnyWorkerCountOverAnyShardCount) {
@@ -427,13 +412,12 @@ TEST(QosServerConfigValidation, AcceptsAnyWorkerCountOverAnyShardCount) {
   EXPECT_EQ(more_shards.value().admission.table_shards, 64u);
 }
 
-TEST_F(QosServerTest, AdminExposesDataPathAndSocketQueueSignals) {
-  // The admin surface reports the provider that runs and the socket-queue
-  // signals that stand in for a FIFO; no per-worker queue or threading-mode
-  // gauge is registered.
+TEST_F(QosServerTest, AdminExposesSocketQueueSignals) {
+  // The admin surface reports the socket-queue signals that stand in for a
+  // FIFO; no per-worker queue, threading-mode or provider gauge is
+  // registered, because the server has one model and one datagram path.
   QosServerConfig cfg;
   cfg.worker_threads = 2;
-  cfg.data_path = net::UdpSocket::DataPath::kFallback;
   auto server = start_server(cfg);
   call(server->addr(), "alice");
   auto admin_addr = server->start_admin({"127.0.0.1", 0});
@@ -443,9 +427,6 @@ TEST_F(QosServerTest, AdminExposesDataPathAndSocketQueueSignals) {
   auto metrics = http.get("/metrics");
   ASSERT_TRUE(metrics.ok());
   const std::string& body = metrics.value().body;
-  EXPECT_NE(body.find("janus_server_data_path{node=\"server\"} 1\n"),
-            std::string::npos)
-      << body;
   for (const char* name : {"janus_server_socket_dropped",
                            "janus_server_recv_batch",
                            "janus_server_send_batch"}) {
@@ -453,14 +434,16 @@ TEST_F(QosServerTest, AdminExposesDataPathAndSocketQueueSignals) {
   }
   for (const char* gone : {"janus_server_threading_mode",
                            "janus_server_worker_queue_depth",
-                           "janus_server_uring"}) {
+                           "janus_server_uring", "janus_server_data_path"}) {
     EXPECT_EQ(body.find(gone), std::string::npos) << gone;
   }
 
   auto statusz = http.get("/statusz");
   ASSERT_TRUE(statusz.ok());
-  EXPECT_NE(statusz.value().body.find("\"server.data_path\":1"),
+  EXPECT_NE(statusz.value().body.find("\"server.socket_dropped\":"),
             std::string::npos)
+      << statusz.value().body;
+  EXPECT_EQ(statusz.value().body.find("server.data_path"), std::string::npos)
       << statusz.value().body;
 }
 
@@ -470,18 +453,6 @@ TEST_F(QosServerTest, StartSurfacesValidationError) {
   auto server = QosServerNode::start({"127.0.0.1", 0}, *store_, cfg);
   ASSERT_FALSE(server.ok());
   EXPECT_NE(server.error().message.find("worker_threads"), std::string::npos);
-}
-
-TEST_F(QosServerTest, StartAppliesClampedConfig) {
-  QosServerConfig cfg;
-  cfg.recv_batch = 0;
-  cfg.sync_interval = Duration{0};
-  cfg.checkpoint_interval = Duration{0};
-  auto server = QosServerNode::start({"127.0.0.1", 0}, *store_, cfg);
-  ASSERT_TRUE(server.ok()) << server.error().message;
-  EXPECT_EQ(server.value()->config().recv_batch, 1u);
-  // The repaired config still serves traffic.
-  EXPECT_TRUE(call(server.value()->addr(), "alice").allowed);
 }
 
 }  // namespace

@@ -21,7 +21,6 @@ dg_symbol_sync "§9" \
   "recv_many:$src/net/socket.hpp" \
   "send_many:$src/net/socket.hpp" \
   "RecvBatch:$src/net/socket.hpp" \
-  "set_batch_syscalls_enabled:$src/net/socket.hpp" \
   "call_many:$src/router/udp_qos_client.hpp" \
   "with_entry_or_create:$src/core/qos_table.hpp"
 

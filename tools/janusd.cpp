@@ -2,7 +2,6 @@
 //
 //   janusd server --listen 127.0.0.1:9100 --rules rules.conf
 //                 [--wal janus.wal] [--workers 4] [--shards 16]
-//                 [--data-path auto|fallback|mmsg]
 //                 [--sync-ms 5000] [--checkpoint-ms 5000]
 //                 [--snapshot janus.snap --compact-ms 60000]
 //                 [--default-rate R --default-capacity C]
@@ -26,10 +25,11 @@
 // Each role accepts only its own flags plus the observability flags below;
 // any other flag exits 2 with a message naming it.
 //
-// The server runs one execution model (DESIGN.md §9.1): --workers threads
-// all receive from the listen socket, decide each batch under the table's
-// shard locks and answer it with one sendmmsg. HA (--ha-*) runs with every
-// configuration janusd accepts.
+// The server runs one execution model (DESIGN.md §9.1) over one datagram
+// path (§13): --workers threads all receive from the listen socket with
+// recvmmsg, decide each batch under the table's shard locks and answer it
+// with one sendmmsg. HA (--ha-*) runs with every configuration janusd
+// accepts.
 //
 // The gateway role is the paper's ELB tier: an L7 balancer in front of
 // router nodes. Under `--policy prequal` the probe flags tune the async
@@ -321,17 +321,6 @@ int run_server(const Flags& flags) {
   cfg.worker_threads = static_cast<std::size_t>(get_int("workers", 4));
   cfg.admission.table_shards =
       static_cast<std::size_t>(get_int("shards", 16));
-  if (auto it = flags.find("data-path"); it != flags.end()) {
-    auto path = net::UdpSocket::data_path_from_name(it->second);
-    if (!path) {
-      std::fprintf(stderr,
-                   "janusd: --data-path must be auto, fallback, or mmsg "
-                   "(got '%s')\n",
-                   it->second.c_str());
-      return 2;
-    }
-    cfg.data_path = *path;
-  }
   cfg.sync_interval = millis(get_int("sync-ms", 5000));
   cfg.checkpoint_interval = millis(get_int("checkpoint-ms", 5000));
   const double default_rate = get_double("default-rate", 0.0);
@@ -344,12 +333,9 @@ int run_server(const Flags& flags) {
     std::fprintf(stderr, "janusd: %s\n", node.error().message.c_str());
     return 1;
   }
-  std::printf("janusd: QoS server on %s (%zu rules, %zu workers, "
-              "data-path %s)\n",
+  std::printf("janusd: QoS server on %s (%zu rules, %zu workers)\n",
               node.value()->addr().to_string().c_str(), store.size(),
-              cfg.worker_threads,
-              net::UdpSocket::data_path_name(
-                  node.value()->resolved_data_path()));
+              cfg.worker_threads);
   // Flushed line-by-line: cluster test fixtures parse bound ports from a
   // pipe, where stdout is block-buffered by default.
   std::fflush(stdout);
@@ -728,11 +714,10 @@ int main(int argc, char** argv) {
   };
   const Role roles[] = {
       {"server", run_server,
-       {.values = {"listen", "rules", "wal", "workers", "shards", "data-path",
-                   "sync-ms", "checkpoint-ms", "snapshot", "compact-ms",
-                   "default-rate", "default-capacity", "cluster-listen",
-                   "bfd-listen", "migrate-window-ms", "ha-listen",
-                   "ha-master", "ha-ms"},
+       {.values = {"listen", "rules", "wal", "workers", "shards", "sync-ms",
+                   "checkpoint-ms", "snapshot", "compact-ms", "default-rate",
+                   "default-capacity", "cluster-listen", "bfd-listen",
+                   "migrate-window-ms", "ha-listen", "ha-master", "ha-ms"},
         .switches = {}}},
       {"router", run_router,
        {.values = {"listen", "backends", "timeout-us", "retries", "members",

@@ -151,9 +151,6 @@ derived = {
     # Datagram throughput, batch of 32 vs per-datagram syscalls.
     "udp_batch32_vs_single_throughput": items_ratio(
         "BM_UdpBatchRoundTrip/32", "BM_UdpBatchRoundTrip/1"),
-    # recvmmsg/sendmmsg vs the fallback loops at the same batch size.
-    "udp_batch32_mmsg_vs_fallback": items_ratio(
-        "BM_UdpBatchRoundTrip/32", "BM_UdpBatchRoundTripFallback/32"),
 }
 
 doc = {

@@ -58,8 +58,8 @@ cxx=${CXX:-c++}
 # Static-analysis doc guard: §12 must match the analyzer and fixtures.
 "$repo_root/tools/check_purity_doc.sh"
 
-# Data-path doc guard: the chaos suites run parameterized over both
-# providers, so the §13 provider contract must match the code first.
+# Data-path doc guard: the chaos suites run batched datagram I/O end to
+# end, so the §13 datagram-path contract must match the code first.
 "$repo_root/tools/check_datapath_doc.sh"
 
 # Load-balancer doc guard: the gateway e2e and chaos suites run
