@@ -56,8 +56,7 @@ int main() {
           return net::HttpResponse::text(429, "crawl budget exceeded");
         }
         return net::HttpResponse::text(200, "<html>article text</html>");
-      },
-      4);
+      });
   if (!site.ok()) return 1;
 
   auto crawl = [&](const char* agent, int pages) {

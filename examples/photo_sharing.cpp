@@ -91,8 +91,7 @@ int main() {
           return original_index(req);  // include("original_index.php");
         }
         return net::HttpResponse::text(403, "Forbidden");  // throttling
-      },
-      /*worker_threads=*/4);
+      });
   if (!app.ok()) {
     std::fprintf(stderr, "app: %s\n", app.error().message.c_str());
     return 1;

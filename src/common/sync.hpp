@@ -98,9 +98,10 @@ enum class LockRank : int {
   kDnsCache = 65,         // lb::CachingResolver::mu_ (leaf; never nests kDnsBalancer)
   kLbProbePool = 66,      // lb::GatewayBalancer probe-pool mu_ (guards the
                           // probe HTTP clients only; held while a probe RPC
-                          // runs, which acquires kQueue inside HttpClient —
-                          // hence below kQueue. Never touched by pick())
-  kQueue = 70,            // BlockingQueue::mu_ (http, pool, replication)
+                          // runs, which takes no lock. Never touched by
+                          // pick())
+  kQueue = 70,            // BlockingQueue::mu_ (replication feed; HTTP
+                          // takes no lock, DESIGN.md §9.2)
   kPeriodic = 80,         // PeriodicTask::mu_ (callback runs unlocked)
   kMetricsRegistry = 90,  // MetricsRegistry::mu_
   kFaultPoint = 94,       // testing::FaultInjector per-point mu. Leaf: fault

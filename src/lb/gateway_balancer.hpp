@@ -12,11 +12,17 @@
 // classification by RIF quantile — falling back to round-robin whenever no
 // probe is usable, so a dead probe plane degrades instead of stalling.
 //
+// Forwarding (DESIGN.md §9.2): the listener runs on net::HttpServer's
+// loops, and each loop forwards over its own pool of non-blocking
+// keep-alive connections to each router. A request never holds a thread
+// while its upstream leg is in flight. Hop-by-hop headers (Connection, the
+// headers it names, Keep-Alive) are not forwarded (RFC 7230 §6.1).
+//
 // Concurrency (DESIGN.md §8): the pick path adds no locks — the round-robin
 // cursor and health counters are atomics and the probe cache is a seqlock.
-// The probe pool's HTTP clients are guarded by `lb.probe_pool` (rank 66,
-// held across a probe round-trip, which nests HttpServer's `common.queue`);
-// pick_backend() never touches it.
+// Each upstream pool belongs to one loop and takes no lock. The probe
+// pool's blocking HTTP clients are guarded by `lb.probe_pool` (rank 66, a
+// leaf held across a probe round-trip); pick_backend() never touches it.
 #pragma once
 
 #include <atomic>
@@ -47,8 +53,8 @@ std::optional<RoutingPolicy> routing_policy_from_name(std::string_view name);
 
 struct GatewayConfig {
   RoutingPolicy policy = RoutingPolicy::kRoundRobin;
+  /// Bounds each forward: connect, request and response.
   Duration backend_timeout = millis(1000);
-  std::size_t http_workers = 4;
   /// Slow-request exemplar threshold (µs) for gateway.proxy_us; < 0
   /// disables exemplar capture. The exemplar's "key" is the backend
   /// address, the most useful attribution at this hop.
@@ -92,8 +98,9 @@ class GatewayBalancer {
   }
 
  private:
+  class Pool;  // one loop's upstream connections, gateway_balancer.cpp
+
   GatewayBalancer(std::vector<net::SockAddr> backends, GatewayConfig config);
-  net::HttpResponse handle(const net::HttpRequest& req);
 
   /// Request-path policy dispatch. Lock-free and allocation-free under
   /// every policy: atomics only for RR/LC, a seqlocked probe-cache read for
@@ -130,9 +137,8 @@ class GatewayBalancer {
   Exemplar& proxy_exemplar_;  // slowest-sample trace/backend, /statusz
   std::unique_ptr<PrequalPicker> picker_;  // kPrequal only
   /// Guards the probe pool's per-backend keep-alive HTTP clients. Held
-  /// across a probe round (I/O under lock is fine here: rank 66 sits below
-  /// the kQueue rank HttpClient machinery may take, and the request path
-  /// never touches this mutex).
+  /// across a probe round (I/O under lock is fine here: the clients take no
+  /// lock, and the request path never touches this mutex).
   mutable Mutex probe_mu_{LockRank::kLbProbePool, "lb.probe_pool"};
   std::vector<std::unique_ptr<net::HttpClient>> probe_clients_
       JANUS_GUARDED_BY(probe_mu_);

@@ -67,8 +67,7 @@ Result<std::unique_ptr<AdminServer>> AdminServer::start(
       new AdminServer(registry, std::move(options)));
   auto server = HttpServer::start(
       addr,
-      [raw = admin.get()](const HttpRequest& req) { return raw->handle(req); },
-      admin->options_.http_workers);
+      [raw = admin.get()](const HttpRequest& req) { return raw->handle(req); });
   if (!server.ok()) return Error(server.error().message);
   admin->server_ = std::move(server).take();
   return admin;

@@ -10,8 +10,9 @@
 //                    namespaces multi-node merges
 //
 // The admin surface is deliberately separate from the data-plane listener:
-// it binds its own port, runs a single worker by default, and never touches
-// the request path, so scraping cannot perturb the latency experiments.
+// it binds its own port and runs its own loops (an HttpServer of its own),
+// and never touches the request path, so scraping cannot perturb the
+// latency experiments.
 //
 // Concurrency (DESIGN.md §8): stateless beyond the wrapped HttpServer; the
 // /metrics render takes each registry/stripe lock briefly inside
@@ -30,7 +31,6 @@ namespace janus::net {
 
 struct AdminOptions {
   std::string node_name = "janus";
-  std::size_t http_workers = 1;
   /// Liveness probe; default healthy. Evaluated per /healthz and /statusz.
   std::function<bool()> healthy;
   /// Extra Prometheus exposition text appended to /metrics (already

@@ -1,5 +1,19 @@
 #include "net/http.hpp"
 
+#include <fcntl.h>
+#include <sched.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/epoll.h>
+#include <sys/socket.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <charconv>
+#include <cstring>
+#include <exception>
+#include <thread>
+
 #include "common/logging.hpp"
 #include "common/string_util.hpp"
 
@@ -40,205 +54,456 @@ HttpResponse HttpResponse::text(int status, std::string body) {
   return resp;
 }
 
-Result<std::optional<HttpParser::Head>> HttpParser::parse_head() {
-  const std::size_t end = buffer_.find("\r\n\r\n");
-  if (end == std::string::npos) {
-    if (buffer_.size() > 64 * 1024) return Error("http: header too large");
-    return std::optional<Head>{};
-  }
+namespace {
 
+constexpr std::size_t kMaxHead = 64 * 1024;
+constexpr std::size_t kMaxBody = 16 * 1024 * 1024;
+
+/// What parse_head found: the start line, where the body begins, and how
+/// long it is. head_len == 0 means the head is not complete yet.
+struct Head {
+  std::string_view start_line;
+  std::size_t head_len = 0;
+  std::size_t content_length = 0;
+};
+
+/// Parse the head at the front of `in`: lines end in '\n' and are trimmed,
+/// blank header lines are skipped. Header fields land in `headers`,
+/// reusing the storage of the ones already there.
+Result<Head> parse_head(std::string_view in, std::vector<HttpHeader>& headers) {
   Head head;
-  head.consumed = end + 4;
-  std::string_view block(buffer_.data(), end);
-  auto lines = split(block, '\n');
-  if (lines.empty()) return Error("http: empty head");
-
-  head.start_line = std::string(trim(lines[0]));
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    std::string_view line = trim(lines[i]);
+  const std::size_t end = in.find("\r\n\r\n");
+  if (end == std::string_view::npos) {
+    if (in.size() > kMaxHead) return Error("http: header too large");
+    return head;
+  }
+  const std::string_view block = in.substr(0, end);
+  std::size_t pos = block.find('\n');
+  head.start_line = trim(block.substr(0, pos));
+  std::size_t count = 0;
+  while (pos != std::string_view::npos) {
+    const std::size_t begin = pos + 1;
+    pos = block.find('\n', begin);
+    const std::string_view line = trim(block.substr(
+        begin, pos == std::string_view::npos ? std::string_view::npos
+                                             : pos - begin));
     if (line.empty()) continue;
-    std::size_t colon = line.find(':');
+    const std::size_t colon = line.find(':');
     if (colon == std::string_view::npos) return Error("http: bad header line");
-    HttpHeader h{std::string(trim(line.substr(0, colon))),
-                 std::string(trim(line.substr(colon + 1)))};
-    if (iequals(h.name, "Content-Length")) {
-      auto len = parse_u64(trim(line.substr(colon + 1)));
-      if (!len || *len > 16 * 1024 * 1024) return Error("http: bad length");
+    const std::string_view name = trim(line.substr(0, colon));
+    const std::string_view value = trim(line.substr(colon + 1));
+    if (iequals(name, "Content-Length")) {
+      auto len = parse_u64(value);
+      if (!len || *len > kMaxBody) return Error("http: bad length");
       head.content_length = static_cast<std::size_t>(*len);
     }
-    head.headers.push_back(std::move(h));
+    if (count == headers.size()) headers.emplace_back();
+    headers[count].name.assign(name);
+    headers[count].value.assign(value);
+    ++count;
   }
-  return std::optional<Head>{std::move(head)};
+  headers.resize(count);
+  head.head_len = end + 4;
+  return head;
+}
+
+/// Number of CPUs in this process's affinity mask (at least 1): how many
+/// loops a server runs.
+std::size_t affinity_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
+  return static_cast<std::size_t>(std::max(1, CPU_COUNT(&set)));
+}
+
+bool dropped(std::string_view name, std::span<const std::string_view> drop) {
+  for (std::string_view d : drop) {
+    if (iequals(name, d)) return true;
+  }
+  return false;
+}
+
+/// Header lines plus the blank line and body; Content-Length is added when
+/// the headers lack one and `need_length` says the message needs it.
+void append_rest(const std::vector<HttpHeader>& headers,
+                 const std::string& body, bool need_length,
+                 std::span<const std::string_view> drop, std::string& out) {
+  bool has_length = false;
+  for (const auto& h : headers) {
+    if (dropped(h.name, drop)) continue;
+    out += h.name;
+    out += ": ";
+    out += h.value;
+    out += "\r\n";
+    if (iequals(h.name, "Content-Length")) has_length = true;
+  }
+  if (need_length && !has_length) {
+    char digits[24];
+    auto [end, ec] = std::to_chars(digits, digits + sizeof(digits), body.size());
+    out += "Content-Length: ";
+    out.append(digits, end);
+    out += "\r\n";
+  }
+  out += "\r\n";
+  out += body;
+}
+
+}  // namespace
+
+Result<std::size_t> parse_request(std::string_view in, HttpRequest& out) {
+  auto head = parse_head(in, out.headers);
+  if (!head.ok()) return Error(head.error().message);
+  const Head& h = head.value();
+  if (h.head_len == 0 || in.size() < h.head_len + h.content_length) {
+    return std::size_t{0};  // head or body not complete yet
+  }
+
+  // Exactly three space-separated fields.
+  const std::string_view line = h.start_line;
+  const std::size_t sp1 = line.find(' ');
+  const std::size_t sp2 =
+      sp1 == std::string_view::npos ? sp1 : line.find(' ', sp1 + 1);
+  if (sp2 == std::string_view::npos ||
+      line.find(' ', sp2 + 1) != std::string_view::npos) {
+    return Error("http: bad request line");
+  }
+  if (!starts_with(line.substr(sp2 + 1), "HTTP/1.")) {
+    return Error("http: bad version");
+  }
+  out.method.assign(line.substr(0, sp1));
+  out.target.assign(line.substr(sp1 + 1, sp2 - sp1 - 1));
+  out.body.assign(in.substr(h.head_len, h.content_length));
+  return h.head_len + h.content_length;
+}
+
+Result<std::size_t> parse_response(std::string_view in, HttpResponse& out) {
+  auto head = parse_head(in, out.headers);
+  if (!head.ok()) return Error(head.error().message);
+  const Head& h = head.value();
+  if (h.head_len == 0 || in.size() < h.head_len + h.content_length) {
+    return std::size_t{0};
+  }
+
+  // "HTTP/1.x <code>[ <reason>]"
+  const std::string_view line = h.start_line;
+  const std::size_t sp1 = line.find(' ');
+  if (sp1 == std::string_view::npos || !starts_with(line, "HTTP/1.")) {
+    return Error("http: bad status line");
+  }
+  const std::size_t sp2 = line.find(' ', sp1 + 1);
+  auto code = parse_i64(line.substr(
+      sp1 + 1, sp2 == std::string_view::npos ? std::string_view::npos
+                                             : sp2 - sp1 - 1));
+  if (!code || *code < 100 || *code > 599) return Error("http: bad status");
+  out.status = static_cast<int>(*code);
+  if (sp2 == std::string_view::npos) {
+    out.reason.clear();
+  } else {
+    out.reason.assign(line.substr(sp2 + 1));
+  }
+  out.body.assign(in.substr(h.head_len, h.content_length));
+  return h.head_len + h.content_length;
 }
 
 Result<std::optional<HttpRequest>> HttpParser::next_request() {
-  auto head = parse_head();
-  if (!head.ok()) return Error(head.error().message);
-  if (!head.value()) return std::optional<HttpRequest>{};
-  Head& h = *head.value();
-  if (buffer_.size() < h.consumed + h.content_length) {
-    return std::optional<HttpRequest>{};  // body not complete yet
-  }
-
-  auto parts = split(h.start_line, ' ');
-  if (parts.size() != 3) return Error("http: bad request line");
-  if (!starts_with(parts[2], "HTTP/1.")) return Error("http: bad version");
-
   HttpRequest req;
-  req.method = std::string(parts[0]);
-  req.target = std::string(parts[1]);
-  req.headers = std::move(h.headers);
-  req.body = buffer_.substr(h.consumed, h.content_length);
-  buffer_.erase(0, h.consumed + h.content_length);
+  auto used = parse_request(buffer_, req);
+  if (!used.ok()) return Error(used.error().message);
+  if (used.value() == 0) return std::optional<HttpRequest>{};
+  buffer_.erase(0, used.value());
   return std::optional<HttpRequest>{std::move(req)};
 }
 
 Result<std::optional<HttpResponse>> HttpParser::next_response() {
-  auto head = parse_head();
-  if (!head.ok()) return Error(head.error().message);
-  if (!head.value()) return std::optional<HttpResponse>{};
-  Head& h = *head.value();
-  if (buffer_.size() < h.consumed + h.content_length) {
-    return std::optional<HttpResponse>{};
-  }
-
-  auto parts = split_n(h.start_line, ' ', 3);
-  if (parts.size() < 2 || !starts_with(parts[0], "HTTP/1.")) {
-    return Error("http: bad status line");
-  }
-  auto code = parse_i64(parts[1]);
-  if (!code || *code < 100 || *code > 599) return Error("http: bad status");
-
   HttpResponse resp;
-  resp.status = static_cast<int>(*code);
-  resp.reason = parts.size() == 3 ? std::string(parts[2]) : "";
-  resp.headers = std::move(h.headers);
-  resp.body = buffer_.substr(h.consumed, h.content_length);
-  buffer_.erase(0, h.consumed + h.content_length);
+  auto used = parse_response(buffer_, resp);
+  if (!used.ok()) return Error(used.error().message);
+  if (used.value() == 0) return std::optional<HttpResponse>{};
+  buffer_.erase(0, used.value());
   return std::optional<HttpResponse>{std::move(resp)};
 }
 
-std::string serialize(const HttpRequest& req) {
-  std::string out = req.method + " " + req.target + " HTTP/1.1\r\n";
-  bool has_length = false;
-  for (const auto& h : req.headers) {
-    out += h.name + ": " + h.value + "\r\n";
-    if (iequals(h.name, "Content-Length")) has_length = true;
-  }
-  if (!req.body.empty() && !has_length) {
-    out += "Content-Length: " + std::to_string(req.body.size()) + "\r\n";
-  }
+void serialize_to(const HttpRequest& req, std::string& out,
+                  std::span<const std::string_view> drop) {
+  out += req.method;
+  out += ' ';
+  out += req.target;
+  out += " HTTP/1.1\r\n";
+  append_rest(req.headers, req.body, !req.body.empty(), drop, out);
+}
+
+void serialize_to(const HttpResponse& resp, std::string& out) {
+  char digits[16];
+  auto [end, ec] = std::to_chars(digits, digits + sizeof(digits), resp.status);
+  out += "HTTP/1.1 ";
+  out.append(digits, end);
+  out += ' ';
+  out += resp.reason;
   out += "\r\n";
-  out += req.body;
+  append_rest(resp.headers, resp.body, true, {}, out);
+}
+
+std::string serialize(const HttpRequest& req) {
+  std::string out;
+  serialize_to(req, out);
   return out;
 }
 
 std::string serialize(const HttpResponse& resp) {
-  std::string out = "HTTP/1.1 " + std::to_string(resp.status) + " " +
-                    resp.reason + "\r\n";
-  bool has_length = false;
-  for (const auto& h : resp.headers) {
-    out += h.name + ": " + h.value + "\r\n";
-    if (iequals(h.name, "Content-Length")) has_length = true;
-  }
-  if (!has_length) {
-    out += "Content-Length: " + std::to_string(resp.body.size()) + "\r\n";
-  }
-  out += "\r\n";
-  out += resp.body;
+  std::string out;
+  serialize_to(resp, out);
   return out;
 }
 
+// ------------------------------------------------------------- HttpServer
+
+/// One loop of the server: its reactor, the connections it accepted, and
+/// its handler. Everything here runs on the loop's thread.
+class HttpServer::Loop {
+ public:
+  /// One accepted connection; slots are reused, and `gen` tells a Reply
+  /// whether its connection is still the one it was made for.
+  struct Conn final : Reactor::Watcher {
+    enum class State { kFree, kReading, kHandling, kWriting };
+
+    // Leave the loop before the socket closes (members go before bases).
+    ~Conn() override {
+      if (loop != nullptr) loop->reactor->remove(*this);
+    }
+
+    void on_ready(std::uint32_t events) override {
+      if ((events & EPOLLERR) != 0) {
+        loop->close(*this);
+        return;
+      }
+      if ((events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP)) != 0) {
+        stream.readable = true;
+      }
+      if ((events & EPOLLOUT) != 0) stream.writable = true;
+      loop->advance(*this);
+    }
+
+    Loop* loop = nullptr;
+    std::uint32_t index = 0;
+    std::uint32_t gen = 0;
+    State state = State::kFree;
+    NbStream stream;
+    bool peer_closed = false;  // read side hit EOF
+    bool close_after = false;  // Connection: close, or a 400
+    bool busy = false;         // inside advance(): replies must not re-enter
+  };
+
+  /// The shared listen socket, registered in every loop (EPOLLEXCLUSIVE:
+  /// one loop wakes per new connection).
+  struct Acceptor final : Reactor::Watcher {
+    void on_ready(std::uint32_t) override { loop->accept_ready(); }
+    Loop* loop = nullptr;
+  };
+
+  Loop(std::unique_ptr<Reactor> r, int listen_fd)
+      : reactor(std::move(r)), listen_fd_(listen_fd) {
+    acceptor.loop = this;
+  }
+  Loop(const Loop&) = delete;  // connections and replies hold its address
+  Loop& operator=(const Loop&) = delete;
+
+  void accept_ready();
+  void advance(Conn& c);
+  void complete(std::uint32_t index, std::uint32_t gen,
+                const HttpResponse& resp);
+  void close(Conn& c);
+  void close_all();
+
+  std::unique_ptr<Reactor> reactor;  // declared first: destroyed last
+  Acceptor acceptor;
+  std::vector<std::unique_ptr<Conn>> conns;
+  std::vector<std::uint32_t> free_conns;
+  HttpRequest request;  // parse scratch, reused for every request
+  AsyncHandler handler;
+  std::thread thread;
+
+ private:
+  int listen_fd_;
+};
+
+void HttpServer::Loop::accept_ready() {
+  // A bounded burst, so one loop does not take every queued connection.
+  for (int i = 0; i < 32; ++i) {
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr,
+                             SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd < 0) {
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      if (errno != EAGAIN && errno != EWOULDBLOCK) {
+        JLOG_WARN("http accept failed: %s", std::strerror(errno));
+      }
+      return;
+    }
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    std::uint32_t index;
+    if (!free_conns.empty()) {
+      index = free_conns.back();
+      free_conns.pop_back();
+    } else {
+      index = static_cast<std::uint32_t>(conns.size());
+      conns.push_back(std::make_unique<Conn>());
+      conns.back()->loop = this;
+      conns.back()->index = index;
+    }
+    Conn& c = *conns[index];
+    c.stream.reset(Fd(fd));
+    c.stream.writable = true;
+    c.state = Conn::State::kReading;
+    c.peer_closed = c.close_after = c.busy = false;
+    if (auto s = reactor->add(fd, EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET, c);
+        !s.ok()) {
+      JLOG_WARN("http: %s", s.error().message.c_str());
+      close(c);
+    }
+  }
+}
+
+void HttpServer::Loop::advance(Conn& c) {
+  using State = Conn::State;
+  c.busy = true;
+  for (;;) {
+    if (c.state == State::kWriting) {
+      if (!c.stream.writable) break;  // EPOLLOUT resumes the write
+      const NbStream::Io io = c.stream.flush();
+      if (io == NbStream::Io::kWouldBlock) break;
+      if (io != NbStream::Io::kOk || c.close_after) {
+        close(c);
+        return;
+      }
+      c.state = State::kReading;
+    }
+    if (c.state != State::kReading) break;  // the handler still holds it
+
+    auto used = parse_request(c.stream.input(), request);
+    if (!used.ok()) {
+      serialize_to(HttpResponse::text(400, "bad request"), c.stream.output());
+      c.close_after = true;
+      c.state = State::kWriting;
+      continue;
+    }
+    if (used.value() > 0) {
+      c.stream.consume(used.value());
+      auto connection = request.header("Connection");
+      c.close_after = connection && iequals(*connection, "close");
+      c.state = State::kHandling;
+      handler(request, Reply(this, c.index, c.gen));
+      continue;  // answered inline: write it; otherwise wait
+    }
+    if (c.peer_closed) {
+      close(c);
+      return;
+    }
+    if (!c.stream.readable) break;  // the next arrival raises an event
+    const NbStream::Io io = c.stream.read_once();
+    if (io == NbStream::Io::kClosed) {
+      c.peer_closed = true;
+    } else if (io == NbStream::Io::kError) {
+      close(c);
+      return;
+    } else if (io == NbStream::Io::kWouldBlock) {
+      break;
+    }
+  }
+  c.busy = false;
+}
+
+void HttpServer::Loop::complete(std::uint32_t index, std::uint32_t gen,
+                                const HttpResponse& resp) {
+  Conn& c = *conns[index];
+  if (c.gen != gen || c.state != Conn::State::kHandling) return;
+  serialize_to(resp, c.stream.output());
+  c.state = Conn::State::kWriting;
+  if (!c.busy) advance(c);
+}
+
+void HttpServer::Loop::close(Conn& c) {
+  reactor->remove(c);
+  c.stream.reset();
+  c.state = Conn::State::kFree;
+  c.busy = false;
+  ++c.gen;  // outstanding Replies for this connection now miss
+  free_conns.push_back(c.index);
+}
+
+void HttpServer::Loop::close_all() {
+  reactor->remove(acceptor);
+  for (auto& c : conns) {
+    if (c->state != Conn::State::kFree) close(*c);
+  }
+}
+
+void HttpServer::Reply::send(const HttpResponse& resp) const {
+  if (loop_ != nullptr) loop_->complete(conn_, gen_, resp);
+}
+
 Result<std::unique_ptr<HttpServer>> HttpServer::start(const SockAddr& addr,
-                                                      Handler handler,
-                                                      std::size_t worker_threads) {
+                                                      Handler handler) {
+  return start_async(addr, [handler = std::move(handler)](Reactor&) {
+    return Result<AsyncHandler>(
+        AsyncHandler([handler](const HttpRequest& req, Reply reply) {
+          reply.send(handler(req));
+        }));
+  });
+}
+
+Result<std::unique_ptr<HttpServer>> HttpServer::start_async(
+    const SockAddr& addr, AsyncHandlerFactory factory) {
   auto listener = TcpListener::listen(addr);
   if (!listener.ok()) return Error(listener.error().message);
   auto local = listener.value().local_addr();
   if (!local.ok()) return Error(local.error().message);
-  return std::unique_ptr<HttpServer>(
-      new HttpServer(std::move(listener).take(), local.value(),
-                     std::move(handler), worker_threads));
-}
+  const int listen_fd = listener.value().fd();
+  ::fcntl(listen_fd, F_SETFL, ::fcntl(listen_fd, F_GETFL, 0) | O_NONBLOCK);
 
-HttpServer::HttpServer(TcpListener listener, SockAddr addr, Handler handler,
-                       std::size_t worker_threads)
-    : listener_(std::move(listener)),
-      addr_(std::move(addr)),
-      handler_(std::move(handler)) {
-  for (std::size_t i = 0; i < worker_threads; ++i) {
-    workers_.emplace_back([this] {
-      while (auto conn = pending_.pop()) {
-        serve_connection(std::move(*conn));
+  std::unique_ptr<HttpServer> server(new HttpServer(local.value()));
+  server->listener_.emplace(std::move(listener).take());
+  // Build every loop before any thread starts, so a failure part-way
+  // leaves nothing running.
+  const std::size_t n = affinity_cpus();
+  for (std::size_t i = 0; i < n; ++i) {
+    auto reactor = Reactor::create();
+    if (!reactor.ok()) return Error(reactor.error().message);
+    auto loop = std::make_unique<Loop>(std::move(reactor).take(), listen_fd);
+    auto handler = factory(*loop->reactor);
+    if (!handler.ok()) return Error(handler.error().message);
+    loop->handler = std::move(handler).take();
+    if (auto s = loop->reactor->add(listen_fd, EPOLLIN | EPOLLEXCLUSIVE,
+                                    loop->acceptor);
+        !s.ok()) {
+      return Error(s.error().message);
+    }
+    server->loops_.push_back(std::move(loop));
+  }
+  for (auto& loop : server->loops_) {
+    loop->thread = std::thread([raw = loop.get()] {
+      try {
+        raw->reactor->run();
+      } catch (const std::exception& e) {
+        // A handler threw: this loop stops serving; the others go on.
+        JLOG_ERROR("http loop stopped: %s", e.what());
       }
     });
   }
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  return server;
 }
+
+HttpServer::HttpServer(SockAddr addr) : addr_(std::move(addr)) {}
 
 HttpServer::~HttpServer() { stop(); }
 
 void HttpServer::stop() {
-  bool expected = false;
-  if (!stopping_.compare_exchange_strong(expected, true)) return;
-  pending_.shutdown();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  for (auto& w : workers_) {
-    if (w.joinable()) w.join();
+  if (stopped_.exchange(true)) return;
+  for (auto& loop : loops_) loop->reactor->stop();
+  for (auto& loop : loops_) {
+    if (loop->thread.joinable()) loop->thread.join();
   }
-}
-
-void HttpServer::accept_loop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    auto stream = listener_.accept(millis(50));
-    if (!stream.ok()) {
-      JLOG_WARN("http accept failed: %s", stream.error().message.c_str());
-      continue;
-    }
-    if (!stream.value()) continue;  // timeout: re-check stopping_
-    pending_.try_push(Connection{std::move(*stream.value())});
-  }
-}
-
-void HttpServer::serve_connection(Connection conn) {
-  // Workers multiplex: an idle keep-alive connection is parked back onto the
-  // queue (at a message boundary) so a bounded pool can serve an unbounded
-  // number of persistent connections without starvation.
-  std::uint8_t buf[16 * 1024];
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    auto req = conn.parser.next_request();
-    if (!req.ok()) {
-      (void)conn.stream.write_all(
-          serialize(HttpResponse::text(400, "bad request")));
-      return;
-    }
-    if (req.value()) {
-      HttpRequest& r = *req.value();
-      const bool close = [&] {
-        auto header = r.header("Connection");
-        return header && iequals(*header, "close");
-      }();
-      HttpResponse resp = handler_(r);
-      if (!conn.stream.write_all(serialize(resp)).ok()) return;
-      if (close) return;
-      continue;
-    }
-    auto n = conn.stream.read_some(buf, millis(20));
-    if (!n.ok()) return;          // connection error
-    if (!n.value()) {
-      // Idle: park the connection if it is at a message boundary so other
-      // pending connections get a worker; otherwise keep waiting for the
-      // rest of the partial message.
-      if (conn.parser.buffer_empty() && pending_.size() > 0) {
-        pending_.try_push(std::move(conn));
-        return;
-      }
-      continue;  // also re-checks stopping_
-    }
-    if (*n.value() == 0) return;  // peer closed
-    conn.parser.feed(
-        std::string_view(reinterpret_cast<char*>(buf), *n.value()));
-  }
+  for (auto& loop : loops_) loop->close_all();
+  listener_.reset();
 }
 
 Result<HttpResponse> HttpClient::round_trip(const HttpRequest& req) {

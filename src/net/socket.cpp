@@ -159,6 +159,35 @@ Status UdpSocket::send_to(const SockAddr& dest,
   return Status::success();
 }
 
+Result<bool> UdpSocket::try_send_to(const SockAddr& dest,
+                                    std::span<const std::uint8_t> data) {
+  auto& faults = testing::FaultInjector::instance();
+  if (faults.should_fire(testing::FaultPoint::kNetUdpDelayUs)) {
+    std::this_thread::sleep_for(std::chrono::microseconds(
+        faults.param(testing::FaultPoint::kNetUdpDelayUs)));
+  }
+  if (faults.should_fire(testing::FaultPoint::kNetUdpDropTx)) {
+    return true;  // lost in flight: the sender cannot tell
+  }
+  auto native = dest.to_native();
+  if (!native.ok()) return Error(native.error().message);
+  auto sa = native.value();
+  for (;;) {
+    const ssize_t sent =
+        ::sendto(fd_.get(), data.data(), data.size(), 0,
+                 reinterpret_cast<sockaddr*>(&sa), sizeof(sa));
+    if (sent >= 0) {
+      if (static_cast<std::size_t>(sent) != data.size()) {
+        return Error("udp sendto: short write");
+      }
+      return true;
+    }
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return false;
+    return Error(errno_msg("udp sendto"));
+  }
+}
+
 Result<std::optional<UdpSocket::Datagram>> UdpSocket::recv(Duration timeout) {
   int ready = wait_readable(fd_.get(), timeout);
   if (ready < 0) return Error(errno_msg("udp poll"));

@@ -66,6 +66,11 @@ class UdpSocket {
 
   Status send_to(const SockAddr& dest, std::span<const std::uint8_t> data);
 
+  /// send_to for a socket in O_NONBLOCK mode, with the same fault points:
+  /// false when the socket buffer is full and nothing was sent.
+  Result<bool> try_send_to(const SockAddr& dest,
+                           std::span<const std::uint8_t> data);
+
   struct Datagram {
     std::vector<std::uint8_t> data;
     SockAddr from;

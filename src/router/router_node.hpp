@@ -46,13 +46,20 @@ class StaticResolver final : public Resolver {
 };
 
 struct RouterConfig {
+  /// The UDP leg's timeout, attempt budget and default policy. Each
+  /// attempt's window is `udp.timeout` rounded up to whole milliseconds,
+  /// the resolution of the loop's deadlines (DESIGN.md §9.2).
   UdpClientConfig udp;
-  std::size_t http_workers = 4;
   /// Slow-request exemplar threshold (µs) for router.e2e_us; < 0 disables
   /// exemplar capture.
   std::int64_t slow_exemplar_us = 10000;
 };
 
+/// The router's HTTP front end runs on net::HttpServer's loops. Each loop
+/// owns one UDP leg (DESIGN.md §9.2): a non-blocking socket and a pending
+/// table of in-flight checks keyed by request_id, whose retries and
+/// default reply run from the loop's deadlines. No HTTP request holds a
+/// thread while its datagram is in flight.
 class RouterNode {
  public:
   /// Starts the HTTP front end on `listen` (port 0 = ephemeral) forwarding
@@ -88,9 +95,9 @@ class RouterNode {
     if (admin_) admin_->stop();
   }
 
-  /// Prequal probe signal (DESIGN.md §14): HTTP requests currently inside
-  /// handle() and an EWMA (α=1/8) of recent e2e latency. Served on the
-  /// data plane as `GET /probez` and mirrored on the admin /statusz.
+  /// Prequal probe signal (DESIGN.md §14): HTTP requests received and not
+  /// yet answered, and an EWMA (α=1/8) of recent e2e latency. Served on
+  /// the data plane as `GET /probez` and mirrored on the admin /statusz.
   std::int64_t requests_in_flight() const {
     return inflight_.value();
   }
@@ -99,14 +106,13 @@ class RouterNode {
   }
 
  private:
+  class Leg;  // one loop's UDP leg, router_node.cpp
+
   RouterNode(std::vector<std::string> backends,
              std::shared_ptr<Resolver> resolver, RouterConfig config);
-  net::HttpResponse handle(const net::HttpRequest& req);
   net::HttpResponse probez_response() const;
-  /// `key_out` receives the parsed QoS key (empty on malformed requests) so
-  /// handle() can attribute the e2e exemplar without re-parsing the target.
-  net::HttpResponse dispatch(const net::HttpRequest& req,
-                             const std::string& trace, std::string* key_out);
+  /// The §III-B default reply (counted in router.default_replies).
+  net::HttpResponse default_reply(int status) const;
 
   std::vector<std::string> backends_;
   std::shared_ptr<Resolver> resolver_;

@@ -49,7 +49,6 @@ class ChaosStackTest : public ::testing::Test {
     router::RouterConfig rcfg;
     rcfg.udp.timeout = millis(10);
     rcfg.udp.max_retries = 5;
-    rcfg.http_workers = 2;
     auto router = router::RouterNode::start({"127.0.0.1", 0}, {"qos-0.janus"},
                                             resolver, rcfg);
     ASSERT_TRUE(router.ok()) << router.error().message;
@@ -67,7 +66,6 @@ class ChaosStackTest : public ::testing::Test {
     }
 
     lb::GatewayConfig gcfg;
-    gcfg.http_workers = 2;
     gcfg.policy = gateway_policy_;
     gcfg.prequal.probe_interval = millis(5);
     auto gateway =

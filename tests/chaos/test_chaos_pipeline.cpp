@@ -132,6 +132,32 @@ TEST_F(ChaosStackTest, MetricsStayConsistentUnderLoss) {
   EXPECT_EQ(gateway_->metrics().counter("gateway.backend_errors").value(), 0);
 }
 
+TEST_F(ChaosStackTest, OneByteReadsOnEveryHttpHopKeepTheVerdict) {
+  // net.tcp.short_read at param 1 clamps every TCP read to one byte: the
+  // caller's HttpClient, and the gateway's and the router's loops (the
+  // request on each hop and the router's response at the gateway). Every
+  // parser must reassemble a message that arrives byte by byte.
+  provision("erin", 2);
+  FaultInjector::ArmSpec spec;
+  spec.param = 1;
+  ScopedFault one_byte(FaultPoint::kNetTcpShortRead, spec);
+
+  net::HttpClient client(gateway_->addr(), millis(5000));
+  std::size_t response_bytes = 0;
+  for (const char* want : {"TRUE", "TRUE", "FALSE"}) {
+    auto resp = client.get("/qos?key=erin");
+    ASSERT_TRUE(resp.ok()) << resp.error().message;
+    EXPECT_EQ(resp.value().body, want);
+    response_bytes += net::serialize(resp.value()).size();
+  }
+  // The caller alone reads response_bytes one byte at a time; the loops'
+  // reads of the same responses at the gateway (and of every request) come
+  // on top, so the point fired in the loops too.
+  EXPECT_GT(FaultInjector::instance().fires(FaultPoint::kNetTcpShortRead),
+            2 * response_bytes);
+  EXPECT_EQ(gateway_->metrics().counter("gateway.backend_errors").value(), 0);
+}
+
 TEST_F(ChaosStackTest, TracingSurvivesLoss) {
   provision("eve", 1000);
   FaultInjector::instance().seed(0x72ACE);

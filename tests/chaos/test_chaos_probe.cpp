@@ -36,8 +36,7 @@ class ProbeBackend {
           }
           hits_.fetch_add(1);
           return net::HttpResponse::text(200, id_);
-        },
-        2);
+        });
     EXPECT_TRUE(server.ok());
     server_ = std::move(server).take();
   }
@@ -65,7 +64,6 @@ class GatewayProbeChaosTest : public ::testing::Test {
     b1_ = std::make_unique<ProbeBackend>("b1");
     lb::GatewayConfig cfg;
     cfg.policy = lb::RoutingPolicy::kPrequal;
-    cfg.http_workers = 2;
     // A long interval: tests drive rounds synchronously via probe_now().
     cfg.prequal.probe_interval = seconds(3600);
     cfg.prequal.max_probe_age = millis(250);

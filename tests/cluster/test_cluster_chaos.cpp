@@ -69,7 +69,6 @@ class ClusterChaosTest : public ClusterFixture {
     rcfg.udp.timeout = millis(250);
     rcfg.udp.max_retries = 5;
     rcfg.udp.default_allow = false;  // fail closed: a lost backend denies
-    rcfg.http_workers = 4;
     auto router = router::RouterNode::start({"127.0.0.1", 0}, {"cluster"},
                                             resolver, rcfg);
     ASSERT_TRUE(router.ok()) << router.error().message;

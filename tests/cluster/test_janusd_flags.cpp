@@ -164,6 +164,21 @@ TEST(JanusdRoleFlagsTest, RemovedProviderFlagIsUnknown) {
       << out.output;
 }
 
+TEST(JanusdRoleFlagsTest, GatewayWorkerCountIsUnknown) {
+  // The gateway serves HTTP on one loop per CPU in its affinity mask, so
+  // it has no worker count to set: --workers stops it before it binds.
+  std::vector<std::string> args = startable("gateway");
+  args.push_back("--workers");
+  args.push_back("4");
+  const Outcome out = run_janusd(args, seconds(5));
+  ASSERT_TRUE(out.exited) << "gateway started with --workers 4:\n"
+                          << out.output;
+  EXPECT_EQ(out.code, 2) << out.output;
+  EXPECT_NE(out.output.find("'--workers'"), std::string::npos) << out.output;
+  EXPECT_EQ(out.output.find(" on 127.0.0.1:"), std::string::npos)
+      << out.output;
+}
+
 TEST(JanusdRoleFlagsTest, ValueFlagWithoutValueExitsTwo) {
   std::vector<std::string> args = startable("server");
   args.push_back("--workers");

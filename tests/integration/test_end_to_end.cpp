@@ -44,7 +44,6 @@ class EndToEndTest : public ::testing::TestWithParam<lb::RoutingPolicy> {
     }
     router::RouterConfig rcfg;
     rcfg.udp.timeout = millis(50);
-    rcfg.http_workers = 2;
     for (int i = 0; i < 2; ++i) {
       auto router = router::RouterNode::start({"127.0.0.1", 0}, backends,
                                               resolver, rcfg);
@@ -54,7 +53,6 @@ class EndToEndTest : public ::testing::TestWithParam<lb::RoutingPolicy> {
 
     // Gateway balancer in front (the paper's ELB).
     lb::GatewayConfig gcfg;
-    gcfg.http_workers = 2;
     gcfg.policy = GetParam();
     gcfg.prequal.probe_interval = millis(5);
     auto gateway = lb::GatewayBalancer::start(

@@ -51,7 +51,6 @@ class ObservabilityTest : public ::testing::Test {
     }
     router::RouterConfig rcfg;
     rcfg.udp.timeout = millis(50);
-    rcfg.http_workers = 2;
     auto router = router::RouterNode::start({"127.0.0.1", 0}, backends,
                                             resolver, rcfg);
     ASSERT_TRUE(router.ok()) << router.error().message;
@@ -61,7 +60,6 @@ class ObservabilityTest : public ::testing::Test {
     router_ = std::move(router).take();
 
     lb::GatewayConfig gcfg;
-    gcfg.http_workers = 2;
     auto gateway =
         lb::GatewayBalancer::start({"127.0.0.1", 0}, {router_->addr()}, gcfg);
     ASSERT_TRUE(gateway.ok()) << gateway.error().message;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <thread>
 
 #include "net/http.hpp"
@@ -19,8 +20,7 @@ std::unique_ptr<net::HttpServer> backend(const std::string& id,
           std::this_thread::sleep_for(delay);
         }
         return net::HttpResponse::text(200, id);
-      },
-      2);
+      });
   EXPECT_TRUE(server.ok());
   return std::move(server).take();
 }
@@ -62,7 +62,6 @@ TEST(GatewayBalancerTest, LeastConnectionsAvoidsBusyBackend) {
   auto slow = backend("slow", millis(150));
   GatewayConfig cfg;
   cfg.policy = RoutingPolicy::kLeastConnections;
-  cfg.http_workers = 4;
   auto lb = GatewayBalancer::start({"127.0.0.1", 0},
                                    {slow->addr(), fast->addr()}, cfg);
   ASSERT_TRUE(lb.ok());
@@ -117,7 +116,6 @@ TEST(GatewayBalancerTest, ConcurrentTrafficThroughOneBalancer) {
   auto b0 = backend("b0");
   auto b1 = backend("b1");
   GatewayConfig cfg;
-  cfg.http_workers = 4;
   auto lb = GatewayBalancer::start({"127.0.0.1", 0},
                                    {b0->addr(), b1->addr()}, cfg);
   ASSERT_TRUE(lb.ok());
@@ -134,6 +132,54 @@ TEST(GatewayBalancerTest, ConcurrentTrafficThroughOneBalancer) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(ok.load(), 80);
+}
+
+TEST(GatewayBalancerTest, HopByHopHeadersAreNotForwarded) {
+  // The backend answers with the names of the headers it received.
+  auto recorder = net::HttpServer::start(
+      {"127.0.0.1", 0}, [](const net::HttpRequest& req) {
+        std::string names;
+        for (const auto& h : req.headers) names += h.name + ";";
+        return net::HttpResponse::text(200, names);
+      });
+  ASSERT_TRUE(recorder.ok());
+  auto lb = GatewayBalancer::start({"127.0.0.1", 0},
+                                   {recorder.value()->addr()});
+  ASSERT_TRUE(lb.ok());
+
+  // RFC 7230 §6.1: Connection, the headers it names and Keep-Alive belong
+  // to the caller's hop. Forwarded, the caller's "close" would close the
+  // gateway's pooled connection to the backend instead.
+  auto conn = net::TcpStream::connect(lb.value()->addr(), seconds(2));
+  ASSERT_TRUE(conn.ok());
+  ASSERT_TRUE(conn.value()
+                  .write_all("GET /x HTTP/1.1\r\nHost: gw\r\n"
+                             "Connection: close, X-Hop\r\nX-Hop: 1\r\n"
+                             "Keep-Alive: timeout=5\r\nX-End: 2\r\n\r\n")
+                  .ok());
+  net::HttpParser parser(net::HttpParser::Kind::kResponse);
+  std::optional<net::HttpResponse> resp;
+  std::uint8_t buf[1024];
+  for (int i = 0; i < 50 && !resp; ++i) {
+    auto n = conn.value().read_some(buf, millis(200));
+    ASSERT_TRUE(n.ok());
+    if (!n.value()) continue;
+    ASSERT_GT(*n.value(), 0u) << "closed before answering";
+    parser.feed(std::string_view(reinterpret_cast<char*>(buf), *n.value()));
+    auto next = parser.next_response();
+    ASSERT_TRUE(next.ok());
+    resp = std::move(next.value());
+  }
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(resp->body, "Host;X-End;");
+
+  // The pooled connection survived the caller's close: a second caller is
+  // served without a backend error.
+  net::HttpClient client(lb.value()->addr());
+  auto again = client.get("/y");
+  ASSERT_TRUE(again.ok()) << again.error().message;
+  EXPECT_EQ(again.value().status, 200);
+  EXPECT_EQ(lb.value()->metrics().snapshot().at("gateway.backend_errors"), 0);
 }
 
 TEST(GatewayBalancerTest, LeastConnectionsRotatesTiesAcrossIdleBackends) {
@@ -170,8 +216,7 @@ std::unique_ptr<net::HttpServer> probe_backend(const std::string& id,
                        ",\"lat_us\":" + std::to_string(lat_us) + "}");
         }
         return net::HttpResponse::text(200, id);
-      },
-      2);
+      });
   EXPECT_TRUE(server.ok());
   return std::move(server).take();
 }

@@ -131,8 +131,7 @@ class HttpServerTest : public ::testing::Test {
         [this](const HttpRequest& req) {
           requests_seen_.fetch_add(1);
           return HttpResponse::text(200, "echo:" + req.target);
-        },
-        /*worker_threads=*/2);
+        });
     ASSERT_TRUE(server.ok()) << server.error().message;
     server_ = std::move(server).take();
   }
@@ -195,6 +194,62 @@ TEST_F(HttpServerTest, MalformedRequestGets400) {
   EXPECT_NE(got.find("400"), std::string::npos);
 }
 
+/// Read from `conn` until `want` complete responses are parsed or the
+/// peer closes; returns them in arrival order.
+std::vector<HttpResponse> read_responses(TcpStream& conn, std::size_t want,
+                                         bool* peer_closed = nullptr) {
+  HttpParser parser(HttpParser::Kind::kResponse);
+  std::vector<HttpResponse> out;
+  std::uint8_t buf[1024];
+  for (int i = 0; i < 100 && out.size() < want; ++i) {
+    auto n = conn.read_some(buf, millis(200));
+    if (!n.ok() || (n.value() && *n.value() == 0)) {
+      if (peer_closed != nullptr) *peer_closed = true;
+      break;
+    }
+    if (!n.value()) continue;
+    parser.feed(std::string_view(reinterpret_cast<char*>(buf), *n.value()));
+    for (;;) {
+      auto resp = parser.next_response();
+      if (!resp.ok() || !resp.value()) break;
+      out.push_back(std::move(*resp.value()));
+    }
+  }
+  return out;
+}
+
+TEST_F(HttpServerTest, PipelinedRequestsAnsweredInOrder) {
+  start_echo_server();
+  auto conn = TcpStream::connect(server_->addr(), seconds(2));
+  ASSERT_TRUE(conn.ok());
+  // Both requests in one send: the server parses the second only after
+  // the first response is written, so the answers cannot swap.
+  ASSERT_TRUE(conn.value()
+                  .write_all("GET /first HTTP/1.1\r\nHost: x\r\n\r\n"
+                             "GET /second HTTP/1.1\r\nHost: x\r\n\r\n")
+                  .ok());
+  auto responses = read_responses(conn.value(), 2);
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0].body, "echo:/first");
+  EXPECT_EQ(responses[1].body, "echo:/second");
+}
+
+TEST_F(HttpServerTest, ConnectionCloseIsHonoured) {
+  start_echo_server();
+  auto conn = TcpStream::connect(server_->addr(), seconds(2));
+  ASSERT_TRUE(conn.ok());
+  ASSERT_TRUE(conn.value()
+                  .write_all("GET /bye HTTP/1.1\r\nConnection: close\r\n\r\n")
+                  .ok());
+  bool closed = false;
+  auto responses = read_responses(conn.value(), 1);
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].body, "echo:/bye");
+  // Answered, then closed: the next read sees EOF.
+  EXPECT_TRUE(read_responses(conn.value(), 1, &closed).empty());
+  EXPECT_TRUE(closed);
+}
+
 TEST_F(HttpServerTest, StopUnblocksQuickly) {
   start_echo_server();
   const auto start = std::chrono::steady_clock::now();
@@ -211,8 +266,7 @@ TEST_F(HttpServerTest, ClientReconnectsAfterServerRestart) {
   server_.reset();  // destroy: releases the listening socket
   // Restart on the same port.
   auto restarted = HttpServer::start(
-      addr, [](const HttpRequest&) { return HttpResponse::text(200, "new"); },
-      2);
+      addr, [](const HttpRequest&) { return HttpResponse::text(200, "new"); });
   ASSERT_TRUE(restarted.ok()) << restarted.error().message;
   auto resp = client.get("/b");  // stale keep-alive triggers retry
   ASSERT_TRUE(resp.ok()) << resp.error().message;

@@ -1,10 +1,17 @@
-// Regression tests for the HttpServer's connection multiplexing: a bounded
-// worker pool must serve more simultaneous keep-alive connections than it
-// has workers (idle connections are parked at message boundaries). Without
-// this, the gateway balancer's persistent backend connections starve.
+// Regression tests for the HttpServer's connection multiplexing: its loops
+// (one per CPU in the affinity mask) must serve far more simultaneous
+// keep-alive connections than there are loops, and an idle connection must
+// cost a waiting request nothing. Without this, the gateway balancer's
+// persistent backend connections starve.
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "net/http.hpp"
@@ -12,13 +19,30 @@
 namespace janus::net {
 namespace {
 
+/// Make room for `want` fds: raise the soft limit (up to the hard limit;
+/// false if that is lower), then grow the process's fd table to that size
+/// once. Growing it in a multi-threaded process waits out an RCU grace
+/// period (tens of ms here), which would otherwise land on whichever
+/// request first needs a bigger table.
+bool reserve_fds(rlim_t want) {
+  rlimit lim{};
+  if (::getrlimit(RLIMIT_NOFILE, &lim) != 0) return false;
+  if (lim.rlim_cur < want) {
+    if (lim.rlim_max != RLIM_INFINITY && lim.rlim_max < want) return false;
+    lim.rlim_cur = want;
+    if (::setrlimit(RLIMIT_NOFILE, &lim) != 0) return false;
+  }
+  const int high = ::fcntl(STDERR_FILENO, F_DUPFD, static_cast<int>(want) - 1);
+  if (high >= 0) ::close(high);
+  return true;
+}
+
 TEST(HttpMultiplexTest, MoreKeepAliveConnectionsThanWorkers) {
   auto server = HttpServer::start(
       {"127.0.0.1", 0},
       [](const HttpRequest& req) {
         return HttpResponse::text(200, "echo:" + req.target);
-      },
-      /*worker_threads=*/2);
+      });
   ASSERT_TRUE(server.ok());
 
   // 6 persistent connections against 2 workers, interleaved requests.
@@ -43,8 +67,7 @@ TEST(HttpMultiplexTest, MoreKeepAliveConnectionsThanWorkers) {
 TEST(HttpMultiplexTest, ConcurrentPersistentClientsAllProgress) {
   auto server = HttpServer::start(
       {"127.0.0.1", 0},
-      [](const HttpRequest&) { return HttpResponse::text(200, "ok"); },
-      /*worker_threads=*/2);
+      [](const HttpRequest&) { return HttpResponse::text(200, "ok"); });
   ASSERT_TRUE(server.ok());
 
   constexpr int kClients = 8;
@@ -65,18 +88,19 @@ TEST(HttpMultiplexTest, ConcurrentPersistentClientsAllProgress) {
 }
 
 TEST(HttpMultiplexTest, ParkingNeverSplitsAPartialRequest) {
-  // Dribble a request in two halves with a pause longer than the park
-  // timeout while other connections keep the queue busy: the parser state
-  // must survive (connections only park at message boundaries).
+  // Dribble a request in two halves with a pause in between while another
+  // connection keeps the server busy: the connection's parser state must
+  // survive the gap, and the request is answered once its second half
+  // arrives. (The name predates the loops: connections used to be parked
+  // between reads, and must never have been parked mid-request.)
   auto server = HttpServer::start(
       {"127.0.0.1", 0},
       [](const HttpRequest& req) {
         return HttpResponse::text(200, std::string(req.target));
-      },
-      /*worker_threads=*/1);
+      });
   ASSERT_TRUE(server.ok());
 
-  // Background traffic so pending_ is non-empty (the park condition).
+  // Background traffic on another connection.
   std::atomic<bool> stop{false};
   std::thread noise([&] {
     HttpClient client(server.value()->addr(), seconds(5));
@@ -89,7 +113,7 @@ TEST(HttpMultiplexTest, ParkingNeverSplitsAPartialRequest) {
   ASSERT_TRUE(conn.ok());
   const std::string full = "GET /split HTTP/1.1\r\nHost: x\r\n\r\n";
   ASSERT_TRUE(conn.value().write_all(full.substr(0, 12)).ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));  // > park tick
+  std::this_thread::sleep_for(std::chrono::milliseconds(80));
   ASSERT_TRUE(conn.value().write_all(full.substr(12)).ok());
 
   std::string got;
@@ -105,6 +129,52 @@ TEST(HttpMultiplexTest, ParkingNeverSplitsAPartialRequest) {
   noise.join();
   EXPECT_NE(got.find("200"), std::string::npos);
   EXPECT_NE(got.find("/split"), std::string::npos);
+}
+
+TEST(HttpMultiplexTest, ThousandKeepAliveConnectionsEachUnderTenMs) {
+  // 1,000 idle keep-alive connections must cost a request on any one of
+  // them nothing: each request is answered at once, whichever connection
+  // it arrives on. (A blocking worker pool holds an idle connection for a
+  // read timeout before it moves on, so round-robin over more connections
+  // than workers waits that timeout on almost every request.)
+  constexpr int kConnections = 1000;
+  constexpr int kRounds = 3;
+  // Both ends live in this process: two fds per connection, plus slack.
+  if (!reserve_fds(2 * kConnections + 256)) {
+    GTEST_SKIP() << "RLIMIT_NOFILE hard limit below " << 2 * kConnections + 256;
+  }
+  auto server = HttpServer::start(
+      {"127.0.0.1", 0},
+      [](const HttpRequest& req) {
+        return HttpResponse::text(200, "echo:" + req.target);
+      });
+  ASSERT_TRUE(server.ok()) << server.error().message;
+
+  std::vector<std::unique_ptr<HttpClient>> clients;
+  for (int c = 0; c < kConnections; ++c) {
+    clients.push_back(
+        std::make_unique<HttpClient>(server.value()->addr(), seconds(5)));
+  }
+  auto slowest = std::chrono::steady_clock::duration::zero();
+  for (int round = 0; round < kRounds; ++round) {
+    for (int c = 0; c < kConnections; ++c) {
+      const std::string target = "/c" + std::to_string(c);
+      const auto start = std::chrono::steady_clock::now();
+      auto resp = clients[c]->get(target);
+      const auto took = std::chrono::steady_clock::now() - start;
+      ASSERT_TRUE(resp.ok()) << "connection " << c << " round " << round
+                             << ": " << resp.error().message;
+      ASSERT_EQ(resp.value().body, "echo:" + target);
+      EXPECT_LT(took, std::chrono::milliseconds(10))
+          << "connection " << c << " round " << round;
+      slowest = std::max(slowest, took);
+    }
+  }
+  RecordProperty(
+      "slowest_us",
+      static_cast<int>(
+          std::chrono::duration_cast<std::chrono::microseconds>(slowest)
+              .count()));
 }
 
 }  // namespace

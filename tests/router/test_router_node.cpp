@@ -1,6 +1,12 @@
 #include "router/router_node.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
+
+#include <chrono>
+#include <thread>
 
 #include "db/rule_store.hpp"
 #include "net/http.hpp"
@@ -32,7 +38,6 @@ class RouterNodeTest : public ::testing::Test {
 
     RouterConfig router_cfg;
     router_cfg.udp.timeout = millis(50);  // generous for loopback CI
-    router_cfg.http_workers = 2;
     auto router = RouterNode::start({"127.0.0.1", 0}, {"qos-0.janus"},
                                     resolver, router_cfg);
     ASSERT_TRUE(router.ok()) << router.error().message;
@@ -220,6 +225,91 @@ TEST_F(RouterNodeTest, TwoServersPartitionKeys) {
   EXPECT_GT(s1, 0);
   EXPECT_GT(s2, 0);
   EXPECT_GE(s1 + s2, 40);  // >= because a slow response can cause a retry
+}
+
+TEST_F(RouterNodeTest, ManyKeepAliveConnectionsEachUnderTenMs) {
+  // The router's side of HttpMultiplexTest's 1,000-connection case: with
+  // 256 keep-alive connections open, each request on any of them crosses
+  // the UDP leg and is answered at once; an idle connection holds nothing.
+  constexpr int kConnections = 256;
+  constexpr int kRounds = 3;
+  // Grow the fd table (client and server ends, 2 per connection) before
+  // timing anything: growing it in a multi-threaded process waits out an
+  // RCU grace period, tens of ms, on whichever connect needs it first.
+  const int high = ::fcntl(STDERR_FILENO, F_DUPFD, 4 * kConnections);
+  if (high >= 0) ::close(high);
+  for (int c = 0; c < kConnections; ++c) {
+    ASSERT_TRUE(store_->put({.key = "conn" + std::to_string(c),
+                             .refill_per_sec = 0,
+                             .capacity = kRounds,
+                             .credit = kRounds}).ok());
+  }
+  std::vector<std::unique_ptr<net::HttpClient>> clients;
+  for (int c = 0; c < kConnections; ++c) {
+    clients.push_back(
+        std::make_unique<net::HttpClient>(router_->addr(), seconds(5)));
+  }
+  for (int round = 0; round < kRounds; ++round) {
+    for (int c = 0; c < kConnections; ++c) {
+      const auto start = std::chrono::steady_clock::now();
+      auto resp = clients[c]->get("/qos?key=conn" + std::to_string(c));
+      const auto took = std::chrono::steady_clock::now() - start;
+      ASSERT_TRUE(resp.ok()) << "connection " << c << " round " << round
+                             << ": " << resp.error().message;
+      EXPECT_EQ(resp.value().body, "TRUE")
+          << "connection " << c << " round " << round;
+      EXPECT_LT(took, std::chrono::milliseconds(10))
+          << "connection " << c << " round " << round;
+    }
+  }
+  EXPECT_EQ(router_->metrics().snapshot().at("router.forwarded"),
+            kConnections * kRounds);
+}
+
+TEST_F(RouterNodeTest, ConcurrentRequestsGetTheirOwnVerdicts) {
+  // Request-id isolation: 32 connections share the loops' UDP legs, each
+  // asking for its own key. Key i holds i+1 credits (the refill is too slow
+  // to matter), so a verdict delivered to the wrong pending request shows up
+  // as a wrong TRUE count. The window is wide so no slow reply is retried
+  // (a retry charges twice until the server dedupes).
+  constexpr int kKeys = 32;
+  constexpr int kRequestsPerKey = 40;
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(store_->put({.key = "iso" + std::to_string(i),
+                             .refill_per_sec = 0.001,
+                             .capacity = static_cast<double>(i + 1),
+                             .credit = static_cast<double>(i + 1)}).ok());
+  }
+  auto resolver = std::make_shared<StaticResolver>();
+  resolver->add("qos-0.janus", server_->addr());
+  RouterConfig cfg;
+  cfg.udp.timeout = seconds(2);
+  auto router = RouterNode::start({"127.0.0.1", 0}, {"qos-0.janus"},
+                                  resolver, cfg);
+  ASSERT_TRUE(router.ok()) << router.error().message;
+
+  std::vector<int> admitted(kKeys, 0);
+  std::vector<int> answered(kKeys, 0);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kKeys; ++i) {
+    threads.emplace_back([&, i] {
+      net::HttpClient client(router.value()->addr(), seconds(10));
+      for (int r = 0; r < kRequestsPerKey; ++r) {
+        auto resp = client.get("/qos?key=iso" + std::to_string(i));
+        if (!resp.ok() || resp.value().header("X-Janus-Status") != "ok") {
+          continue;
+        }
+        ++answered[i];
+        if (resp.value().body == "TRUE") ++admitted[i];
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (int i = 0; i < kKeys; ++i) {
+    EXPECT_EQ(answered[i], kRequestsPerKey) << "key iso" << i;
+    EXPECT_EQ(admitted[i], i + 1) << "key iso" << i;
+  }
+  EXPECT_EQ(router.value()->metrics().snapshot().at("router.udp_retries"), 0);
 }
 
 }  // namespace

@@ -18,7 +18,7 @@
 //   janusd gateway --listen 127.0.0.1:8000
 //                 --backends 127.0.0.1:8080,127.0.0.1:8081
 //                 [--policy round-robin|least-connections|prequal]
-//                 [--timeout-ms 1000] [--workers 4]
+//                 [--timeout-ms 1000]
 //                 [--probe-ms 5] [--probe-age-ms 250] [--probe-reuse 16]
 //                 [--probe-d 3] [--probe-timeout-ms 50]
 //
@@ -30,6 +30,10 @@
 // recvmmsg, decide each batch under the table's shard locks and answer it
 // with one sendmmsg. HA (--ha-*) runs with every configuration janusd
 // accepts.
+//
+// The router and gateway roles serve HTTP on one event loop per CPU in the
+// process's affinity mask (DESIGN.md §9.2): pin the process with taskset to
+// choose how many. There is no HTTP worker-count flag.
 //
 // The gateway role is the paper's ELB tier: an L7 balancer in front of
 // router nodes. Under `--policy prequal` the probe flags tune the async
@@ -656,7 +660,6 @@ int run_gateway(const Flags& flags) {
     cfg.policy = *policy;
   }
   cfg.backend_timeout = millis(get_int("timeout-ms", 1000));
-  cfg.http_workers = static_cast<std::size_t>(get_int("workers", 4));
   cfg.prequal.probe_interval = millis(get_int("probe-ms", 5));
   cfg.prequal.max_probe_age = millis(get_int("probe-age-ms", 250));
   cfg.prequal.probe_reuse_budget =
@@ -724,8 +727,8 @@ int main(int argc, char** argv) {
                    "standbys", "bfd-ms", "bfd-mult"},
         .switches = {"default-allow", "cluster"}}},
       {"gateway", run_gateway,
-       {.values = {"listen", "backends", "policy", "timeout-ms", "workers",
-                   "probe-ms", "probe-age-ms", "probe-reuse", "probe-d",
+       {.values = {"listen", "backends", "policy", "timeout-ms", "probe-ms",
+                   "probe-age-ms", "probe-reuse", "probe-d",
                    "probe-timeout-ms"},
         .switches = {}}},
   };

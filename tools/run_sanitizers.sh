@@ -1,6 +1,8 @@
 #!/bin/sh
-# Build and run the chaos / fault-injection / property suites under the
-# JANUS_SANITIZE presets (see the top-level CMakeLists.txt).
+# Build and run the chaos / fault-injection / property suites, and the HTTP
+# tier's suites (its event loops, the router's UDP leg, the gateway's
+# upstream pool, the end-to-end stack), under the JANUS_SANITIZE presets
+# (see the top-level CMakeLists.txt).
 #
 # Usage:
 #   tools/run_sanitizers.sh                  # address, thread, undefined
@@ -94,7 +96,13 @@ run_suites() {
   if [ "$fast" = fast ]; then return 0; fi
   "$bindir/tests/janus_test_common" --gtest_brief=1 --gtest_filter='FaultInjectorTest.*'
   "$bindir/tests/janus_test_db" --gtest_brief=1 --gtest_filter='WalFaultTest.*'
-  "$bindir/tests/janus_test_router" --gtest_brief=1 --gtest_filter='UdpClientFaultTest.*'
+  "$bindir/tests/janus_test_router" --gtest_brief=1 \
+    --gtest_filter='UdpClientFaultTest.*:RouterNodeTest.*'
+  "$bindir/tests/janus_test_net" --gtest_brief=1 \
+    --gtest_filter='Http*:AdminServer*'
+  "$bindir/tests/janus_test_lb" --gtest_brief=1 \
+    --gtest_filter='GatewayBalancerTest.*'
+  "$bindir/tests/janus_test_integration" --gtest_brief=1
   # Cluster control plane + process-level chaos rounds, via the dedicated
   # runner (per-process logs + orphaned-janusd detection). Only under ASan:
   # forked children each pay full sanitizer startup, and the BFD/agent races
@@ -123,7 +131,8 @@ for preset in $presets; do
   else
     cmake --build "$build_dir" -j "$jobs" \
       --target janus_test_chaos janus_test_wire janus_test_common \
-               janus_test_db janus_test_router >/dev/null
+               janus_test_db janus_test_router janus_test_net \
+               janus_test_lb janus_test_integration >/dev/null
   fi
 
   echo "== [$preset] run chaos / fault / property suites =="
