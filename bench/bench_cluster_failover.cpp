@@ -51,7 +51,6 @@ struct Node {
 
   static Node start(db::RuleStore& store) {
     server::QosServerConfig cfg;
-    cfg.worker_threads = 2;
     cfg.sync_interval = Duration{0};
     cfg.checkpoint_interval = Duration{0};
     auto node = server::QosServerNode::start({"127.0.0.1", 0}, store, cfg);

@@ -31,9 +31,7 @@ int main() {
                    .capacity = 40.0, .credit = 40.0});
   // No row for "ua/EvilScraper/0.1": the server-side default denies it.
 
-  server::QosServerConfig scfg;
-  scfg.worker_threads = 2;
-  auto qos_server = server::QosServerNode::start({"127.0.0.1", 0}, rules, scfg);
+  auto qos_server = server::QosServerNode::start({"127.0.0.1", 0}, rules);
   if (!qos_server.ok()) return 1;
   auto resolver = std::make_shared<router::StaticResolver>();
   resolver->add("qos-0", qos_server.value()->addr());

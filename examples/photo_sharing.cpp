@@ -37,9 +37,7 @@ int main() {
   auto resolver = std::make_shared<router::StaticResolver>();
   std::vector<std::string> backend_names;
   for (int i = 0; i < 2; ++i) {
-    server::QosServerConfig cfg;
-    cfg.worker_threads = 2;
-    auto node = server::QosServerNode::start({"127.0.0.1", 0}, rules, cfg);
+    auto node = server::QosServerNode::start({"127.0.0.1", 0}, rules);
     if (!node.ok()) {
       std::fprintf(stderr, "qos server: %s\n", node.error().message.c_str());
       return 1;

@@ -1,13 +1,11 @@
 #include "net/http.hpp"
 
 #include <fcntl.h>
-#include <sched.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <cstring>
@@ -16,6 +14,7 @@
 
 #include "common/logging.hpp"
 #include "common/string_util.hpp"
+#include "net/affinity.hpp"
 
 namespace janus::net {
 
@@ -105,15 +104,6 @@ Result<Head> parse_head(std::string_view in, std::vector<HttpHeader>& headers) {
   headers.resize(count);
   head.head_len = end + 4;
   return head;
-}
-
-/// Number of CPUs in this process's affinity mask (at least 1): how many
-/// loops a server runs.
-std::size_t affinity_cpus() {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (::sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
-  return static_cast<std::size_t>(std::max(1, CPU_COUNT(&set)));
 }
 
 bool dropped(std::string_view name, std::span<const std::string_view> drop) {

@@ -8,15 +8,13 @@
 
 #include "common/flight_recorder.hpp"
 #include "common/logging.hpp"
+#include "net/affinity.hpp"
 #include "testing/fault_injector.hpp"
 #include "wire/codec.hpp"
 
 namespace janus::server {
 
 Result<QosServerConfig> QosServerNode::validate_config(QosServerConfig config) {
-  if (config.worker_threads == 0) {
-    return Error("QosServerConfig: worker_threads must be >= 1");
-  }
   if (config.admission.table_shards == 0) {
     return Error("QosServerConfig: admission.table_shards must be >= 1");
   }
@@ -65,7 +63,8 @@ QosServerNode::QosServerNode(net::UdpSocket socket, net::SockAddr addr,
   queue_wait_exemplar_.set_threshold(config_.slow_exemplar_us);
   service_exemplar_.set_threshold(config_.slow_exemplar_us);
 
-  for (std::size_t i = 0; i < config_.worker_threads; ++i) {
+  // The constructor runs on start()'s caller, so this is its mask.
+  for (std::size_t i = 0, n = net::affinity_cpus(); i < n; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
   if (config_.admission.refill_mode == core::RefillMode::kPeriodic &&

@@ -8,6 +8,9 @@
 //   socket receive queue (the FIFO) ──> N workers: recvmmsg ──> decide
 //   in place ──> sendmmsg
 //
+// N is the number of CPUs the node may run on (its affinity mask), one
+// worker each.
+//
 // The listen socket's kernel receive queue is the FIFO and every worker is
 // a listener: each blocks in recv_many, and the kernel wakes one blocked
 // worker per datagram. Any worker decides any key under the key's shard
@@ -44,7 +47,6 @@
 namespace janus::server {
 
 struct QosServerConfig {
-  std::size_t worker_threads = 4;  // "N equals the number of vCPUs" (§III-C)
   core::AdmissionConfig admission;
   /// Maintenance intervals; <= 0 disables the corresponding thread.
   Duration refill_interval = millis(10);     // only used in kPeriodic mode
@@ -63,9 +65,11 @@ struct QosServerConfig {
 
 class QosServerNode {
  public:
-  /// Binds the UDP endpoint and starts all threads. `store` (the database
-  /// layer) must outlive the node. The config is validated first:
-  /// worker_threads == 0 and table_shards == 0 are rejected.
+  /// Binds the UDP endpoint and starts all threads: one worker per CPU in
+  /// the calling thread's affinity mask (`net::affinity_cpus`; "N equals
+  /// the number of vCPUs", §III-C), so `taskset -c` chooses N. `store` (the
+  /// database layer) must outlive the node. The config is validated first:
+  /// table_shards == 0 is rejected.
   static Result<std::unique_ptr<QosServerNode>> start(
       const net::SockAddr& listen, db::RuleStore& store,
       QosServerConfig config = {});
@@ -79,6 +83,8 @@ class QosServerNode {
   QosServerNode& operator=(const QosServerNode&) = delete;
 
   net::SockAddr addr() const { return addr_; }
+  /// N, the workers start() derived from the affinity mask.
+  std::size_t worker_count() const { return workers_.size(); }
   core::AdmissionController& admission() { return *admission_; }
   MetricsRegistry& metrics() { return metrics_; }
 

@@ -36,11 +36,10 @@ class ChaosStackTest : public ::testing::Test {
     store_ = std::make_unique<db::RuleStore>(db_);
 
     server::QosServerConfig scfg;
-    scfg.worker_threads = 2;
     scfg.sync_interval = Duration{0};
     scfg.checkpoint_interval = Duration{0};
-    server::apply_server_model(server_model_, scfg);
-    auto server = server::QosServerNode::start({"127.0.0.1", 0}, *store_, scfg);
+    auto server = server::start_in_model(server_model_, {"127.0.0.1", 0},
+                                         *store_, scfg);
     ASSERT_TRUE(server.ok()) << server.error().message;
     server_ = std::move(server).take();
 

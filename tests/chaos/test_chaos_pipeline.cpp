@@ -237,7 +237,6 @@ TEST(ChaosWalRecoveryTest, ReplayRecoversPreCrashState) {
                            .capacity = 10, .credit = 10}).ok());
 
     server::QosServerConfig scfg;
-    scfg.worker_threads = 2;
     scfg.sync_interval = Duration{0};
     scfg.checkpoint_interval = Duration{0};
     auto server = server::QosServerNode::start({"127.0.0.1", 0}, store, scfg);

@@ -67,11 +67,9 @@ class ClusterAgentTest : public ::testing::Test {
 
   NodeBundle& start_node(Duration window = millis(250)) {
     QosServerConfig cfg;
-    cfg.worker_threads = 2;
     cfg.sync_interval = Duration{0};
     cfg.checkpoint_interval = Duration{0};
-    apply_server_model(server_model_, cfg);
-    auto node = QosServerNode::start({"127.0.0.1", 0}, *store_, cfg);
+    auto node = start_in_model(server_model_, {"127.0.0.1", 0}, *store_, cfg);
     EXPECT_TRUE(node.ok()) << node.error().message;
     auto bundle = std::make_unique<NodeBundle>();
     bundle->node = std::move(node).take();

@@ -1,7 +1,8 @@
 // janusd's command line: every role accepts only its own flags (plus the
-// observability flags). An unknown flag must stop the node before it binds
-// anything — exit 2, naming the flag — instead of starting with the typo
-// silently ignored.
+// observability flags). An unknown flag, a numeric value its consumer
+// cannot hold, or a value given to a switch must stop the node before it
+// binds anything — exit 2, naming the flag — instead of starting with the
+// typo silently ignored or misread.
 #include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -11,9 +12,11 @@
 
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "../server/server_model.hpp"
 #include "common/clock.hpp"
 
 namespace janus {
@@ -27,12 +30,18 @@ struct Outcome {
 
 /// Run janusd with `args`, collecting its output until it exits, `timeout`
 /// passes, or the output contains `until` (non-empty); in the last two cases
-/// it is killed.
+/// it is killed. A non-zero `cpus` pins the child to that many CPUs of this
+/// thread's mask, as `taskset -c` would.
 Outcome run_janusd(const std::vector<std::string>& args, Duration timeout,
-                   const std::string& until = {}) {
+                   const std::string& until = {}, std::size_t cpus = 0) {
   Outcome out;
-  // argv is built before fork: the child may only make async-signal-safe
-  // calls.
+  // argv and the mask are built before fork: the child may only make
+  // async-signal-safe calls.
+  std::optional<cpu_set_t> mask;
+  if (cpus > 0) {
+    mask = server::cpus_from_here(cpus);
+    if (!mask) return out;
+  }
   std::vector<char*> argv;
   argv.push_back(const_cast<char*>(JANUS_JANUSD_BIN));
   for (const std::string& a : args) {
@@ -43,6 +52,9 @@ Outcome run_janusd(const std::vector<std::string>& args, Duration timeout,
   if (::pipe(fds) != 0) return out;
   const pid_t pid = ::fork();
   if (pid == 0) {
+    if (mask && ::sched_setaffinity(0, sizeof(*mask), &*mask) != 0) {
+      ::_exit(126);
+    }
     ::dup2(fds[1], STDOUT_FILENO);
     ::dup2(fds[1], STDERR_FILENO);
     ::close(fds[0]);
@@ -179,13 +191,72 @@ TEST(JanusdRoleFlagsTest, GatewayWorkerCountIsUnknown) {
       << out.output;
 }
 
-TEST(JanusdRoleFlagsTest, ValueFlagWithoutValueExitsTwo) {
+TEST(JanusdRoleFlagsTest, ServerWorkerCountIsUnknown) {
+  // The server runs one worker per CPU in its affinity mask, so it has no
+  // worker count to set either: --workers stops it before it binds.
   std::vector<std::string> args = startable("server");
   args.push_back("--workers");
+  args.push_back("4");
+  const Outcome out = run_janusd(args, seconds(5));
+  ASSERT_TRUE(out.exited) << "server started with --workers 4:\n"
+                          << out.output;
+  EXPECT_EQ(out.code, 2) << out.output;
+  EXPECT_NE(out.output.find("'--workers'"), std::string::npos) << out.output;
+  EXPECT_EQ(out.output.find(" on 127.0.0.1:"), std::string::npos)
+      << out.output;
+}
+
+TEST(JanusdRoleFlagsTest, ValueFlagWithoutValueExitsTwo) {
+  std::vector<std::string> args = startable("server");
+  args.push_back("--shards");
   const Outcome out = run_janusd(args, seconds(5));
   ASSERT_TRUE(out.exited) << out.output;
   EXPECT_EQ(out.code, 2) << out.output;
-  EXPECT_NE(out.output.find("--workers needs a value"), std::string::npos)
+  EXPECT_NE(out.output.find("--shards needs a value"), std::string::npos)
+      << out.output;
+}
+
+TEST(JanusdRoleFlagsTest, BadNumericValueExitsTwoNamingIt) {
+  // A value that does not parse used to fall back to the default, and a
+  // negative count wrapped (--shards -1 reached reserve(SIZE_MAX) and
+  // aborted). Each must stop the node before it binds, naming the flag.
+  struct Row {
+    const char* role;
+    const char* flag;
+    const char* value;
+  };
+  for (const Row& row : {Row{"server", "--shards", "-1"},
+                         Row{"server", "--sync-ms", "xyz"},
+                         Row{"server", "--default-rate", "x"},
+                         Row{"router", "--timeout-us", "1e3"},
+                         Row{"gateway", "--probe-d", "-2"}}) {
+    std::vector<std::string> args = startable(row.role);
+    args.push_back(row.flag);
+    args.push_back(row.value);
+    const Outcome out = run_janusd(args, seconds(5));
+    const std::string what =
+        std::string(row.role) + " " + row.flag + " " + row.value;
+    ASSERT_TRUE(out.exited) << what << " started:\n" << out.output;
+    EXPECT_EQ(out.code, 2) << what << ":\n" << out.output;
+    EXPECT_NE(out.output.find(row.flag), std::string::npos)
+        << what << ":\n" << out.output;
+    EXPECT_EQ(out.output.find(" on 127.0.0.1:"), std::string::npos)
+        << what << ":\n" << out.output;
+  }
+}
+
+TEST(JanusdRoleFlagsTest, SwitchWithValueExitsTwo) {
+  // --default-allow=false used to turn the switch on: the router answered
+  // its default reply TRUE, fail-open where fail-closed was asked for.
+  std::vector<std::string> args = startable("router");
+  args.push_back("--default-allow=false");
+  const Outcome out = run_janusd(args, seconds(5));
+  ASSERT_TRUE(out.exited) << "router started with --default-allow=false:\n"
+                          << out.output;
+  EXPECT_EQ(out.code, 2) << out.output;
+  EXPECT_NE(out.output.find("--default-allow"), std::string::npos)
+      << out.output;
+  EXPECT_EQ(out.output.find(" on 127.0.0.1:"), std::string::npos)
       << out.output;
 }
 
@@ -200,19 +271,19 @@ TEST(JanusdRoleFlagsTest, UnknownRoleExitsTwo) {
 
 TEST(JanusdRoleFlagsTest, KnownServerFlagsStartTheNodeWithHa) {
   // The flags the one execution model keeps are accepted together, the HA
-  // snapshot server included: the node binds and reports what it runs.
+  // snapshot server included: the node binds and reports what it runs,
+  // one worker for the one CPU it is pinned to.
   std::vector<std::string> args = startable("server");
-  for (const char* a :
-       {"--workers", "2", "--shards", "8", "--ha-listen", "127.0.0.1:0"}) {
+  for (const char* a : {"--shards", "8", "--ha-listen", "127.0.0.1:0"}) {
     args.push_back(a);
   }
-  const Outcome out =
-      run_janusd(args, seconds(10), "janusd: ha snapshot server on ");
+  const Outcome out = run_janusd(args, seconds(10),
+                                 "janusd: ha snapshot server on ", 1);
   EXPECT_FALSE(out.exited) << "exit " << out.code << ":\n" << out.output;
   EXPECT_NE(out.output.find("janusd: QoS server on 127.0.0.1:"),
             std::string::npos)
       << out.output;
-  EXPECT_NE(out.output.find(", 2 workers)\n"), std::string::npos)
+  EXPECT_NE(out.output.find(", 1 workers)\n"), std::string::npos)
       << out.output;
   EXPECT_NE(out.output.find("janusd: ha snapshot server on 127.0.0.1:"),
             std::string::npos)

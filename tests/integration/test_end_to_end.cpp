@@ -25,7 +25,6 @@ class EndToEndTest : public ::testing::TestWithParam<lb::RoutingPolicy> {
     // Two QoS servers.
     for (int i = 0; i < 2; ++i) {
       server::QosServerConfig cfg;
-      cfg.worker_threads = 2;
       cfg.sync_interval = Duration{0};
       cfg.checkpoint_interval = Duration{0};
       auto server = server::QosServerNode::start({"127.0.0.1", 0}, *store_,

@@ -15,7 +15,6 @@ namespace {
 
 server::QosServerConfig quiet_server_config() {
   server::QosServerConfig cfg;
-  cfg.worker_threads = 2;
   cfg.sync_interval = Duration{0};
   cfg.checkpoint_interval = Duration{0};
   return cfg;

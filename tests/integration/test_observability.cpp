@@ -26,7 +26,6 @@ class ObservabilityTest : public ::testing::Test {
 
     for (int i = 0; i < 2; ++i) {
       server::QosServerConfig cfg;
-      cfg.worker_threads = 2;
       cfg.sync_interval = Duration{0};
       cfg.checkpoint_interval = Duration{0};
       // Every request is "slow" relative to a zero threshold, so the

@@ -25,7 +25,6 @@ class RouterNodeTest : public ::testing::Test {
                              .capacity = 5, .credit = 5}).ok());
 
     server::QosServerConfig server_cfg;
-    server_cfg.worker_threads = 2;
     server_cfg.sync_interval = Duration{0};        // no background threads
     server_cfg.checkpoint_interval = Duration{0};  // in unit tests
     auto server = server::QosServerNode::start({"127.0.0.1", 0}, *store_,
@@ -199,7 +198,6 @@ TEST_F(RouterNodeTest, TwoServersPartitionKeys) {
   db::Database db2;
   db::RuleStore store2(db2);
   server::QosServerConfig cfg;
-  cfg.worker_threads = 1;
   cfg.sync_interval = Duration{0};
   cfg.checkpoint_interval = Duration{0};
   auto server2 = server::QosServerNode::start({"127.0.0.1", 0}, store2, cfg);

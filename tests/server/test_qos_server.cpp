@@ -11,6 +11,7 @@
 
 #include "common/flight_recorder.hpp"
 #include "common/json_lint.hpp"
+#include "net/affinity.hpp"
 #include "router/udp_qos_client.hpp"
 #include "server_model.hpp"
 #include "testing/fault_injector.hpp"
@@ -29,10 +30,12 @@ class QosServerTest : public ::testing::Test {
                              .capacity = 1, .credit = 1}).ok());
   }
 
-  std::unique_ptr<QosServerNode> start_server(QosServerConfig cfg = {}) {
+  std::unique_ptr<QosServerNode> start_server(
+      QosServerConfig cfg = {},
+      ServerModel model = ServerModel::kSharedQueue) {
     cfg.sync_interval = Duration{0};
     cfg.checkpoint_interval = Duration{0};
-    auto server = QosServerNode::start({"127.0.0.1", 0}, *store_, cfg);
+    auto server = start_in_model(model, {"127.0.0.1", 0}, *store_, cfg);
     EXPECT_TRUE(server.ok()) << server.error().message;
     return std::move(server).take();
   }
@@ -63,8 +66,7 @@ class QosServerModeTest
       public ::testing::WithParamInterface<ServerModel> {
  protected:
   std::unique_ptr<QosServerNode> start_server(QosServerConfig cfg = {}) {
-    apply_server_model(GetParam(), cfg);
-    return QosServerTest::start_server(std::move(cfg));
+    return QosServerTest::start_server(std::move(cfg), GetParam());
   }
 };
 
@@ -160,9 +162,7 @@ TEST_P(QosServerModeTest, MetricsCountTraffic) {
 TEST_P(QosServerModeTest, ConcurrentClientsNeverOverAdmit) {
   ASSERT_TRUE(store_->put({.key = "shared", .refill_per_sec = 0,
                            .capacity = 100, .credit = 100}).ok());
-  QosServerConfig cfg;
-  cfg.worker_threads = 4;
-  auto server = start_server(cfg);
+  auto server = start_server();
 
   constexpr int kThreads = 4;
   constexpr int kPerThread = 50;
@@ -251,10 +251,11 @@ TEST_P(QosServerModeTest, WatchdogFlagsStalledWorker) {
   // must be flagged. The slow-service fault inflates each job by 150 ms
   // against a 20 ms watchdog tick.
   QosServerConfig cfg;
-  cfg.worker_threads = 1;  // one worker: the backlog cannot drain elsewhere
   cfg.watchdog_interval = millis(20);
   cfg.admission.table_shards = 4;
-  auto server = start_server(cfg);
+  // One worker: the backlog cannot drain elsewhere.
+  auto server = on_one_cpu([&] { return start_server(cfg); });
+  ASSERT_EQ(server->worker_count(), 1u);
 
   testing::ScopedFault slow(testing::FaultPoint::kServerSlowService,
                             {.max_fires = 4, .param = 150000});
@@ -288,9 +289,9 @@ TEST_F(QosServerTest, SocketDropsCountedWhenReceiveBufferOverflows) {
   // kernel's drops must surface as server.socket_dropped, and every
   // datagram that did land must still be accounted for.
   QosServerConfig cfg;
-  cfg.worker_threads = 1;
   cfg.watchdog_interval = millis(20);
-  auto server = start_server(cfg);
+  auto server = on_one_cpu([&] { return start_server(cfg); });
+  ASSERT_EQ(server->worker_count(), 1u);
 
   // A fresh socket carries the same default buffer as the listen socket.
   // Each datagram is charged more than its payload, so a blast of
@@ -349,9 +350,8 @@ TEST_F(QosServerTest, ChaosFaultFireTriggersParseableAutoDump) {
   std::remove(path.c_str());
   FlightRecorder::instance().set_auto_dump_path(path);
 
-  QosServerConfig cfg;
-  cfg.worker_threads = 1;
-  auto server = start_server(cfg);
+  auto server = on_one_cpu([&] { return start_server(); });
+  ASSERT_EQ(server->worker_count(), 1u);
   {
     testing::ScopedFault slow(testing::FaultPoint::kServerSlowService,
                               {.max_fires = 1, .param = 1000});
@@ -380,14 +380,6 @@ TEST_F(QosServerTest, ChaosFaultFireTriggersParseableAutoDump) {
 // --- QosServerConfig validation: start() must reject nonsense instead of
 // crashing on modulo-by-zero. ---
 
-TEST(QosServerConfigValidation, RejectsZeroWorkers) {
-  QosServerConfig cfg;
-  cfg.worker_threads = 0;
-  auto v = QosServerNode::validate_config(cfg);
-  ASSERT_FALSE(v.ok());
-  EXPECT_NE(v.error().message.find("worker_threads"), std::string::npos);
-}
-
 TEST(QosServerConfigValidation, RejectsZeroShards) {
   QosServerConfig cfg;
   cfg.admission.table_shards = 0;
@@ -397,28 +389,40 @@ TEST(QosServerConfigValidation, RejectsZeroShards) {
 }
 
 TEST(QosServerConfigValidation, AcceptsAnyWorkerCountOverAnyShardCount) {
-  // Every worker decides on every shard, each under its own mutex, so no
-  // ratio of workers to shards is required.
+  // Every worker decides on every shard, each under its own mutex, so any
+  // shard count suits any number of workers (one per CPU).
   QosServerConfig cfg;
-  cfg.worker_threads = 8;
-  cfg.admission.table_shards = 1;
-  auto more_workers = QosServerNode::validate_config(cfg);
-  ASSERT_TRUE(more_workers.ok()) << more_workers.error().message;
-  EXPECT_EQ(more_workers.value().worker_threads, 8u);
-  cfg.worker_threads = 1;
   cfg.admission.table_shards = 64;
   auto more_shards = QosServerNode::validate_config(cfg);
   ASSERT_TRUE(more_shards.ok()) << more_shards.error().message;
   EXPECT_EQ(more_shards.value().admission.table_shards, 64u);
 }
 
+TEST_F(QosServerTest, WorkerCountFollowsAffinityMask) {
+  // "N equals the number of vCPUs" (§III-C): the CPUs in the mask of the
+  // thread that starts the node, which is how taskset sizes janusd.
+  auto unpinned = start_server();
+  EXPECT_EQ(unpinned->worker_count(), net::affinity_cpus());
+
+  auto one = on_one_cpu([&] { return start_server(); });
+  EXPECT_EQ(one->worker_count(), 1u);
+  EXPECT_TRUE(call(one->addr(), "alice").allowed);
+
+  std::unique_ptr<QosServerNode> two;
+  {
+    ScopedAffinity pin(2);
+    if (!pin.ok()) GTEST_SKIP() << "the affinity mask holds one CPU";
+    two = start_server();
+  }
+  EXPECT_EQ(two->worker_count(), 2u);
+  EXPECT_TRUE(call(two->addr(), "alice").allowed);
+}
+
 TEST_F(QosServerTest, AdminExposesSocketQueueSignals) {
   // The admin surface reports the socket-queue signals that stand in for a
   // FIFO; no per-worker queue, threading-mode or provider gauge is
   // registered, because the server has one model and one datagram path.
-  QosServerConfig cfg;
-  cfg.worker_threads = 2;
-  auto server = start_server(cfg);
+  auto server = start_server();
   call(server->addr(), "alice");
   auto admin_addr = server->start_admin({"127.0.0.1", 0});
   ASSERT_TRUE(admin_addr.ok()) << admin_addr.error().message;
@@ -449,10 +453,10 @@ TEST_F(QosServerTest, AdminExposesSocketQueueSignals) {
 
 TEST_F(QosServerTest, StartSurfacesValidationError) {
   QosServerConfig cfg;
-  cfg.worker_threads = 0;
+  cfg.admission.table_shards = 0;
   auto server = QosServerNode::start({"127.0.0.1", 0}, *store_, cfg);
   ASSERT_FALSE(server.ok());
-  EXPECT_NE(server.error().message.find("worker_threads"), std::string::npos);
+  EXPECT_NE(server.error().message.find("table_shards"), std::string::npos);
 }
 
 }  // namespace

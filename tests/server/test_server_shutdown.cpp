@@ -46,12 +46,10 @@ TEST_P(ServerShutdownTest, StopMidBlastStrandsNoAcceptedJobs) {
   // lands mid-batch in some of them.
   for (int round = 0; round < 8; ++round) {
     QosServerConfig cfg;
-    cfg.worker_threads = 4;
     cfg.sync_interval = Duration{0};
     cfg.checkpoint_interval = Duration{0};
     cfg.watchdog_interval = Duration{0};
-    apply_server_model(GetParam(), cfg);
-    auto started = QosServerNode::start({"127.0.0.1", 0}, *store_, cfg);
+    auto started = start_in_model(GetParam(), {"127.0.0.1", 0}, *store_, cfg);
     ASSERT_TRUE(started.ok()) << started.error().message;
     auto node = std::move(started).take();
 
@@ -97,8 +95,7 @@ TEST_P(ServerShutdownTest, StopOnIdleServerIsCleanAndIdempotent) {
   QosServerConfig cfg;
   cfg.sync_interval = Duration{0};
   cfg.checkpoint_interval = Duration{0};
-  apply_server_model(GetParam(), cfg);
-  auto started = QosServerNode::start({"127.0.0.1", 0}, *store_, cfg);
+  auto started = start_in_model(GetParam(), {"127.0.0.1", 0}, *store_, cfg);
   ASSERT_TRUE(started.ok()) << started.error().message;
   auto node = std::move(started).take();
   node->stop();

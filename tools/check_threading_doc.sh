@@ -1,10 +1,11 @@
 #!/bin/bash
 # Doc-drift guard for the execution-model section (DESIGN.md §9.1).
-# The server's one model — N workers receiving from the shared listen
-# socket, deciding each batch in place under the shard mutexes, answering
-# it with one sendmmsg — hangs on a small surface: the worker loop, the
-# batch view and sampler, the prehashed table accessors the decision takes
-# its one lock through, and the socket probes the watchdog reads. If one of
+# The server's one model — N workers, one per CPU in the affinity mask,
+# receiving from the shared listen socket, deciding each batch in place
+# under the shard mutexes, answering it with one sendmmsg — hangs on a
+# small surface: the function that derives N, the worker loop, the batch
+# view and sampler, the prehashed table accessors the decision takes its
+# one lock through, and the socket probes the watchdog reads. If one of
 # those symbols is renamed or removed the section must follow, and if the
 # section loses one the model's description is rotting. Two directions
 # (dg_symbol_sync), plus the companion artifacts: the measured comparison
@@ -16,6 +17,8 @@ dg_require_section '^### 9\.1 Execution model'
 
 # symbol -> file that must define it. Keep in lock-step with DESIGN.md §9.1.
 dg_symbol_sync "§9.1" \
+  "affinity_cpus:$src/net/affinity.hpp" \
+  "worker_count:$src/server/qos_server_node.hpp" \
   "worker_loop:$src/server/qos_server_node.hpp" \
   "run_jobs:$src/server/qos_server_node.hpp" \
   "JobView:$src/server/qos_server_node.hpp" \

@@ -1,7 +1,7 @@
 // janusd — run one Janus node from the command line.
 //
 //   janusd server --listen 127.0.0.1:9100 --rules rules.conf
-//                 [--wal janus.wal] [--workers 4] [--shards 16]
+//                 [--wal janus.wal] [--shards 16]
 //                 [--sync-ms 5000] [--checkpoint-ms 5000]
 //                 [--snapshot janus.snap --compact-ms 60000]
 //                 [--default-rate R --default-capacity C]
@@ -23,17 +23,24 @@
 //                 [--probe-d 3] [--probe-timeout-ms 50]
 //
 // Each role accepts only its own flags plus the observability flags below;
-// any other flag exits 2 with a message naming it.
+// any other flag exits 2 with a message naming it. So does a numeric value
+// that does not parse or that its consumer cannot hold (a negative count,
+// a multiplier past 255), and a value given to a switch
+// (`--default-allow=false`): the node never starts on a value it would
+// misread.
+//
+// Every role runs one thread per CPU in the process's affinity mask: pin
+// the process with taskset to choose how many (`taskset -c 0,1 janusd
+// server ...` runs two workers). No role has a thread-count flag.
 //
 // The server runs one execution model (DESIGN.md §9.1) over one datagram
-// path (§13): --workers threads all receive from the listen socket with
+// path (§13): its workers all receive from the listen socket with
 // recvmmsg, decide each batch under the table's shard locks and answer it
 // with one sendmmsg. HA (--ha-*) runs with every configuration janusd
 // accepts.
 //
-// The router and gateway roles serve HTTP on one event loop per CPU in the
-// process's affinity mask (DESIGN.md §9.2): pin the process with taskset to
-// choose how many. There is no HTTP worker-count flag.
+// The router and gateway roles serve HTTP on one event loop per CPU
+// (DESIGN.md §9.2).
 //
 // The gateway role is the paper's ELB tier: an L7 balancer in front of
 // router nodes. Under `--policy prequal` the probe flags tune the async
@@ -69,6 +76,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -97,19 +105,65 @@ void handle_signal(int) { g_stop = 1; }
 
 using Flags = std::map<std::string, std::string>;
 
-/// The flags one role accepts: `values` take an argument, `switches` do
-/// not.
+/// The values a numeric flag's consumer holds, bounds included.
+struct Number {
+  double lo;
+  double hi;
+  bool integer = true;
+};
+
+/// The longest wait a millisecond kernel timeout (poll, epoll_wait) takes:
+/// the bound of every *-ms flag, and of --timeout-us in ms.
+constexpr double kMaxMs = std::numeric_limits<int>::max();
+/// Attempts and probe reuses: counts the consumer keeps in an int or more.
+constexpr double kMaxCount = std::numeric_limits<int>::max();
+/// Table shards only spread the workers' lock contention, and there is one
+/// worker per CPU: 4096 times the default is past any useful count.
+constexpr double kMaxShards = 1 << 16;
+/// A span of time where 0 is a value: it turns a periodic pass off or
+/// leaves no window.
+constexpr Number kSpanMs{0, kMaxMs};
+/// The interval of a task with no off switch: 0 would spin its thread.
+constexpr Number kTickMs{1, kMaxMs};
+/// A rule's rate or capacity: any finite non-negative number.
+constexpr Number kRuleValue{0, std::numeric_limits<double>::max(), false};
+
+/// The flags one role accepts: `values` take a text argument, `numbers` a
+/// numeric one, `switches` none.
 struct FlagSet {
   std::set<std::string_view> values;
+  std::map<std::string_view, Number> numbers;
   std::set<std::string_view> switches;
 };
 
-/// Accepted by every role (see setup_observability).
-constexpr std::string_view kObservabilityFlags[] = {"admin", "stats-ms",
-                                                    "log-level", "trace-dump"};
+/// Accepted by every role (see setup_observability), with --stats-ms.
+constexpr std::string_view kObservabilityFlags[] = {"admin", "log-level",
+                                                    "trace-dump"};
+
+bool number_ok(const std::string& text, const Number& range) {
+  const std::optional<double> v =
+      range.integer ? std::optional<double>(parse_i64(text))
+                    : parse_double(text);
+  // NaN compares false, so it fails here too.
+  return v && *v >= range.lo && *v <= range.hi;
+}
+
+/// A numeric flag's value, or `fallback` when it is absent. parse_flags
+/// has already checked the value against the flag's range.
+std::int64_t int_flag(const Flags& flags, const char* name,
+                      std::int64_t fallback) {
+  auto it = flags.find(name);
+  return it == flags.end() ? fallback : parse_i64(it->second).value();
+}
+
+double real_flag(const Flags& flags, const char* name, double fallback) {
+  auto it = flags.find(name);
+  return it == flags.end() ? fallback : parse_double(it->second).value();
+}
 
 /// "--flag value" / "--flag=value" argument map; false (after printing) on
-/// unknown syntax or on a flag `role` does not accept.
+/// unknown syntax, on a flag `role` does not accept, on a value given to a
+/// switch, and on a numeric value outside what its consumer holds.
 bool parse_flags(int argc, char** argv, int first, const char* role,
                  const FlagSet& known, Flags& out) {
   for (int i = first; i < argc; ++i) {
@@ -125,19 +179,42 @@ bool parse_flags(int argc, char** argv, int first, const char* role,
       name.resize(eq);
     }
     const bool is_switch = known.switches.count(name) > 0;
-    if (!is_switch && known.values.count(name) == 0) {
+    const auto number = known.numbers.find(name);
+    if (!is_switch && number == known.numbers.end() &&
+        known.values.count(name) == 0) {
       std::fprintf(stderr, "janusd %s: unknown flag '--%s'\n", role,
                    name.c_str());
       return false;
     }
-    if (!value && !is_switch) {
+    if (is_switch) {
+      if (value) {
+        std::fprintf(stderr, "janusd: --%s takes no value\n", name.c_str());
+        return false;
+      }
+      out[name];
+      continue;
+    }
+    if (!value) {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "janusd: --%s needs a value\n", name.c_str());
         return false;
       }
       value = argv[++i];
     }
-    out[name] = value.value_or("true");
+    if (number != known.numbers.end() && !number_ok(*value, number->second)) {
+      const Number& r = number->second;
+      char want[64];
+      if (r.integer) {
+        std::snprintf(want, sizeof(want), "an integer in %.0f..%.0f", r.lo,
+                      r.hi);
+      } else {
+        std::snprintf(want, sizeof(want), "a finite number >= %g", r.lo);
+      }
+      std::fprintf(stderr, "janusd: bad --%s '%s' (expected %s)\n",
+                   name.c_str(), value->c_str(), want);
+      return false;
+    }
+    out[name] = std::move(*value);
   }
   return true;
 }
@@ -188,13 +265,8 @@ bool setup_observability(
     // block-buffered stdout would hold it back indefinitely.
     std::fflush(stdout);
   }
-  if (auto it = flags.find("stats-ms"); it != flags.end()) {
-    const auto interval = parse_i64(it->second).value_or(0);
-    if (interval <= 0) {
-      std::fprintf(stderr, "janusd: bad --stats-ms '%s'\n",
-                   it->second.c_str());
-      return false;
-    }
+  if (const std::int64_t interval = int_flag(flags, "stats-ms", 0);
+      interval > 0) {
     stats_task = std::make_unique<PeriodicTask>(
         millis(interval), [&registry] {
           JLOG_INFO("stats: %s", format_stats_line(registry).c_str());
@@ -310,27 +382,14 @@ int run_server(const Flags& flags) {
     return 1;
   }
 
-  auto get_int = [&](const char* name, std::int64_t fallback) {
-    auto it = flags.find(name);
-    if (it == flags.end()) return fallback;
-    return parse_i64(it->second).value_or(fallback);
-  };
-  auto get_double = [&](const char* name, double fallback) {
-    auto it = flags.find(name);
-    if (it == flags.end()) return fallback;
-    return parse_double(it->second).value_or(fallback);
-  };
-
   server::QosServerConfig cfg;
-  cfg.worker_threads = static_cast<std::size_t>(get_int("workers", 4));
   cfg.admission.table_shards =
-      static_cast<std::size_t>(get_int("shards", 16));
-  cfg.sync_interval = millis(get_int("sync-ms", 5000));
-  cfg.checkpoint_interval = millis(get_int("checkpoint-ms", 5000));
-  const double default_rate = get_double("default-rate", 0.0);
-  const double default_capacity = get_double("default-capacity", 0.0);
-  cfg.admission.default_rule =
-      core::limited_access_default(default_capacity, default_rate);
+      static_cast<std::size_t>(int_flag(flags, "shards", 16));
+  cfg.sync_interval = millis(int_flag(flags, "sync-ms", 5000));
+  cfg.checkpoint_interval = millis(int_flag(flags, "checkpoint-ms", 5000));
+  cfg.admission.default_rule = core::limited_access_default(
+      real_flag(flags, "default-capacity", 0.0),
+      real_flag(flags, "default-rate", 0.0));
 
   auto node = server::QosServerNode::start(listen.value(), store, cfg);
   if (!node.ok()) {
@@ -339,7 +398,7 @@ int run_server(const Flags& flags) {
   }
   std::printf("janusd: QoS server on %s (%zu rules, %zu workers)\n",
               node.value()->addr().to_string().c_str(), store.size(),
-              cfg.worker_threads);
+              node.value()->worker_count());
   // Flushed line-by-line: cluster test fixtures parse bound ports from a
   // pipe, where stdout is block-buffered by default.
   std::fflush(stdout);
@@ -386,7 +445,7 @@ int run_server(const Flags& flags) {
     }
     ha_replica = std::make_unique<server::HaReplicaClient>(
         addr.value(), srv.admission(), SteadyClock::instance(),
-        millis(get_int("ha-ms", 500)));
+        millis(int_flag(flags, "ha-ms", 500)));
     std::printf("janusd: ha replica pulling from %s\n",
                 it->second.c_str());
   }
@@ -399,7 +458,7 @@ int run_server(const Flags& flags) {
       return 2;
     }
     server::ClusterAgentOptions copts;
-    copts.migrate_window = millis(get_int("migrate-window-ms", 250));
+    copts.migrate_window = millis(int_flag(flags, "migrate-window-ms", 250));
     // Promotion to active member halts snapshot restores from the old
     // master: a partitioned-but-alive master would otherwise keep handing
     // this node pre-failover credit, double-spending it (split brain).
@@ -449,7 +508,7 @@ int run_server(const Flags& flags) {
   if (auto snap = flags.find("snapshot");
       snap != flags.end() && flags.count("wal")) {
     const std::string snap_path = snap->second;
-    const auto compact_every = millis(get_int("compact-ms", 60000));
+    const auto compact_every = millis(int_flag(flags, "compact-ms", 60000));
     compactor = std::make_unique<PeriodicTask>(
         compact_every, [&database, snap_path] {
           if (auto s = database.compact_wal(snap_path); !s.ok()) {
@@ -492,12 +551,6 @@ int run_router(const Flags& flags) {
     std::fprintf(stderr, "janusd: %s\n", listen.error().message.c_str());
     return 2;
   }
-
-  auto get_int = [&](const char* name, std::int64_t fallback) {
-    auto it = flags.find(name);
-    if (it == flags.end()) return fallback;
-    return parse_i64(it->second).value_or(fallback);
-  };
 
   auto resolver = std::make_shared<router::StaticResolver>();
   std::vector<std::string> names;
@@ -550,13 +603,8 @@ int run_router(const Flags& flags) {
   }
 
   router::RouterConfig cfg;
-  if (auto it = flags.find("timeout-us"); it != flags.end()) {
-    cfg.udp.timeout = micros(parse_i64(it->second).value_or(100));
-  }
-  if (auto it = flags.find("retries"); it != flags.end()) {
-    cfg.udp.max_retries =
-        static_cast<int>(parse_i64(it->second).value_or(5));
-  }
+  cfg.udp.timeout = micros(int_flag(flags, "timeout-us", 100));
+  cfg.udp.max_retries = static_cast<int>(int_flag(flags, "retries", 5));
   cfg.udp.default_allow = flags.count("default-allow") > 0;
 
   // Declared before the router node so the map holder outlives it (the
@@ -590,9 +638,9 @@ int run_router(const Flags& flags) {
   std::unique_ptr<cluster::ClusterCoordinator> coordinator;
   if (cluster_mode) {
     cluster::CoordinatorOptions copts;
-    copts.bfd.tx_interval = millis(get_int("bfd-ms", 50));
+    copts.bfd.tx_interval = millis(int_flag(flags, "bfd-ms", 50));
     copts.bfd.detect_multiplier =
-        static_cast<std::uint8_t>(get_int("bfd-mult", 3));
+        static_cast<std::uint8_t>(int_flag(flags, "bfd-mult", 3));
     copts.metrics = &rn.metrics();
     coordinator = std::make_unique<cluster::ClusterCoordinator>(
         holder, copts, SteadyClock::instance());
@@ -644,12 +692,6 @@ int run_gateway(const Flags& flags) {
     return 2;
   }
 
-  auto get_int = [&](const char* name, std::int64_t fallback) {
-    auto it = flags.find(name);
-    if (it == flags.end()) return fallback;
-    return parse_i64(it->second).value_or(fallback);
-  };
-
   lb::GatewayConfig cfg;
   if (auto it = flags.find("policy"); it != flags.end()) {
     auto policy = lb::routing_policy_from_name(it->second);
@@ -659,13 +701,13 @@ int run_gateway(const Flags& flags) {
     }
     cfg.policy = *policy;
   }
-  cfg.backend_timeout = millis(get_int("timeout-ms", 1000));
-  cfg.prequal.probe_interval = millis(get_int("probe-ms", 5));
-  cfg.prequal.max_probe_age = millis(get_int("probe-age-ms", 250));
-  cfg.prequal.probe_reuse_budget =
-      static_cast<std::size_t>(get_int("probe-reuse", 16));
-  cfg.prequal.d_choices = static_cast<std::size_t>(get_int("probe-d", 3));
-  cfg.prequal.probe_timeout = millis(get_int("probe-timeout-ms", 50));
+  cfg.backend_timeout = millis(int_flag(flags, "timeout-ms", 1000));
+  cfg.prequal.probe_interval = millis(int_flag(flags, "probe-ms", 5));
+  cfg.prequal.max_probe_age = millis(int_flag(flags, "probe-age-ms", 250));
+  cfg.prequal.probe_reuse_budget = int_flag(flags, "probe-reuse", 16);
+  cfg.prequal.d_choices =
+      static_cast<std::size_t>(int_flag(flags, "probe-d", 3));
+  cfg.prequal.probe_timeout = millis(int_flag(flags, "probe-timeout-ms", 50));
 
   auto gw = lb::GatewayBalancer::start(listen.value(), std::move(backends),
                                        cfg);
@@ -717,19 +759,32 @@ int main(int argc, char** argv) {
   };
   const Role roles[] = {
       {"server", run_server,
-       {.values = {"listen", "rules", "wal", "workers", "shards", "sync-ms",
-                   "checkpoint-ms", "snapshot", "compact-ms", "default-rate",
-                   "default-capacity", "cluster-listen", "bfd-listen",
-                   "migrate-window-ms", "ha-listen", "ha-master", "ha-ms"},
+       {.values = {"listen", "rules", "wal", "snapshot", "cluster-listen",
+                   "bfd-listen", "ha-listen", "ha-master"},
+        .numbers = {{"shards", {1, kMaxShards}},
+                    {"sync-ms", kSpanMs},
+                    {"checkpoint-ms", kSpanMs},
+                    {"compact-ms", kTickMs},
+                    {"default-rate", kRuleValue},
+                    {"default-capacity", kRuleValue},
+                    {"migrate-window-ms", kSpanMs},
+                    {"ha-ms", kTickMs}},
         .switches = {}}},
       {"router", run_router,
-       {.values = {"listen", "backends", "timeout-us", "retries", "members",
-                   "standbys", "bfd-ms", "bfd-mult"},
+       {.values = {"listen", "backends", "members", "standbys"},
+        .numbers = {{"timeout-us", {0, kMaxMs * 1000}},
+                    {"retries", {1, kMaxCount}},
+                    {"bfd-ms", kTickMs},
+                    {"bfd-mult", {1, 255}}},
         .switches = {"default-allow", "cluster"}}},
       {"gateway", run_gateway,
-       {.values = {"listen", "backends", "policy", "timeout-ms", "probe-ms",
-                   "probe-age-ms", "probe-reuse", "probe-d",
-                   "probe-timeout-ms"},
+       {.values = {"listen", "backends", "policy"},
+        .numbers = {{"timeout-ms", kSpanMs},
+                    {"probe-ms", kTickMs},
+                    {"probe-age-ms", kSpanMs},
+                    {"probe-reuse", {1, kMaxCount}},
+                    {"probe-d", {1, lb::PrequalPicker::kMaxChoices}},
+                    {"probe-timeout-ms", kSpanMs}},
         .switches = {}}},
   };
   for (const Role& role : roles) {
@@ -737,6 +792,7 @@ int main(int argc, char** argv) {
     FlagSet known = role.flags;
     known.values.insert(std::begin(kObservabilityFlags),
                         std::end(kObservabilityFlags));
+    known.numbers.emplace("stats-ms", kTickMs);
     Flags flags;
     if (!parse_flags(argc, argv, 2, role.name, known, flags)) return 2;
     return role.run(flags);
