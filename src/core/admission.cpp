@@ -1,5 +1,7 @@
 #include "core/admission.hpp"
 
+#include <vector>
+
 #include "common/flight_recorder.hpp"
 
 namespace janus::core {
@@ -18,24 +20,12 @@ AdmissionController::AdmissionController(Clock& clock, RuleSource& source,
 
 QosEntry AdmissionController::make_entry(std::string_view key, TimePoint now) {
   fetches_.inc();
-  if (auto rule = source_.fetch(key)) {
-    rule->key = std::string(key);
-    double credit = rule->initial_credit.value_or(rule->capacity);
-    return QosEntry{
-        .rule = *rule,
-        .bucket = LeakyBucket(rule->capacity, rule->refill_per_sec, credit, now),
-        .is_default = false,
-    };
-  }
-  defaults_.inc();
-  QosRule rule = config_.default_rule;
-  rule.key = std::string(key);
-  double credit = rule.initial_credit.value_or(rule.capacity);
-  return QosEntry{
-      .rule = rule,
-      .bucket = LeakyBucket(rule.capacity, rule.refill_per_sec, credit, now),
-      .is_default = true,
-  };
+  const std::optional<QosRule> fetched = source_.fetch(key);
+  if (!fetched) defaults_.inc();
+  const QosRule& rule = fetched ? *fetched : config_.default_rule;
+  return QosEntry::make(rule.capacity, rule.refill_per_sec,
+                        rule.initial_credit.value_or(rule.capacity), now,
+                        /*is_default=*/!fetched);
 }
 
 Decision AdmissionController::decide(std::string_view key, std::uint32_t cost,
@@ -117,64 +107,112 @@ void AdmissionController::refill_all() {
       [&](const std::string&, QosEntry& entry) { entry.bucket.refill(now); });
 }
 
+namespace {
+
+/// A pass's copy-out buffer. Its slots, and the heap buffers of long keys,
+/// are reused from shard to shard, so a pass holds about one shard's worth.
+template <typename Slot>
+class PassBuffer {
+ public:
+  void clear() { used_ = 0; }
+  Slot& next() {
+    if (used_ == slots_.size()) slots_.emplace_back();
+    return slots_[used_++];
+  }
+  std::span<Slot> used() { return {slots_.data(), used_}; }
+
+ private:
+  std::vector<Slot> slots_;
+  std::size_t used_ = 0;
+};
+
+/// Does `fetched` (nullopt: the key left the database) differ from the rule
+/// `e` holds? `e` is a QosEntry or a pass's copy of one.
+template <typename E>
+bool rule_changed(const E& e, const std::optional<QosRule>& fetched) {
+  if (!fetched) return !e.is_default;
+  return e.is_default || e.capacity != fetched->capacity ||
+         e.refill_per_sec != fetched->refill_per_sec;
+}
+
+}  // namespace
+
 std::size_t AdmissionController::sync_now() {
+  struct CachedRule {
+    std::string key;
+    double capacity = 0.0;
+    double refill_per_sec = 0.0;
+    bool is_default = false;
+  };
   const TimePoint now = clock_.now();
   std::size_t changed = 0;
-
-  // Collect keys first; fetching from the DB under shard locks would stall
-  // concurrent decisions on unrelated keys.
-  std::vector<std::string> keys;
-  keys.reserve(table_.size());
-  table_.for_each(
-      [&](const std::string& key, QosEntry&) { keys.push_back(key); });
-
-  for (const auto& key : keys) {
-    auto fetched = source_.fetch(key);
-    table_.with_entry(key, [&](QosEntry& entry) {
-      if (fetched) {
-        const bool differs = entry.is_default ||
-                             entry.rule.capacity != fetched->capacity ||
-                             entry.rule.refill_per_sec != fetched->refill_per_sec;
-        if (differs) {
+  PassBuffer<CachedRule> cached;
+  for (std::size_t shard = 0; shard < table_.shard_count(); ++shard) {
+    cached.clear();
+    table_.for_each_in_shard(shard, [&](const std::string& key,
+                                        QosEntry& entry) {
+      CachedRule& c = cached.next();
+      c.key.assign(key);
+      c.capacity = entry.capacity;
+      c.refill_per_sec = entry.refill_per_sec;
+      c.is_default = entry.is_default;
+    });
+    // Fetch with the shard unlocked: a database read under it would stall
+    // concurrent decisions on unrelated keys. Only a changed rule takes the
+    // shard lock again, and re-checks against the live entry under it.
+    for (const CachedRule& c : cached.used()) {
+      const std::optional<QosRule> fetched = source_.fetch(c.key);
+      if (!rule_changed(c, fetched)) continue;
+      table_.with_entry(c.key, [&](QosEntry& entry) {
+        if (!rule_changed(entry, fetched)) return 0;
+        if (fetched) {
           // "The corresponding leaky bucket ... is updated with the latest
           // values" (§III-C): adopt the new capacity/rate AND the database's
           // credit column, so an operator's quota reset takes effect on the
           // next sync tick rather than waiting for refill.
-          entry.rule.capacity = fetched->capacity;
-          entry.rule.refill_per_sec = fetched->refill_per_sec;
+          entry.capacity = fetched->capacity;
+          entry.refill_per_sec = fetched->refill_per_sec;
           entry.is_default = false;
-          entry.bucket.reconfigure(fetched->capacity, fetched->refill_per_sec,
-                                   now);
+          entry.bucket.reconfigure(fetched->capacity,
+                                   fetched->refill_per_sec, now);
           entry.bucket.set_credit(
               fetched->initial_credit.value_or(fetched->capacity));
-          ++changed;
+        } else {
+          // Rule deleted from the database: demote to the default policy.
+          entry.capacity = config_.default_rule.capacity;
+          entry.refill_per_sec = config_.default_rule.refill_per_sec;
+          entry.is_default = true;
+          entry.bucket.reconfigure(config_.default_rule.capacity,
+                                   config_.default_rule.refill_per_sec, now);
         }
-      } else if (!entry.is_default) {
-        // Rule deleted from the database: demote to the default policy.
-        entry.rule.capacity = config_.default_rule.capacity;
-        entry.rule.refill_per_sec = config_.default_rule.refill_per_sec;
-        entry.is_default = true;
-        entry.bucket.reconfigure(config_.default_rule.capacity,
-                                 config_.default_rule.refill_per_sec, now);
         ++changed;
-      }
-      return 0;
-    });
+        return 0;
+      });
+    }
   }
   return changed;
 }
 
 std::size_t AdmissionController::checkpoint_now(RuleSink& sink) {
   const TimePoint now = clock_.now();
-  // Snapshot credits under the locks, write to the sink outside them.
-  std::vector<std::pair<std::string, double>> credits;
-  table_.for_each([&](const std::string& key, QosEntry& entry) {
-    if (entry.is_default) return;
-    entry.bucket.refill(now);
-    credits.emplace_back(key, entry.bucket.credit());
-  });
-  for (const auto& [key, credit] : credits) sink.checkpoint(key, credit);
-  return credits.size();
+  std::size_t written = 0;
+  PassBuffer<KeyCredit> credits;
+  for (std::size_t shard = 0; shard < table_.shard_count(); ++shard) {
+    credits.clear();
+    table_.for_each_in_shard(shard, [&](const std::string& key,
+                                        QosEntry& entry) {
+      if (entry.is_default) return;
+      entry.bucket.refill(now);
+      KeyCredit& c = credits.next();
+      c.key.assign(key);
+      c.credit = entry.bucket.credit();
+    });
+    // The sink writes to the database with the shard unlocked.
+    if (credits.used().empty()) continue;
+    sink.checkpoint(credits.used());
+    written += credits.used().size();
+  }
+  return written;
 }
 
 }  // namespace janus::core

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -34,11 +35,19 @@ class RuleSource {
   virtual std::optional<QosRule> fetch(std::string_view key) = 0;
 };
 
+/// One key's credit, as a check-point pass copies it out of the table.
+struct KeyCredit {
+  std::string key;
+  double credit = 0.0;
+};
+
 /// Where check-pointed credits are written (the database layer).
 class RuleSink {
  public:
   virtual ~RuleSink() = default;
-  virtual void checkpoint(std::string_view key, double credit) = 0;
+  /// One shard's credits per call, copied out under the shard's lock and
+  /// written here after it is released.
+  virtual void checkpoint(std::span<const KeyCredit> credits) = 0;
 };
 
 enum class RefillMode {
@@ -85,12 +94,15 @@ class AdmissionController {
 
   /// Re-read every cached rule from the database; reconfigures buckets whose
   /// rules changed and demotes entries whose keys were deleted to the
-  /// default rule. Returns the number of entries whose rule changed.
+  /// default rule. Returns the number of entries whose rule changed. Walks
+  /// the table one shard at a time: a shard's keys are copied out under its
+  /// lock and fetched after it is released.
   std::size_t sync_now();
 
   /// Write current credits back to the database (§II-D check-pointing).
   /// Returns the number of entries check-pointed (default entries are not
-  /// persisted — the database has no row for them).
+  /// persisted — the database has no row for them). One shard at a time:
+  /// its credits are copied out under its lock, then handed to `sink`.
   std::size_t checkpoint_now(RuleSink& sink);
 
   /// Drop one key / all keys from the local table (admin, tests).

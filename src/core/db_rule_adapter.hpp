@@ -3,6 +3,9 @@
 // server layer and the database layer (paper §II-D).
 #pragma once
 
+#include <algorithm>
+#include <vector>
+
 #include "core/admission.hpp"
 #include "db/rule_store.hpp"
 
@@ -31,13 +34,26 @@ class DbRuleSource final : public RuleSource {
   db::RuleStore& store_;
 };
 
-/// Check-pointing: UPDATE qos_rules SET credit = ? WHERE key = ?.
+/// Check-pointing: UPDATE qos_rules SET credit = ? WHERE key = ?, for one
+/// shard's credits per call, written in place in the database's chunks.
 class DbRuleSink final : public RuleSink {
  public:
   explicit DbRuleSink(db::RuleStore& store) : store_(store) {}
 
-  void checkpoint(std::string_view key, double credit) override {
-    (void)store_.checkpoint_credit(key, credit);  // missing rows are ignored
+  void checkpoint(std::span<const KeyCredit> credits) override {
+    // The write list views the pass's buffer one database chunk at a time,
+    // so it never outgrows a chunk.
+    constexpr std::size_t kChunk = db::Database::kWriteChunkRows;
+    std::vector<db::CellWrite> writes;
+    writes.reserve(std::min(credits.size(), kChunk));
+    for (std::size_t at = 0; at < credits.size(); at += kChunk) {
+      writes.clear();
+      for (const KeyCredit& c : credits.subspan(
+               at, std::min(kChunk, credits.size() - at))) {
+        writes.push_back({c.key, c.credit});
+      }
+      (void)store_.checkpoint_credits(writes);  // missing rows are skipped
+    }
   }
 
  private:

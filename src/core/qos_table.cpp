@@ -50,10 +50,15 @@ void ShardedQosTable::clear() {
 
 void ShardedQosTable::for_each(
     const std::function<void(const std::string&, QosEntry&)>& fn) {
-  for (auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    for (auto& [key, entry] : shard->entries) fn(key, entry);
-  }
+  for (std::size_t i = 0; i < shards_.size(); ++i) for_each_in_shard(i, fn);
+}
+
+void ShardedQosTable::for_each_in_shard(
+    std::size_t index,
+    const std::function<void(const std::string&, QosEntry&)>& fn) {
+  Shard& shard = *shards_.at(index);
+  MutexLock lock(shard.mu);
+  for (auto& [key, entry] : shard.entries) fn(key, entry);
 }
 
 std::vector<std::pair<std::string, QosEntry>> ShardedQosTable::snapshot()

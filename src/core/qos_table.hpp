@@ -19,17 +19,33 @@
 #include "common/sync.hpp"
 #include "common/transparent_hash.hpp"
 #include "core/leaky_bucket.hpp"
-#include "core/qos_rule.hpp"
 
 namespace janus::core {
 
-/// One rule + its bucket, as stored in the table.
+/// One key's bucket and the rule it was provisioned with, as stored in the
+/// table. The table's map already owns the key, and only creation reads a
+/// rule's starting credit, so neither is kept here.
 struct QosEntry {
-  QosRule rule;
   LeakyBucket bucket;
+  /// The rule's exact capacity and rate: the bucket keeps its capacity in
+  /// whole millicredits, so sync compares the database's rule against
+  /// these, not against the rounded bucket.
+  double capacity = 0.0;
+  double refill_per_sec = 0.0;
   /// True when the rule came from the default policy (unknown key); such
   /// entries are refreshed if the key later appears in the database.
   bool is_default = false;
+
+  /// A bucket for (capacity, refill_per_sec) holding `credit` at `now`.
+  static QosEntry make(double capacity, double refill_per_sec, double credit,
+                       TimePoint now, bool is_default) {
+    return QosEntry{
+        .bucket = LeakyBucket(capacity, refill_per_sec, credit, now),
+        .capacity = capacity,
+        .refill_per_sec = refill_per_sec,
+        .is_default = is_default,
+    };
+  }
 };
 
 class ShardedQosTable {
@@ -126,8 +142,15 @@ class ShardedQosTable {
   void clear();
 
   /// Visit every entry (each under its shard lock). Used by the refill
-  /// house-keeping thread, the sync thread, and check-pointing.
+  /// house-keeping thread and migration.
   void for_each(const std::function<void(const std::string&, QosEntry&)>& fn);
+
+  /// Visit the entries of shard `index` under its lock, which is released
+  /// on return. The sync and check-point passes walk the table this way, one
+  /// shard at a time, so what they copy out is one shard's worth.
+  void for_each_in_shard(
+      std::size_t index,
+      const std::function<void(const std::string&, QosEntry&)>& fn);
 
   /// Snapshot of all (key, entry) pairs — the HA replication payload.
   std::vector<std::pair<std::string, QosEntry>> snapshot() const;

@@ -1,5 +1,6 @@
 #include "db/database.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace janus::db {
@@ -67,77 +68,122 @@ const Table* Database::find_table_locked(std::string_view name) const {
   return it == tables_.end() ? nullptr : it->second.get();
 }
 
-Status Database::commit(LogRecord rec) {
-  MutexLock lock(commit_mu_);
-  return commit_locked(std::move(rec));
+void Database::ChunkLog::add(LogRecord::Op op, const std::string& table,
+                             const Row& row, std::string_view pk) {
+  const std::uint64_t lsn = first_lsn + count;
+  if (framed) {
+    append_record(frames, lsn, op, table, row, pk);
+    frame_ends.push_back(frames.size());
+  }
+  if (copied) {
+    if (count == records.size()) records.emplace_back();
+    LogRecord& rec = records[count];
+    rec.lsn = lsn;
+    rec.op = op;
+    rec.table = table;
+    rec.row = row;
+    rec.pk = pk;
+  }
+  ++count;
 }
 
-Status Database::commit_locked(LogRecord rec) {
-  auto it = tables_.find(rec.table);
-  if (it == tables_.end()) return Error("no table named " + rec.table);
-  Table& t = *it->second;
+Database::ChunkLog& Database::begin_chunk_locked() {
+  chunk_.first_lsn = lsn_.load(std::memory_order_relaxed) + 1;
+  chunk_.count = 0;
+  chunk_.framed = wal_ != nullptr;
+  chunk_.copied = !observers_.empty();
+  chunk_.frames.clear();
+  chunk_.frame_ends.clear();
+  return chunk_;
+}
 
-  rec.lsn = lsn_.load(std::memory_order_relaxed) + 1;
-
-  // Apply first (validates schema) — only then log and announce.
-  if (rec.op == LogRecord::Op::kUpsert) {
-    if (auto s = t.upsert(rec.row); !s.ok()) return s;
-  } else {
-    t.remove(rec.pk);  // removing a missing row is a logged no-op
+Status Database::finish_chunk_locked() {
+  std::size_t durable = chunk_.count;
+  Status written = Status::success();
+  if (chunk_.framed && chunk_.count > 0) {
+    written = wal_->append_frames(chunk_.frames, chunk_.frame_ends, durable);
   }
-
-  if (wal_) {
-    if (auto s = wal_->append(rec); !s.ok()) return s;
+  if (durable > 0) {
+    lsn_.store(chunk_.first_lsn + durable - 1, std::memory_order_release);
   }
-  lsn_.store(rec.lsn, std::memory_order_release);
-  for (const auto& obs : observers_) obs(rec);
-  return Status::success();
+  if (chunk_.copied) {
+    for (std::size_t i = 0; i < durable; ++i) {
+      for (const auto& obs : observers_) obs(chunk_.records[i]);
+    }
+  }
+  return written;
 }
 
 Status Database::upsert(const std::string& table_name, Row row) {
-  LogRecord rec;
-  rec.op = LogRecord::Op::kUpsert;
-  rec.table = table_name;
-  rec.row = std::move(row);
-  return commit(std::move(rec));
+  return upsert_many(table_name, std::span(&row, 1));
+}
+
+Status Database::upsert_many(const std::string& table_name,
+                             std::span<Row> rows) {
+  Table* t = find_table(table_name);
+  if (!t) return Error("no table named " + table_name);
+  for (const Row& row : rows) {
+    if (!t->schema().matches(row)) {
+      return Error("upsert: row does not match schema");
+    }
+  }
+  for (std::size_t at = 0; at < rows.size(); at += kWriteChunkRows) {
+    MutexLock lock(commit_mu_);
+    ChunkLog& log = begin_chunk_locked();
+    t->upsert_rows(
+        rows.subspan(at, std::min(kWriteChunkRows, rows.size() - at)),
+        [&](const Row& row) {
+          log.add(LogRecord::Op::kUpsert, table_name, row, {});
+        });
+    if (auto s = finish_chunk_locked(); !s.ok()) return s;
+  }
+  return Status::success();
 }
 
 Status Database::remove(const std::string& table_name, std::string_view pk) {
-  LogRecord rec;
-  rec.op = LogRecord::Op::kRemove;
-  rec.table = table_name;
-  rec.pk = std::string(pk);
-  return commit(std::move(rec));
+  MutexLock lock(commit_mu_);
+  Table* t = find_table_locked(table_name);
+  if (!t) return Error("no table named " + table_name);
+  t->remove(pk);  // removing a missing row is a logged no-op
+  begin_chunk_locked().add(LogRecord::Op::kRemove, table_name, Row{}, pk);
+  return finish_chunk_locked();
 }
 
 Status Database::update_column(const std::string& table_name,
                                std::string_view pk, std::string_view column,
                                Value value) {
-  // Hold commit_mu_ across the whole read-modify-write: two concurrent
-  // update_column calls touching different columns of the same row must not
-  // interleave between the read and the commit, or one update is lost
-  // (the check-pointer rewriting `credit` raced rule edits before this).
-  MutexLock lock(commit_mu_);
-  const Table* t = find_table_locked(table_name);
+  const CellWrite write{pk, std::move(value)};
+  auto written = update_column_many(table_name, column, std::span(&write, 1));
+  if (!written.ok()) return Error(written.error().message);
+  if (written.value() == 0) {
+    return Error("update: no row with key '" + std::string(pk) + "'");
+  }
+  return Status::success();
+}
+
+Result<std::size_t> Database::update_column_many(
+    const std::string& table_name, std::string_view column,
+    std::span<const CellWrite> writes) {
+  Table* t = find_table(table_name);
   if (!t) return Error("no table named " + table_name);
-  auto row = t->get(pk);
-  if (!row) return Error("update: no row with key '" + std::string(pk) + "'");
-  std::size_t col;
-  try {
-    col = t->schema().column_index(column);
-  } catch (const std::out_of_range&) {
-    return Error("update: unknown column '" + std::string(column) + "'");
+  auto writable = t->writable_column(column, writes);
+  if (!writable.ok()) return writable.error();
+  const std::size_t col = writable.value();
+  // The cell is written where the row lies, under the table lock, so a
+  // concurrent update of another column of the same row cannot be lost, and
+  // the logged full row is the row as it now stands.
+  std::size_t written = 0;
+  for (std::size_t at = 0; at < writes.size(); at += kWriteChunkRows) {
+    MutexLock lock(commit_mu_);
+    ChunkLog& log = begin_chunk_locked();
+    written += t->update_cells(
+        col, writes.subspan(at, std::min(kWriteChunkRows, writes.size() - at)),
+        [&](const Row& row) {
+          log.add(LogRecord::Op::kUpsert, table_name, row, {});
+        });
+    if (auto s = finish_chunk_locked(); !s.ok()) return s.error();
   }
-  if (col == 0) return Error("update: cannot modify the primary key");
-  if (type_of(value) != t->schema().columns[col].type) {
-    return Error("update: type mismatch for column '" + std::string(column) + "'");
-  }
-  (*row)[col] = std::move(value);
-  LogRecord rec;
-  rec.op = LogRecord::Op::kUpsert;
-  rec.table = table_name;
-  rec.row = std::move(*row);
-  return commit_locked(std::move(rec));
+  return written;
 }
 
 std::optional<Row> Database::get(std::string_view table_name,

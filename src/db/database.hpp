@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,11 @@ namespace janus::db {
 
 class Database {
  public:
+  /// Rows per write chunk. A chunk takes commit_mu_ and its table's lock
+  /// once, so this bounds how long a batched write (a check-point pass, a
+  /// rules load) holds off the QoS servers' reads (DESIGN.md §15.2).
+  static constexpr std::size_t kWriteChunkRows = 256;
+
   /// In-memory database (no durability).
   Database() = default;
 
@@ -44,11 +50,27 @@ class Database {
   const Table& table(std::string_view name) const;
 
   // -- Mutations (logged + replicated) --------------------------------------
+  //
+  // One write path: rows are written in place in chunks of kWriteChunkRows,
+  // each chunk under one commit_mu_ and one table-lock acquisition. Every
+  // row written is one full-row record with its own LSN; a chunk's records
+  // reach the WAL with one write and one flush, then the observers, in LSN
+  // order. Single-row calls are chunks of one.
+
   Status upsert(const std::string& table, Row row);
+  /// Insert or overwrite every row, in order. Rows are moved from. Fails
+  /// before writing anything if a row does not match the schema.
+  Status upsert_many(const std::string& table, std::span<Row> rows);
   Status remove(const std::string& table, std::string_view pk);
   /// Single-column update, logged as a full-row upsert.
   Status update_column(const std::string& table, std::string_view pk,
                        std::string_view column, Value value);
+  /// update_column for every row named in `writes`; rows that do not exist
+  /// are skipped. Fails before writing anything on an unknown column, the
+  /// primary key or a value of the wrong type. Returns the rows written.
+  Result<std::size_t> update_column_many(const std::string& table,
+                                         std::string_view column,
+                                         std::span<const CellWrite> writes);
 
   // -- Reads ----------------------------------------------------------------
   std::optional<Row> get(std::string_view table, std::string_view pk) const;
@@ -91,10 +113,30 @@ class Database {
       JANUS_REQUIRES(commit_mu_);
   const Table* find_table_locked(std::string_view name) const
       JANUS_REQUIRES(commit_mu_);
-  Status commit(LogRecord rec) JANUS_EXCLUDES(commit_mu_);
-  Status commit_locked(LogRecord rec) JANUS_REQUIRES(commit_mu_);
   Status snapshot_locked(const std::string& path) const
       JANUS_REQUIRES(commit_mu_);
+
+  // The records of the chunk being committed: their WAL frames back to back
+  // (record i ends at frame_ends[i]) when a WAL exists, and copies for the
+  // observers when any exist. Reused chunk to chunk, so a warm write path
+  // allocates nothing for its log.
+  struct ChunkLog {
+    std::uint64_t first_lsn = 0;
+    std::size_t count = 0;
+    bool framed = false;
+    bool copied = false;
+    std::vector<std::uint8_t> frames;
+    std::vector<std::size_t> frame_ends;
+    std::vector<LogRecord> records;
+
+    /// Log the chunk's next row (kUpsert) or key (kRemove) at the next LSN.
+    void add(LogRecord::Op op, const std::string& table, const Row& row,
+             std::string_view pk);
+  };
+  ChunkLog& begin_chunk_locked() JANUS_REQUIRES(commit_mu_);
+  /// Append the chunk's frames, then publish its LSNs and show its records
+  /// to the observers — only the records the WAL holds whole.
+  Status finish_chunk_locked() JANUS_REQUIRES(commit_mu_);
 
   // Serializes the WAL/observer sequence. Outermost database rank: commit
   // takes per-table locks (kDbTable) and the WAL lock (kDbWal) underneath.
@@ -106,6 +148,7 @@ class Database {
       JANUS_GUARDED_BY(commit_mu_);
   std::unique_ptr<Wal> wal_ JANUS_GUARDED_BY(commit_mu_);
   std::vector<Observer> observers_ JANUS_GUARDED_BY(commit_mu_);
+  ChunkLog chunk_ JANUS_GUARDED_BY(commit_mu_);
   std::atomic<std::uint64_t> lsn_{0};
 };
 

@@ -2,13 +2,20 @@
 
 namespace janus::db {
 
-RuleStore::RuleStore(Database& db) : db_(db) {
-  if (!db_.has_table(kTableName)) {
+namespace {
+
+const Table& qos_rules_of(Database& db) {
+  if (!db.has_table(RuleStore::kTableName)) {
     // Creation cannot fail here: we just checked absence and hold no lock
     // races on setup paths (RuleStore construction is a setup-time act).
-    (void)db_.create_table(kTableName, schema());
+    (void)db.create_table(RuleStore::kTableName, RuleStore::schema());
   }
+  return db.table(RuleStore::kTableName);
 }
+
+}  // namespace
+
+RuleStore::RuleStore(Database& db) : db_(db), table_(qos_rules_of(db)) {}
 
 Schema RuleStore::schema() {
   return Schema{{
@@ -32,13 +39,7 @@ RuleRow RuleStore::from_row(const Row& row) {
   };
 }
 
-std::optional<RuleRow> RuleStore::get(std::string_view key) const {
-  auto row = db_.get(kTableName, key);
-  if (!row) return std::nullopt;
-  return from_row(*row);
-}
-
-Status RuleStore::put(const RuleRow& rule) {
+Status RuleStore::validate(const RuleRow& rule) {
   if (rule.key.empty()) return Error("rule: empty key");
   if (rule.capacity < 0 || rule.refill_per_sec < 0) {
     return Error("rule: negative capacity or refill rate");
@@ -46,22 +47,47 @@ Status RuleStore::put(const RuleRow& rule) {
   if (rule.credit < 0 || rule.credit > rule.capacity) {
     return Error("rule: credit outside [0, capacity]");
   }
-  return db_.upsert(kTableName, to_row(rule));
+  return Status::success();
+}
+
+std::optional<RuleRow> RuleStore::get(std::string_view key) const {
+  std::optional<RuleRow> out;
+  table_.read(key, [&](const Row& row) { out = from_row(row); });
+  return out;
+}
+
+Status RuleStore::put(const RuleRow& rule) {
+  return put_many(std::span(&rule, 1));
+}
+
+Status RuleStore::put_many(std::span<const RuleRow> rules) {
+  std::vector<Row> rows;
+  rows.reserve(rules.size());
+  for (const RuleRow& rule : rules) {
+    if (auto s = validate(rule); !s.ok()) return s;
+    rows.push_back(to_row(rule));
+  }
+  return db_.upsert_many(kTableName, rows);
 }
 
 Status RuleStore::checkpoint_credit(std::string_view key, double credit) {
   return db_.update_column(kTableName, key, "credit", credit);
 }
 
+Result<std::size_t> RuleStore::checkpoint_credits(
+    std::span<const CellWrite> writes) {
+  return db_.update_column_many(kTableName, "credit", writes);
+}
+
 bool RuleStore::remove(std::string_view key) {
-  if (!db_.get(kTableName, key)) return false;
+  if (!table_.read(key, [](const Row&) {})) return false;
   return db_.remove(kTableName, key).ok();
 }
 
 void RuleStore::scan(const std::function<void(const RuleRow&)>& fn) const {
-  db_.scan(kTableName, [&](const Row& row) { fn(from_row(row)); });
+  table_.scan([&](const Row& row) { fn(from_row(row)); });
 }
 
-std::size_t RuleStore::size() const { return db_.table_size(kTableName); }
+std::size_t RuleStore::size() const { return table_.size(); }
 
 }  // namespace janus::db

@@ -6,6 +6,7 @@
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,14 +35,26 @@ class RuleStore {
 
   static Schema schema();
 
+  /// The checks put and put_many apply to a rule before storing it.
+  static Status validate(const RuleRow& rule);
+
   /// SELECT * FROM qos_rules WHERE key = ? (first-touch lookup).
   std::optional<RuleRow> get(std::string_view key) const;
 
   /// INSERT ... ON DUPLICATE KEY UPDATE (rule provisioning).
   Status put(const RuleRow& rule);
 
+  /// put() for every rule, committed in the database's bounded chunks.
+  /// Fails before writing anything if a rule does not validate.
+  Status put_many(std::span<const RuleRow> rules);
+
   /// UPDATE qos_rules SET credit = ? WHERE key = ? (check-pointing).
   Status checkpoint_credit(std::string_view key, double credit);
+
+  /// checkpoint_credit() for every (key, credit) in `writes`, written in
+  /// place in the database's bounded chunks; keys with no row are skipped.
+  /// Returns the rows written.
+  Result<std::size_t> checkpoint_credits(std::span<const CellWrite> writes);
 
   /// DELETE FROM qos_rules WHERE key = ?.
   bool remove(std::string_view key);
@@ -58,6 +71,9 @@ class RuleStore {
   static RuleRow from_row(const Row& row);
 
   Database& db_;
+  // Resolved once: tables are never dropped, so reads go straight to the
+  // table's own lock and never take the database's commit lock.
+  const Table& table_;
 };
 
 }  // namespace janus::db

@@ -123,26 +123,36 @@ bool ByteReader::row(Row& out) {
 }
 
 std::vector<std::uint8_t> encode_record(const LogRecord& rec) {
-  ByteWriter payload;
-  payload.u64(rec.lsn);
-  payload.u8(static_cast<std::uint8_t>(rec.op));
-  payload.str(rec.table);
-  if (rec.op == LogRecord::Op::kUpsert) {
-    payload.row(rec.row);
-  } else {
-    payload.str(rec.pk);
-  }
-
-  const auto& body = payload.bytes();
-  std::uint32_t crc = crc32(std::string_view(
-      reinterpret_cast<const char*>(body.data()), body.size()));
-
-  ByteWriter framed;
-  framed.u32(static_cast<std::uint32_t>(body.size()));
-  framed.u32(crc);
-  std::vector<std::uint8_t> out = framed.take();
-  out.insert(out.end(), body.begin(), body.end());
+  std::vector<std::uint8_t> out;
+  append_record(out, rec.lsn, rec.op, rec.table, rec.row, rec.pk);
   return out;
+}
+
+void append_record(std::vector<std::uint8_t>& out, std::uint64_t lsn,
+                   LogRecord::Op op, std::string_view table, const Row& row,
+                   std::string_view pk) {
+  const std::size_t start = out.size();
+  ByteWriter w(std::move(out));
+  w.u32(0);  // payload length, patched below
+  w.u32(0);  // payload CRC, patched below
+  w.u64(lsn);
+  w.u8(static_cast<std::uint8_t>(op));
+  w.str(table);
+  if (op == LogRecord::Op::kUpsert) {
+    w.row(row);
+  } else {
+    w.str(pk);
+  }
+  out = w.take();
+
+  const std::size_t body = start + 8;
+  const auto len = static_cast<std::uint32_t>(out.size() - body);
+  const std::uint32_t crc = crc32(std::string_view(
+      reinterpret_cast<const char*>(out.data() + body), len));
+  for (int i = 0; i < 4; ++i) {
+    out[start + i] = static_cast<std::uint8_t>(len >> (8 * i));
+    out[start + 4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
 }
 
 Result<LogRecord> decode_record_payload(std::span<const std::uint8_t> payload) {

@@ -28,6 +28,10 @@ struct LogRecord {
 
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  /// Append to `buf` instead of starting empty (take() hands it back).
+  explicit ByteWriter(std::vector<std::uint8_t> buf) : buf_(std::move(buf)) {}
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
@@ -65,6 +69,12 @@ class ByteReader {
 
 /// Record framing: [u32 payload_len][u32 crc32(payload)][payload].
 std::vector<std::uint8_t> encode_record(const LogRecord& rec);
+/// Append the framed record (lsn, op, table, row or pk) to `out`: the bytes
+/// encode_record returns for that record, with no LogRecord built. The
+/// database's write path frames each row of a chunk this way, in place.
+void append_record(std::vector<std::uint8_t>& out, std::uint64_t lsn,
+                   LogRecord::Op op, std::string_view table, const Row& row,
+                   std::string_view pk);
 Result<LogRecord> decode_record_payload(std::span<const std::uint8_t> payload);
 
 }  // namespace janus::db

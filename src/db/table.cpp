@@ -23,8 +23,7 @@ Status Table::insert(Row row) {
 
 Status Table::upsert(Row row) {
   if (!schema_.matches(row)) return Error("upsert: row does not match schema");
-  WriterLock lock(mu_);
-  rows_[pk_of(row)] = std::move(row);
+  upsert_rows(std::span(&row, 1), [](const Row&) {});
   return Status::success();
 }
 
@@ -35,8 +34,33 @@ std::optional<Row> Table::get(std::string_view pk) const {
   return it->second;
 }
 
-Status Table::update_column(std::string_view pk, std::string_view column,
-                            Value value) {
+void Table::upsert_rows(std::span<Row> rows, const RowVisitor& written) {
+  WriterLock lock(mu_);
+  for (Row& row : rows) {
+    // try_emplace copies the key only when the row is new.
+    auto it = rows_.try_emplace(std::get<std::string>(row[0])).first;
+    it->second = std::move(row);
+    written(it->second);
+  }
+}
+
+std::size_t Table::update_cells(std::size_t col,
+                                std::span<const CellWrite> writes,
+                                const RowVisitor& written) {
+  std::size_t n = 0;
+  WriterLock lock(mu_);
+  for (const CellWrite& w : writes) {
+    auto it = rows_.find(w.pk);
+    if (it == rows_.end()) continue;
+    it->second[col] = w.value;
+    written(it->second);
+    ++n;
+  }
+  return n;
+}
+
+Result<std::size_t> Table::writable_column(
+    std::string_view column, std::span<const CellWrite> writes) const {
   std::size_t col;
   try {
     col = schema_.column_index(column);
@@ -44,15 +68,24 @@ Status Table::update_column(std::string_view pk, std::string_view column,
     return Error("update: unknown column '" + std::string(column) + "'");
   }
   if (col == 0) return Error("update: cannot modify the primary key");
-  if (type_of(value) != schema_.columns[col].type) {
-    return Error("update: type mismatch for column '" + std::string(column) + "'");
+  for (const CellWrite& w : writes) {
+    if (type_of(w.value) != schema_.columns[col].type) {
+      return Error("update: type mismatch for column '" +
+                   std::string(column) + "'");
+    }
   }
-  WriterLock lock(mu_);
-  auto it = rows_.find(pk);
-  if (it == rows_.end()) {
+  return col;
+}
+
+Status Table::update_column(std::string_view pk, std::string_view column,
+                            Value value) {
+  const CellWrite write{pk, std::move(value)};
+  const auto writes = std::span(&write, 1);
+  auto col = writable_column(column, writes);
+  if (!col.ok()) return Error(col.error().message);
+  if (update_cells(col.value(), writes, [](const Row&) {}) == 0) {
     return Error("update: no row with key '" + std::string(pk) + "'");
   }
-  it->second[col] = std::move(value);
   return Status::success();
 }
 

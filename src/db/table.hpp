@@ -6,7 +6,9 @@
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -16,6 +18,16 @@
 #include "db/value.hpp"
 
 namespace janus::db {
+
+/// One row's new value for the column a batched update names.
+struct CellWrite {
+  std::string_view pk;
+  Value value;
+};
+
+/// Sees each row a batched write stored, in order, while the table's lock is
+/// still held (the database frames its log records there).
+using RowVisitor = std::function<void(const Row&)>;
 
 class Table {
  public:
@@ -33,6 +45,35 @@ class Table {
 
   /// Point lookup by primary key.
   std::optional<Row> get(std::string_view pk) const;
+
+  /// Point lookup that reads the row where it lies: `fn(row)` runs under
+  /// the shared lock and must not call back into the table. Returns false
+  /// if the key is absent.
+  template <typename Fn>
+  bool read(std::string_view pk, Fn&& fn) const {
+    ReaderLock lock(mu_);
+    auto it = rows_.find(pk);
+    if (it == rows_.end()) return false;
+    fn(it->second);
+    return true;
+  }
+
+  /// Insert or overwrite each row by PK, in order, under one exclusive
+  /// lock. The rows must match the schema (the caller checked); they are
+  /// moved from. `written` sees each stored row.
+  void upsert_rows(std::span<Row> rows, const RowVisitor& written);
+
+  /// The index of `column` if every value in `writes` may be stored in it:
+  /// an error for an unknown column, the primary key or a wrong type.
+  Result<std::size_t> writable_column(std::string_view column,
+                                      std::span<const CellWrite> writes) const;
+
+  /// Set column `col` of each existing row named in `writes`, in place and
+  /// in order, under one exclusive lock; a missing PK is skipped. `col` and
+  /// the values must have passed writable_column. `written` sees each row
+  /// written. Returns the number of rows written.
+  std::size_t update_cells(std::size_t col, std::span<const CellWrite> writes,
+                           const RowVisitor& written);
 
   /// Update a single column of an existing row. Fails on missing row,
   /// unknown column, or type mismatch. This is the check-pointing operation

@@ -38,29 +38,48 @@ Wal::~Wal() {
 
 Status Wal::append(const LogRecord& rec) {
   std::vector<std::uint8_t> framed = encode_record(rec);
+  const std::size_t end = framed.size();
+  std::size_t intact = 0;
+  return append_frames(framed, std::span(&end, 1), intact);
+}
+
+Status Wal::append_frames(std::span<std::uint8_t> frames,
+                          std::span<const std::size_t> ends,
+                          std::size_t& intact) {
+  intact = 0;
   auto& faults = testing::FaultInjector::instance();
-  if (faults.should_fire(testing::FaultPoint::kDbWalCorruptCrc)) {
-    // Silent media corruption: the record lands full-length and append
-    // reports success, but its CRC (header bytes 4..7) no longer matches.
-    framed[4] ^= 0xFF;
-  }
   MutexLock lock(mu_);
   if (!file_) return Error("wal: closed");
-  if (faults.should_fire(testing::FaultPoint::kDbWalPartialWrite)) {
-    // Torn write: only a prefix of the frame reaches the file, as after a
-    // crash mid-append. param = bytes kept (0 => half the frame).
-    const std::int64_t p = faults.param(testing::FaultPoint::kDbWalPartialWrite);
-    const std::size_t keep =
-        p > 0 ? std::min(framed.size(), static_cast<std::size_t>(p))
-              : framed.size() / 2;
-    (void)std::fwrite(framed.data(), 1, keep, file_);
-    (void)std::fflush(file_);
-    return Error("wal: torn write (injected)");
+  std::size_t start = 0;
+  for (const std::size_t end : ends) {
+    if (faults.should_fire(testing::FaultPoint::kDbWalCorruptCrc)) {
+      // Silent media corruption: the record lands full-length and append
+      // reports success, but its CRC (header bytes 4..7) no longer matches.
+      frames[start + 4] ^= 0xFF;
+    }
+    if (faults.should_fire(testing::FaultPoint::kDbWalPartialWrite)) {
+      // Torn write: only a prefix of this frame reaches the file, as after
+      // a crash mid-append. param = bytes kept (0 => half the frame).
+      const std::size_t size = end - start;
+      const std::int64_t p =
+          faults.param(testing::FaultPoint::kDbWalPartialWrite);
+      const std::size_t keep =
+          p > 0 ? std::min(size, static_cast<std::size_t>(p)) : size / 2;
+      (void)std::fwrite(frames.data(), 1, start + keep, file_);
+      (void)std::fflush(file_);
+      return Error("wal: torn write (injected)");
+    }
+    start = end;
+    ++intact;
   }
-  if (std::fwrite(framed.data(), 1, framed.size(), file_) != framed.size()) {
+  if (std::fwrite(frames.data(), 1, start, file_) != start) {
+    intact = 0;
     return Error("wal: short write");
   }
-  if (std::fflush(file_) != 0) return Error("wal: flush failed");
+  if (std::fflush(file_) != 0) {
+    intact = 0;
+    return Error("wal: flush failed");
+  }
   return Status::success();
 }
 

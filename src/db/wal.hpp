@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <functional>
+#include <span>
 #include <string>
 
 #include "common/result.hpp"
@@ -29,6 +30,15 @@ class Wal {
 
   /// Append a record and flush it to the OS.
   Status append(const LogRecord& rec);
+
+  /// Append framed records laid back to back in `frames` (record i ends at
+  /// `ends[i]`) with one write and one flush. The fault points are consulted
+  /// once per record, in order, as if each record were appended alone: a
+  /// torn record is written as a prefix after the whole records before it,
+  /// and nothing after it is written. `intact` gets the number of records
+  /// written whole.
+  Status append_frames(std::span<std::uint8_t> frames,
+                       std::span<const std::size_t> ends, std::size_t& intact);
 
   /// fsync the log (called on checkpoint boundaries).
   Status sync();

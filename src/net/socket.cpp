@@ -290,6 +290,10 @@ Result<std::size_t> UdpSocket::recv_many(RecvBatch& batch, Duration timeout) {
   // see the same per-datagram decision stream as the single recv() path.
   auto& faults = testing::FaultInjector::instance();
   for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
+    // Empty and without a sender: not a datagram (every datagram, even an
+    // empty one, carries its source address) but the end-of-stream entry a
+    // blocked receive returns after shutdown_read.
+    if (hdrs[i].msg_len == 0 && hdrs[i].msg_hdr.msg_namelen == 0) continue;
     // Longer than a slot: drop, as if lost.
     if ((hdrs[i].msg_hdr.msg_flags & MSG_TRUNC) != 0) continue;
     if (faults.should_fire(testing::FaultPoint::kNetUdpDropRx)) continue;
@@ -299,6 +303,12 @@ Result<std::size_t> UdpSocket::recv_many(RecvBatch& batch, Duration timeout) {
     batch.froms_[out] = SockAddr::from_native(batch.addrs_[i]);
   }
   return batch.count_;
+}
+
+void UdpSocket::shutdown_read() {
+  // On an unconnected socket the kernel answers ENOTCONN, but it still marks
+  // the receive side shut and wakes every blocked receiver.
+  (void)::shutdown(fd_.get(), SHUT_RD);
 }
 
 Status UdpSocket::send_many(std::span<const OutDatagram> batch) {

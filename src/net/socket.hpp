@@ -129,7 +129,7 @@ class UdpSocket {
   /// Wait up to `timeout` (0 = never, < 0 = forever) for the first
   /// datagram, then drain up to batch.capacity() datagrams in one recvmmsg
   /// (DESIGN.md §13). Returns the number received into `batch`; 0 =
-  /// timeout. The wait happens inside the syscall (SO_RCVTIMEO,
+  /// timeout, or the receive side was shut down (shutdown_read). The wait happens inside the syscall (SO_RCVTIMEO,
   /// MSG_WAITFORONE), where the kernel wakes one blocked thread per arriving
   /// datagram; poll() would wake them all. SO_RCVTIMEO is per socket, so
   /// threads sharing one must pass the same timeout. Fault semantics are
@@ -154,6 +154,12 @@ class UdpSocket {
   std::uint32_t receive_drops() const;
 
   int fd() const { return fd_.get(); }
+
+  /// Shut the receive side: every thread blocked in recv_many on this socket
+  /// returns 0 at once, and so does every later call once the queue is
+  /// empty. Datagrams already queued can still be received; sends still
+  /// work. This is how a server wakes workers that wait without a timeout.
+  void shutdown_read();
 
   // Hand-written moves: the timeout cache is an atomic.
   UdpSocket(UdpSocket&& other) noexcept;

@@ -16,8 +16,8 @@ std::vector<std::uint8_t> serialize_table(core::ShardedQosTable& table) {
   w.u32(static_cast<std::uint32_t>(entries.size()));
   for (const auto& [key, entry] : entries) {
     w.str(key);
-    w.f64(entry.rule.capacity);
-    w.f64(entry.rule.refill_per_sec);
+    w.f64(entry.capacity);
+    w.f64(entry.refill_per_sec);
     w.f64(entry.bucket.credit());
     w.u8(entry.is_default ? 1 : 0);
   }
@@ -47,15 +47,9 @@ Result<std::size_t> restore_table(core::ShardedQosTable& table,
         !r.u8(is_default)) {
       return Error("snapshot: truncated entry");
     }
-    core::QosRule rule{.key = key,
-                       .capacity = capacity,
-                       .refill_per_sec = refill,
-                       .initial_credit = credit};
-    entries.emplace_back(
-        std::move(key),
-        core::QosEntry{.rule = rule,
-                       .bucket = core::LeakyBucket(capacity, refill, credit, now),
-                       .is_default = is_default == 1});
+    entries.emplace_back(std::move(key),
+                         core::QosEntry::make(capacity, refill, credit, now,
+                                              is_default == 1));
   }
   if (!r.at_end()) return Error("snapshot: trailing bytes");
   table.restore(std::move(entries));

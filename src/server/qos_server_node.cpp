@@ -59,7 +59,9 @@ QosServerNode::QosServerNode(net::UdpSocket socket, net::SockAddr addr,
       cluster_deferred_(metrics_.counter("server.cluster_deferred")),
       migrated_in_(metrics_.counter("server.migrated_in")),
       migrated_out_(metrics_.counter("server.migrated_out")),
-      cluster_epoch_gauge_(metrics_.gauge("server.cluster_epoch")) {
+      cluster_epoch_gauge_(metrics_.gauge("server.cluster_epoch")),
+      sync_pass_us_(metrics_.histogram("server.sync_pass_us")),
+      checkpoint_pass_us_(metrics_.histogram("server.checkpoint_pass_us")) {
   queue_wait_exemplar_.set_threshold(config_.slow_exemplar_us);
   service_exemplar_.set_threshold(config_.slow_exemplar_us);
 
@@ -74,12 +76,11 @@ QosServerNode::QosServerNode(net::UdpSocket socket, net::SockAddr addr,
   }
   if (config_.sync_interval.count() > 0) {
     maintenance_.push_back(std::make_unique<PeriodicTask>(
-        config_.sync_interval, [this] { admission_->sync_now(); }));
+        config_.sync_interval, [this] { sync_now(); }));
   }
   if (config_.checkpoint_interval.count() > 0) {
     maintenance_.push_back(std::make_unique<PeriodicTask>(
-        config_.checkpoint_interval,
-        [this] { admission_->checkpoint_now(sink_); }));
+        config_.checkpoint_interval, [this] { checkpoint_now(); }));
   }
   if (config_.watchdog_interval.count() > 0) {
     maintenance_.push_back(std::make_unique<PeriodicTask>(
@@ -225,17 +226,37 @@ void QosServerNode::watchdog_pass() {
   watchdog_last_answered_ = answered;
 }
 
-void QosServerNode::sync_now() { admission_->sync_now(); }
+namespace {
 
-void QosServerNode::checkpoint_now() { admission_->checkpoint_now(sink_); }
+/// Microseconds since `start`, for the pass histograms.
+std::int64_t micros_since(TimePoint start) {
+  return (SteadyClock::instance().now() - start).count() / 1000;
+}
+
+}  // namespace
+
+void QosServerNode::sync_now() {
+  const TimePoint start = SteadyClock::instance().now();
+  admission_->sync_now();
+  sync_pass_us_.record(micros_since(start));
+}
+
+void QosServerNode::checkpoint_now() {
+  const TimePoint start = SteadyClock::instance().now();
+  admission_->checkpoint_now(sink_);
+  checkpoint_pass_us_.record(micros_since(start));
+}
 
 void QosServerNode::stop() {
   bool expected = false;
   if (!stopping_.compare_exchange_strong(expected, true)) return;
   // Maintenance first, then the workers. A worker answers every datagram
   // it received before it looks at stopping_ again, so it strands nothing;
-  // unread datagrams stay in the socket, never counted.
+  // unread datagrams stay in the socket, never counted. Workers wait in
+  // recv_many without a timeout: shutting the socket's receive side ends
+  // every blocked wait at once, and each worker then sees stopping_.
   for (auto& task : maintenance_) task->stop();
+  socket_.shutdown_read();
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
   }
@@ -433,14 +454,15 @@ void QosServerNode::worker_loop() {
   ReplyBuffers buf(batch.capacity());
 
   while (!stopping_.load(std::memory_order_relaxed)) {
-    auto got = socket_.recv_many(batch, millis(50));
+    // No timeout: stop() wakes a blocked worker with shutdown_read.
+    auto got = socket_.recv_many(batch, kWaitForever);
     if (!got.ok()) {
       // purity-ok: recv-error path only — never taken for healthy traffic
       JLOG_WARN("server: recv failed: %s", got.error().message.c_str());
       continue;
     }
     const std::size_t n = got.value();
-    if (n == 0) continue;  // timeout: re-check stopping_
+    if (n == 0) continue;  // woken by stop(): re-check stopping_
     BatchSampler sample = begin_batch(n);
     views.clear();
     for (std::size_t i = 0; i < n; ++i) {
@@ -490,8 +512,8 @@ namespace {
 wire::MigrationEntry to_migration_entry(const std::string& key,
                                         const core::QosEntry& entry) {
   return wire::MigrationEntry{.key = key,
-                              .capacity = entry.rule.capacity,
-                              .refill_per_sec = entry.rule.refill_per_sec,
+                              .capacity = entry.capacity,
+                              .refill_per_sec = entry.refill_per_sec,
                               .credit = entry.bucket.credit(),
                               .is_default = entry.is_default};
 }
@@ -500,14 +522,8 @@ core::QosEntry from_migration_entry(const wire::MigrationEntry& e,
                                     TimePoint now) {
   // Mirrors ha.cpp restore_table: the migrated credit is the authoritative
   // water level; the bucket resumes refilling from `now` on the new owner.
-  core::QosRule rule{.key = e.key,
-                     .capacity = e.capacity,
-                     .refill_per_sec = e.refill_per_sec,
-                     .initial_credit = e.credit};
-  return core::QosEntry{
-      .rule = rule,
-      .bucket = core::LeakyBucket(e.capacity, e.refill_per_sec, e.credit, now),
-      .is_default = e.is_default};
+  return core::QosEntry::make(e.capacity, e.refill_per_sec, e.credit, now,
+                              e.is_default);
 }
 
 }  // namespace

@@ -100,7 +100,9 @@ class QosServerNode {
   /// decision path pays nothing for the probe surface.
   std::int64_t requests_in_flight() const;
 
-  /// Force one maintenance pass (tests; avoids waiting on wall-clock).
+  /// One maintenance pass; the periodic threads run these, tests call them
+  /// to avoid waiting on wall-clock. Each records its duration, one sample
+  /// per pass, in server.sync_pass_us / server.checkpoint_pass_us.
   void sync_now();
   void checkpoint_now();
 
@@ -161,6 +163,9 @@ class QosServerNode {
   /// Max datagrams per recvmmsg: a worker's batch, decided and answered as
   /// a unit.
   static constexpr std::size_t kRecvBatch = 32;
+  /// recv_many's "no timeout": a worker blocks until a datagram arrives or
+  /// stop() shuts the socket's receive side.
+  static constexpr Duration kWaitForever{-1};
 
   /// Timing sample over one receive batch: one datagram in every
   /// 1 << kTimingSampleShift carries the batch's receive time (one clock
@@ -268,6 +273,8 @@ class QosServerNode {
   Counter& migrated_in_;       // server.migrated_in (entries)
   Counter& migrated_out_;      // server.migrated_out (entries)
   Gauge& cluster_epoch_gauge_; // server.cluster_epoch
+  HistogramMetric& sync_pass_us_;        // server.sync_pass_us
+  HistogramMetric& checkpoint_pass_us_;  // server.checkpoint_pass_us
 
   // Watchdog bookkeeping; touched only from the watchdog's PeriodicTask
   // thread, so plain fields suffice. The socket is flagged only after TWO

@@ -290,5 +290,79 @@ TEST(JanusdRoleFlagsTest, KnownServerFlagsStartTheNodeWithHa) {
       << out.output;
 }
 
+// ---- the rules file -----------------------------------------------------
+//
+// The loader reads the file in fixed-size blocks and commits rules in the
+// database's write chunks; the grammar, its error messages and their line
+// numbers are the ones the line-at-a-time loader had.
+
+/// Write `text` to a rules file named after the running test and `tag`.
+std::string rules_file(const std::string& tag, const std::string& text) {
+  const std::string path =
+      ::testing::TempDir() + "janusd_rules_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      tag + ".conf";
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f != nullptr) {
+    std::fwrite(text.data(), 1, text.size(), f);
+    std::fclose(f);
+  }
+  return path;
+}
+
+/// 4000 good rules, about 90 KB: longer than one read block and than
+/// fifteen write chunks, so the lines after it sit past both boundaries.
+std::string long_good_block() {
+  std::string out;
+  for (int i = 0; i < 4000; ++i) {
+    out += "tenant-" + std::to_string(i) + " = 1 2\n";
+  }
+  return out;
+}
+
+TEST(JanusdRulesFileTest, MalformedLineIsRejectedWithItsNumber) {
+  struct Row {
+    std::string text;
+    std::string message;
+  };
+  const std::string good = long_good_block();
+  const std::vector<Row> rows = {
+      {"a = 1 2\n# note\n\nno equals sign\n",
+       "janusd: rules line 4: expected 'key = rate capacity [credit]'\n"},
+      {"a = 1\n", "janusd: rules line 1: bad format\n"},
+      {" = 1 2\n", "janusd: rules line 1: bad format\n"},
+      {"a = 1 2 3 4\n", "janusd: rules line 1: bad format\n"},
+      {"a = x 2\n", "janusd: rules line 1: bad number\n"},
+      {"a = 1 2 3\n",
+       "janusd: rules line 1: rule: credit outside [0, capacity]\n"},
+      {"a = -1 2\r\n",
+       "janusd: rules line 1: rule: negative capacity or refill rate\n"},
+      {good + "late = 1 two\n", "janusd: rules line 4001: bad number\n"},
+      {good + "tail = 1", "janusd: rules line 4001: bad format\n"},
+  };
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const std::string path = rules_file(std::to_string(i), rows[i].text);
+    const Outcome out = run_janusd(
+        {"server", "--listen", "127.0.0.1:0", "--rules", path}, seconds(10));
+    std::remove(path.c_str());
+    ASSERT_TRUE(out.exited) << "row " << i << " started:\n" << out.output;
+    EXPECT_EQ(out.code, 1) << "row " << i << ":\n" << out.output;
+    EXPECT_EQ(out.output, rows[i].message) << "row " << i;
+  }
+}
+
+TEST(JanusdRulesFileTest, CrlfLinesAndNoFinalNewlineAreAccepted) {
+  const std::string path = rules_file(
+      "crlf", long_good_block() +
+                  "a = 1 2\r\n# note\r\n\r\nb = 3 4 1\r\n  c  =  5   6 ");
+  const Outcome out =
+      run_janusd({"server", "--listen", "127.0.0.1:0", "--rules", path},
+                 seconds(10), " workers)");
+  std::remove(path.c_str());
+  EXPECT_FALSE(out.exited) << out.output;
+  EXPECT_NE(out.output.find("(4003 rules, "), std::string::npos)
+      << out.output;
+}
+
 }  // namespace
 }  // namespace janus

@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <map>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/flight_recorder.hpp"
 #include "core/db_rule_adapter.hpp"
@@ -41,10 +48,12 @@ class FakeRuleSource : public RuleSource {
 
 class FakeSink : public RuleSink {
  public:
-  void checkpoint(std::string_view key, double credit) override {
-    credits_[std::string(key)] = credit;
+  void checkpoint(std::span<const KeyCredit> credits) override {
+    ++calls_;
+    for (const KeyCredit& c : credits) credits_[c.key] = c.credit;
   }
   std::map<std::string, double> credits_;
+  int calls_ = 0;
 };
 
 class AdmissionTest : public ::testing::Test {
@@ -214,6 +223,161 @@ TEST_F(AdmissionTest, CheckpointWritesCreditsForRealRulesOnly) {
   EXPECT_DOUBLE_EQ(sink.credits_.at("alice"), 8.0);
   EXPECT_DOUBLE_EQ(sink.credits_.at("bob"), 19.0);
   EXPECT_EQ(sink.credits_.count("unknown"), 0u);
+}
+
+TEST_F(AdmissionTest, SyncLeavesRulesWithFineCapacitiesAlone) {
+  // The bucket holds capacity in whole millicredits; sync must compare the
+  // database's rule with the exact values the entry keeps, or a capacity
+  // with more than three decimals (perfbench's rules have them) "changes"
+  // on every pass, and each pass resets the bucket to the database credit.
+  source_.add("fine", 12.34567, 1.23456, 12.34567);
+  AdmissionController ac(clock_, source_, config());
+  ASSERT_TRUE(ac.check("fine", 3).allowed);
+  const auto spent = ac.table().with_entry(
+      "fine", [](QosEntry& e) { return e.bucket.millicredits(); });
+  ASSERT_TRUE(spent.has_value());
+  EXPECT_EQ(ac.sync_now(), 0u);
+  EXPECT_EQ(ac.sync_now(), 0u);
+  const auto after = ac.table().with_entry(
+      "fine", [](QosEntry& e) { return e.bucket.millicredits(); });
+  EXPECT_EQ(after, spent) << "sync reset a bucket whose rule did not change";
+}
+
+TEST_F(AdmissionTest, CheckpointHandsTheSinkOneShardPerCall) {
+  AdmissionController ac(clock_, source_, config());
+  constexpr int kKeys = 200;
+  for (int i = 0; i < kKeys; ++i) {
+    source_.add("k" + std::to_string(i), 10, 0);
+    ac.check("k" + std::to_string(i));
+  }
+  FakeSink sink;
+  EXPECT_EQ(ac.checkpoint_now(sink), static_cast<std::size_t>(kKeys));
+  EXPECT_EQ(sink.credits_.size(), static_cast<std::size_t>(kKeys));
+  EXPECT_LE(sink.calls_, static_cast<int>(config().table_shards));
+  EXPECT_GE(sink.calls_, 2);
+}
+
+TEST_F(AdmissionTest, ChunkedCheckpointWritesWhatPerKeyWritesWrote) {
+  // The same table check-pointed through DbRuleSink (in-place chunks) and
+  // through one checkpoint_credit per key: the same credits, the same
+  // records in the same LSN order, the same log bytes.
+  class PerKeySink : public RuleSink {
+   public:
+    explicit PerKeySink(db::RuleStore& store) : store_(store) {}
+    void checkpoint(std::span<const KeyCredit> credits) override {
+      for (const KeyCredit& c : credits) {
+        (void)store_.checkpoint_credit(c.key, c.credit);
+      }
+    }
+
+   private:
+    db::RuleStore& store_;
+  };
+  struct Side {
+    db::Database db;
+    std::unique_ptr<db::RuleStore> store;
+    std::unique_ptr<DbRuleSource> source;
+    std::vector<db::LogRecord> seen;
+    std::string wal;
+  };
+  constexpr int kKeys = 1000;
+  auto open = [&](Side& side, const std::string& tag) {
+    side.wal = ::testing::TempDir() + "janus_ckpt_" + tag + "_" +
+               std::to_string(::getpid()) + ".wal";
+    std::remove(side.wal.c_str());
+    ASSERT_TRUE(side.db.enable_wal(side.wal).ok());
+    side.store = std::make_unique<db::RuleStore>(side.db);
+    side.source = std::make_unique<DbRuleSource>(*side.store);
+    for (int i = 0; i < kKeys; ++i) {
+      ASSERT_TRUE(side.store->put({.key = "tenant-" + std::to_string(i),
+                                   .refill_per_sec = 0.5 * i,
+                                   .capacity = 100.0 + i,
+                                   .credit = 100.0 + i}).ok());
+    }
+    side.db.add_observer(
+        [&side](const db::LogRecord& rec) { side.seen.push_back(rec); });
+  };
+  Side per_key;
+  Side chunked;
+  open(per_key, "per_key");
+  open(chunked, "chunked");
+  AdmissionController a(clock_, *per_key.source, config());
+  AdmissionController b(clock_, *chunked.source, config());
+  for (int i = 0; i < kKeys; ++i) {
+    const std::string key = "tenant-" + std::to_string(i);
+    const std::uint32_t cost = static_cast<std::uint32_t>(i % 7);
+    a.check(key, cost);
+    b.check(key, cost);
+  }
+  clock_.advance(millis(1500));
+  PerKeySink per_key_sink(*per_key.store);
+  DbRuleSink chunked_sink(*chunked.store);
+  EXPECT_EQ(a.checkpoint_now(per_key_sink), static_cast<std::size_t>(kKeys));
+  EXPECT_EQ(b.checkpoint_now(chunked_sink), static_cast<std::size_t>(kKeys));
+
+  ASSERT_EQ(chunked.seen.size(), static_cast<std::size_t>(kKeys));
+  EXPECT_EQ(chunked.seen, per_key.seen);
+  EXPECT_EQ(chunked.db.lsn(), per_key.db.lsn());
+  for (int i = 0; i < kKeys; ++i) {
+    const std::string key = "tenant-" + std::to_string(i);
+    EXPECT_EQ(chunked.store->get(key), per_key.store->get(key)) << key;
+  }
+  auto bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  EXPECT_EQ(bytes(chunked.wal), bytes(per_key.wal));
+  std::remove(per_key.wal.c_str());
+  std::remove(chunked.wal.c_str());
+}
+
+TEST_F(AdmissionTest, HouseKeepingPassesRunBesideDecisions) {
+  // Sync and check-point passes walk the shards and write the database
+  // while deciders spend credit and first-touch keys (the sanitizer presets
+  // run this suite). No decision is lost or doubled, and the last
+  // check-point holds every bucket's level.
+  db::Database database;
+  db::RuleStore store(database);
+  constexpr int kKeys = 64;
+  constexpr int kRounds = 20;
+  constexpr int kDeciders = 2;
+  std::vector<std::string> keys;
+  for (int i = 0; i < kKeys; ++i) {
+    keys.push_back("k" + std::to_string(i));
+    ASSERT_TRUE(store.put({.key = keys.back(), .refill_per_sec = 0,
+                           .capacity = 100, .credit = 100}).ok());
+  }
+  DbRuleSource source(store);
+  DbRuleSink sink(store);
+  AdmissionController ac(clock_, source, config());
+
+  std::atomic<int> admitted{0};
+  std::atomic<int> running{kDeciders};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kDeciders; ++t) {
+    threads.emplace_back([&] {
+      for (int r = 0; r < kRounds; ++r) {
+        for (const std::string& key : keys) {
+          if (ac.check(key).allowed) admitted.fetch_add(1);
+        }
+      }
+      running.fetch_sub(1);
+    });
+  }
+  threads.emplace_back([&] {
+    while (running.load() > 0) ac.sync_now();
+  });
+  threads.emplace_back([&] {
+    while (running.load() > 0) ac.checkpoint_now(sink);
+  });
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(admitted.load(), kDeciders * kRounds * kKeys);
+  EXPECT_EQ(ac.checkpoint_now(sink), static_cast<std::size_t>(kKeys));
+  for (const std::string& key : keys) {
+    EXPECT_DOUBLE_EQ(store.get(key)->credit, 100.0 - kDeciders * kRounds)
+        << key;
+  }
 }
 
 TEST_F(AdmissionTest, InvalidateForcesRefetch) {

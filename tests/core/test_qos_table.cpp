@@ -10,11 +10,7 @@ namespace janus::core {
 namespace {
 
 QosEntry make_entry(double capacity, double rate, TimePoint now = kTimeZero) {
-  return QosEntry{
-      .rule = QosRule{.key = {}, .capacity = capacity, .refill_per_sec = rate,
-                      .initial_credit = std::nullopt},
-      .bucket = LeakyBucket(capacity, rate, now),
-      .is_default = false};
+  return QosEntry::make(capacity, rate, capacity, now, /*is_default=*/false);
 }
 
 TEST(ShardedQosTableTest, RejectsZeroShards) {

@@ -177,6 +177,51 @@ TEST_F(UdpSocketProviderTest, RecvManyTimesOutWithZero) {
   EXPECT_EQ(n.value(), 0u);
 }
 
+TEST_F(UdpSocketProviderTest, ShutdownReadWakesEveryBlockedReceiver) {
+  // A receive with no timeout ends only by a datagram or shutdown_read; the
+  // end-of-stream entry the kernel returns then is not a datagram.
+  UdpSocket server = make_server();
+  constexpr int kReceivers = 3;
+  std::atomic<int> woken{0};
+  std::atomic<std::size_t> received{0};
+  std::vector<std::thread> receivers;
+  for (int i = 0; i < kReceivers; ++i) {
+    receivers.emplace_back([&] {
+      UdpSocket::RecvBatch batch(4);
+      auto n = server.recv_many(batch, Duration{-1});
+      if (n.ok()) received.fetch_add(n.value());
+      woken.fetch_add(1);
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(woken.load(), 0) << "a receiver returned before shutdown_read";
+  server.shutdown_read();
+  for (auto& t : receivers) t.join();
+  EXPECT_EQ(woken.load(), kReceivers);
+  EXPECT_EQ(received.load(), 0u);
+}
+
+TEST_F(UdpSocketProviderTest, ShutdownReadKeepsQueuedAndEmptyDatagrams) {
+  // Datagrams queued before the shutdown are still delivered, an empty one
+  // included (it carries its sender's address); then receives return 0.
+  UdpSocket server = make_server();
+  auto addr = server.local_addr().value();
+  UdpSocket client = make_client();
+  ASSERT_TRUE(client.send_to(addr, bytes("queued")).ok());
+  ASSERT_TRUE(client.send_to(addr, bytes("")).ok());
+  server.shutdown_read();
+  UdpSocket::RecvBatch batch(4);
+  auto n = server.recv_many(batch, Duration{-1});
+  ASSERT_TRUE(n.ok());
+  ASSERT_EQ(n.value(), 2u);
+  EXPECT_EQ(batch.data(0).size(), 6u);
+  EXPECT_EQ(batch.data(1).size(), 0u);
+  EXPECT_EQ(batch.from(1).port, client.local_addr().value().port);
+  auto again = server.recv_many(batch, Duration{-1});
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.value(), 0u);
+}
+
 TEST_F(UdpSocketProviderTest, SingleRecvRoutesThroughProvider) {
   // recv() (poll plus recvfrom) keeps working beside the batch path.
   UdpSocket server = make_server();

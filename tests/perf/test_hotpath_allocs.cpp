@@ -148,8 +148,7 @@ TEST(HotpathAllocTest, WarmTableLookupIsAllocationFree) {
   core::ShardedQosTable table(8);
   const std::string key = "tenant-7/list-albums";
   auto make_entry = [] {
-    return core::QosEntry{core::QosRule{},
-                          core::LeakyBucket(100.0, 10.0, TimePoint{}), false};
+    return core::QosEntry::make(100.0, 10.0, 100.0, TimePoint{}, false);
   };
   table.with_entry_or_create(key, make_entry,
                              [](core::QosEntry&) { return true; });

@@ -157,5 +157,33 @@ TEST_F(HaTest, PromotedSlaveServesDecisionsFromReplicatedState) {
   EXPECT_FALSE(slave_.check("alice").allowed);
 }
 
+TEST_F(HaTest, SlimEntriesRoundTripExactly) {
+  // Capacity and rate with more decimals than the bucket's millicredits
+  // hold, a spent bucket and a default entry: every field a QosEntry keeps
+  // must come back as it left.
+  provision("fine", 12.34567, 0.123456);
+  provision("spent", 5, 0.5);
+  master_.check("fine");
+  for (int i = 0; i < 5; ++i) master_.check("spent");
+  master_.check("unknown");
+
+  auto bytes = serialize_table(master_.table());
+  ASSERT_TRUE(restore_table(slave_.table(), bytes, clock_.now()).ok());
+  ASSERT_EQ(slave_.table_size(), 3u);
+  master_.table().for_each([&](const std::string& key, core::QosEntry& e) {
+    auto same = slave_.table().with_entry(key, [&](core::QosEntry& r) {
+      EXPECT_EQ(r.capacity, e.capacity) << key;
+      EXPECT_EQ(r.refill_per_sec, e.refill_per_sec) << key;
+      EXPECT_EQ(r.is_default, e.is_default) << key;
+      EXPECT_EQ(r.bucket.millicredits(), e.bucket.millicredits()) << key;
+      EXPECT_EQ(r.bucket.capacity(), e.bucket.capacity()) << key;
+      return true;
+    });
+    EXPECT_TRUE(same.has_value()) << key << " missing on the slave";
+  });
+  // A sync on the slave finds nothing to change: the exact rule survived.
+  EXPECT_EQ(slave_.sync_now(), 0u);
+}
+
 }  // namespace
 }  // namespace janus::server

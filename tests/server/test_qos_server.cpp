@@ -380,6 +380,57 @@ TEST_F(QosServerTest, ChaosFaultFireTriggersParseableAutoDump) {
 // --- QosServerConfig validation: start() must reject nonsense instead of
 // crashing on modulo-by-zero. ---
 
+TEST_F(QosServerTest, MigrationRoundTripKeepsEveryEntryField) {
+  // A leaving node hands its whole table to a new owner; the slim entries
+  // (exact capacity and rate, credit, is_default) arrive unchanged.
+  ASSERT_TRUE(store_->put({.key = "fine", .refill_per_sec = 0.123456,
+                           .capacity = 12.34567, .credit = 12.34567}).ok());
+  auto from = start_server();
+  auto to = start_server();
+  from->admission().check("alice", 3);
+  from->admission().check("fine");
+  from->admission().check("stranger");  // default entry
+
+  const cluster::ShardMap map{
+      .epoch = 1,
+      .members = {cluster::Member{
+          .name = "qos-0", .udp_addr = {}, .cluster_addr = {}}}};
+  auto outgoing = from->extract_disowned(map, wire::kNotAMember);
+  ASSERT_EQ(outgoing.size(), 1u);
+  ASSERT_EQ(outgoing[0].size(), 3u);
+  EXPECT_EQ(from->admission().table_size(), 0u);
+  EXPECT_EQ(to->install_migrated(outgoing[0]), 3u);
+
+  for (const wire::MigrationEntry& sent : outgoing[0]) {
+    auto arrived = to->admission().table().with_entry(
+        sent.key, [&](core::QosEntry& e) {
+          EXPECT_EQ(e.capacity, sent.capacity) << sent.key;
+          EXPECT_EQ(e.refill_per_sec, sent.refill_per_sec) << sent.key;
+          EXPECT_EQ(e.is_default, sent.is_default) << sent.key;
+          EXPECT_DOUBLE_EQ(e.bucket.credit(), sent.credit) << sent.key;
+          return true;
+        });
+    EXPECT_TRUE(arrived.has_value()) << sent.key;
+  }
+  auto fine = to->admission().table().with_entry(
+      "fine", [](core::QosEntry& e) { return e.capacity; });
+  ASSERT_TRUE(fine.has_value());
+  EXPECT_EQ(*fine, 12.34567);
+  EXPECT_EQ(to->admission().sync_now(), 0u);
+}
+
+TEST_F(QosServerTest, EachHouseKeepingPassRecordsOneSample) {
+  auto server = start_server();
+  server->sync_now();
+  server->sync_now();
+  server->checkpoint_now();
+  EXPECT_EQ(server->metrics().histogram("server.sync_pass_us").snapshot().count(),
+            2u);
+  EXPECT_EQ(
+      server->metrics().histogram("server.checkpoint_pass_us").snapshot().count(),
+      1u);
+}
+
 TEST(QosServerConfigValidation, RejectsZeroShards) {
   QosServerConfig cfg;
   cfg.admission.table_shards = 0;

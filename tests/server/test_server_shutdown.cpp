@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -102,6 +103,32 @@ TEST_P(ServerShutdownTest, StopOnIdleServerIsCleanAndIdempotent) {
   node->stop();  // second stop must be a no-op, not a double-join
   EXPECT_EQ(counter_value(*node, "server.received"), 0);
   EXPECT_EQ(counter_value(*node, "server.answered"), 0);
+}
+
+TEST(ServerStopLatencyTest, StopWakesBlockedWorkersEachUnderTenMs) {
+  // Workers wait in recv_many without a timeout; stop() ends every blocked
+  // wait by shutting the socket's receive side. A worker that only noticed
+  // stopping_ on a poll timeout would hold stop() for up to that period.
+  db::Database db;
+  db::RuleStore store(db);
+  QosServerConfig cfg;
+  cfg.sync_interval = Duration{0};
+  cfg.checkpoint_interval = Duration{0};
+  for (int round = 0; round < 5; ++round) {
+    auto started = QosServerNode::start({"127.0.0.1", 0}, store, cfg);
+    ASSERT_TRUE(started.ok()) << started.error().message;
+    auto node = std::move(started).take();
+    // Long enough for every worker to block in its receive.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const auto t0 = std::chrono::steady_clock::now();
+    node->stop();
+    const auto took = std::chrono::steady_clock::now() - t0;
+    EXPECT_LT(took, std::chrono::milliseconds(10))
+        << "round " << round << ": stop() of an idle node with "
+        << node->worker_count() << " workers took "
+        << std::chrono::duration_cast<std::chrono::microseconds>(took).count()
+        << " us";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -5,7 +5,8 @@
 # under the shard mutexes, answering it with one sendmmsg — hangs on a
 # small surface: the function that derives N, the worker loop, the batch
 # view and sampler, the prehashed table accessors the decision takes its
-# one lock through, and the socket probes the watchdog reads. If one of
+# one lock through, the socket probes the watchdog reads, and the
+# receive-side shutdown that stop() wakes the workers with. If one of
 # those symbols is renamed or removed the section must follow, and if the
 # section loses one the model's description is rotting. Two directions
 # (dg_symbol_sync), plus the companion artifacts: the measured comparison
@@ -29,7 +30,8 @@ dg_symbol_sync "§9.1" \
   "with_entry_or_create_prehashed:$src/core/qos_table.hpp" \
   "shard_index_of:$src/core/qos_table.hpp" \
   "pending_bytes:$src/net/socket.hpp" \
-  "receive_drops:$src/net/socket.hpp"
+  "receive_drops:$src/net/socket.hpp" \
+  "shutdown_read:$src/net/socket.hpp"
 
 # The metric table must carry the socket-queue signals (§6) and the lock-rank
 # table the shard mutex (§8) — both are part of the model's contract.

@@ -1,9 +1,10 @@
 #!/bin/sh
 # Build and run the chaos / fault-injection / property suites, the QoS
-# server's suites (its worker pool in every execution-model variant), and
-# the HTTP tier's suites (its event loops, the router's UDP leg, the
-# gateway's upstream pool, the end-to-end stack), under the JANUS_SANITIZE
-# presets (see the top-level CMakeLists.txt).
+# server's suites (its worker pool in every execution-model variant), the
+# database and admission suites (the chunked write path, the house-keeping
+# passes racing decisions), and the HTTP tier's suites (its event loops, the
+# router's UDP leg, the gateway's upstream pool, the end-to-end stack),
+# under the JANUS_SANITIZE presets (see the top-level CMakeLists.txt).
 #
 # Usage:
 #   tools/run_sanitizers.sh                  # address, thread, undefined
@@ -96,7 +97,8 @@ run_suites() {
   "$bindir/tests/janus_test_wire" --gtest_brief=1 --gtest_filter='CodecFuzzTest.*'
   if [ "$fast" = fast ]; then return 0; fi
   "$bindir/tests/janus_test_common" --gtest_brief=1 --gtest_filter='FaultInjectorTest.*'
-  "$bindir/tests/janus_test_db" --gtest_brief=1 --gtest_filter='WalFaultTest.*'
+  "$bindir/tests/janus_test_db" --gtest_brief=1
+  "$bindir/tests/janus_test_core" --gtest_brief=1
   "$bindir/tests/janus_test_router" --gtest_brief=1 \
     --gtest_filter='UdpClientFaultTest.*:RouterNodeTest.*'
   "$bindir/tests/janus_test_server" --gtest_brief=1
@@ -133,7 +135,8 @@ for preset in $presets; do
   else
     cmake --build "$build_dir" -j "$jobs" \
       --target janus_test_chaos janus_test_wire janus_test_common \
-               janus_test_db janus_test_router janus_test_server \
+               janus_test_db janus_test_core janus_test_router \
+               janus_test_server \
                janus_test_net janus_test_lb janus_test_integration >/dev/null
   fi
 
