@@ -12,17 +12,8 @@ HistogramMetric::HistogramMetric(std::int64_t max_value, int sub_bucket_bits)
   }
 }
 
-HistogramMetric::Stripe& HistogramMetric::stripe_for_thread() {
-  // Cheap per-thread stripe assignment: threads enumerate themselves once,
-  // then index round-robin. Adjacent thread ids land on different stripes.
-  static std::atomic<std::size_t> next_slot{0};
-  thread_local const std::size_t slot =
-      next_slot.fetch_add(1, std::memory_order_relaxed);
-  return *stripes_[slot % kStripes];
-}
-
 void HistogramMetric::record(std::int64_t value) {
-  Stripe& s = stripe_for_thread();
+  Stripe& s = *stripes_[metric_stripe()];
   MutexLock lock(s.mu);
   s.hist.record(value);
 }

@@ -1,8 +1,9 @@
-// Process-local metrics: relaxed atomic counters and gauges plus striped
-// latency histograms, grouped in a registry. The router, QoS server, gateway
-// balancer, and simulator export request/timeout/retry counts and per-stage
-// latency distributions through this; the AdminServer renders the registry
-// as Prometheus text exposition, and integration tests assert on it.
+// Process-local metrics: striped relaxed atomic counters, atomic gauges and
+// striped latency histograms, grouped in a registry. The router, QoS server,
+// gateway balancer, and simulator export request/timeout/retry counts and
+// per-stage latency distributions through this; the AdminServer renders the
+// registry as Prometheus text exposition, and integration tests assert on
+// it.
 #pragma once
 
 #include <array>
@@ -19,16 +20,41 @@
 
 namespace janus {
 
+/// Stripes per counter and per histogram. Threads take them round-robin in
+/// the order they first record, so threads that start recording together
+/// (a server's workers, an HTTP tier's loops), up to this many, never share
+/// a cache line.
+inline constexpr std::size_t kMetricStripes = 8;
+
+/// The calling thread's stripe, in [0, kMetricStripes).
+inline std::size_t metric_stripe() {
+  static std::atomic<std::size_t> next_slot{0};
+  thread_local const std::size_t slot =
+      next_slot.fetch_add(1, std::memory_order_relaxed) % kMetricStripes;
+  return slot;
+}
+
+/// Monotonic count, one cache-line slot per stripe: an increment touches
+/// only its own thread's line, and value() sums the slots.
 class Counter {
  public:
   void inc(std::int64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
+    slots_[metric_stripe()].value.fetch_add(delta, std::memory_order_relaxed);
   }
-  std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
+  std::int64_t value() const {
+    std::int64_t sum = 0;
+    for (const Slot& s : slots_) sum += s.value.load(std::memory_order_relaxed);
+    return sum;
+  }
+  void reset() {
+    for (Slot& s : slots_) s.value.store(0, std::memory_order_relaxed);
+  }
 
  private:
-  std::atomic<std::int64_t> value_{0};
+  struct alignas(64) Slot {
+    std::atomic<std::int64_t> value{0};
+  };
+  std::array<Slot, kMetricStripes> slots_;
 };
 
 class Gauge {
@@ -44,8 +70,8 @@ class Gauge {
 };
 
 /// Thread-safe histogram metric: lock striping over the single-threaded
-/// Histogram. Each recording thread hashes to one of kStripes independent
-/// (mutex, Histogram) pairs, so the hot path pays one uncontended lock in
+/// Histogram. Each recording thread records into its metric_stripe()'s
+/// (mutex, Histogram) pair, so the hot path pays one uncontended lock in
 /// the common case; snapshot() merges the stripes. Values are unitless —
 /// by convention Janus records microseconds (metric names end in `_us`).
 class HistogramMetric {
@@ -62,18 +88,16 @@ class HistogramMetric {
   void reset();
 
  private:
-  static constexpr std::size_t kStripes = 8;
   struct alignas(64) Stripe {
     mutable Mutex mu{LockRank::kMetricsStripe, "common.metrics_stripe"};
     Histogram hist JANUS_GUARDED_BY(mu);
     explicit Stripe(std::int64_t max_value, int bits)
         : hist(max_value, bits) {}
   };
-  Stripe& stripe_for_thread();
 
   std::int64_t max_value_;
   int sub_bucket_bits_;
-  std::array<std::unique_ptr<Stripe>, kStripes> stripes_;
+  std::array<std::unique_ptr<Stripe>, kMetricStripes> stripes_;
 };
 
 /// A decoded slow-request exemplar (see Exemplar below).

@@ -1,9 +1,29 @@
 #include "common/string_util.hpp"
 
-#include <cctype>
 #include <charconv>
 
 namespace janus {
+
+// Character classes as the C locale defines them, the only locale Janus
+// runs in (nothing calls setlocale): plain comparisons instead of a
+// per-character call into the locale tables.
+namespace {
+
+/// isspace: space, \t, \n, \v, \f, \r.
+bool ascii_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// tolower: A-Z only.
+char ascii_lower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
+/// isalnum: 0-9, A-Z, a-z.
+bool ascii_alnum(char c) {
+  return (c >= '0' && c <= '9') || (c >= 'A' && c <= 'Z') ||
+         (c >= 'a' && c <= 'z');
+}
+
+}  // namespace
 
 std::vector<std::string_view> split(std::string_view s, char delim) {
   std::vector<std::string_view> out;
@@ -34,8 +54,8 @@ std::vector<std::string_view> split_n(std::string_view s, char delim,
 std::string_view trim(std::string_view s) {
   std::size_t b = 0;
   std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
+  while (b < e && ascii_space(s[b])) ++b;
+  while (e > b && ascii_space(s[e - 1])) --e;
   return s.substr(b, e - b);
 }
 
@@ -46,10 +66,7 @@ bool starts_with(std::string_view s, std::string_view prefix) {
 bool iequals(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
+    if (ascii_lower(a[i]) != ascii_lower(b[i])) return false;
   }
   return true;
 }
@@ -84,7 +101,7 @@ std::optional<double> parse_double(std::string_view s) {
 
 std::string to_lower(std::string_view s) {
   std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  for (char& c : out) c = ascii_lower(c);
   return out;
 }
 
@@ -92,8 +109,7 @@ namespace {
 constexpr char kHex[] = "0123456789ABCDEF";
 
 bool unreserved(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '-' || c == '_' ||
-         c == '.' || c == '~';
+  return ascii_alnum(c) || c == '-' || c == '_' || c == '.' || c == '~';
 }
 
 int hex_val(char c) {

@@ -29,10 +29,19 @@ LeakyBucket::LeakyBucket(double capacity, double refill_per_sec,
       rem_prod_(0),
       acc_nano_(0),
       last_refill_(now) {
-  if (capacity < 0 || refill_per_sec < 0) {
-    throw std::invalid_argument("LeakyBucket: negative capacity or rate");
+  if (!valid(capacity, refill_per_sec, initial_credit)) {
+    throw std::invalid_argument(
+        "LeakyBucket: non-finite value or negative capacity or rate");
   }
   set_rate(refill_per_sec);
+}
+
+bool LeakyBucket::valid(double capacity, double refill_per_sec,
+                        double credit) {
+  // NaN fails every ordered comparison, so `x >= 0` also refuses it.
+  return std::isfinite(capacity) && capacity >= 0 &&
+         std::isfinite(refill_per_sec) && refill_per_sec >= 0 &&
+         std::isfinite(credit);
 }
 
 void LeakyBucket::set_rate(double refill_per_sec) {
@@ -103,8 +112,9 @@ bool LeakyBucket::probe(std::uint32_t cost, TimePoint now) {
 
 void LeakyBucket::reconfigure(double capacity, double refill_per_sec,
                               TimePoint now) {
-  if (capacity < 0 || refill_per_sec < 0) {
-    throw std::invalid_argument("LeakyBucket: negative capacity or rate");
+  if (!valid(capacity, refill_per_sec, 0)) {
+    throw std::invalid_argument(
+        "LeakyBucket: non-finite value or negative capacity or rate");
   }
   refill(now);  // settle the old rate up to the switch point
   capacity_milli_ = to_milli(capacity);

@@ -24,10 +24,17 @@ class LeakyBucket {
 
   /// A bucket created at `now` starts fully filled ("initially fully filled
   /// with an initial credit equal to the capacity", §II-C) unless an explicit
-  /// starting credit (e.g. a recovered check-point) is given.
+  /// starting credit (e.g. a recovered check-point) is given. Throws
+  /// std::invalid_argument unless valid(capacity, refill_per_sec, credit).
   LeakyBucket(double capacity, double refill_per_sec, TimePoint now);
   LeakyBucket(double capacity, double refill_per_sec, double initial_credit,
               TimePoint now);
+
+  /// The constructors' precondition: every value finite, capacity and rate
+  /// not negative. (A credit outside [0, capacity] is clamped.) Callers
+  /// holding values from a peer test it first, so a bad value is refused
+  /// instead of thrown.
+  static bool valid(double capacity, double refill_per_sec, double credit);
 
   /// Bring the water level up to date at time `now`. Idempotent; time moving
   /// backwards is ignored (monotonic clocks only).
@@ -54,7 +61,8 @@ class LeakyBucket {
   double refill_per_sec() const { return refill_per_sec_; }
 
   /// Re-provision the bucket when the rule changes in the database (sync
-  /// path, §II-D). Credit is clamped into the new [0, capacity].
+  /// path, §II-D). Credit is clamped into the new [0, capacity]. Throws
+  /// std::invalid_argument on a value the constructors refuse.
   void reconfigure(double capacity, double refill_per_sec, TimePoint now);
 
   /// Overwrite the credit (check-point recovery). Clamped to [0, capacity].

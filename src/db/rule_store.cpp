@@ -1,5 +1,7 @@
 #include "db/rule_store.hpp"
 
+#include <cmath>
+
 namespace janus::db {
 
 namespace {
@@ -41,6 +43,11 @@ RuleRow RuleStore::from_row(const Row& row) {
 
 Status RuleStore::validate(const RuleRow& rule) {
   if (rule.key.empty()) return Error("rule: empty key");
+  // NaN passes every ordered comparison below, so finiteness comes first.
+  if (!std::isfinite(rule.refill_per_sec) || !std::isfinite(rule.capacity) ||
+      !std::isfinite(rule.credit)) {
+    return Error("rule: refill rate, capacity and credit must be finite");
+  }
   if (rule.capacity < 0 || rule.refill_per_sec < 0) {
     return Error("rule: negative capacity or refill rate");
   }

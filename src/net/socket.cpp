@@ -62,9 +62,22 @@ Result<sockaddr_in> SockAddr::to_native() const {
 }
 
 SockAddr SockAddr::from_native(const sockaddr_in& sa) {
-  char buf[INET_ADDRSTRLEN] = {};
-  ::inet_ntop(AF_INET, &sa.sin_addr, buf, sizeof(buf));
-  return SockAddr{buf, ntohs(sa.sin_port)};
+  // inet_ntop's "%u.%u.%u.%u", written digit by digit: s_addr holds the
+  // octets in network (memory) order.
+  unsigned char octets[4];
+  std::memcpy(octets, &sa.sin_addr.s_addr, sizeof(octets));
+  char text[INET_ADDRSTRLEN];
+  char* p = text;
+  for (int i = 0; i < 4; ++i) {
+    const unsigned v = octets[i];
+    if (v >= 100) *p++ = static_cast<char>('0' + v / 100);
+    if (v >= 10) *p++ = static_cast<char>('0' + v / 10 % 10);
+    *p++ = static_cast<char>('0' + v % 10);
+    if (i < 3) *p++ = '.';
+  }
+  // At most 15 characters: the string's inline buffer holds them.
+  return SockAddr{{text, static_cast<std::size_t>(p - text)},
+                  ntohs(sa.sin_port)};
 }
 
 Result<SockAddr> SockAddr::parse(std::string_view text) {
@@ -106,13 +119,15 @@ void Fd::reset() {
 
 UdpSocket::UdpSocket(UdpSocket&& other) noexcept
     : fd_(std::move(other.fd_)),
-      rcvtimeo_us_(other.rcvtimeo_us_.load(std::memory_order_relaxed)) {}
+      rcvtimeo_us_(other.rcvtimeo_us_.load(std::memory_order_relaxed)),
+      recv_buf_(std::move(other.recv_buf_)) {}
 
 UdpSocket& UdpSocket::operator=(UdpSocket&& other) noexcept {
   if (this != &other) {
     fd_ = std::move(other.fd_);
     rcvtimeo_us_.store(other.rcvtimeo_us_.load(std::memory_order_relaxed),
                        std::memory_order_relaxed);
+    recv_buf_ = std::move(other.recv_buf_);
   }
   return *this;
 }
@@ -193,11 +208,14 @@ Result<std::optional<UdpSocket::Datagram>> UdpSocket::recv(Duration timeout) {
   if (ready < 0) return Error(errno_msg("udp poll"));
   if (ready == 0) return std::optional<Datagram>{};
 
-  Datagram dg;
-  dg.data.resize(64 * 1024);
+  // Default-initialized: the kernel writes what is read back, so the
+  // buffer is never zero-filled.
+  if (!recv_buf_) {
+    recv_buf_ = std::make_unique_for_overwrite<std::uint8_t[]>(kRecvBufferBytes);
+  }
   sockaddr_in sa{};
   socklen_t salen = sizeof(sa);
-  ssize_t n = ::recvfrom(fd_.get(), dg.data.data(), dg.data.size(), 0,
+  ssize_t n = ::recvfrom(fd_.get(), recv_buf_.get(), kRecvBufferBytes, 0,
                          reinterpret_cast<sockaddr*>(&sa), &salen);
   if (n < 0) return Error(errno_msg("udp recvfrom"));
   if (testing::FaultInjector::instance().should_fire(
@@ -206,9 +224,10 @@ Result<std::optional<UdpSocket::Datagram>> UdpSocket::recv(Duration timeout) {
     // caller observes an ordinary timeout.
     return std::optional<Datagram>{};
   }
-  dg.data.resize(static_cast<std::size_t>(n));
-  dg.from = SockAddr::from_native(sa);
-  return std::optional<Datagram>{std::move(dg)};
+  const std::uint8_t* const data = recv_buf_.get();
+  return std::optional<Datagram>{
+      Datagram{.data = std::vector<std::uint8_t>(data, data + n),
+               .from = SockAddr::from_native(sa)}};
 }
 
 UdpSocket::RecvBatch::RecvBatch(std::size_t capacity, std::size_t slot_bytes)
@@ -216,9 +235,18 @@ UdpSocket::RecvBatch::RecvBatch(std::size_t capacity, std::size_t slot_bytes)
       slot_bytes_(slot_bytes) {
   arena_.resize(capacity_ * slot_bytes_);
   addrs_.resize(capacity_);
+  iovs_.resize(capacity_);
+  hdrs_.resize(capacity_);  // value-initialized: every other field is 0
   lens_.resize(capacity_);
   ptrs_.resize(capacity_);
   froms_.resize(capacity_);
+  for (std::size_t i = 0; i < capacity_; ++i) {
+    iovs_[i] = {arena_.data() + i * slot_bytes_, slot_bytes_};
+    hdrs_[i].msg_hdr.msg_iov = &iovs_[i];
+    hdrs_[i].msg_hdr.msg_iovlen = 1;
+    hdrs_[i].msg_hdr.msg_name = &addrs_[i];
+    hdrs_[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
+  }
 }
 
 std::span<const std::uint8_t> UdpSocket::RecvBatch::data(std::size_t i) const {
@@ -250,17 +278,17 @@ Result<std::size_t> UdpSocket::recv_many(RecvBatch& batch, Duration timeout) {
     return Error(errno_msg("udp SO_RCVTIMEO"));  // purity-ok: error path
   }
 
-  // Raw receive into the arena slots with one recvmmsg.
-  ::mmsghdr hdrs[kMaxBatch];
-  ::iovec iovs[kMaxBatch];
-  std::memset(hdrs, 0, sizeof(::mmsghdr) * batch.capacity_);
-  for (std::size_t i = 0; i < batch.capacity_; ++i) {
-    iovs[i] = {batch.arena_.data() + i * batch.slot_bytes_, batch.slot_bytes_};
-    hdrs[i].msg_hdr.msg_iov = &iovs[i];
-    hdrs[i].msg_hdr.msg_iovlen = 1;
-    hdrs[i].msg_hdr.msg_name = &batch.addrs_[i];
+  // Raw receive into the arena slots with one recvmmsg, over the batch's
+  // prebuilt headers. For each datagram the kernel writes back msg_len,
+  // msg_flags, msg_controllen (0 again: there is no control buffer) and
+  // msg_namelen: the sender's address length, or 0 for the end-of-stream
+  // entry after shutdown_read. Only msg_namelen is also an input, so it is
+  // the one field reset, on the headers the last call wrote.
+  ::mmsghdr* const hdrs = batch.hdrs_.data();
+  for (std::size_t i = 0; i < batch.written_; ++i) {
     hdrs[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
   }
+  batch.written_ = 0;
   // MSG_WAITFORONE blocks for the first datagram only, then drains what is
   // already queued without waiting. A signal landing mid-drain makes
   // recvmmsg report EINTR only when nothing was received yet (a partial
@@ -284,6 +312,7 @@ Result<std::size_t> UdpSocket::recv_many(RecvBatch& batch, Duration timeout) {
     if (errno == EAGAIN || errno == EWOULDBLOCK) return std::size_t{0};
     return Error(errno_msg("udp recvmmsg"));  // purity-ok: error path
   }
+  batch.written_ = static_cast<std::size_t>(n);
 
   // Fault filtering + address conversion, per datagram — a batch of N
   // consults net.udp.drop_rx exactly N times, so seeded chaos schedules

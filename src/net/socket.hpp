@@ -6,9 +6,12 @@
 #pragma once
 
 #include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/uio.h>
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -29,6 +32,8 @@ struct SockAddr {
   std::string to_string() const { return ip + ":" + std::to_string(port); }
 
   Result<sockaddr_in> to_native() const;
+  /// The dotted quad inet_ntop writes, formatted without stdio; the text
+  /// fits the string's inline buffer, so no heap either.
   static SockAddr from_native(const sockaddr_in& sa);
   /// Parse "ip:port" (the inverse of to_string). Rejects missing colon and
   /// out-of-range ports; does not validate the dotted quad (to_native does).
@@ -77,26 +82,40 @@ class UdpSocket {
   };
 
   /// Wait up to `timeout` for one datagram; nullopt on timeout.
-  /// timeout < 0 blocks indefinitely.
+  /// timeout < 0 blocks indefinitely. The kernel writes into a receive
+  /// buffer the socket allocates on its first recv and keeps; the result
+  /// holds a copy of exactly the datagram's bytes. That buffer makes recv a
+  /// one-thread-at-a-time call per socket (recv_many, with a batch per
+  /// thread, is the shared receive).
   Result<std::optional<Datagram>> recv(Duration timeout);
 
-  /// Hard cap on datagrams per batched syscall (mmsghdr arrays live on the
-  /// stack in socket.cpp); RecvBatch capacities clamp to it.
+  /// recv's buffer: 64 KiB holds the largest UDP payload over IPv4
+  /// (65,507 bytes).
+  static constexpr std::size_t kRecvBufferBytes = 64 * 1024;
+
+  /// Hard cap on datagrams per batched syscall (send_many's mmsghdr arrays
+  /// live on the stack in socket.cpp); RecvBatch capacities clamp to it.
   static constexpr std::size_t kMaxBatch = 64;
   /// Per-slot receive buffer for batched receives. The largest Janus wire
   /// frame (header + 4 KiB key + trace) is ~4.3 KiB; anything longer than a
   /// slot is dropped as truncated.
   static constexpr std::size_t kRecvSlotBytes = 8192;
 
-  /// Reusable scratch for recv_many: slot buffers and address storage are
-  /// allocated once here and reused across calls, so a steady-state
-  /// receiver performs no per-wakeup heap allocation inside the socket
-  /// layer. Results are views into this batch's arena, valid until the next
-  /// recv_many call on this batch.
+  /// Reusable scratch for recv_many: slot buffers, address storage and the
+  /// recvmmsg headers that point at them are built once here and reused
+  /// across calls, so a steady-state receiver performs no per-wakeup heap
+  /// allocation or header set-up inside the socket layer. Results are views
+  /// into this batch's arena, valid until the next recv_many call on this
+  /// batch. Movable (the heap blocks the headers point into move with it),
+  /// not copyable.
   class RecvBatch {
    public:
     explicit RecvBatch(std::size_t capacity,
                        std::size_t slot_bytes = kRecvSlotBytes);
+    RecvBatch(RecvBatch&&) noexcept = default;
+    RecvBatch& operator=(RecvBatch&&) noexcept = default;
+    RecvBatch(const RecvBatch&) = delete;
+    RecvBatch& operator=(const RecvBatch&) = delete;
 
     std::size_t capacity() const { return capacity_; }
     /// Datagrams received by the last recv_many call.
@@ -112,8 +131,13 @@ class UdpSocket {
     std::size_t capacity_;
     std::size_t slot_bytes_;
     std::size_t count_ = 0;
+    /// Headers the kernel wrote back in the last call; recv_many resets
+    /// their msg_namelen (the only input the kernel overwrites) first.
+    std::size_t written_ = 0;
     std::vector<std::uint8_t> arena_;    // capacity_ * slot_bytes_
     std::vector<sockaddr_in> addrs_;     // kernel-filled source addresses
+    std::vector<::iovec> iovs_;          // slot i's arena range
+    std::vector<::mmsghdr> hdrs_;        // slot i's iovec and address
     std::vector<std::uint32_t> lens_;    // per-result datagram length
     std::vector<const std::uint8_t*> ptrs_;  // result index -> payload start
     std::vector<SockAddr> froms_;        // converted source addresses
@@ -174,6 +198,9 @@ class UdpSocket {
   bool set_recv_timeout(Duration timeout);
   Fd fd_;
   std::atomic<std::int64_t> rcvtimeo_us_{0};  // µs; 0 = no limit (kernel's)
+  /// recv's receive buffer, kRecvBufferBytes long, allocated on first use
+  /// and never zero-filled.
+  std::unique_ptr<std::uint8_t[]> recv_buf_;
 };
 
 /// Blocking TCP connection with poll-based timeouts.

@@ -165,7 +165,12 @@ wire::ClusterAckStatus ClusterAgent::apply_migration_batch(
     return wire::ClusterAckStatus::kStaleEpoch;
   }
   batches_received_.fetch_add(1, std::memory_order_relaxed);
-  node_.install_migrated(batch.entries);
+  const std::size_t installed = node_.install_migrated(batch.entries);
+  if (installed != batch.entries.size()) {
+    JLOG_WARN("cluster: refused %zu migrated entries no bucket can hold",
+              batch.entries.size() - installed);
+    return wire::ClusterAckStatus::kError;
+  }
   return wire::ClusterAckStatus::kOk;
 }
 

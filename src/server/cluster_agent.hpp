@@ -88,6 +88,8 @@ class ClusterAgent {
   /// Flip + extract + ack + stream. Returns the ack status sent back.
   wire::ClusterAckStatus apply_epoch_update(const wire::EpochUpdate& update,
                                             net::TcpStream& stream);
+  /// Install a batch; kError when an entry no bucket can hold was refused
+  /// (the batch's other entries are installed).
   wire::ClusterAckStatus apply_migration_batch(
       const wire::MigrationBatch& batch);
   void send_ack(net::TcpStream& stream, wire::ClusterAckStatus status);

@@ -47,6 +47,9 @@ Result<std::size_t> restore_table(core::ShardedQosTable& table,
         !r.u8(is_default)) {
       return Error("snapshot: truncated entry");
     }
+    if (!core::LeakyBucket::valid(capacity, refill, credit)) {
+      return Error("snapshot: bad entry value");
+    }
     entries.emplace_back(std::move(key),
                          core::QosEntry::make(capacity, refill, credit, now,
                                               is_default == 1));

@@ -566,19 +566,24 @@ std::size_t QosServerNode::install_migrated(
                          /*arg=*/entries.size(),
                          static_cast<std::uint64_t>(now.count()));
 
+  std::size_t installed = 0;
   for (const wire::MigrationEntry& e : entries) {
+    if (!core::LeakyBucket::valid(e.capacity, e.refill_per_sec, e.credit)) {
+      continue;
+    }
     admission_->table().with_entry_or_create(
         e.key, [&] { return from_migration_entry(e, now); },
         [&](core::QosEntry& cur) { cur = from_migration_entry(e, now); });
+    ++installed;
   }
 
-  migrated_in_.inc(static_cast<std::int64_t>(entries.size()));
-  migrated_in_count_.fetch_add(entries.size(), std::memory_order_relaxed);
+  migrated_in_.inc(static_cast<std::int64_t>(installed));
+  migrated_in_count_.fetch_add(installed, std::memory_order_relaxed);
   FlightRecorder::record(
       TraceEventType::kStageExit, TraceStage::kClusterMigrate, /*trace=*/0,
-      /*arg=*/entries.size(),
+      /*arg=*/installed,
       static_cast<std::uint64_t>(SteadyClock::instance().now().count()));
-  return entries.size();
+  return installed;
 }
 
 std::string QosServerNode::render_cluster_statusz() const {

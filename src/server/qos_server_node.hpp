@@ -140,7 +140,9 @@ class QosServerNode {
       const cluster::ShardMap& map, std::size_t self_index);
 
   /// Install entries streamed from an old owner (MigrationBatch). Existing
-  /// entries are overwritten — the migrated credit is authoritative.
+  /// entries are overwritten — the migrated credit is authoritative. An
+  /// entry no bucket can hold (a peer's bad value, core::LeakyBucket::valid)
+  /// is refused, never installed. Returns the entries installed.
   std::size_t install_migrated(const std::vector<wire::MigrationEntry>& entries);
 
   std::uint64_t migrated_in() const {
@@ -294,10 +296,13 @@ class QosServerNode {
   std::atomic<std::uint64_t> migrated_in_count_{0};
   std::atomic<std::uint64_t> migrated_out_count_{0};
   std::atomic<std::uint64_t> stale_nacks_count_{0};
-  /// BatchSampler sequence, shared by every receiving thread.
-  std::atomic<std::uint64_t> timing_seq_{0};
+  /// BatchSampler sequence, shared by every receiving thread: every batch
+  /// writes it, so it has a cache line to itself.
+  alignas(64) std::atomic<std::uint64_t> timing_seq_{0};
 
-  std::atomic<bool> stopping_{false};
+  /// Read by every worker once per batch, written once: kept off
+  /// timing_seq_'s line so those reads never miss on the workers' writes.
+  alignas(64) std::atomic<bool> stopping_{false};
   std::vector<std::thread> workers_;
   std::vector<std::unique_ptr<PeriodicTask>> maintenance_;
   std::unique_ptr<net::AdminServer> admin_;

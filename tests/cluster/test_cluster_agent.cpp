@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cluster/coordinator.hpp"
+#include "cluster/frame_io.hpp"
 #include "cluster/shard_map.hpp"
 #include "db/rule_store.hpp"
 #include "router/udp_qos_client.hpp"
@@ -159,6 +161,39 @@ TEST_F(ClusterAgentTest, StaleEpochFrameIsNackedWithCurrentEpoch) {
   const auto ok = call(a.node->addr(), "t-0", 1);
   EXPECT_EQ(ok.status, wire::ResponseStatus::kOk);
   EXPECT_TRUE(ok.allowed);
+}
+
+TEST_F(ClusterAgentTest, MigratedEntryNoBucketCanHoldIsRefused) {
+  // A peer's batch with a NaN rate and an infinite capacity beside a good
+  // entry: the bad entries are never installed and nothing is thrown out
+  // of the agent's thread; the ack says the batch was refused.
+  NodeBundle& a = start_node();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  wire::MigrationBatch batch;
+  batch.epoch = 1;
+  batch.from_index = 1;
+  batch.final_batch = true;
+  batch.entries = {
+      {.key = "nan-rate", .capacity = 10, .refill_per_sec = nan, .credit = 5},
+      {.key = "good", .capacity = 10, .refill_per_sec = 1, .credit = 5},
+      {.key = "inf-capacity",
+       .capacity = std::numeric_limits<double>::infinity(),
+       .refill_per_sec = 1,
+       .credit = 5},
+  };
+  auto stream = net::TcpStream::connect(a.agent->local_addr(), seconds(5));
+  ASSERT_TRUE(stream.ok()) << stream.error().message;
+  ASSERT_TRUE(stream.value().write_all(wire::encode_frame(batch)).ok());
+  auto reply = cluster::read_cluster_frame(stream.value(), seconds(5));
+  ASSERT_TRUE(reply.ok()) << reply.error().message;
+  const auto* ack = std::get_if<wire::ClusterAck>(&reply.value());
+  ASSERT_NE(ack, nullptr);
+  EXPECT_EQ(ack->status, wire::ClusterAckStatus::kError);
+  auto& table = a.node->admission().table();
+  EXPECT_FALSE(table.contains("nan-rate"));
+  EXPECT_FALSE(table.contains("inf-capacity"));
+  EXPECT_TRUE(table.contains("good"));
+  EXPECT_EQ(a.node->migrated_in(), 1u);
 }
 
 /// Migration in each variant of the execution model (server_model.hpp).

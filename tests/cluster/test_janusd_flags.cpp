@@ -339,6 +339,16 @@ TEST(JanusdRulesFileTest, MalformedLineIsRejectedWithItsNumber) {
        "janusd: rules line 1: rule: negative capacity or refill rate\n"},
       {good + "late = 1 two\n", "janusd: rules line 4001: bad number\n"},
       {good + "tail = 1", "janusd: rules line 4001: bad format\n"},
+      // The number grammar reads nan, -nan and inf; no rule may hold them.
+      {"a = 1 2\nk = nan 1\n",
+       "janusd: rules line 2: rule: refill rate, capacity and credit must "
+       "be finite\n"},
+      {"a = 1 2\n# note\nk = 1 -nan\n",
+       "janusd: rules line 3: rule: refill rate, capacity and credit must "
+       "be finite\n"},
+      {good + "k = 1 2 inf\n",
+       "janusd: rules line 4001: rule: refill rate, capacity and credit "
+       "must be finite\n"},
   };
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const std::string path = rules_file(std::to_string(i), rows[i].text);

@@ -36,6 +36,66 @@ TEST(CounterTest, ConcurrentIncrementsAreLossless) {
   EXPECT_EQ(c.value(), kThreads * kIncrements);
 }
 
+// Counters keep one cache-line slot per thread stripe and sum on read; the
+// three tests below pin that the striping changes nothing a reader sees.
+
+TEST(CounterTest, EightThreadsSumExactly) {
+  Counter c;
+  constexpr int kThreads = 8;
+  constexpr int kIncrements = 1'000'000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&c] {
+      for (int i = 0; i < kIncrements; ++i) c.inc();
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(c.value(), std::int64_t{kThreads} * kIncrements);
+}
+
+TEST(CounterTest, ResetZeroesEverySlot) {
+  // More threads than stripes, so every slot holds a count before reset.
+  Counter c;
+  constexpr int kThreads = 2 * static_cast<int>(kMetricStripes);
+  auto from_each_thread = [&c](std::int64_t delta) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&c, delta] { c.inc(delta); });
+    }
+    for (auto& th : threads) th.join();
+  };
+  from_each_thread(1000);
+  ASSERT_EQ(c.value(), kThreads * 1000);
+  c.reset();
+  EXPECT_EQ(c.value(), 0);
+  from_each_thread(1);
+  EXPECT_EQ(c.value(), kThreads);
+}
+
+TEST(CounterTest, StripedCountsRenderAsBefore) {
+  // Counts spread over several stripes render as one sample, byte for byte
+  // the text a single-slot counter rendered.
+  MetricsRegistry reg;
+  Counter& requests = reg.counter("router.requests");
+  Counter& retries = reg.counter("router.udp_retries");
+  reg.gauge("server.fifo_depth").set(3);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 5; ++t) {
+    threads.emplace_back([&, t] {
+      requests.inc(t + 1);
+      retries.inc();
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(render_prometheus(reg, "node-1"),
+            "# TYPE janus_router_requests counter\n"
+            "janus_router_requests{node=\"node-1\"} 15\n"
+            "# TYPE janus_router_udp_retries counter\n"
+            "janus_router_udp_retries{node=\"node-1\"} 5\n"
+            "# TYPE janus_server_fifo_depth gauge\n"
+            "janus_server_fifo_depth{node=\"node-1\"} 3\n");
+}
+
 TEST(GaugeTest, SetAndAdd) {
   Gauge g;
   g.set(10);

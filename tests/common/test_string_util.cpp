@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+
 namespace janus {
 namespace {
 
@@ -60,6 +63,30 @@ TEST(IEqualsTest, CaseInsensitive) {
   EXPECT_TRUE(iequals("", ""));
   EXPECT_FALSE(iequals("abc", "abd"));
   EXPECT_FALSE(iequals("abc", "abcd"));
+}
+
+// trim, iequals, to_lower and url_encode classify characters with plain
+// ASCII comparisons; in the C locale (Janus never calls setlocale) that is
+// exactly what <cctype> answers, for every byte value.
+TEST(AsciiClassesTest, EveryByteMatchesTheCLocale) {
+  for (int i = 0; i < 256; ++i) {
+    const char c = static_cast<char>(i);
+    const std::string one(1, c);
+    const auto u = static_cast<unsigned char>(i);
+    EXPECT_EQ(trim(one).empty(), std::isspace(u) != 0) << "byte " << i;
+    EXPECT_EQ(to_lower(one), std::string(1, static_cast<char>(std::tolower(u))))
+        << "byte " << i;
+    const bool kept = url_encode(one) == one;
+    EXPECT_EQ(kept, std::isalnum(u) != 0 || c == '-' || c == '_' ||
+                        c == '.' || c == '~')
+        << "byte " << i;
+    for (int j = 0; j < 256; ++j) {
+      const auto v = static_cast<unsigned char>(j);
+      ASSERT_EQ(iequals(one, std::string(1, static_cast<char>(j))),
+                std::tolower(u) == std::tolower(v))
+          << "bytes " << i << ", " << j;
+    }
+  }
 }
 
 TEST(ParseI64Test, ValidAndInvalid) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
 #include <tuple>
 
 #include "common/rng.hpp"
@@ -29,6 +31,26 @@ TEST(LeakyBucketTest, InitialCreditClampedToCapacity) {
 TEST(LeakyBucketTest, RejectsNegativeParameters) {
   EXPECT_THROW(LeakyBucket(-1.0, 1.0, kTimeZero), std::invalid_argument);
   EXPECT_THROW(LeakyBucket(1.0, -1.0, kTimeZero), std::invalid_argument);
+}
+
+TEST(LeakyBucketTest, RejectsNonFiniteParameters) {
+  // llround(NaN) is LLONG_MIN on x86-64: a NaN rate used to become a
+  // negative refill that drove the credit below zero.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, -nan, inf, -inf}) {
+    EXPECT_FALSE(LeakyBucket::valid(bad, 1.0, 1.0)) << bad;
+    EXPECT_FALSE(LeakyBucket::valid(1.0, bad, 1.0)) << bad;
+    EXPECT_FALSE(LeakyBucket::valid(1.0, 1.0, bad)) << bad;
+    EXPECT_THROW(LeakyBucket(bad, 1.0, kTimeZero), std::invalid_argument);
+    EXPECT_THROW(LeakyBucket(1.0, bad, kTimeZero), std::invalid_argument);
+    EXPECT_THROW(LeakyBucket(1.0, 1.0, bad, kTimeZero), std::invalid_argument);
+    LeakyBucket ok(1.0, 1.0, kTimeZero);
+    EXPECT_THROW(ok.reconfigure(bad, 1.0, kTimeZero), std::invalid_argument);
+    EXPECT_THROW(ok.reconfigure(1.0, bad, kTimeZero), std::invalid_argument);
+  }
+  EXPECT_TRUE(LeakyBucket::valid(0.0, 0.0, 0.0));
+  EXPECT_TRUE(LeakyBucket::valid(10.0, 1.0, -1.0));  // credit is clamped
 }
 
 TEST(LeakyBucketTest, ConsumeDecrementsExactly) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "db/replication.hpp"
 
 namespace janus::db {
@@ -62,6 +64,21 @@ TEST(RuleStoreTest, PutValidatesRule) {
   bad = sample_rule();
   bad.credit = -0.5;
   EXPECT_FALSE(store.put(bad).ok());
+  // NaN passes `x < 0`, so these used to load.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double value : {nan, -nan, inf, -inf}) {
+    for (double RuleRow::*field :
+         {&RuleRow::refill_per_sec, &RuleRow::capacity, &RuleRow::credit}) {
+      bad = sample_rule();
+      bad.*field = value;
+      const Status s = store.put(bad);
+      ASSERT_FALSE(s.ok()) << value;
+      EXPECT_EQ(s.error().message,
+                "rule: refill rate, capacity and credit must be finite");
+    }
+  }
+  EXPECT_EQ(store.size(), 0u);
 }
 
 TEST(RuleStoreTest, ZeroRuleIsValidDenyAll) {

@@ -1,9 +1,12 @@
 #include "net/socket.hpp"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -28,6 +31,46 @@ TEST(SockAddrTest, NativeRoundTrip) {
   auto native = addr.to_native();
   ASSERT_TRUE(native.ok());
   EXPECT_EQ(SockAddr::from_native(native.value()), addr);
+}
+
+/// from_native next to inet_ntop for one address given in network order.
+void expect_formats_like_inet_ntop(const unsigned char (&octets)[4],
+                                   std::uint16_t port) {
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_port = htons(port);
+  std::memcpy(&sa.sin_addr.s_addr, octets, sizeof(octets));
+  char expected[INET_ADDRSTRLEN] = {};
+  ASSERT_NE(::inet_ntop(AF_INET, &sa.sin_addr, expected, sizeof(expected)),
+            nullptr);
+  const SockAddr got = SockAddr::from_native(sa);
+  ASSERT_EQ(got.ip, expected);
+  ASSERT_EQ(got.port, port);
+}
+
+TEST(SockAddrTest, FromNativeFormatsLikeInetNtop) {
+  expect_formats_like_inet_ntop({0, 0, 0, 0}, 0);
+  expect_formats_like_inet_ntop({255, 255, 255, 255}, 65535);
+  // Every digit-count boundary in every position: all 8^4 combinations.
+  const unsigned char edges[] = {0, 9, 10, 99, 100, 199, 200, 255};
+  for (unsigned char a : edges) {
+    for (unsigned char b : edges) {
+      for (unsigned char c : edges) {
+        for (unsigned char d : edges) {
+          expect_formats_like_inet_ntop({a, b, c, d}, 8080);
+        }
+      }
+    }
+  }
+  std::mt19937 rng(20260419);
+  for (int i = 0; i < 10'000; ++i) {
+    const std::uint32_t bits = rng();
+    const unsigned char octets[4] = {
+        static_cast<unsigned char>(bits >> 24),
+        static_cast<unsigned char>(bits >> 16),
+        static_cast<unsigned char>(bits >> 8), static_cast<unsigned char>(bits)};
+    expect_formats_like_inet_ntop(octets, static_cast<std::uint16_t>(rng()));
+  }
 }
 
 TEST(SockAddrTest, RejectsBadAddress) {
@@ -92,6 +135,68 @@ TEST(UdpSocketTest, DatagramBoundariesPreserved) {
   ASSERT_TRUE(second.ok() && second.value().has_value());
   EXPECT_EQ(first.value()->data.size(), 3u);
   EXPECT_EQ(second.value()->data.size(), 6u);
+}
+
+TEST(UdpSocketTest, RecvReturnsExactlyEachDatagramAndItsSender) {
+  // Back to back on one socket, through the one receive buffer: the empty
+  // datagram, a single byte, a wire-frame size and the largest IPv4 payload.
+  auto server = UdpSocket::bind({"127.0.0.1", 0});
+  ASSERT_TRUE(server.ok());
+  const auto addr = server.value().local_addr().value();
+  auto client = UdpSocket::bind({"127.0.0.1", 0});
+  ASSERT_TRUE(client.ok());
+  const auto client_addr = client.value().local_addr().value();
+
+  const std::size_t sizes[] = {0, 1, 512, 65'507, 1, 0};
+  std::vector<std::vector<std::uint8_t>> sent;
+  for (std::size_t i = 0; i < std::size(sizes); ++i) {
+    std::vector<std::uint8_t> payload(sizes[i]);
+    for (std::size_t b = 0; b < payload.size(); ++b) {
+      payload[b] = static_cast<std::uint8_t>(b * 31 + i);
+    }
+    sent.push_back(std::move(payload));
+  }
+  for (const auto& payload : sent) {
+    ASSERT_TRUE(client.value().send_to(addr, payload).ok());
+    auto dg = server.value().recv(millis(500));
+    ASSERT_TRUE(dg.ok());
+    ASSERT_TRUE(dg.value().has_value()) << payload.size() << " bytes";
+    EXPECT_EQ(dg.value()->data, payload) << payload.size() << " bytes";
+    EXPECT_EQ(dg.value()->from, client_addr);
+  }
+}
+
+TEST(UdpSocketTest, RecvConsultsDropRxOncePerDatagram) {
+  auto server = UdpSocket::bind({"127.0.0.1", 0});
+  ASSERT_TRUE(server.ok());
+  const auto addr = server.value().local_addr().value();
+  auto client = UdpSocket::create();
+  ASSERT_TRUE(client.ok());
+
+  auto& inj = testing::FaultInjector::instance();
+  inj.seed(7);
+  constexpr int kDatagrams = 40;
+  int delivered = 0;
+  {
+    testing::ScopedFault drop(testing::FaultPoint::kNetUdpDropRx,
+                              {.probability = 0.5});
+    for (int i = 0; i < kDatagrams; ++i) {
+      ASSERT_TRUE(client.value().send_to(addr, bytes("dg")).ok());
+      auto dg = server.value().recv(millis(500));
+      ASSERT_TRUE(dg.ok());
+      if (dg.value().has_value()) ++delivered;
+    }
+    EXPECT_EQ(inj.hits(testing::FaultPoint::kNetUdpDropRx),
+              static_cast<std::uint64_t>(kDatagrams));
+    EXPECT_EQ(inj.fires(testing::FaultPoint::kNetUdpDropRx),
+              static_cast<std::uint64_t>(kDatagrams - delivered));
+  }
+  EXPECT_GT(delivered, 0);
+  EXPECT_LT(delivered, kDatagrams);
+  // Each recv took exactly one datagram: nothing is left queued.
+  auto rest = server.value().recv(millis(20));
+  ASSERT_TRUE(rest.ok());
+  EXPECT_FALSE(rest.value().has_value());
 }
 
 std::multiset<std::string> recv_all(UdpSocket& sock, std::size_t expect) {
@@ -220,6 +325,63 @@ TEST_F(UdpSocketProviderTest, ShutdownReadKeepsQueuedAndEmptyDatagrams) {
   auto again = server.recv_many(batch, Duration{-1});
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again.value(), 0u);
+}
+
+TEST_F(UdpSocketProviderTest, ReusedBatchIsResetAfterLargerBatchAndShutdown) {
+  // A batch's headers are built once; each call resets what the kernel
+  // wrote back in the previous one. A smaller batch after a larger one,
+  // and a batch after shutdown_read's end-of-stream entries (address
+  // length 0), must still report every length and sender.
+  UdpSocket first = make_server();
+  const auto first_addr = first.local_addr().value();
+  UdpSocket a = make_server();  // bound, so its address is known
+  UdpSocket b = make_server();
+  const auto a_addr = a.local_addr().value();
+  const auto b_addr = b.local_addr().value();
+  UdpSocket::RecvBatch batch(4);
+
+  auto expect_batch = [&](std::size_t n, std::vector<std::size_t> lens,
+                          const SockAddr& from) {
+    ASSERT_EQ(n, lens.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(batch.data(i).size(), lens[i]) << "datagram " << i;
+      EXPECT_EQ(batch.from(i), from) << "datagram " << i;
+    }
+  };
+
+  for (const char* p : {"1", "22", "333", "4444"}) {
+    ASSERT_TRUE(a.send_to(first_addr, bytes(p)).ok());
+  }
+  auto n = first.recv_many(batch, millis(500));
+  ASSERT_TRUE(n.ok());
+  expect_batch(n.value(), {1, 2, 3, 4}, a_addr);
+
+  ASSERT_TRUE(b.send_to(first_addr, bytes("bbbbbbb")).ok());
+  n = first.recv_many(batch, millis(500));
+  ASSERT_TRUE(n.ok());
+  expect_batch(n.value(), {7}, b_addr);
+
+  // One queued datagram, then the end of the stream: the kernel fills the
+  // batch's other headers with end-of-stream entries.
+  ASSERT_TRUE(a.send_to(first_addr, bytes("last")).ok());
+  first.shutdown_read();
+  n = first.recv_many(batch, Duration{-1});
+  ASSERT_TRUE(n.ok());
+  expect_batch(n.value(), {4}, a_addr);
+  n = first.recv_many(batch, Duration{-1});
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(n.value(), 0u);
+
+  // The same batch on a second socket: an empty datagram is a datagram
+  // again, and every sender is reported.
+  UdpSocket second = make_server();
+  const auto second_addr = second.local_addr().value();
+  ASSERT_TRUE(b.send_to(second_addr, bytes("")).ok());
+  ASSERT_TRUE(b.send_to(second_addr, bytes("yy")).ok());
+  ASSERT_TRUE(b.send_to(second_addr, bytes("")).ok());
+  n = second.recv_many(batch, millis(500));
+  ASSERT_TRUE(n.ok());
+  expect_batch(n.value(), {0, 2, 0}, b_addr);
 }
 
 TEST_F(UdpSocketProviderTest, SingleRecvRoutesThroughProvider) {

@@ -33,18 +33,25 @@ namespace {
 
 thread_local bool g_counting = false;
 thread_local std::uint64_t g_alloc_count = 0;
+thread_local std::size_t g_alloc_largest = 0;
 
 struct AllocGuard {
   AllocGuard() {
     g_alloc_count = 0;
+    g_alloc_largest = 0;
     g_counting = true;
   }
   ~AllocGuard() { g_counting = false; }
   std::uint64_t count() const { return g_alloc_count; }
+  /// Bytes of the largest block allocated under this guard.
+  std::size_t largest() const { return g_alloc_largest; }
 };
 
 void* counted_alloc(std::size_t size) {
-  if (g_counting) ++g_alloc_count;
+  if (g_counting) {
+    ++g_alloc_count;
+    if (size > g_alloc_largest) g_alloc_largest = size;
+  }
   void* p = std::malloc(size ? size : 1);
   if (!p) throw std::bad_alloc();
   return p;
@@ -376,6 +383,36 @@ TEST(HotpathAllocTest, MmsgBatchIoIsAllocationFree) {
   ASSERT_NE(allocs, ~0ull) << "mmsg batch I/O cycle failed";
   EXPECT_EQ(allocs, 0u)
       << "warm mmsg send_many/recv_many allocated; batch path regressed";
+}
+
+TEST(HotpathAllocTest, WarmRecvAllocatesOnlyItsDatagram) {
+  // UdpSocket::recv (every UdpQosClient::call pays it) receives into the
+  // socket's own buffer, allocated on the first recv; a warm recv's only
+  // heap block is the datagram's copy, and an empty datagram needs none.
+  auto server = net::UdpSocket::bind({"127.0.0.1", 0});
+  ASSERT_TRUE(server.ok());
+  const auto addr = server.value().local_addr().value();
+  auto client = net::UdpSocket::create();
+  ASSERT_TRUE(client.ok());
+  const std::vector<std::uint8_t> frame(48, 0x5A);  // a response's size
+
+  ASSERT_TRUE(client.value().send_to(addr, frame).ok());
+  ASSERT_TRUE(server.value().recv(millis(500)).ok());  // first recv: buffer
+
+  for (const std::size_t size : {std::size_t{48}, std::size_t{0}}) {
+    ASSERT_TRUE(client.value()
+                    .send_to(addr, std::span(frame.data(), size))
+                    .ok());
+    AllocGuard guard;
+    auto dg = server.value().recv(millis(500));
+    const std::uint64_t count = guard.count();
+    const std::size_t largest = guard.largest();
+    ASSERT_TRUE(dg.ok());
+    ASSERT_TRUE(dg.value().has_value());
+    EXPECT_EQ(dg.value()->data.size(), size);
+    EXPECT_EQ(count, size == 0 ? 0u : 1u) << size << "-byte datagram";
+    EXPECT_LE(largest, size) << size << "-byte datagram";
+  }
 }
 
 TEST(HotpathAllocTest, PrequalPickIsAllocationFree) {

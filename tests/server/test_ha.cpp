@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/db_rule_adapter.hpp"
 #include "db/rule_store.hpp"
+#include "db/serialize.hpp"
 
 namespace janus::server {
 namespace {
@@ -76,6 +79,43 @@ TEST_F(HaTest, RestoreRejectsCorruptSnapshots) {
   auto extended = bytes;
   extended.push_back(0xAA);
   EXPECT_FALSE(restore_table(slave_.table(), extended, clock_.now()).ok());
+}
+
+TEST_F(HaTest, RestoreRefusesRowsNoBucketCanHold) {
+  // A row a good snapshot never holds: refused as a whole, nothing thrown,
+  // nothing installed.
+  provision("alice", 100, 10);
+  master_.check("alice");
+  ASSERT_TRUE(restore_table(slave_.table(), serialize_table(master_.table()),
+                            clock_.now())
+                  .ok());
+  ASSERT_EQ(slave_.table_size(), 1u);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double rows[][3] = {{10, nan, 5}, {nan, 1, 5},  {10, 1, -nan},
+                            {inf, 1, 5},  {10, -inf, 5}, {-1, 1, 0},
+                            {10, -1, 5}};
+  for (const auto& row : rows) {
+    db::ByteWriter w;
+    w.u32(0x4A534E50);  // "JSNP"
+    w.u32(2);
+    w.str("good");
+    w.f64(10);
+    w.f64(1);
+    w.f64(5);
+    w.u8(0);
+    w.str("bad");
+    w.f64(row[0]);
+    w.f64(row[1]);
+    w.f64(row[2]);
+    w.u8(0);
+    auto restored = restore_table(slave_.table(), w.take(), clock_.now());
+    ASSERT_FALSE(restored.ok()) << row[0] << " " << row[1] << " " << row[2];
+    EXPECT_EQ(restored.error().message, "snapshot: bad entry value");
+  }
+  // The last good restore stands.
+  EXPECT_EQ(slave_.table_size(), 1u);
+  EXPECT_TRUE(slave_.table().contains("alice"));
 }
 
 TEST_F(HaTest, EmptyTableRoundTrips) {

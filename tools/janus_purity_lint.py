@@ -7,12 +7,13 @@ Three checks run over the whole repo (DESIGN.md §12):
              JANUS_HOT_PATH / JANUS_HOT_PATH_LOCKS / JANUS_HOT_PATH_IO
              (src/common/hot_path.hpp). Any reachable allocation,
              amortized-growth call, janus lock acquisition, blocking
-             syscall/wait, throw, or JLOG is reported with the full call
+             syscall/wait, throw, JLOG, or stdio-style formatting (the
+             printf family, inet_ntop) is reported with the full call
              chain. The three flavors relax the rule set stepwise:
                hot_path        nothing on the list is allowed
                hot_path_locks  janus lock guards allowed (leaf mutexes)
                hot_path_io     locks + blocking allowed (thread loops)
-             Logging is banned in all three.
+             Logging and formatting are banned in all three.
 
   seqlock    Single-writer discipline for the seqlocked structures
              (flight_recorder.hpp, hotkey_sketch.hpp): only designated
@@ -64,9 +65,11 @@ MACRO_FLAVOR = (
 )
 
 BANNED = {
-    "hot_path": {"alloc", "amortized", "lock", "blocking", "throw", "log"},
-    "hot_path_locks": {"alloc", "amortized", "blocking", "throw", "log"},
-    "hot_path_io": {"alloc", "amortized", "throw", "log"},
+    "hot_path": {"alloc", "amortized", "lock", "blocking", "throw", "log",
+                 "format"},
+    "hot_path_locks": {"alloc", "amortized", "blocking", "throw", "log",
+                       "format"},
+    "hot_path_io": {"alloc", "amortized", "throw", "log", "format"},
 }
 
 PRIMITIVES = [
@@ -97,6 +100,10 @@ PRIMITIVES = [
     ("blocking", re.compile(r"(?<![\w.])poll\s*\("), "poll()"),
     ("throw", re.compile(r"\bthrow\b"), "throw"),
     ("log", re.compile(r"\bJLOG_(?:DEBUG|INFO|WARN|ERROR)\s*\("), "JLOG on the hot path"),
+    # glibc's inet_ntop formats through vfprintf, like the printf family.
+    ("format",
+     re.compile(r"\b(?:v?(?:s|sn|f|d|as)?printf|inet_ntop)\s*\("),
+     "printf-family / inet_ntop formatting"),
 ]
 
 KEYWORDS = {

@@ -2,9 +2,11 @@
 # Build and run the chaos / fault-injection / property suites, the QoS
 # server's suites (its worker pool in every execution-model variant), the
 # database and admission suites (the chunked write path, the house-keeping
-# passes racing decisions), and the HTTP tier's suites (its event loops, the
-# router's UDP leg, the gateway's upstream pool, the end-to-end stack),
-# under the JANUS_SANITIZE presets (see the top-level CMakeLists.txt).
+# passes racing decisions), the HTTP tier's suites (its event loops, the
+# router's UDP leg, the gateway's upstream pool, the end-to-end stack), the
+# datagram socket's suites (the reused receive buffer and batch headers) and
+# the metrics suites (striped counters and histograms), under the
+# JANUS_SANITIZE presets (see the top-level CMakeLists.txt).
 #
 # Usage:
 #   tools/run_sanitizers.sh                  # address, thread, undefined
@@ -96,14 +98,15 @@ run_suites() {
   "$bindir/tests/janus_test_chaos" --gtest_brief=1
   "$bindir/tests/janus_test_wire" --gtest_brief=1 --gtest_filter='CodecFuzzTest.*'
   if [ "$fast" = fast ]; then return 0; fi
-  "$bindir/tests/janus_test_common" --gtest_brief=1 --gtest_filter='FaultInjectorTest.*'
+  "$bindir/tests/janus_test_common" --gtest_brief=1 \
+    --gtest_filter='FaultInjectorTest.*:Counter*:MetricsRegistry*:HistogramMetric*'
   "$bindir/tests/janus_test_db" --gtest_brief=1
   "$bindir/tests/janus_test_core" --gtest_brief=1
   "$bindir/tests/janus_test_router" --gtest_brief=1 \
     --gtest_filter='UdpClientFaultTest.*:RouterNodeTest.*'
   "$bindir/tests/janus_test_server" --gtest_brief=1
   "$bindir/tests/janus_test_net" --gtest_brief=1 \
-    --gtest_filter='Http*:AdminServer*'
+    --gtest_filter='Http*:AdminServer*:SockAddr*:UdpSocket*'
   "$bindir/tests/janus_test_lb" --gtest_brief=1 \
     --gtest_filter='GatewayBalancerTest.*'
   "$bindir/tests/janus_test_integration" --gtest_brief=1
