@@ -68,23 +68,42 @@ const Table* Database::find_table_locked(std::string_view name) const {
   return it == tables_.end() ? nullptr : it->second.get();
 }
 
-void Database::ChunkLog::add(LogRecord::Op op, const std::string& table,
-                             const Row& row, std::string_view pk) {
-  const std::uint64_t lsn = first_lsn + count;
+void Database::ChunkLog::add(const std::string& table, const RowView& row) {
   if (framed) {
-    append_record(frames, lsn, op, table, row, pk);
+    append_record(frames, first_lsn + count, table, row);
     frame_ends.push_back(frames.size());
   }
   if (copied) {
-    if (count == records.size()) records.emplace_back();
-    LogRecord& rec = records[count];
-    rec.lsn = lsn;
-    rec.op = op;
-    rec.table = table;
-    rec.row = row;
+    LogRecord& rec = next_record(LogRecord::Op::kUpsert, table);
+    row.copy_to(rec.row);
+    rec.pk.clear();
+  }
+  ++count;
+}
+
+void Database::ChunkLog::add_remove(const std::string& table,
+                                    std::string_view pk) {
+  if (framed) {
+    append_record(frames, first_lsn + count, LogRecord::Op::kRemove, table,
+                  Row{}, pk);
+    frame_ends.push_back(frames.size());
+  }
+  if (copied) {
+    LogRecord& rec = next_record(LogRecord::Op::kRemove, table);
+    rec.row.clear();
     rec.pk = pk;
   }
   ++count;
+}
+
+LogRecord& Database::ChunkLog::next_record(LogRecord::Op op,
+                                           const std::string& table) {
+  if (count == records.size()) records.emplace_back();
+  LogRecord& rec = records[count];
+  rec.lsn = first_lsn + count;
+  rec.op = op;
+  rec.table = table;
+  return rec;
 }
 
 Database::ChunkLog& Database::begin_chunk_locked() {
@@ -119,7 +138,7 @@ Status Database::upsert(const std::string& table_name, Row row) {
 }
 
 Status Database::upsert_many(const std::string& table_name,
-                             std::span<Row> rows) {
+                             std::span<const Row> rows) {
   Table* t = find_table(table_name);
   if (!t) return Error("no table named " + table_name);
   for (const Row& row : rows) {
@@ -132,9 +151,7 @@ Status Database::upsert_many(const std::string& table_name,
     ChunkLog& log = begin_chunk_locked();
     t->upsert_rows(
         rows.subspan(at, std::min(kWriteChunkRows, rows.size() - at)),
-        [&](const Row& row) {
-          log.add(LogRecord::Op::kUpsert, table_name, row, {});
-        });
+        [&](const RowView& row) { log.add(table_name, row); });
     if (auto s = finish_chunk_locked(); !s.ok()) return s;
   }
   return Status::success();
@@ -145,7 +162,7 @@ Status Database::remove(const std::string& table_name, std::string_view pk) {
   Table* t = find_table_locked(table_name);
   if (!t) return Error("no table named " + table_name);
   t->remove(pk);  // removing a missing row is a logged no-op
-  begin_chunk_locked().add(LogRecord::Op::kRemove, table_name, Row{}, pk);
+  begin_chunk_locked().add_remove(table_name, pk);
   return finish_chunk_locked();
 }
 
@@ -178,9 +195,7 @@ Result<std::size_t> Database::update_column_many(
     ChunkLog& log = begin_chunk_locked();
     written += t->update_cells(
         col, writes.subspan(at, std::min(kWriteChunkRows, writes.size() - at)),
-        [&](const Row& row) {
-          log.add(LogRecord::Op::kUpsert, table_name, row, {});
-        });
+        [&](const RowView& row) { log.add(table_name, row); });
     if (auto s = finish_chunk_locked(); !s.ok()) return s.error();
   }
   return written;
@@ -196,12 +211,24 @@ std::optional<Row> Database::get(std::string_view table_name,
 void Database::scan(std::string_view table_name,
                     const std::function<void(const Row&)>& fn) const {
   const Table* t = find_table(table_name);
-  if (t) t->scan(fn);
+  if (!t) return;
+  Row row;
+  t->scan([&](const RowView& stored) {
+    stored.copy_to(row);
+    fn(row);
+  });
 }
 
 std::size_t Database::table_size(std::string_view table_name) const {
   const Table* t = find_table(table_name);
   return t ? t->size() : 0;
+}
+
+Status Database::reserve(std::string_view table_name, std::size_t rows) {
+  Table* t = find_table(table_name);
+  if (!t) return Error("no table named " + std::string(table_name));
+  t->reserve(rows);
+  return Status::success();
 }
 
 void Database::add_observer(Observer obs) {
@@ -219,9 +246,10 @@ Status Database::snapshot_locked(const std::string& path) const {
   w.u32(static_cast<std::uint32_t>(tables_.size()));
   for (const auto& [name, table] : tables_) {
     w.str(name);
-    const auto rows = table->dump();
-    w.u32(static_cast<std::uint32_t>(rows.size()));
-    for (const auto& row : rows) w.row(row);
+    // Writes to this database's tables hold commit_mu_ (recover runs
+    // before any other use), so the count holds for the scan.
+    w.u32(static_cast<std::uint32_t>(table->size()));
+    table->scan([&](const RowView& row) { w.row(row); });
   }
 
   // Write-then-rename so a crash mid-snapshot never corrupts the previous

@@ -58,9 +58,9 @@ class Database {
   // order. Single-row calls are chunks of one.
 
   Status upsert(const std::string& table, Row row);
-  /// Insert or overwrite every row, in order. Rows are moved from. Fails
-  /// before writing anything if a row does not match the schema.
-  Status upsert_many(const std::string& table, std::span<Row> rows);
+  /// Insert or overwrite every row, in order. Fails before writing anything
+  /// if a row does not match the schema.
+  Status upsert_many(const std::string& table, std::span<const Row> rows);
   Status remove(const std::string& table, std::string_view pk);
   /// Single-column update, logged as a full-row upsert.
   Status update_column(const std::string& table, std::string_view pk,
@@ -77,6 +77,10 @@ class Database {
   void scan(std::string_view table,
             const std::function<void(const Row&)>& fn) const;
   std::size_t table_size(std::string_view table) const;
+
+  /// Size `table`'s index for `rows` rows (Table::reserve), so that loading
+  /// that many rehashes nothing.
+  Status reserve(std::string_view table, std::size_t rows);
 
   /// Current log sequence number (monotonic; 0 = no mutations yet).
   std::uint64_t lsn() const { return lsn_.load(std::memory_order_acquire); }
@@ -129,9 +133,14 @@ class Database {
     std::vector<std::size_t> frame_ends;
     std::vector<LogRecord> records;
 
-    /// Log the chunk's next row (kUpsert) or key (kRemove) at the next LSN.
-    void add(LogRecord::Op op, const std::string& table, const Row& row,
-             std::string_view pk);
+    /// Log the chunk's next stored row (kUpsert) at the next LSN.
+    void add(const std::string& table, const RowView& row);
+    /// Log the removal of `pk` (kRemove) at the next LSN.
+    void add_remove(const std::string& table, std::string_view pk);
+
+   private:
+    /// The observers' copy of the record at the next LSN.
+    LogRecord& next_record(LogRecord::Op op, const std::string& table);
   };
   ChunkLog& begin_chunk_locked() JANUS_REQUIRES(commit_mu_);
   /// Append the chunk's frames, then publish its LSNs and show its records

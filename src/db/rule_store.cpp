@@ -32,12 +32,12 @@ Row RuleStore::to_row(const RuleRow& rule) {
   return Row{rule.key, rule.refill_per_sec, rule.capacity, rule.credit};
 }
 
-RuleRow RuleStore::from_row(const Row& row) {
+RuleRow RuleStore::from_row(const RowView& row) {
   return RuleRow{
-      .key = std::get<std::string>(row[0]),
-      .refill_per_sec = std::get<double>(row[1]),
-      .capacity = std::get<double>(row[2]),
-      .credit = std::get<double>(row[3]),
+      .key = std::string(row.key()),
+      .refill_per_sec = row.real(1),
+      .capacity = row.real(2),
+      .credit = row.real(3),
   };
 }
 
@@ -59,7 +59,7 @@ Status RuleStore::validate(const RuleRow& rule) {
 
 std::optional<RuleRow> RuleStore::get(std::string_view key) const {
   std::optional<RuleRow> out;
-  table_.read(key, [&](const Row& row) { out = from_row(row); });
+  table_.read(key, [&](const RowView& row) { out = from_row(row); });
   return out;
 }
 
@@ -87,12 +87,16 @@ Result<std::size_t> RuleStore::checkpoint_credits(
 }
 
 bool RuleStore::remove(std::string_view key) {
-  if (!table_.read(key, [](const Row&) {})) return false;
+  if (!table_.read(key, [](const RowView&) {})) return false;
   return db_.remove(kTableName, key).ok();
 }
 
+void RuleStore::reserve(std::size_t rules) {
+  (void)db_.reserve(kTableName, rules);  // cannot fail: the table exists
+}
+
 void RuleStore::scan(const std::function<void(const RuleRow&)>& fn) const {
-  table_.scan([&](const Row& row) { fn(from_row(row)); });
+  table_.scan([&](const RowView& row) { fn(from_row(row)); });
 }
 
 std::size_t RuleStore::size() const { return table_.size(); }

@@ -59,6 +59,10 @@ class RuleStore {
   /// DELETE FROM qos_rules WHERE key = ?.
   bool remove(std::string_view key);
 
+  /// Size the table for `rules` rules before loading them, so that the load
+  /// never rehashes it (Table::reserve).
+  void reserve(std::size_t rules);
+
   /// SELECT * FROM qos_rules (warm-up load, §III-D).
   void scan(const std::function<void(const RuleRow&)>& fn) const;
 
@@ -68,7 +72,7 @@ class RuleStore {
 
  private:
   static Row to_row(const RuleRow& rule);
-  static RuleRow from_row(const Row& row);
+  static RuleRow from_row(const RowView& row);
 
   Database& db_;
   // Resolved once: tables are never dropped, so reads go straight to the

@@ -44,6 +44,16 @@ void ByteWriter::row(const Row& r) {
   for (const auto& v : r) value(v);
 }
 
+void ByteWriter::row(const RowView& r) {
+  u32(static_cast<std::uint32_t>(r.size()));
+  u8(static_cast<std::uint8_t>(ColumnType::kString));
+  str(r.key());
+  for (std::size_t col = 1; col < r.size(); ++col) {
+    u8(static_cast<std::uint8_t>(r.type(col)));
+    u64(r.bits(col));  // value() writes an int64 or a double as these bits
+  }
+}
+
 bool ByteReader::u8(std::uint8_t& out) {
   if (pos_ + 1 > data_.size()) return false;
   out = data_[pos_++];
@@ -122,6 +132,35 @@ bool ByteReader::row(Row& out) {
   return true;
 }
 
+namespace {
+
+/// Append [u32 payload_len][u32 crc32(payload)][payload] to `out`, where the
+/// payload is lsn, op, table, then what `body` writes.
+template <typename Body>
+void frame_record(std::vector<std::uint8_t>& out, std::uint64_t lsn,
+                  LogRecord::Op op, std::string_view table, Body&& body) {
+  const std::size_t start = out.size();
+  ByteWriter w(std::move(out));
+  w.u32(0);  // payload length, patched below
+  w.u32(0);  // payload CRC, patched below
+  w.u64(lsn);
+  w.u8(static_cast<std::uint8_t>(op));
+  w.str(table);
+  body(w);
+  out = w.take();
+
+  const std::size_t payload = start + 8;
+  const auto len = static_cast<std::uint32_t>(out.size() - payload);
+  const std::uint32_t crc = crc32(std::string_view(
+      reinterpret_cast<const char*>(out.data() + payload), len));
+  for (int i = 0; i < 4; ++i) {
+    out[start + i] = static_cast<std::uint8_t>(len >> (8 * i));
+    out[start + 4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+}
+
+}  // namespace
+
 std::vector<std::uint8_t> encode_record(const LogRecord& rec) {
   std::vector<std::uint8_t> out;
   append_record(out, rec.lsn, rec.op, rec.table, rec.row, rec.pk);
@@ -131,28 +170,19 @@ std::vector<std::uint8_t> encode_record(const LogRecord& rec) {
 void append_record(std::vector<std::uint8_t>& out, std::uint64_t lsn,
                    LogRecord::Op op, std::string_view table, const Row& row,
                    std::string_view pk) {
-  const std::size_t start = out.size();
-  ByteWriter w(std::move(out));
-  w.u32(0);  // payload length, patched below
-  w.u32(0);  // payload CRC, patched below
-  w.u64(lsn);
-  w.u8(static_cast<std::uint8_t>(op));
-  w.str(table);
-  if (op == LogRecord::Op::kUpsert) {
-    w.row(row);
-  } else {
-    w.str(pk);
-  }
-  out = w.take();
+  frame_record(out, lsn, op, table, [&](ByteWriter& w) {
+    if (op == LogRecord::Op::kUpsert) {
+      w.row(row);
+    } else {
+      w.str(pk);
+    }
+  });
+}
 
-  const std::size_t body = start + 8;
-  const auto len = static_cast<std::uint32_t>(out.size() - body);
-  const std::uint32_t crc = crc32(std::string_view(
-      reinterpret_cast<const char*>(out.data() + body), len));
-  for (int i = 0; i < 4; ++i) {
-    out[start + i] = static_cast<std::uint8_t>(len >> (8 * i));
-    out[start + 4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
-  }
+void append_record(std::vector<std::uint8_t>& out, std::uint64_t lsn,
+                   std::string_view table, const RowView& row) {
+  frame_record(out, lsn, LogRecord::Op::kUpsert, table,
+               [&](ByteWriter& w) { w.row(row); });
 }
 
 Result<LogRecord> decode_record_payload(std::span<const std::uint8_t> payload) {

@@ -39,6 +39,8 @@ class ByteWriter {
   void str(std::string_view s);
   void value(const Value& v);
   void row(const Row& r);
+  /// The bytes row(r.to_row()) writes, read from the stored cells.
+  void row(const RowView& r);
 
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
@@ -75,6 +77,10 @@ std::vector<std::uint8_t> encode_record(const LogRecord& rec);
 void append_record(std::vector<std::uint8_t>& out, std::uint64_t lsn,
                    LogRecord::Op op, std::string_view table, const Row& row,
                    std::string_view pk);
+/// Append the framed kUpsert record of a stored row, read where it lies:
+/// the bytes append_record writes for row.to_row().
+void append_record(std::vector<std::uint8_t>& out, std::uint64_t lsn,
+                   std::string_view table, const RowView& row);
 Result<LogRecord> decode_record_payload(std::span<const std::uint8_t> payload);
 
 }  // namespace janus::db

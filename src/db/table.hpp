@@ -2,19 +2,23 @@
 // allows concurrent point reads (the QoS servers' first-touch lookups) while
 // writes (rule edits, check-points) take the exclusive lock. Matches the
 // paper's observation that the DB sees only a light workload (§V intro).
+//
+// Each row lives in its hash node, one heap block per row: the primary key
+// once, then one 8-byte cell per non-key column (cell_bits). Rows go in and
+// come out as Row; read, scan and the write visitors see the stored row in
+// place (RowView) and build none (DESIGN.md §15.3).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.hpp"
 #include "common/sync.hpp"
-#include "common/transparent_hash.hpp"
 #include "db/value.hpp"
 
 namespace janus::db {
@@ -27,11 +31,17 @@ struct CellWrite {
 
 /// Sees each row a batched write stored, in order, while the table's lock is
 /// still held (the database frames its log records there).
-using RowVisitor = std::function<void(const Row&)>;
+using RowVisitor = std::function<void(const RowView&)>;
 
 class Table {
  public:
+  /// Throws std::invalid_argument unless column 0 is a string and every
+  /// other column an int64 or a double.
   Table(std::string name, Schema schema);
+  ~Table();
+
+  Table(const Table&) = delete;
+  Table& operator=(const Table&) = delete;
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
@@ -52,16 +62,16 @@ class Table {
   template <typename Fn>
   bool read(std::string_view pk, Fn&& fn) const {
     ReaderLock lock(mu_);
-    auto it = rows_.find(pk);
-    if (it == rows_.end()) return false;
-    fn(it->second);
+    const Node* node = find_locked(pk);
+    if (!node) return false;
+    fn(view(*node));
     return true;
   }
 
   /// Insert or overwrite each row by PK, in order, under one exclusive
-  /// lock. The rows must match the schema (the caller checked); they are
-  /// moved from. `written` sees each stored row.
-  void upsert_rows(std::span<Row> rows, const RowVisitor& written);
+  /// lock. The rows must match the schema (the caller checked). `written`
+  /// sees each stored row.
+  void upsert_rows(std::span<const Row> rows, const RowVisitor& written);
 
   /// The index of `column` if every value in `writes` may be stored in it:
   /// an error for an unknown column, the primary key or a wrong type.
@@ -84,11 +94,18 @@ class Table {
   /// Delete by PK; returns false if the row did not exist.
   bool remove(std::string_view pk);
 
-  /// Full scan ("SELECT * FROM qos_rules"); visits rows in unspecified order.
-  /// The callback must not call back into the table.
-  void scan(const std::function<void(const Row&)>& fn) const;
+  /// Full scan ("SELECT * FROM qos_rules"); visits rows in unspecified order,
+  /// each where it lies. The callback must not call back into the table.
+  void scan(const std::function<void(const RowView&)>& fn) const;
 
   std::size_t size() const;
+
+  /// Size the index for `rows` rows, so that loading that many rehashes
+  /// nothing. Never shrinks it.
+  void reserve(std::size_t rows);
+
+  /// Hash buckets in the index (a power of two, 0 before the first row).
+  std::size_t bucket_count() const;
 
   /// Copy out all rows (snapshot support).
   std::vector<Row> dump() const;
@@ -97,19 +114,24 @@ class Table {
   Status load(std::vector<Row> rows);
 
  private:
-  std::string pk_of(const Row& row) const {
-    return std::get<std::string>(row[0]);
-  }
+  struct Node;  // table.cpp: the chain link, the key's hash and size, the
+                // cells, then the key's bytes, in one block
+
+  Node* find_locked(std::string_view pk) const JANUS_REQUIRES_SHARED(mu_);
+  RowView view(const Node& node) const;
+  /// The row for `row`'s key, created if absent, with `row`'s cells.
+  const Node& put_locked(const Row& row) JANUS_REQUIRES(mu_);
+  void rehash_locked(std::size_t buckets) JANUS_REQUIRES(mu_);
+  void clear_locked() JANUS_REQUIRES(mu_);
 
   std::string name_;
   Schema schema_;
   mutable SharedMutex mu_{LockRank::kDbTable, "db.table"};
-  // Transparent hash: point lookups (the QoS servers' first-touch rule
-  // fetches) probe with the caller's string_view instead of allocating a
-  // temporary std::string per get().
-  std::unordered_map<std::string, Row, TransparentStringHash,
-                     TransparentStringEq>
-      rows_ JANUS_GUARDED_BY(mu_);
+  // Chained buckets, indexed by the key's TransparentStringHash (the
+  // convention for every map keyed by a QoS key), grown to keep at most one
+  // row per bucket.
+  std::vector<Node*> buckets_ JANUS_GUARDED_BY(mu_);
+  std::size_t size_ JANUS_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace janus::db

@@ -19,4 +19,26 @@ bool Schema::matches(const std::vector<Value>& row) const {
   return true;
 }
 
+void RowView::copy_to(Row& out) const {
+  out.resize(size());
+  if (auto* key = std::get_if<std::string>(&out[0])) {
+    key->assign(key_);
+  } else {
+    out[0] = std::string(key_);
+  }
+  for (std::size_t col = 1; col < size(); ++col) {
+    if (type(col) == ColumnType::kDouble) {
+      out[col] = real(col);
+    } else {
+      out[col] = int64(col);
+    }
+  }
+}
+
+Row RowView::to_row() const {
+  Row out;
+  copy_to(out);
+  return out;
+}
+
 }  // namespace janus::db

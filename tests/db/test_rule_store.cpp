@@ -144,6 +144,26 @@ TEST(RuleStoreTest, ScanVisitsEveryRule) {
   EXPECT_DOUBLE_EQ(rate_sum, 29.0 * 30 / 2);
 }
 
+TEST(RuleStoreTest, ReserveKeepsALoadFromRehashing) {
+  constexpr std::size_t kRules = 100'000;
+  Database db;
+  RuleStore store(db);
+  store.reserve(kRules);
+  const Table& table = db.table(RuleStore::kTableName);
+  const std::size_t buckets = table.bucket_count();
+  std::vector<RuleRow> chunk;
+  for (std::size_t i = 0; i < kRules; ++i) {
+    chunk.push_back({.key = std::to_string(1'500'000'000 + i),
+                     .refill_per_sec = 1.0, .capacity = 2.0, .credit = 2.0});
+    if (chunk.size() == Database::kWriteChunkRows || i + 1 == kRules) {
+      ASSERT_TRUE(store.put_many(chunk).ok());
+      chunk.clear();
+    }
+  }
+  EXPECT_EQ(store.size(), kRules);
+  EXPECT_EQ(table.bucket_count(), buckets);
+}
+
 TEST(RuleStoreTest, SchemaMatchesPaperColumns) {
   // §III-D: "four columns — the QoS key, the refill rate, the capacity of
   // the leaky bucket, and the remaining credit in the bucket."

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <span>
 #include <thread>
 
 namespace janus::db {
@@ -108,8 +110,8 @@ TEST(TableTest, ScanVisitsAllRows) {
   }
   std::int64_t sum = 0;
   std::size_t visits = 0;
-  t.scan([&](const Row& r) {
-    sum += std::get<std::int64_t>(r[2]);
+  t.scan([&](const RowView& r) {
+    sum += r.int64(2);
     ++visits;
   });
   EXPECT_EQ(visits, 50u);
@@ -127,6 +129,28 @@ TEST(TableTest, DumpAndLoadRoundTrip) {
   EXPECT_EQ(b.size(), 20u);
   EXPECT_EQ(b.get("stale"), std::nullopt);  // load replaces wholesale
   EXPECT_EQ(std::get<double>((*b.get("k3"))[1]), 1.5);
+}
+
+TEST(TableTest, ReserveSizesTheIndexForTheLoad) {
+  constexpr std::size_t kRows = 100'000;
+  Table t("t", test_schema());
+  EXPECT_EQ(t.bucket_count(), 0u);
+  t.reserve(kRows);
+  const std::size_t buckets = t.bucket_count();
+  EXPECT_GE(buckets, kRows);
+  std::vector<Row> rows;
+  for (std::size_t i = 0; i < kRows; ++i) {
+    rows.push_back(row("k" + std::to_string(i), 0.5, 1));
+  }
+  for (std::size_t at = 0; at < kRows; at += 256) {
+    t.upsert_rows(std::span(rows).subspan(at, std::min<std::size_t>(
+                                                  256, kRows - at)),
+                  [](const RowView&) {});
+  }
+  EXPECT_EQ(t.size(), kRows);
+  EXPECT_EQ(t.bucket_count(), buckets);  // the load rehashed nothing
+  t.reserve(10);  // never shrinks
+  EXPECT_EQ(t.bucket_count(), buckets);
 }
 
 TEST(TableTest, LoadValidatesSchema) {

@@ -12,6 +12,7 @@
 // replacement is program-wide.
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdint>
@@ -24,6 +25,7 @@
 #include "common/metrics.hpp"
 #include "core/admission.hpp"
 #include "core/qos_table.hpp"
+#include "db/rule_store.hpp"
 #include "lb/prequal.hpp"
 #include "net/socket.hpp"
 #include "wire/codec.hpp"
@@ -450,6 +452,75 @@ TEST(HotpathAllocTest, PrequalPickIsAllocationFree) {
     }
     EXPECT_EQ(guard.count(), 0u) << "PrequalPicker::pick fallback allocated";
   }
+}
+
+TEST(HotpathAllocTest, RuleFetchOfAShortKeyIsAllocationFree) {
+  // A first-touch or sync rule fetch reads the stored row where it lies
+  // (DESIGN.md §15.3): no Row is built, and a key of at most 15 bytes fits
+  // in the returned RuleRow's string.
+  db::Database database;
+  db::RuleStore store(database);
+  const std::string key(15, 'k');
+  ASSERT_TRUE(store.put({.key = key, .refill_per_sec = 2.0, .capacity = 4.0,
+                         .credit = 3.0}).ok());
+
+  AllocGuard guard;
+  for (int i = 0; i < 64; ++i) {
+    auto rule = store.get(key);
+    ASSERT_TRUE(rule.has_value());
+    ASSERT_EQ(rule->credit, 3.0);
+    ASSERT_FALSE(store.get("absent").has_value());
+  }
+  EXPECT_EQ(guard.count(), 0u)
+      << "RuleStore::get allocated; a Row was built to read a row";
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define JANUS_MALLOC_REPLACED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define JANUS_MALLOC_REPLACED 1
+#endif
+#endif
+
+TEST(HotpathAllocTest, LoadedRuleCostsAtMost96Bytes) {
+#ifdef JANUS_MALLOC_REPLACED
+  GTEST_SKIP() << "this build's sanitizer replaces malloc, which mallinfo2 "
+                  "does not see";
+#else
+  // 100k qos_rules rows loaded as janusd loads a rules file: the table sized
+  // first, then put_many a write chunk at a time. Keys are 10 bytes, as in
+  // perfbench's rules. Each row is one heap block (key, three 8-byte cells,
+  // chain link, hash); the bucket array counts too.
+  constexpr std::size_t kRules = 100'000;
+  std::vector<db::RuleRow> chunk;
+  chunk.reserve(db::Database::kWriteChunkRows);
+  db::Database database;
+  db::RuleStore store(database);
+
+  // uordblks counts the heap's chunks in use; hblkhd the blocks malloc
+  // maps on their own, as it does the bucket array at this size.
+  auto heap_bytes = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return info.uordblks + info.hblkhd;
+  };
+  const std::size_t before = heap_bytes();
+  store.reserve(kRules);
+  for (std::size_t i = 0; i < kRules; ++i) {
+    chunk.push_back({.key = std::to_string(1'500'000'000 + i),
+                     .refill_per_sec = 10.0, .capacity = 100.0,
+                     .credit = 100.0});
+    if (chunk.size() == db::Database::kWriteChunkRows || i + 1 == kRules) {
+      ASSERT_TRUE(store.put_many(chunk).ok());
+      chunk.clear();
+    }
+  }
+  const std::size_t after = heap_bytes();
+  ASSERT_EQ(store.size(), kRules);
+  const double per_rule = static_cast<double>(after - before) / kRules;
+  EXPECT_LE(per_rule, 96.0) << "bytes of heap per loaded rule";
+  RecordProperty("bytes_per_rule", std::to_string(per_rule));
+#endif
 }
 
 TEST(HotpathAllocTest, ColdKeyStillAllocatesExactlyOnFirstTouch) {

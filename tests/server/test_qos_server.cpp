@@ -234,9 +234,22 @@ TEST_P(QosServerModeTest, TimingSamplerSamplesExactlyOneInEight) {
   // Precondition: no datagram was retried or dropped, else the sample
   // phase shifts and the exact count below would be meaningless.
   ASSERT_EQ(server->metrics().snapshot().at("server.received"), 80);
-  auto hists = server->metrics().snapshot_histograms();
-  EXPECT_EQ(hists.at("server.queue_wait_us").count(), 10u);
-  EXPECT_EQ(hists.at("server.service_us").count(), 10u);
+  // Queue wait is recorded before the reply is sent, service time only
+  // after the worker's send returns, so the last reply can arrive before
+  // its service sample lands: wait for it, then hold the count exact.
+  EXPECT_EQ(server->metrics().snapshot_histograms().at(
+                "server.queue_wait_us").count(), 10u);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  auto service_samples = [&] {
+    return server->metrics().snapshot_histograms().at("server.service_us")
+        .count();
+  };
+  while (service_samples() < 10u &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(service_samples(), 10u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

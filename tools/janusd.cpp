@@ -71,6 +71,7 @@
 //   10.0.0.7  = 5 20 12.5
 //
 // A SIGINT/SIGTERM stops the node cleanly.
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -350,14 +351,31 @@ Result<std::optional<db::RuleRow>> parse_rule_line(std::string_view line,
   return std::optional<db::RuleRow>(std::move(rule));
 }
 
-/// Loads the rules file: read in fixed-size blocks, each line parsed where it
-/// lies in the block, rules committed through put_many a database write
-/// chunk at a time. A failed commit names the line the loader had reached.
+/// The lines in `f` (a last line without a newline counts), read through
+/// `buf`; leaves `f` rewound.
+std::size_t count_lines(std::FILE* f, std::vector<char>& buf) {
+  std::size_t lines = 0;
+  char last = '\n';
+  for (std::size_t got;
+       (got = std::fread(buf.data(), 1, buf.size(), f)) > 0;) {
+    lines += static_cast<std::size_t>(
+        std::count(buf.data(), buf.data() + got, '\n'));
+    last = buf[got - 1];
+  }
+  std::rewind(f);
+  return lines + (last != '\n');
+}
+
+/// Loads the rules file: the table is sized for the file's line count, then
+/// the file is read in fixed-size blocks, each line parsed where it lies in
+/// the block, rules committed through put_many a database write chunk at a
+/// time. A failed commit names the line the loader had reached.
 Status load_rules(db::RuleStore& store, const std::string& path) {
   constexpr std::size_t kReadBlock = 64 * 1024;
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (!f) return Error("cannot open rules file: " + path);
   std::vector<char> buf(kReadBlock);
+  store.reserve(count_lines(f, buf));
   std::size_t held = 0;  // an unfinished line, moved to the buffer's front
   std::vector<db::RuleRow> chunk;
   chunk.reserve(db::Database::kWriteChunkRows);

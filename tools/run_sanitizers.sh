@@ -18,8 +18,12 @@
 # script. Test binaries run directly with gtest filters instead of ctest:
 # discovery adds nothing here and the filters keep the fast path fast.
 #
-# Exit codes: 0 on success, 77 if the toolchain lacks sanitizer support
-# (CTest's SKIP_RETURN_CODE), anything else is a real failure.
+# Every suite of every requested preset runs even when an earlier one
+# fails; the failed suites are listed at the end.
+#
+# Exit codes: 0 on success, 1 if any suite failed, 77 if the toolchain lacks
+# sanitizer support (CTest's SKIP_RETURN_CODE), anything else is a real
+# failure (a doc guard, the purity lint or a build).
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -91,31 +95,46 @@ supports() {
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
-# The suites this PR adds, runnable per-binary via gtest filters.
+# "[preset] suite" for every suite that failed, one per line.
+failed=""
+
+# Run one suite (label, then the command); a failure is recorded, not fatal.
+suite() {
+  label=$1
+  shift
+  if ! "$@"; then
+    echo "run_sanitizers: [$preset] $label FAILED" >&2
+    failed="$failed  [$preset] $label
+"
+  fi
+}
+
+# The suites, runnable per-binary via gtest filters.
 run_suites() {
   bindir=$1
   fast=$2
-  "$bindir/tests/janus_test_chaos" --gtest_brief=1
-  "$bindir/tests/janus_test_wire" --gtest_brief=1 --gtest_filter='CodecFuzzTest.*'
+  suite chaos "$bindir/tests/janus_test_chaos" --gtest_brief=1
+  suite fuzz "$bindir/tests/janus_test_wire" --gtest_brief=1 \
+    --gtest_filter='CodecFuzzTest.*'
   if [ "$fast" = fast ]; then return 0; fi
-  "$bindir/tests/janus_test_common" --gtest_brief=1 \
+  suite common "$bindir/tests/janus_test_common" --gtest_brief=1 \
     --gtest_filter='FaultInjectorTest.*:Counter*:MetricsRegistry*:HistogramMetric*'
-  "$bindir/tests/janus_test_db" --gtest_brief=1
-  "$bindir/tests/janus_test_core" --gtest_brief=1
-  "$bindir/tests/janus_test_router" --gtest_brief=1 \
+  suite db "$bindir/tests/janus_test_db" --gtest_brief=1
+  suite core "$bindir/tests/janus_test_core" --gtest_brief=1
+  suite router "$bindir/tests/janus_test_router" --gtest_brief=1 \
     --gtest_filter='UdpClientFaultTest.*:RouterNodeTest.*'
-  "$bindir/tests/janus_test_server" --gtest_brief=1
-  "$bindir/tests/janus_test_net" --gtest_brief=1 \
+  suite server "$bindir/tests/janus_test_server" --gtest_brief=1
+  suite net "$bindir/tests/janus_test_net" --gtest_brief=1 \
     --gtest_filter='Http*:AdminServer*:SockAddr*:UdpSocket*'
-  "$bindir/tests/janus_test_lb" --gtest_brief=1 \
+  suite gateway "$bindir/tests/janus_test_lb" --gtest_brief=1 \
     --gtest_filter='GatewayBalancerTest.*'
-  "$bindir/tests/janus_test_integration" --gtest_brief=1
+  suite integration "$bindir/tests/janus_test_integration" --gtest_brief=1
   # Cluster control plane + process-level chaos rounds, via the dedicated
   # runner (per-process logs + orphaned-janusd detection). Only under ASan:
   # forked children each pay full sanitizer startup, and the BFD/agent races
   # the other presets would catch are covered in-process above.
   if [ "$bindir" = "$repo_root/build-san-address" ]; then
-    BUILD_DIR="$bindir" "$repo_root/tools/run_cluster_tests.sh"
+    suite cluster env BUILD_DIR="$bindir" "$repo_root/tools/run_cluster_tests.sh"
   fi
 }
 
@@ -169,10 +188,16 @@ if [ "$mode" = full ]; then
   echo "== static analysis (tools/run_static_analysis.sh) =="
   rc=0
   "$repo_root/tools/run_static_analysis.sh" || rc=$?
-  if [ "$rc" -ne 0 ] && [ "$rc" -ne 77 ]; then
-    exit "$rc"
+  if [ "$rc" -eq 77 ]; then
+    echo "run_sanitizers: static analysis skipped (no clang)"
+  elif [ "$rc" -ne 0 ]; then
+    failed="$failed  static analysis (exit $rc)
+"
   fi
-  [ "$rc" -eq 77 ] && echo "run_sanitizers: static analysis skipped (no clang)"
 fi
 
+if [ -n "$failed" ]; then
+  printf 'run_sanitizers: failed:\n%s' "$failed" >&2
+  exit 1
+fi
 echo "run_sanitizers: all requested presets passed"
