@@ -12,6 +12,7 @@
 #include <mutex>  // sync-ok: baseline for the janus::Mutex overhead bench
 #include <string>
 #include <thread>
+#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -67,7 +68,7 @@ BENCHMARK(BM_Crc32Slice8)->Arg(16)->Arg(64)->Arg(256);
 // allocation per lookup once the key outgrows SSO).
 using TransparentMap =
     std::unordered_map<std::string, int, TransparentStringHash,
-                       TransparentStringEq>;
+                       std::equal_to<>>;
 
 void BM_TableLookupTransparent(benchmark::State& state) {
   TransparentMap map;

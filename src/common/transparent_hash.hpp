@@ -1,17 +1,10 @@
-// Heterogeneous (is_transparent) hash/equality for string-keyed hash maps
-// on the decision path. A plain unordered_map<std::string, V> forces every
-// probe through find(std::string(key)) — one heap allocation per lookup.
-// With these functors, C++20 heterogeneous find() probes directly with a
-// string_view (or a PrehashedKey carrying an already-computed hash), so the
-// warm-key decision performs zero allocations (tests/perf/
-// test_hotpath_allocs.cpp pins this down).
-//
-// The hash is CRC-32 of the key (the same primitive the router partition
-// and shard mixer use, so one CRC pass can feed all three) widened through
-// a SplitMix64 finalizer for bucket-index quality. Convention (DESIGN.md
-// §9): any map keyed by QoS key or primary key uses TransparentStringHash/
-// TransparentStringEq; lookups pass string_view, inserts construct the
-// owning std::string exactly once, at first touch.
+// The key hash of every table keyed by a QoS key or a primary key: CRC-32 of
+// the key (the same primitive the router partition uses, so one CRC pass
+// can feed both) widened through a SplitMix64 finalizer. The QoS table and
+// db::Table hash a key once with hash_bytes() and hand the value to their
+// shared HashIndex (common/hash_index.hpp), which probes with it and never
+// hashes again (DESIGN.md §9). As a functor it is also a transparent hasher
+// (is_transparent) for a std::unordered_map probed with string_view.
 #pragma once
 
 #include <cstddef>
@@ -24,19 +17,12 @@
 
 namespace janus {
 
-/// A key plus its precomputed TransparentStringHash value. Callers that
-/// already paid for the CRC (e.g. ShardedQosTable, which derives the shard
-/// index from it) probe with this so the map does not hash again.
-struct PrehashedKey {
-  std::string_view view;
-  std::size_t hash = 0;
-};
-
 struct TransparentStringHash {
   using is_transparent = void;
 
-  /// SplitMix64 finalizer: spreads the 32 CRC bits over the full size_t so
-  /// modulo-prime bucket selection sees all of them.
+  /// SplitMix64 finalizer: spreads the 32 CRC bits over the full size_t, so
+  /// a table's bucket (the low half) and the QoS table's shard (the high
+  /// half) each see all of them.
   static constexpr std::size_t finalize(std::uint32_t crc) noexcept {
     std::uint64_t h = crc;
     h ^= h >> 30;
@@ -60,31 +46,6 @@ struct TransparentStringHash {
   }
   constexpr std::size_t operator()(const char* s) const noexcept {
     return hash_bytes(s);
-  }
-  constexpr std::size_t operator()(const PrehashedKey& k) const noexcept {
-    return k.hash;
-  }
-};
-
-struct TransparentStringEq {
-  using is_transparent = void;
-
-  // string and const char* funnel through the string_view overload.
-  constexpr bool operator()(std::string_view a,
-                            std::string_view b) const noexcept {
-    return a == b;
-  }
-  constexpr bool operator()(const PrehashedKey& a,
-                            std::string_view b) const noexcept {
-    return a.view == b;
-  }
-  constexpr bool operator()(std::string_view a,
-                            const PrehashedKey& b) const noexcept {
-    return a == b.view;
-  }
-  constexpr bool operator()(const PrehashedKey& a,
-                            const PrehashedKey& b) const noexcept {
-    return a.view == b.view;
   }
 };
 

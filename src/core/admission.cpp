@@ -78,8 +78,8 @@ Decision AdmissionController::decide(std::string_view key, std::uint32_t cost,
         key, hash, [&] { return std::move(fresh); },
         [&](QosEntry& entry, HotKeySketch& sketch) {
           return run(entry, sketch,
-                     entry.is_default ? Decision::Origin::kDefault
-                                      : Decision::Origin::kFetched);
+                     entry.is_default() ? Decision::Origin::kDefault
+                                        : Decision::Origin::kFetched);
         });
   }
   (d.allowed ? allowed_ : denied_).inc();
@@ -104,7 +104,7 @@ Decision AdmissionController::probe(std::string_view key, std::uint32_t cost) {
 void AdmissionController::refill_all() {
   const TimePoint now = clock_.now();
   table_.for_each(
-      [&](const std::string&, QosEntry& entry) { entry.bucket.refill(now); });
+      [&](std::string_view, QosEntry& entry) { entry.bucket.refill(now); });
 }
 
 namespace {
@@ -127,12 +127,12 @@ class PassBuffer {
 };
 
 /// Does `fetched` (nullopt: the key left the database) differ from the rule
-/// `e` holds? `e` is a QosEntry or a pass's copy of one.
-template <typename E>
-bool rule_changed(const E& e, const std::optional<QosRule>& fetched) {
-  if (!fetched) return !e.is_default;
-  return e.is_default || e.capacity != fetched->capacity ||
-         e.refill_per_sec != fetched->refill_per_sec;
+/// an entry holds, (capacity, refill_per_sec, is_default)?
+bool rule_changed(double capacity, double refill_per_sec, bool is_default,
+                  const std::optional<QosRule>& fetched) {
+  if (!fetched) return !is_default;
+  return is_default || capacity != fetched->capacity ||
+         refill_per_sec != fetched->refill_per_sec;
 }
 
 }  // namespace
@@ -149,41 +149,42 @@ std::size_t AdmissionController::sync_now() {
   PassBuffer<CachedRule> cached;
   for (std::size_t shard = 0; shard < table_.shard_count(); ++shard) {
     cached.clear();
-    table_.for_each_in_shard(shard, [&](const std::string& key,
+    table_.for_each_in_shard(shard, [&](std::string_view key,
                                         QosEntry& entry) {
       CachedRule& c = cached.next();
       c.key.assign(key);
-      c.capacity = entry.capacity;
-      c.refill_per_sec = entry.refill_per_sec;
-      c.is_default = entry.is_default;
+      c.capacity = entry.capacity();
+      c.refill_per_sec = entry.refill_per_sec();
+      c.is_default = entry.is_default();
     });
     // Fetch with the shard unlocked: a database read under it would stall
     // concurrent decisions on unrelated keys. Only a changed rule takes the
     // shard lock again, and re-checks against the live entry under it.
     for (const CachedRule& c : cached.used()) {
       const std::optional<QosRule> fetched = source_.fetch(c.key);
-      if (!rule_changed(c, fetched)) continue;
+      if (!rule_changed(c.capacity, c.refill_per_sec, c.is_default, fetched)) {
+        continue;
+      }
       table_.with_entry(c.key, [&](QosEntry& entry) {
-        if (!rule_changed(entry, fetched)) return 0;
+        if (!rule_changed(entry.capacity(), entry.refill_per_sec(),
+                          entry.is_default(), fetched)) {
+          return 0;
+        }
         if (fetched) {
           // "The corresponding leaky bucket ... is updated with the latest
           // values" (§III-C): adopt the new capacity/rate AND the database's
           // credit column, so an operator's quota reset takes effect on the
           // next sync tick rather than waiting for refill.
-          entry.capacity = fetched->capacity;
-          entry.refill_per_sec = fetched->refill_per_sec;
-          entry.is_default = false;
           entry.bucket.reconfigure(fetched->capacity,
                                    fetched->refill_per_sec, now);
           entry.bucket.set_credit(
               fetched->initial_credit.value_or(fetched->capacity));
+          entry.set_default(false);
         } else {
           // Rule deleted from the database: demote to the default policy.
-          entry.capacity = config_.default_rule.capacity;
-          entry.refill_per_sec = config_.default_rule.refill_per_sec;
-          entry.is_default = true;
           entry.bucket.reconfigure(config_.default_rule.capacity,
                                    config_.default_rule.refill_per_sec, now);
+          entry.set_default(true);
         }
         ++changed;
         return 0;
@@ -199,9 +200,9 @@ std::size_t AdmissionController::checkpoint_now(RuleSink& sink) {
   PassBuffer<KeyCredit> credits;
   for (std::size_t shard = 0; shard < table_.shard_count(); ++shard) {
     credits.clear();
-    table_.for_each_in_shard(shard, [&](const std::string& key,
+    table_.for_each_in_shard(shard, [&](std::string_view key,
                                         QosEntry& entry) {
-      if (entry.is_default) return;
+      if (entry.is_default()) return;
       entry.bucket.refill(now);
       KeyCredit& c = credits.next();
       c.key.assign(key);

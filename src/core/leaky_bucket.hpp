@@ -7,6 +7,10 @@
 // refill accounting so a 1-request-per-hour rule refills exactly and no
 // floating-point drift accumulates across days of virtual time.
 //
+// The bucket keeps the rule's capacity and rate as given (40 bytes in all):
+// it derives the whole-millicredit capacity and the nano-credit rate from
+// them where it uses them, rounding the same way every time.
+//
 // The bucket itself is not synchronized; the owning QosTable shard holds the
 // lock (mirroring the paper's synchronized-hash-map design).
 #pragma once
@@ -55,9 +59,12 @@ class LeakyBucket {
     return static_cast<double>(millicredits_) / kMillisPerCredit;
   }
   std::int64_t millicredits() const { return millicredits_; }
+  /// The capacity in whole millicredits, as the bucket fills to it.
   double capacity() const {
-    return static_cast<double>(capacity_milli_) / kMillisPerCredit;
+    return static_cast<double>(capacity_milli()) / kMillisPerCredit;
   }
+  /// The capacity as configured, before that rounding.
+  double exact_capacity() const { return capacity_; }
   double refill_per_sec() const { return refill_per_sec_; }
 
   /// Re-provision the bucket when the rule changes in the database (sync
@@ -69,23 +76,25 @@ class LeakyBucket {
   void set_credit(double credit);
 
  private:
-  void set_rate(double refill_per_sec);
-  void clamp_full();
+  std::int64_t capacity_milli() const;
+  /// The rate in nano-credits per second.
+  std::int64_t rate_nano_per_sec() const;
+  void clamp_full(std::int64_t capacity_milli);
 
-  std::int64_t capacity_milli_;
-  std::int64_t millicredits_;
+  double capacity_;
   double refill_per_sec_;
-  // Exact refill accounting: the rate is stored in nano-credits per second,
-  // so over dt nanoseconds the bucket gains rate * dt / 1e9 nano-credits.
-  // Two remainders keep the arithmetic drift-free for arbitrarily slow
-  // rules and arbitrarily frequent refills:
+  std::int64_t millicredits_;
+  TimePoint last_refill_;
+  // Exact refill accounting: over dt nanoseconds the bucket gains
+  // rate_nano_per_sec() * dt / 1e9 nano-credits. Two remainders keep the
+  // arithmetic drift-free for arbitrarily slow rules and arbitrarily
+  // frequent refills:
   //   rem_prod_  — nano-credit*ns product remainder (< 1e9)
   //   acc_nano_  — whole nano-credits not yet promoted to a millicredit
   //                (< 1e6)
-  std::int64_t rate_nano_per_sec_;
-  std::int64_t rem_prod_;
-  std::int64_t acc_nano_;
-  TimePoint last_refill_;
+  std::uint32_t rem_prod_;
+  std::uint32_t acc_nano_;
 };
+static_assert(sizeof(LeakyBucket) == 40, "a bucket is 40 bytes");
 
 }  // namespace janus::core

@@ -19,17 +19,14 @@ bool ShardedQosTable::contains(std::string_view key) const {
   const std::size_t h = TransparentStringHash::hash_bytes(key);
   const Shard& shard = *shards_[shard_index_of(h)];
   MutexLock lock(shard.mu);
-  return shard.entries.find(PrehashedKey{key, h}) != shard.entries.end();
+  return shard.entries.find_prehashed(h, key) != nullptr;
 }
 
 bool ShardedQosTable::erase(std::string_view key) {
   const std::size_t h = TransparentStringHash::hash_bytes(key);
   Shard& shard = *shards_[shard_index_of(h)];
   MutexLock lock(shard.mu);
-  auto it = shard.entries.find(PrehashedKey{key, h});
-  if (it == shard.entries.end()) return false;
-  shard.entries.erase(it);
-  return true;
+  return shard.entries.erase(h, key);
 }
 
 std::size_t ShardedQosTable::size() const {
@@ -49,16 +46,17 @@ void ShardedQosTable::clear() {
 }
 
 void ShardedQosTable::for_each(
-    const std::function<void(const std::string&, QosEntry&)>& fn) {
+    const std::function<void(std::string_view, QosEntry&)>& fn) {
   for (std::size_t i = 0; i < shards_.size(); ++i) for_each_in_shard(i, fn);
 }
 
 void ShardedQosTable::for_each_in_shard(
     std::size_t index,
-    const std::function<void(const std::string&, QosEntry&)>& fn) {
+    const std::function<void(std::string_view, QosEntry&)>& fn) {
   Shard& shard = *shards_.at(index);
   MutexLock lock(shard.mu);
-  for (auto& [key, entry] : shard.entries) fn(key, entry);
+  const HashIndex& entries = shard.entries;
+  entries.visit([&](HashNode& node) { fn(entries.key(node), entry_of(node)); });
 }
 
 std::vector<std::pair<std::string, QosEntry>> ShardedQosTable::snapshot()
@@ -66,9 +64,10 @@ std::vector<std::pair<std::string, QosEntry>> ShardedQosTable::snapshot()
   std::vector<std::pair<std::string, QosEntry>> out;
   for (const auto& shard : shards_) {
     MutexLock lock(shard->mu);
-    for (const auto& [key, entry] : shard->entries) {
-      out.emplace_back(key, entry);
-    }
+    const HashIndex& entries = shard->entries;
+    entries.visit([&](HashNode& node) {
+      out.emplace_back(entries.key(node), entry_of(node));
+    });
   }
   return out;
 }
@@ -98,10 +97,15 @@ std::vector<HotKeyCount> ShardedQosTable::hot_keys(bool by_rejects,
 void ShardedQosTable::restore(
     std::vector<std::pair<std::string, QosEntry>> entries) {
   clear();
-  for (auto& [key, entry] : entries) {
-    Shard& shard = shard_for(key);
+  for (const auto& [key, entry] : entries) {
+    const std::size_t h = TransparentStringHash::hash_bytes(key);
+    Shard& shard = *shards_[shard_index_of(h)];
     MutexLock lock(shard.mu);
-    shard.entries.insert_or_assign(key, std::move(entry));
+    if (HashNode* node = shard.entries.find_prehashed(h, key)) {
+      entry_of(*node) = entry;
+    } else {
+      insert_locked(shard, h, key, entry);
+    }
   }
 }
 

@@ -31,6 +31,9 @@ Result<std::size_t> Database::recover(const std::string& path) {
 }
 
 Status Database::create_table(const std::string& name, Schema schema) {
+  if (Status valid = Table::check_schema(name, schema); !valid.ok()) {
+    return valid;
+  }
   MutexLock lock(commit_mu_);
   if (tables_.count(name)) return Error("table already exists: " + name);
   tables_[name] = std::make_unique<Table>(name, std::move(schema));

@@ -44,6 +44,8 @@ class Database {
   /// Typically paired with enable_wal on the same path.
   Result<std::size_t> recover(const std::string& path);
 
+  /// Fails if the name is taken or Table::check_schema refuses the schema
+  /// (the error names the column).
   Status create_table(const std::string& name, Schema schema);
   bool has_table(std::string_view name) const;
   /// Read access to a table. Throws if absent (programmer error).

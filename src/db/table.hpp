@@ -3,10 +3,12 @@
 // writes (rule edits, check-points) take the exclusive lock. Matches the
 // paper's observation that the DB sees only a light workload (§V intro).
 //
-// Each row lives in its hash node, one heap block per row: the primary key
-// once, then one 8-byte cell per non-key column (cell_bits). Rows go in and
-// come out as Row; read, scan and the write visitors see the stored row in
-// place (RowView) and build none (DESIGN.md §15.3).
+// Each row lives in its node of the primary-key index (common/hash_index.hpp,
+// the index the QoS table shares), one heap block per row: the node header,
+// one 8-byte cell per non-key column (cell_bits), then the key's bytes, so
+// the key is stored once. Rows go in and come out as Row; read, scan and
+// the write visitors see the stored row in place (RowView) and build none
+// (DESIGN.md §15.3).
 #pragma once
 
 #include <cstdint>
@@ -17,6 +19,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/hash_index.hpp"
 #include "common/result.hpp"
 #include "common/sync.hpp"
 #include "db/value.hpp"
@@ -35,10 +38,13 @@ using RowVisitor = std::function<void(const RowView&)>;
 
 class Table {
  public:
-  /// Throws std::invalid_argument unless column 0 is a string and every
-  /// other column an int64 or a double.
+  /// An error naming the column unless column 0 is a string and every other
+  /// column an int64 or a double.
+  static Status check_schema(const std::string& name, const Schema& schema);
+
+  /// Throws std::invalid_argument with check_schema's message on a schema
+  /// it refuses.
   Table(std::string name, Schema schema);
-  ~Table();
 
   Table(const Table&) = delete;
   Table& operator=(const Table&) = delete;
@@ -62,7 +68,7 @@ class Table {
   template <typename Fn>
   bool read(std::string_view pk, Fn&& fn) const {
     ReaderLock lock(mu_);
-    const Node* node = find_locked(pk);
+    const HashNode* node = find_locked(pk);
     if (!node) return false;
     fn(view(*node));
     return true;
@@ -114,24 +120,17 @@ class Table {
   Status load(std::vector<Row> rows);
 
  private:
-  struct Node;  // table.cpp: the chain link, the key's hash and size, the
-                // cells, then the key's bytes, in one block
-
-  Node* find_locked(std::string_view pk) const JANUS_REQUIRES_SHARED(mu_);
-  RowView view(const Node& node) const;
-  /// The row for `row`'s key, created if absent, with `row`'s cells.
-  const Node& put_locked(const Row& row) JANUS_REQUIRES(mu_);
-  void rehash_locked(std::size_t buckets) JANUS_REQUIRES(mu_);
-  void clear_locked() JANUS_REQUIRES(mu_);
+  HashNode* find_locked(std::string_view pk) const JANUS_REQUIRES_SHARED(mu_);
+  RowView view(const HashNode& node) const;
+  /// The row for `row`'s key, created if absent, with `row`'s cells. The
+  /// key is hashed once, for both the probe and the insert.
+  const HashNode& put_locked(const Row& row) JANUS_REQUIRES(mu_);
 
   std::string name_;
   Schema schema_;
   mutable SharedMutex mu_{LockRank::kDbTable, "db.table"};
-  // Chained buckets, indexed by the key's TransparentStringHash (the
-  // convention for every map keyed by a QoS key), grown to keep at most one
-  // row per bucket.
-  std::vector<Node*> buckets_ JANUS_GUARDED_BY(mu_);
-  std::size_t size_ JANUS_GUARDED_BY(mu_) = 0;
+  // Nodes hold their cells right after the header, then the key.
+  HashIndex index_ JANUS_GUARDED_BY(mu_);
 };
 
 }  // namespace janus::db

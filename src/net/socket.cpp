@@ -238,8 +238,7 @@ UdpSocket::RecvBatch::RecvBatch(std::size_t capacity, std::size_t slot_bytes)
   iovs_.resize(capacity_);
   hdrs_.resize(capacity_);  // value-initialized: every other field is 0
   lens_.resize(capacity_);
-  ptrs_.resize(capacity_);
-  froms_.resize(capacity_);
+  slots_.resize(capacity_);
   for (std::size_t i = 0; i < capacity_; ++i) {
     iovs_[i] = {arena_.data() + i * slot_bytes_, slot_bytes_};
     hdrs_[i].msg_hdr.msg_iov = &iovs_[i];
@@ -250,7 +249,7 @@ UdpSocket::RecvBatch::RecvBatch(std::size_t capacity, std::size_t slot_bytes)
 }
 
 std::span<const std::uint8_t> UdpSocket::RecvBatch::data(std::size_t i) const {
-  return {ptrs_[i], lens_[i]};
+  return {arena_.data() + slots_[i] * slot_bytes_, lens_[i]};
 }
 
 bool UdpSocket::set_recv_timeout(Duration timeout) {
@@ -314,9 +313,10 @@ Result<std::size_t> UdpSocket::recv_many(RecvBatch& batch, Duration timeout) {
   }
   batch.written_ = static_cast<std::size_t>(n);
 
-  // Fault filtering + address conversion, per datagram — a batch of N
-  // consults net.udp.drop_rx exactly N times, so seeded chaos schedules
-  // see the same per-datagram decision stream as the single recv() path.
+  // Fault filtering, per datagram — a batch of N consults net.udp.drop_rx
+  // exactly N times, so seeded chaos schedules see the same per-datagram
+  // decision stream as the single recv() path. Senders stay in the kernel's
+  // form until from() asks for text.
   auto& faults = testing::FaultInjector::instance();
   for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
     // Empty and without a sender: not a datagram (every datagram, even an
@@ -327,9 +327,8 @@ Result<std::size_t> UdpSocket::recv_many(RecvBatch& batch, Duration timeout) {
     if ((hdrs[i].msg_hdr.msg_flags & MSG_TRUNC) != 0) continue;
     if (faults.should_fire(testing::FaultPoint::kNetUdpDropRx)) continue;
     const std::size_t out = batch.count_++;
-    batch.ptrs_[out] = batch.arena_.data() + i * batch.slot_bytes_;
+    batch.slots_[out] = static_cast<std::uint32_t>(i);
     batch.lens_[out] = hdrs[i].msg_len;
-    batch.froms_[out] = SockAddr::from_native(batch.addrs_[i]);
   }
   return batch.count_;
 }
@@ -340,19 +339,25 @@ void UdpSocket::shutdown_read() {
   (void)::shutdown(fd_.get(), SHUT_RD);
 }
 
-Status UdpSocket::send_many(std::span<const OutDatagram> batch) {
+namespace {
+
+/// send_many's body for either datagram form: `native(dg, sa)` writes dg's
+/// destination into `sa`, or fails on an address it cannot convert.
+template <typename Datagram, typename Native>
+Status send_batch(int fd, std::span<const Datagram> batch, Native&& native) {
   auto& faults = testing::FaultInjector::instance();
 
   // Per-datagram fault pass, exactly mirroring send_to(): each datagram
   // consults delay_us then drop_tx independently of its batch-mates.
-  std::size_t keep[kMaxBatch];
-  sockaddr_in natives[kMaxBatch];
+  std::size_t keep[UdpSocket::kMaxBatch];
+  sockaddr_in natives[UdpSocket::kMaxBatch];
   std::size_t pos = 0;
   while (pos < batch.size()) {
-    const std::size_t chunk = std::min(batch.size() - pos, kMaxBatch);
+    const std::size_t chunk =
+        std::min(batch.size() - pos, UdpSocket::kMaxBatch);
     std::size_t kept = 0;
     for (std::size_t i = 0; i < chunk; ++i) {
-      const OutDatagram& dg = batch[pos + i];
+      const Datagram& dg = batch[pos + i];
       if (faults.should_fire(testing::FaultPoint::kNetUdpDelayUs)) {
         // purity-ok: fault-injection delay, chaos builds only
         std::this_thread::sleep_for(std::chrono::microseconds(
@@ -361,18 +366,16 @@ Status UdpSocket::send_many(std::span<const OutDatagram> batch) {
       if (faults.should_fire(testing::FaultPoint::kNetUdpDropTx)) {
         continue;  // vanishes in flight; sender still sees success
       }
-      auto native = dg.to.to_native();  // purity-ok: error-path alloc inside
-      if (!native.ok()) return Error(native.error().message);  // purity-ok: error path
-      natives[kept] = native.value();
+      if (Status s = native(dg, natives[kept]); !s.ok()) return s;
       keep[kept] = pos + i;
       ++kept;
     }
 
-    ::mmsghdr hdrs[kMaxBatch];
-    ::iovec iovs[kMaxBatch];
+    ::mmsghdr hdrs[UdpSocket::kMaxBatch];
+    ::iovec iovs[UdpSocket::kMaxBatch];
     std::memset(hdrs, 0, sizeof(::mmsghdr) * kept);
     for (std::size_t i = 0; i < kept; ++i) {
-      const OutDatagram& dg = batch[keep[i]];
+      const Datagram& dg = batch[keep[i]];
       iovs[i] = {const_cast<std::uint8_t*>(dg.data.data()), dg.data.size()};
       hdrs[i].msg_hdr.msg_iov = &iovs[i];
       hdrs[i].msg_hdr.msg_iovlen = 1;
@@ -384,7 +387,7 @@ Status UdpSocket::send_many(std::span<const OutDatagram> batch) {
       // UDP sendmmsg queues into socket buffers and returns — it does not
       // wait for the network.
       // purity-ok: non-waiting datagram enqueue
-      int n = ::sendmmsg(fd_.get(), hdrs + sent,
+      int n = ::sendmmsg(fd, hdrs + sent,
                          static_cast<unsigned int>(kept - sent), 0);
       if (n < 0) {
         if (errno == EINTR) continue;
@@ -395,6 +398,26 @@ Status UdpSocket::send_many(std::span<const OutDatagram> batch) {
     pos += chunk;
   }
   return Status::success();
+}
+
+}  // namespace
+
+Status UdpSocket::send_many(std::span<const OutDatagram> batch) {
+  return send_batch(fd_.get(), batch,
+                    [](const OutDatagram& dg, sockaddr_in& sa) -> Status {
+                      auto native = dg.to.to_native();  // purity-ok: error-path alloc inside
+                      if (!native.ok()) return Error(native.error().message);  // purity-ok: error path
+                      sa = native.value();
+                      return Status::success();
+                    });
+}
+
+Status UdpSocket::send_many_native(std::span<const NativeDatagram> batch) {
+  return send_batch(fd_.get(), batch,
+                    [](const NativeDatagram& dg, sockaddr_in& sa) {
+                      sa = dg.to;
+                      return Status::success();
+                    });
 }
 
 Result<SockAddr> UdpSocket::local_addr() const {

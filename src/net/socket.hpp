@@ -121,7 +121,15 @@ class UdpSocket {
     /// Datagrams received by the last recv_many call.
     std::size_t size() const { return count_; }
     std::span<const std::uint8_t> data(std::size_t i) const;
-    const SockAddr& from(std::size_t i) const { return froms_[i]; }
+    /// Datagram i's sender, as the kernel wrote it: a reply goes straight
+    /// back to it (send_many_native).
+    const sockaddr_in& native_from(std::size_t i) const {
+      return addrs_[slots_[i]];
+    }
+    /// native_from(i) as text, formatted only when asked for.
+    SockAddr from(std::size_t i) const {
+      return SockAddr::from_native(native_from(i));
+    }
 
     /// Per-slot payload capacity this batch was built with.
     std::size_t slot_bytes() const { return slot_bytes_; }
@@ -139,14 +147,19 @@ class UdpSocket {
     std::vector<::iovec> iovs_;          // slot i's arena range
     std::vector<::mmsghdr> hdrs_;        // slot i's iovec and address
     std::vector<std::uint32_t> lens_;    // per-result datagram length
-    std::vector<const std::uint8_t*> ptrs_;  // result index -> payload start
-    std::vector<SockAddr> froms_;        // converted source addresses
+    std::vector<std::uint32_t> slots_;   // result index -> slot index
   };
 
   /// One outbound datagram for send_many; `data` must stay alive for the
   /// duration of the call (it is not copied).
   struct OutDatagram {
     SockAddr to;
+    std::span<const std::uint8_t> data;
+  };
+  /// OutDatagram addressed as the kernel reports a sender
+  /// (RecvBatch::native_from), for send_many_native.
+  struct NativeDatagram {
+    sockaddr_in to;
     std::span<const std::uint8_t> data;
   };
 
@@ -165,6 +178,9 @@ class UdpSocket {
   /// Per-datagram fault semantics: net.udp.delay_us and net.udp.drop_tx
   /// fire independently for every datagram in the batch.
   Status send_many(std::span<const OutDatagram> batch);
+  /// send_many for datagrams addressed in the kernel's form: nothing to
+  /// parse, so no datagram can carry a bad address.
+  Status send_many_native(std::span<const NativeDatagram> batch);
 
   /// Local address after bind (resolves ephemeral ports).
   Result<SockAddr> local_addr() const;

@@ -16,10 +16,10 @@ std::vector<std::uint8_t> serialize_table(core::ShardedQosTable& table) {
   w.u32(static_cast<std::uint32_t>(entries.size()));
   for (const auto& [key, entry] : entries) {
     w.str(key);
-    w.f64(entry.capacity);
-    w.f64(entry.refill_per_sec);
+    w.f64(entry.capacity());
+    w.f64(entry.refill_per_sec());
     w.f64(entry.bucket.credit());
-    w.u8(entry.is_default ? 1 : 0);
+    w.u8(entry.is_default() ? 1 : 0);
   }
   return w.take();
 }

@@ -423,7 +423,7 @@ void QosServerNode::run_jobs(std::span<const JobView> jobs,
   // Fire-and-forget (§III-C): "the worker thread does not care about
   // whether the request router receives the response or not." One
   // sendmmsg covers the whole burst.
-  (void)socket_.send_many(buf.replies);
+  (void)socket_.send_many_native(buf.replies);
 
   // service_us spans decide -> reply handed to the kernel, so the batch
   // flush is inside the measurement; one clock read serves the batch.
@@ -467,7 +467,8 @@ void QosServerNode::worker_loop() {
     views.clear();
     for (std::size_t i = 0; i < n; ++i) {
       // purity-ok: amortized growth into the reserved views scratch vector
-      views.push_back(JobView{batch.data(i), &batch.from(i), sample.next()});
+      views.push_back(
+          JobView{batch.data(i), &batch.native_from(i), sample.next()});
     }
     run_jobs(views, buf);
   }
@@ -509,13 +510,13 @@ bool QosServerNode::defer_for_migration(std::string_view key) {
 
 namespace {
 
-wire::MigrationEntry to_migration_entry(const std::string& key,
+wire::MigrationEntry to_migration_entry(std::string_view key,
                                         const core::QosEntry& entry) {
-  return wire::MigrationEntry{.key = key,
-                              .capacity = entry.capacity,
-                              .refill_per_sec = entry.refill_per_sec,
+  return wire::MigrationEntry{.key = std::string(key),
+                              .capacity = entry.capacity(),
+                              .refill_per_sec = entry.refill_per_sec(),
                               .credit = entry.bucket.credit(),
-                              .is_default = entry.is_default};
+                              .is_default = entry.is_default()};
 }
 
 core::QosEntry from_migration_entry(const wire::MigrationEntry& e,
@@ -539,11 +540,11 @@ std::vector<std::vector<wire::MigrationEntry>> QosServerNode::extract_disowned(
 
   std::vector<std::string> doomed;
   admission_->table().for_each(
-      [&](const std::string& key, core::QosEntry& entry) {
+      [&](std::string_view key, core::QosEntry& entry) {
         const std::size_t owner = map.owner_of(key);
         if (owner == self_index) return;
         out[owner].push_back(to_migration_entry(key, entry));
-        doomed.push_back(key);
+        doomed.emplace_back(key);
       });
   for (const std::string& key : doomed) admission_->table().erase(key);
 

@@ -193,10 +193,11 @@ class QosServerNode {
 
   /// What run_jobs consumes: a borrowed view of one request, built straight
   /// over a RecvBatch slot — the decision never touches a per-datagram heap
-  /// copy at all.
+  /// copy at all, and the reply goes to the sender's address as the kernel
+  /// wrote it.
   struct JobView {
     std::span<const std::uint8_t> data;
-    const net::SockAddr* from = nullptr;
+    const sockaddr_in* from = nullptr;
     TimePoint enqueued{kTimeZero};
   };
 
@@ -206,7 +207,7 @@ class QosServerNode {
   struct ReplyBuffers {
     explicit ReplyBuffers(std::size_t batch);
     std::vector<std::vector<std::uint8_t>> outs;
-    std::vector<net::UdpSocket::OutDatagram> replies;
+    std::vector<net::UdpSocket::NativeDatagram> replies;
     std::vector<TimePoint> dequeued_at;
     std::vector<std::int64_t> wait_us;
     // Per-job key/trace views for the post-flush service exemplar. They

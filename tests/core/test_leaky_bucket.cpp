@@ -227,6 +227,34 @@ TEST(LeakyBucketTest, FractionalCreditsAccumulate) {
   EXPECT_TRUE(b.try_consume(1, seconds(4)));
 }
 
+TEST(LeakyBucketTest, LongIdleAtAFastRateRefillsExactly) {
+  // The gain in nano-credits outgrows an int64 once rate x idle passes
+  // about 9.2e9 credits; the bucket used to wrap it into a negative credit.
+  LeakyBucket fast(1e12, 1e9, 0.0, kTimeZero);
+  fast.refill(seconds(10));
+  EXPECT_EQ(fast.millicredits(), 10'000'000'000'000);  // 1e10 credits
+
+  LeakyBucket idle(1e12, 1e6, 0.0, kTimeZero);
+  idle.refill(seconds(3 * 3600));
+  EXPECT_EQ(idle.millicredits(), 10'800'000'000'000);  // 1.08e10 credits
+
+  LeakyBucket small(100.0, 1e9, 0.0, kTimeZero);
+  EXPECT_TRUE(small.try_consume(100, seconds(86'400)));
+  EXPECT_EQ(small.millicredits(), 0);
+  EXPECT_TRUE(small.probe(100, seconds(2 * 86'400)));
+  EXPECT_EQ(small.millicredits(), 100'000);
+}
+
+TEST(LeakyBucketTest, ExactCapacityIsKeptAndRoundedWhereUsed) {
+  LeakyBucket b(12.34567, 1.23456, kTimeZero);
+  EXPECT_EQ(b.exact_capacity(), 12.34567);
+  EXPECT_EQ(b.capacity(), 12.346);  // whole millicredits, half away from 0
+  EXPECT_EQ(b.millicredits(), 12'346);
+  b.reconfigure(0.0005, 0.0, kTimeZero);
+  EXPECT_EQ(b.exact_capacity(), 0.0005);
+  EXPECT_EQ(b.millicredits(), 1);
+}
+
 // ------------------------------------------------------- property sweeps
 
 struct BucketParams {

@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
+#include <string>
 #include <thread>
+#include <tuple>
+#include <unordered_map>
+#include <vector>
+
+#include "common/rng.hpp"
 
 namespace janus::core {
 namespace {
@@ -83,8 +90,8 @@ TEST(ShardedQosTableTest, ForEachVisitsEveryEntryOnce) {
                                [](QosEntry&) { return 0; });
   }
   std::set<std::string> seen;
-  table.for_each([&](const std::string& key, QosEntry&) {
-    EXPECT_TRUE(seen.insert(key).second) << "visited twice: " << key;
+  table.for_each([&](std::string_view key, QosEntry&) {
+    EXPECT_TRUE(seen.emplace(key).second) << "visited twice: " << key;
   });
   EXPECT_EQ(seen.size(), static_cast<std::size_t>(kKeys));
 }
@@ -145,13 +152,220 @@ TEST(ShardedQosTableTest, ConcurrentMixedOperationsKeepConsistency) {
 
   // Every admission removed exactly one credit from some bucket.
   double consumed = 0;
-  table.for_each([&](const std::string&, QosEntry& e) {
+  table.for_each([&](std::string_view, QosEntry& e) {
     consumed += 1e9 - e.bucket.credit();
   });
   EXPECT_EQ(table.size(), 50u);
   EXPECT_DOUBLE_EQ(consumed, static_cast<double>(admitted.load()));
   EXPECT_EQ(admitted.load(), kThreads * kOpsPerThread);
 }
+
+TEST(ShardedQosTableTest, KeysWithTheSameStoredHashStayApart) {
+  // Two keys of one length whose hashes agree in the low 32 bits, the bits
+  // a node stores and its bucket comes from (found by a search over
+  // "tenant-%07u"): only their bytes tell them apart.
+  const std::string a = "tenant-0040541";
+  const std::string b = "tenant-0041546";
+  ASSERT_EQ(static_cast<std::uint32_t>(TransparentStringHash::hash_bytes(a)),
+            static_cast<std::uint32_t>(TransparentStringHash::hash_bytes(b)));
+  ShardedQosTable table(1);
+  table.with_entry_or_create(a, [] { return make_entry(1, 0); },
+                             [](QosEntry&) { return 0; });
+  EXPECT_FALSE(table.contains(b));
+  table.with_entry_or_create(b, [] { return make_entry(2, 0); },
+                             [](QosEntry&) { return 0; });
+  EXPECT_EQ(table.with_entry(a, [](QosEntry& e) { return e.capacity(); }), 1.0);
+  EXPECT_EQ(table.with_entry(b, [](QosEntry& e) { return e.capacity(); }), 2.0);
+  EXPECT_TRUE(table.erase(b));
+  EXPECT_FALSE(table.contains(b));
+  EXPECT_EQ(table.with_entry(a, [](QosEntry& e) { return e.capacity(); }), 1.0);
+}
+
+// ------------------------------------------- the table against a plain map
+
+/// What a caller can observe of an entry.
+using Fields = std::tuple<double, double, bool, std::int64_t, double>;
+Fields fields(const QosEntry& e) {
+  return {e.capacity(), e.refill_per_sec(), e.is_default(),
+          e.bucket.millicredits(), e.bucket.capacity()};
+}
+
+using Visit = std::vector<std::pair<std::string, Fields>>;
+Visit sorted(Visit v) {
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+/// Keys of 0, 1, 15, 16, 17, 255 and 4096 random bytes (NUL included).
+std::vector<std::string> key_pool(Rng& rng) {
+  std::vector<std::string> keys;
+  for (std::size_t len : {0u, 1u, 15u, 16u, 17u, 255u, 4096u}) {
+    const int copies = len == 0 ? 1 : len == 1 ? 40 : 60;
+    for (int i = 0; i < copies; ++i) {
+      std::string key(len, '\0');
+      for (char& c : key) c = static_cast<char>(rng.next_below(256));
+      keys.push_back(std::move(key));
+    }
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
+}
+
+class QosTablePropertyTest
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::uint64_t>> {
+};
+
+TEST_P(QosTablePropertyTest, TableMatchesAMapOfEntries) {
+  const auto [shards, seed] = GetParam();
+  Rng rng(seed);
+  const std::vector<std::string> keys = key_pool(rng);
+  ShardedQosTable table(shards);
+  std::unordered_map<std::string, QosEntry> oracle;
+  TimePoint now = kTimeZero;
+
+  auto random_entry = [&] {
+    const double capacity = rng.uniform(0.0, 50.0);
+    return QosEntry::make(capacity, rng.uniform(0.0, 20.0),
+                          rng.uniform(-1.0, capacity + 1.0), now,
+                          rng.chance(0.3));
+  };
+  // Charges the bucket a random cost; what the caller sees of it.
+  auto charge = [&](QosEntry& e, std::uint32_t cost) {
+    e.bucket.refill(now);
+    const bool allowed = e.bucket.try_consume_no_refill(cost);
+    return std::make_pair(allowed, fields(e));
+  };
+  auto oracle_visit = [&](std::size_t shard) {
+    Visit out;
+    for (auto& [key, entry] : oracle) {
+      if (shard == shards ||
+          table.shard_index_of(TransparentStringHash::hash_bytes(key)) ==
+              shard) {
+        out.emplace_back(key, fields(entry));
+      }
+    }
+    return sorted(std::move(out));
+  };
+
+  for (int step = 0; step < 6000; ++step) {
+    now += Duration{static_cast<std::int64_t>(rng.next_below(50'000'000))};
+    const std::string& key = keys[rng.next_below(keys.size())];
+    const auto cost = static_cast<std::uint32_t>(rng.next_below(3));
+    SCOPED_TRACE(::testing::Message() << "step " << step << " key of "
+                                      << key.size() << " bytes");
+    switch (rng.next_below(20)) {
+      case 0: case 1: case 2: case 3: case 4: case 5: {
+        const QosEntry fresh = random_entry();
+        bool made = false;
+        const auto got = table.with_entry_or_create(
+            key,
+            [&] {
+              made = true;
+              return fresh;
+            },
+            [&](QosEntry& e) { return charge(e, cost); });
+        const bool absent = !oracle.contains(key);
+        if (absent) oracle.emplace(key, fresh);
+        ASSERT_EQ(made, absent);
+        ASSERT_EQ(got, charge(oracle.at(key), cost));
+        break;
+      }
+      case 6: case 7: case 8: case 9: {
+        const auto got = table.with_entry(
+            key, [&](QosEntry& e) { return charge(e, cost); });
+        const auto it = oracle.find(key);
+        ASSERT_EQ(got.has_value(), it != oracle.end());
+        if (got) {
+          ASSERT_EQ(*got, charge(it->second, cost));
+        }
+        break;
+      }
+      case 10: case 11:
+        ASSERT_EQ(table.contains(key), oracle.contains(key));
+        break;
+      case 12: case 13:
+        ASSERT_EQ(table.erase(key), oracle.erase(key) == 1);
+        break;
+      case 14: {  // a visit that also writes, as the house-keeping passes do
+        const std::size_t shard = rng.next_below(shards);
+        const bool demote = rng.chance(0.5);
+        Visit seen;
+        table.for_each_in_shard(shard, [&](std::string_view k, QosEntry& e) {
+          if (demote) e.set_default(!e.is_default());
+          e.bucket.refill(now);
+          seen.emplace_back(std::string(k), fields(e));
+        });
+        for (auto& [k, entry] : oracle) {
+          if (table.shard_index_of(TransparentStringHash::hash_bytes(k)) !=
+              shard) {
+            continue;
+          }
+          if (demote) entry.set_default(!entry.is_default());
+          entry.bucket.refill(now);
+        }
+        ASSERT_EQ(sorted(std::move(seen)), oracle_visit(shard));
+        break;
+      }
+      case 15: {
+        Visit snap;
+        for (const auto& [k, e] : table.snapshot()) {
+          snap.emplace_back(k, fields(e));
+        }
+        ASSERT_EQ(sorted(std::move(snap)), oracle_visit(shards));
+        break;
+      }
+      case 16: {  // restore a changed copy of the state, duplicates included
+        std::vector<std::pair<std::string, QosEntry>> entries;
+        std::unordered_map<std::string, QosEntry> restored;
+        for (int i = 0; i < 40; ++i) {
+          const std::string& k = keys[rng.next_below(keys.size())];
+          const QosEntry e = random_entry();
+          entries.emplace_back(k, e);
+          restored.insert_or_assign(k, e);
+        }
+        table.restore(std::move(entries));
+        oracle = std::move(restored);
+        break;
+      }
+      case 17:
+        ASSERT_EQ(table.size(), oracle.size());
+        break;
+      case 18:
+        if (rng.chance(0.05)) {
+          table.clear();
+          oracle.clear();
+        }
+        break;
+      case 19: {  // assign through the reference, as migration does
+        const QosEntry replacement = random_entry();
+        const auto got = table.with_entry(key, [&](QosEntry& e) {
+          e = replacement;
+          return fields(e);
+        });
+        const auto it = oracle.find(key);
+        ASSERT_EQ(got.has_value(), it != oracle.end());
+        if (got) {
+          it->second = replacement;
+          ASSERT_EQ(*got, fields(it->second));
+        }
+        break;
+      }
+    }
+  }
+  ASSERT_EQ(table.size(), oracle.size());
+  Visit all;
+  table.for_each([&](std::string_view k, QosEntry& e) {
+    all.emplace_back(std::string(k), fields(e));
+  });
+  EXPECT_EQ(sorted(std::move(all)), oracle_visit(shards));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShardsAndSeeds, QosTablePropertyTest,
+    ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{16}),
+                       ::testing::Values(std::uint64_t{1}, std::uint64_t{2},
+                                         std::uint64_t{0xC0FFEE})));
 
 }  // namespace
 }  // namespace janus::core

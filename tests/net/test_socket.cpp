@@ -274,6 +274,53 @@ TEST_F(UdpSocketProviderTest, SendManyDeliversEveryDatagram) {
   EXPECT_EQ(recv_all(server, payloads.size()), payloads);
 }
 
+TEST_F(UdpSocketProviderTest, NativeRepliesReachEachSender) {
+  // Clients on distinct ports each send a request; the receiver answers the
+  // whole batch with one send_many_native to the addresses the kernel
+  // wrote, and every client gets its own reply and no other.
+  UdpSocket server = make_server();
+  const auto addr = server.local_addr().value();
+  constexpr int kClients = 5;
+  std::vector<UdpSocket> clients;
+  std::set<std::uint16_t> ports;
+  for (int c = 0; c < kClients; ++c) {
+    clients.push_back(make_server());
+    ports.insert(clients.back().local_addr().value().port);
+    const std::string request = "request-" + std::to_string(c);
+    ASSERT_TRUE(clients.back().send_to(addr, bytes(request)).ok());
+  }
+  ASSERT_EQ(ports.size(), static_cast<std::size_t>(kClients));
+
+  UdpSocket::RecvBatch batch(8);
+  std::vector<std::string> replies;
+  std::vector<UdpSocket::NativeDatagram> out;
+  auto n = server.recv_many(batch, millis(500));
+  ASSERT_TRUE(n.ok());
+  ASSERT_EQ(n.value(), static_cast<std::size_t>(kClients));
+  replies.reserve(n.value());
+  for (std::size_t i = 0; i < n.value(); ++i) {
+    const auto d = batch.data(i);
+    // The text form names the same sender as the kernel's form.
+    EXPECT_EQ(batch.from(i).port, ntohs(batch.native_from(i).sin_port));
+    EXPECT_EQ(batch.from(i).ip, "127.0.0.1");
+    replies.push_back(
+        "reply-to-" +
+        std::string(reinterpret_cast<const char*>(d.data()), d.size()));
+    out.push_back({batch.native_from(i), bytes(replies.back())});
+  }
+  ASSERT_TRUE(server.send_many_native(out).ok());
+
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_EQ(recv_all(clients[c], 1),
+              std::multiset<std::string>{"reply-to-request-" +
+                                         std::to_string(c)})
+        << "client " << c;
+    auto extra = clients[c].recv(millis(20));
+    ASSERT_TRUE(extra.ok());
+    EXPECT_FALSE(extra.value().has_value()) << "client " << c;
+  }
+}
+
 TEST_F(UdpSocketProviderTest, RecvManyTimesOutWithZero) {
   UdpSocket server = make_server();
   UdpSocket::RecvBatch batch(4);

@@ -523,6 +523,37 @@ TEST(HotpathAllocTest, LoadedRuleCostsAtMost96Bytes) {
 #endif
 }
 
+TEST(HotpathAllocTest, QosEntryCostsAtMost96Bytes) {
+#ifdef JANUS_MALLOC_REPLACED
+  GTEST_SKIP() << "this build's sanitizer replaces malloc, which mallinfo2 "
+                  "does not see";
+#else
+  // 100k 10-byte keys (perfbench's) in the server's 16-shard table, as first
+  // touch creates them. Each is one heap block (the index's header, the
+  // 40-byte bucket, the key's bytes); the shards' bucket arrays count too.
+  constexpr std::size_t kKeys = 100'000;
+  core::ShardedQosTable table(16);
+  auto heap_bytes = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return info.uordblks + info.hblkhd;
+  };
+  const std::size_t before = heap_bytes();
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    table.with_entry_or_create(
+        std::to_string(1'500'000'000 + i),
+        [] {
+          return core::QosEntry::make(100.0, 10.0, 100.0, TimePoint{}, false);
+        },
+        [](core::QosEntry& e) { return e.bucket.try_consume_no_refill(1); });
+  }
+  const std::size_t after = heap_bytes();
+  ASSERT_EQ(table.size(), kKeys);
+  const double per_entry = static_cast<double>(after - before) / kKeys;
+  EXPECT_LE(per_entry, 96.0) << "bytes of heap per QoS table entry";
+  RecordProperty("bytes_per_entry", std::to_string(per_entry));
+#endif
+}
+
 TEST(HotpathAllocTest, ColdKeyStillAllocatesExactlyOnFirstTouch) {
   // Negative control: creation is *supposed* to allocate (owning key copy +
   // entry). If this ever reads zero the harness is broken, not the code.

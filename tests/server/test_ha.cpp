@@ -53,7 +53,7 @@ TEST_F(HaTest, SerializeRestoreRoundTrip) {
   EXPECT_DOUBLE_EQ(*credit, 98.0);
 
   auto is_default = slave_.table().with_entry(
-      "unknown", [](core::QosEntry& e) { return e.is_default; });
+      "unknown", [](core::QosEntry& e) { return e.is_default(); });
   ASSERT_TRUE(is_default.has_value());
   EXPECT_TRUE(*is_default);
 }
@@ -210,11 +210,11 @@ TEST_F(HaTest, SlimEntriesRoundTripExactly) {
   auto bytes = serialize_table(master_.table());
   ASSERT_TRUE(restore_table(slave_.table(), bytes, clock_.now()).ok());
   ASSERT_EQ(slave_.table_size(), 3u);
-  master_.table().for_each([&](const std::string& key, core::QosEntry& e) {
+  master_.table().for_each([&](std::string_view key, core::QosEntry& e) {
     auto same = slave_.table().with_entry(key, [&](core::QosEntry& r) {
-      EXPECT_EQ(r.capacity, e.capacity) << key;
-      EXPECT_EQ(r.refill_per_sec, e.refill_per_sec) << key;
-      EXPECT_EQ(r.is_default, e.is_default) << key;
+      EXPECT_EQ(r.capacity(), e.capacity()) << key;
+      EXPECT_EQ(r.refill_per_sec(), e.refill_per_sec()) << key;
+      EXPECT_EQ(r.is_default(), e.is_default()) << key;
       EXPECT_EQ(r.bucket.millicredits(), e.bucket.millicredits()) << key;
       EXPECT_EQ(r.bucket.capacity(), e.bucket.capacity()) << key;
       return true;

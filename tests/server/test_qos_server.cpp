@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -393,6 +394,51 @@ TEST_F(QosServerTest, ChaosFaultFireTriggersParseableAutoDump) {
 // --- QosServerConfig validation: start() must reject nonsense instead of
 // crashing on modulo-by-zero. ---
 
+TEST_F(QosServerTest, RepliesReachEachOfSeveralClients) {
+  // Clients on distinct ports send at once, so a worker's batch mixes
+  // senders; each reply goes back to its own sender's address, carrying its
+  // own request id.
+  auto server = start_server();
+  constexpr int kClients = 6;
+  constexpr int kRounds = 4;
+  std::vector<net::UdpSocket> clients;
+  for (int c = 0; c < kClients; ++c) {
+    auto sock = net::UdpSocket::bind({"127.0.0.1", 0});
+    ASSERT_TRUE(sock.ok());
+    clients.push_back(std::move(sock).take());
+  }
+  for (int round = 0; round < kRounds; ++round) {
+    for (int c = 0; c < kClients; ++c) {
+      wire::QosRequest req;
+      req.request_id = static_cast<std::uint64_t>(1000 * round + c);
+      req.key = "alice";
+      req.type = wire::RequestType::kProbe;
+      ASSERT_TRUE(clients[c].send_to(server->addr(), wire::encode(req)).ok());
+    }
+  }
+  for (int c = 0; c < kClients; ++c) {
+    std::vector<std::uint64_t> ids;
+    for (int round = 0; round < kRounds; ++round) {
+      auto got = clients[c].recv(millis(2000));
+      ASSERT_TRUE(got.ok());
+      ASSERT_TRUE(got.value().has_value()) << "client " << c << " got "
+                                           << ids.size() << " replies";
+      auto resp = wire::decode_response(got.value()->data);
+      ASSERT_TRUE(resp.ok());
+      EXPECT_EQ(got.value()->from, server->addr());
+      ids.push_back(resp.value().request_id);
+    }
+    std::sort(ids.begin(), ids.end());
+    for (int round = 0; round < kRounds; ++round) {
+      EXPECT_EQ(ids[round], static_cast<std::uint64_t>(1000 * round + c))
+          << "client " << c;
+    }
+    auto extra = clients[c].recv(millis(20));
+    ASSERT_TRUE(extra.ok());
+    EXPECT_FALSE(extra.value().has_value()) << "client " << c;
+  }
+}
+
 TEST_F(QosServerTest, MigrationRoundTripKeepsEveryEntryField) {
   // A leaving node hands its whole table to a new owner; the slim entries
   // (exact capacity and rate, credit, is_default) arrive unchanged.
@@ -417,16 +463,16 @@ TEST_F(QosServerTest, MigrationRoundTripKeepsEveryEntryField) {
   for (const wire::MigrationEntry& sent : outgoing[0]) {
     auto arrived = to->admission().table().with_entry(
         sent.key, [&](core::QosEntry& e) {
-          EXPECT_EQ(e.capacity, sent.capacity) << sent.key;
-          EXPECT_EQ(e.refill_per_sec, sent.refill_per_sec) << sent.key;
-          EXPECT_EQ(e.is_default, sent.is_default) << sent.key;
+          EXPECT_EQ(e.capacity(), sent.capacity) << sent.key;
+          EXPECT_EQ(e.refill_per_sec(), sent.refill_per_sec) << sent.key;
+          EXPECT_EQ(e.is_default(), sent.is_default) << sent.key;
           EXPECT_DOUBLE_EQ(e.bucket.credit(), sent.credit) << sent.key;
           return true;
         });
     EXPECT_TRUE(arrived.has_value()) << sent.key;
   }
   auto fine = to->admission().table().with_entry(
-      "fine", [](core::QosEntry& e) { return e.capacity; });
+      "fine", [](core::QosEntry& e) { return e.capacity(); });
   ASSERT_TRUE(fine.has_value());
   EXPECT_EQ(*fine, 12.34567);
   EXPECT_EQ(to->admission().sync_now(), 0u);

@@ -16,7 +16,7 @@ dg_symbol_sync "§9" \
   "crc32_slice8:$src/common/crc32.hpp" \
   "crc32_scalar:$src/common/crc32.hpp" \
   "TransparentStringHash:$src/common/transparent_hash.hpp" \
-  "PrehashedKey:$src/common/transparent_hash.hpp" \
+  "find_prehashed:$src/common/hash_index.hpp" \
   "decode_request_view:$src/wire/codec.hpp" \
   "recv_many:$src/net/socket.hpp" \
   "send_many:$src/net/socket.hpp" \
