@@ -136,16 +136,23 @@ Status Database::finish_chunk_locked() {
   return written;
 }
 
-Status Database::upsert(const std::string& table_name, Row row) {
-  return upsert_many(table_name, std::span(&row, 1));
+Status Database::upsert(const std::string& table_name, const Row& row) {
+  const Table* t = find_table(table_name);
+  if (!t) return Error("no table named " + table_name);
+  if (!t->schema().matches(row)) {
+    return Error("upsert: row does not match schema");
+  }
+  const PackedRows packed(std::span(&row, 1));
+  return upsert_many(table_name, packed.rows());
 }
 
 Status Database::upsert_many(const std::string& table_name,
-                             std::span<const Row> rows) {
+                             std::span<const PackedRow> rows) {
   Table* t = find_table(table_name);
   if (!t) return Error("no table named " + table_name);
-  for (const Row& row : rows) {
-    if (!t->schema().matches(row)) {
+  const std::size_t cells = t->schema().columns.size() - 1;
+  for (const PackedRow& row : rows) {
+    if (row.cells().size() != cells) {
       return Error("upsert: row does not match schema");
     }
   }

@@ -59,10 +59,14 @@ class Database {
   // reach the WAL with one write and one flush, then the observers, in LSN
   // order. Single-row calls are chunks of one.
 
-  Status upsert(const std::string& table, Row row);
-  /// Insert or overwrite every row, in order. Fails before writing anything
-  /// if a row does not match the schema.
-  Status upsert_many(const std::string& table, std::span<const Row> rows);
+  /// Packs `row` and writes it through upsert_many. Fails if it does not
+  /// match the schema.
+  Status upsert(const std::string& table, const Row& row);
+  /// Insert or overwrite every row, in order, each in the form the table
+  /// stores it. Fails before writing anything if a row's cell count is not
+  /// the schema's.
+  Status upsert_many(const std::string& table,
+                     std::span<const PackedRow> rows);
   Status remove(const std::string& table, std::string_view pk);
   /// Single-column update, logged as a full-row upsert.
   Status update_column(const std::string& table, std::string_view pk,

@@ -1,5 +1,6 @@
 #include "db/rule_store.hpp"
 
+#include <bit>
 #include <cmath>
 
 namespace janus::db {
@@ -28,10 +29,6 @@ Schema RuleStore::schema() {
   }};
 }
 
-Row RuleStore::to_row(const RuleRow& rule) {
-  return Row{rule.key, rule.refill_per_sec, rule.capacity, rule.credit};
-}
-
 RuleRow RuleStore::from_row(const RowView& row) {
   return RuleRow{
       .key = std::string(row.key()),
@@ -41,7 +38,13 @@ RuleRow RuleStore::from_row(const RowView& row) {
   };
 }
 
-Status RuleStore::validate(const RuleRow& rule) {
+RuleCells RuleStore::cells(const RuleView& rule) {
+  return {std::bit_cast<std::uint64_t>(rule.refill_per_sec),
+          std::bit_cast<std::uint64_t>(rule.capacity),
+          std::bit_cast<std::uint64_t>(rule.credit)};
+}
+
+Status RuleStore::validate(const RuleView& rule) {
   if (rule.key.empty()) return Error("rule: empty key");
   // NaN passes every ordered comparison below, so finiteness comes first.
   if (!std::isfinite(rule.refill_per_sec) || !std::isfinite(rule.capacity) ||
@@ -64,15 +67,22 @@ std::optional<RuleRow> RuleStore::get(std::string_view key) const {
 }
 
 Status RuleStore::put(const RuleRow& rule) {
-  return put_many(std::span(&rule, 1));
+  if (auto s = validate(rule.view()); !s.ok()) return s;
+  const RuleCells row_cells = cells(rule.view());
+  const PackedRow row(rule.key, row_cells);
+  return db_.upsert_many(kTableName, std::span(&row, 1));
 }
 
 Status RuleStore::put_many(std::span<const RuleRow> rules) {
-  std::vector<Row> rows;
-  rows.reserve(rules.size());
   for (const RuleRow& rule : rules) {
-    if (auto s = validate(rule); !s.ok()) return s;
-    rows.push_back(to_row(rule));
+    if (auto s = validate(rule.view()); !s.ok()) return s;
+  }
+  std::vector<RuleCells> row_cells(rules.size());
+  std::vector<PackedRow> rows;
+  rows.reserve(rules.size());
+  for (std::size_t i = 0; i < rules.size(); ++i) {
+    row_cells[i] = cells(rules[i].view());
+    rows.emplace_back(rules[i].key, row_cells[i]);
   }
   return db_.upsert_many(kTableName, rows);
 }

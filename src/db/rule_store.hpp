@@ -4,16 +4,28 @@
 // servers use for first-touch lookup, periodic sync, and check-pointing.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.hpp"
 #include "db/database.hpp"
 
 namespace janus::db {
+
+/// A rule whose key is viewed, not owned: what RuleStore validates and
+/// packs, and what the rules loader parses out of its read block.
+struct RuleView {
+  std::string_view key;
+  double refill_per_sec = 0.0;
+  double capacity = 0.0;
+  double credit = 0.0;
+};
 
 /// One row of qos_rules. Rates/credits are doubles, like the paper's
 /// requests-per-second quotas; credit is the last check-pointed water level.
@@ -24,7 +36,13 @@ struct RuleRow {
   double credit = 0.0;
 
   bool operator==(const RuleRow&) const = default;
+
+  RuleView view() const { return {key, refill_per_sec, capacity, credit}; }
 };
+
+/// A rule's qos_rules cells, in column order: the bits of its refill rate,
+/// capacity and credit (cell_bits).
+using RuleCells = std::array<std::uint64_t, 3>;
 
 class RuleStore {
  public:
@@ -35,8 +53,12 @@ class RuleStore {
 
   static Schema schema();
 
-  /// The checks put and put_many apply to a rule before storing it.
-  static Status validate(const RuleRow& rule);
+  /// The checks put, put_many and the rules loader apply to a rule before
+  /// storing it.
+  static Status validate(const RuleView& rule);
+
+  /// The cells of `rule`'s row (PackedRow holds them with its key).
+  static RuleCells cells(const RuleView& rule);
 
   /// SELECT * FROM qos_rules WHERE key = ? (first-touch lookup).
   std::optional<RuleRow> get(std::string_view key) const;
@@ -71,7 +93,6 @@ class RuleStore {
   Database& database() { return db_; }
 
  private:
-  static Row to_row(const RuleRow& rule);
   static RuleRow from_row(const RowView& row);
 
   Database& db_;

@@ -4,8 +4,6 @@
 #include <new>
 #include <stdexcept>
 
-#include "common/transparent_hash.hpp"
-
 namespace janus::db {
 
 namespace {
@@ -29,6 +27,21 @@ const std::byte* cells(const HashNode& node) {
 }
 
 }  // namespace
+
+PackedRows::PackedRows(std::span<const Row> rows) {
+  std::size_t total = 0;
+  for (const Row& row : rows) total += row.size() - 1;
+  cells_.reserve(total);  // never reallocated: the rows view it
+  rows_.reserve(rows.size());
+  for (const Row& row : rows) {
+    const std::size_t first = cells_.size();
+    for (std::size_t col = 1; col < row.size(); ++col) {
+      cells_.push_back(cell_bits(row[col]));
+    }
+    rows_.emplace_back(std::get<std::string>(row[0]),
+                       std::span(cells_).subspan(first));
+  }
+}
 
 Status Table::check_schema(const std::string& name, const Schema& schema) {
   if (schema.columns.empty() ||
@@ -65,36 +78,34 @@ RowView Table::view(const HashNode& node) const {
                  cells(node));
 }
 
-const HashNode& Table::put_locked(const Row& row) {
-  const std::string& pk = std::get<std::string>(row[0]);
-  const std::size_t hash = TransparentStringHash::hash_bytes(pk);
-  HashNode* node = index_.find_prehashed(hash, pk);
+const HashNode& Table::put_locked(const PackedRow& row) {
+  HashNode* node = index_.find_prehashed(row.hash(), row.key());
   if (!node) {
     // The cells are written below.
-    node = index_.insert(hash, pk,
+    node = index_.insert(row.hash(), row.key(),
                          [](void* memory) { return new (memory) HashNode(); });
   }
-  for (std::size_t col = 1; col < row.size(); ++col) {
-    const std::uint64_t bits = cell_bits(row[col]);
-    std::memcpy(cells(*node) + (col - 1) * kCellBytes, &bits, kCellBytes);
-  }
+  std::memcpy(cells(*node), row.cells().data(), row.cells().size_bytes());
   return *node;
 }
 
-Status Table::insert(Row row) {
+Status Table::insert(const Row& row) {
   if (!schema_.matches(row)) return Error("insert: row does not match schema");
+  const PackedRows packed(std::span(&row, 1));
+  const PackedRow& put = packed.rows()[0];
   WriterLock lock(mu_);
-  const std::string& pk = std::get<std::string>(row[0]);
-  if (find_locked(pk)) {
-    return Error("insert: duplicate primary key '" + pk + "'");
+  if (index_.find_prehashed(put.hash(), put.key())) {
+    return Error("insert: duplicate primary key '" + std::string(put.key()) +
+                 "'");
   }
-  put_locked(row);
+  put_locked(put);
   return Status::success();
 }
 
-Status Table::upsert(Row row) {
+Status Table::upsert(const Row& row) {
   if (!schema_.matches(row)) return Error("upsert: row does not match schema");
-  upsert_rows(std::span(&row, 1), [](const RowView&) {});
+  const PackedRows packed(std::span(&row, 1));
+  upsert_rows(packed.rows(), [](const RowView&) {});
   return Status::success();
 }
 
@@ -104,9 +115,10 @@ std::optional<Row> Table::get(std::string_view pk) const {
   return out;
 }
 
-void Table::upsert_rows(std::span<const Row> rows, const RowVisitor& written) {
+void Table::upsert_rows(std::span<const PackedRow> rows,
+                        const RowVisitor& written) {
   WriterLock lock(mu_);
-  for (const Row& row : rows) written(view(put_locked(row)));
+  for (const PackedRow& row : rows) written(view(put_locked(row)));
 }
 
 std::size_t Table::update_cells(std::size_t col,
@@ -191,9 +203,10 @@ Status Table::load(std::vector<Row> rows) {
   for (const auto& row : rows) {
     if (!schema_.matches(row)) return Error("load: row does not match schema");
   }
+  const PackedRows packed(rows);
   WriterLock lock(mu_);
   index_.clear();
-  for (const Row& row : rows) put_locked(row);
+  for (const PackedRow& row : packed.rows()) put_locked(row);
   return Status::success();
 }
 

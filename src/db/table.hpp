@@ -6,9 +6,11 @@
 // Each row lives in its node of the primary-key index (common/hash_index.hpp,
 // the index the QoS table shares), one heap block per row: the node header,
 // one 8-byte cell per non-key column (cell_bits), then the key's bytes, so
-// the key is stored once. Rows go in and come out as Row; read, scan and
-// the write visitors see the stored row in place (RowView) and build none
-// (DESIGN.md §15.3).
+// the key is stored once. Rows are written in that form (PackedRow: the
+// key, hashed once, and its cells); a Row is packed where it comes in
+// (insert, upsert, load). Rows come out as Row; read, scan and the write
+// visitors see the stored row in place (RowView) and build none
+// (DESIGN.md §15.2, §15.3).
 #pragma once
 
 #include <cstdint>
@@ -22,9 +24,47 @@
 #include "common/hash_index.hpp"
 #include "common/result.hpp"
 #include "common/sync.hpp"
+#include "common/transparent_hash.hpp"
 #include "db/value.hpp"
 
 namespace janus::db {
+
+/// A row in the form a table stores it: the primary key, hashed once here
+/// (TransparentStringHash::hash_bytes), and one cell per non-key column
+/// (cell_bits of the schema's types). It views the key and the cells; both
+/// must outlive the write it is handed to.
+class PackedRow {
+ public:
+  PackedRow(std::string_view key, std::span<const std::uint64_t> cells)
+      : key_(key),
+        hash_(TransparentStringHash::hash_bytes(key)),
+        cells_(cells) {}
+
+  std::string_view key() const { return key_; }
+  std::uint64_t hash() const { return hash_; }
+  std::span<const std::uint64_t> cells() const { return cells_; }
+
+ private:
+  std::string_view key_;
+  std::uint64_t hash_;
+  std::span<const std::uint64_t> cells_;
+};
+
+/// Rows packed for the write path: each row's cells, held here, and its
+/// PackedRow, which views them and the row's key. The rows must match a
+/// table's schema and outlive this.
+class PackedRows {
+ public:
+  explicit PackedRows(std::span<const Row> rows);
+  PackedRows(const PackedRows&) = delete;  // the rows view this object's cells
+  PackedRows& operator=(const PackedRows&) = delete;
+
+  std::span<const PackedRow> rows() const { return rows_; }
+
+ private:
+  std::vector<std::uint64_t> cells_;
+  std::vector<PackedRow> rows_;
+};
 
 /// One row's new value for the column a batched update names.
 struct CellWrite {
@@ -54,10 +94,10 @@ class Table {
 
   /// Insert a new row. Fails if the PK already exists or the row does not
   /// match the schema.
-  Status insert(Row row);
+  Status insert(const Row& row);
 
   /// Insert or overwrite by PK.
-  Status upsert(Row row);
+  Status upsert(const Row& row);
 
   /// Point lookup by primary key.
   std::optional<Row> get(std::string_view pk) const;
@@ -75,9 +115,10 @@ class Table {
   }
 
   /// Insert or overwrite each row by PK, in order, under one exclusive
-  /// lock. The rows must match the schema (the caller checked). `written`
-  /// sees each stored row.
-  void upsert_rows(std::span<const Row> rows, const RowVisitor& written);
+  /// lock, hashing no key. Each row must have one cell per non-key column
+  /// (the caller checked). `written` sees each stored row.
+  void upsert_rows(std::span<const PackedRow> rows,
+                   const RowVisitor& written);
 
   /// The index of `column` if every value in `writes` may be stored in it:
   /// an error for an unknown column, the primary key or a wrong type.
@@ -123,8 +164,8 @@ class Table {
   HashNode* find_locked(std::string_view pk) const JANUS_REQUIRES_SHARED(mu_);
   RowView view(const HashNode& node) const;
   /// The row for `row`'s key, created if absent, with `row`'s cells. The
-  /// key is hashed once, for both the probe and the insert.
-  const HashNode& put_locked(const Row& row) JANUS_REQUIRES(mu_);
+  /// probe and the insert both use the row's hash.
+  const HashNode& put_locked(const PackedRow& row) JANUS_REQUIRES(mu_);
 
   std::string name_;
   Schema schema_;

@@ -17,7 +17,9 @@
 #include <vector>
 
 #include "../server/server_model.hpp"
+#include "cluster_fixture.hpp"
 #include "common/clock.hpp"
+#include "router/udp_qos_client.hpp"
 
 namespace janus {
 namespace {
@@ -372,6 +374,58 @@ TEST(JanusdRulesFileTest, CrlfLinesAndNoFinalNewlineAreAccepted) {
   EXPECT_FALSE(out.exited) << out.output;
   EXPECT_NE(out.output.find("(4003 rules, "), std::string::npos)
       << out.output;
+}
+
+// ---- restarting on a WAL ------------------------------------------------
+
+class JanusdWalRestartTest : public cluster_test::ClusterFixture {
+ protected:
+  /// TRUE verdicts for `requests` calls of `key` on `server`.
+  int admitted(const cluster_test::ServerProcess& server,
+               const std::string& key, int requests) {
+    router::UdpClientConfig ccfg;
+    ccfg.timeout = millis(500);
+    router::UdpQosClient client(ccfg);
+    int trues = 0;
+    for (int i = 0; i < requests; ++i) {
+      wire::QosRequest req;
+      req.key = key;
+      req.cost = 1;
+      auto resp = client.call(server.udp, req);
+      EXPECT_TRUE(resp.ok()) << (resp.ok() ? "" : resp.error().message);
+      trues += resp.ok() && resp.value().allowed;
+    }
+    return trues;
+  }
+
+  static long file_size(const std::string& path) {
+    struct stat st {};
+    return ::stat(path.c_str(), &st) == 0 ? static_cast<long>(st.st_size)
+                                          : -1;
+  }
+};
+
+TEST_F(JanusdWalRestartTest, CheckpointedCreditOutlivesARestart) {
+  // Rate 0: only the credit a life starts with can admit.
+  write_rules("k = 0 10\n");
+  const std::string wal = rules_path_ + ".wal";
+  std::remove(wal.c_str());
+  const std::vector<std::string> flags = {"--wal", wal, "--sync-ms", "0",
+                                          "--checkpoint-ms", "0"};
+
+  cluster_test::ServerProcess& first = spawn_server("first", flags, false);
+  EXPECT_EQ(admitted(first, "k", 12), 10);
+  terminate(first);  // the last check-point writes k's credit, 0
+  const long wal_bytes = file_size(wal);
+  ASSERT_GT(wal_bytes, 0);
+
+  cluster_test::ServerProcess& second = spawn_server("second", flags, false);
+  EXPECT_EQ(file_size(wal), wal_bytes)
+      << "loading the same rules on restart wrote the WAL";
+  EXPECT_EQ(admitted(second, "k", 12), 0)
+      << "the restart refilled a check-pointed bucket";
+  terminate(second);
+  std::remove(wal.c_str());
 }
 
 }  // namespace

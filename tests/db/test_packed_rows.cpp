@@ -186,7 +186,8 @@ void run_ops(std::uint64_t seed, const Schema& schema) {
           rows.push_back(random_row(rng, schema, any_key()));
         }
         std::size_t seen = 0;
-        table.upsert_rows(rows, [&](const RowView& stored) {
+        const PackedRows packed(rows);
+        table.upsert_rows(packed.rows(), [&](const RowView& stored) {
           ASSERT_LT(seen, rows.size());
           EXPECT_TRUE(view_holds(stored, rows[seen]));
           ++seen;
@@ -368,7 +369,8 @@ TEST_F(PackedRowFormatTest, LogSnapshotAndReplicationBytesMatchRows) {
     rule_rows.push_back(random_row(rng, RuleStore::schema(),
                                    "rule-" + std::to_string(i % 280)));
   }
-  ASSERT_TRUE(db.upsert_many("qos_rules", rule_rows).ok());
+  ASSERT_TRUE(
+      db.upsert_many("qos_rules", PackedRows(rule_rows).rows()).ok());
   for (const Row& row : rule_rows) {
     logged("qos_rules", row);
     rules[std::get<std::string>(row[0])] = row;
@@ -378,7 +380,7 @@ TEST_F(PackedRowFormatTest, LogSnapshotAndReplicationBytesMatchRows) {
   for (int i = 0; i < 20; ++i) {
     count_rows.push_back(random_row(rng, schemas()[2], std::string(i, 'k')));
   }
-  ASSERT_TRUE(db.upsert_many("counts", count_rows).ok());
+  ASSERT_TRUE(db.upsert_many("counts", PackedRows(count_rows).rows()).ok());
   for (const Row& row : count_rows) {
     logged("counts", row);
     counts[std::get<std::string>(row[0])] = row;

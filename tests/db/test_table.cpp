@@ -142,9 +142,10 @@ TEST(TableTest, ReserveSizesTheIndexForTheLoad) {
   for (std::size_t i = 0; i < kRows; ++i) {
     rows.push_back(row("k" + std::to_string(i), 0.5, 1));
   }
+  const PackedRows packed(rows);
   for (std::size_t at = 0; at < kRows; at += 256) {
-    t.upsert_rows(std::span(rows).subspan(at, std::min<std::size_t>(
-                                                  256, kRows - at)),
+    t.upsert_rows(packed.rows().subspan(at, std::min<std::size_t>(
+                                                256, kRows - at)),
                   [](const RowView&) {});
   }
   EXPECT_EQ(t.size(), kRows);

@@ -13,9 +13,11 @@
 
 #include <gtest/gtest.h>
 #include <malloc.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <string>
@@ -26,6 +28,7 @@
 #include "core/admission.hpp"
 #include "core/qos_table.hpp"
 #include "db/rule_store.hpp"
+#include "db/rules_file.hpp"
 #include "lb/prequal.hpp"
 #include "net/socket.hpp"
 #include "wire/codec.hpp"
@@ -168,7 +171,7 @@ TEST(HotpathAllocTest, WarmTableLookupIsAllocationFree) {
     ASSERT_TRUE(found.has_value());
   }
   EXPECT_EQ(guard.count(), 0u)
-      << "warm with_entry() allocated; PrehashedKey find regressed";
+      << "warm with_entry() allocated; HashIndex::find_prehashed regressed";
 }
 
 TEST(HotpathAllocTest, RequestViewDecodeIsAllocationFree) {
@@ -551,6 +554,53 @@ TEST(HotpathAllocTest, QosEntryCostsAtMost96Bytes) {
   const double per_entry = static_cast<double>(after - before) / kKeys;
   EXPECT_LE(per_entry, 96.0) << "bytes of heap per QoS table entry";
   RecordProperty("bytes_per_entry", std::to_string(per_entry));
+#endif
+}
+
+TEST(HotpathAllocTest, RulesFileLoadAllocatesOneBlockPerRule) {
+#ifdef JANUS_MALLOC_REPLACED
+  GTEST_SKIP() << "this build's sanitizer replaces malloc; its memory checks "
+                  "are skipped with the heap-byte ones";
+#else
+  // 100k rules loaded from a file as janusd loads them. Each rule costs its
+  // row's node; the read block, the chunk and the bucket array are
+  // allocated once. A Row built per rule would double the count, and a
+  // buffer for the whole file (2.4 MB) would outgrow the bucket array.
+  constexpr std::size_t kRules = 100'000;
+  const std::string path =
+      ::testing::TempDir() + "janus_allocs_" + std::to_string(::getpid()) +
+      ".rules";
+  {
+    std::string text;
+    for (std::size_t i = 0; i < kRules; ++i) {
+      text += std::to_string(1'500'000'000 + i) + " = 10 100 100\n";
+    }
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr) << path;
+    std::fwrite(text.data(), 1, text.size(), f);
+    std::fclose(f);
+  }
+  db::Database database;
+  db::RuleStore store(database);
+  std::uint64_t allocations = 0;
+  std::size_t largest = 0;
+  Status loaded = Status::success();
+  {
+    AllocGuard guard;
+    loaded = db::load_rules(store, path);
+    allocations = guard.count();
+    largest = guard.largest();
+  }
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+  ASSERT_EQ(store.size(), kRules);
+  constexpr std::size_t kChunks = kRules / db::Database::kWriteChunkRows + 1;
+  EXPECT_LE(allocations, kRules + 2 * kChunks) << "heap allocations per load";
+  const std::size_t bucket_array =
+      database.table(db::RuleStore::kTableName).bucket_count() *
+      sizeof(HashNode*);
+  EXPECT_LE(largest, bucket_array) << "bytes of the largest block";
+  RecordProperty("allocations", std::to_string(allocations));
 #endif
 }
 

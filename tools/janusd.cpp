@@ -70,11 +70,12 @@
 //   tenant-42 = 100 1000
 //   10.0.0.7  = 5 20 12.5
 //
+// (db/rules_file.hpp). With --wal, a restart keeps the credit each key had
+// at its last check-point, clamped to the file's capacity.
+//
 // A SIGINT/SIGTERM stops the node cleanly.
-#include <algorithm>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <limits>
 #include <map>
@@ -89,6 +90,7 @@
 #include "common/periodic.hpp"
 #include "common/string_util.hpp"
 #include "db/rule_store.hpp"
+#include "db/rules_file.hpp"
 #include "lb/gateway_balancer.hpp"
 #include "net/bfd.hpp"
 #include "router/router_node.hpp"
@@ -313,118 +315,6 @@ Result<cluster::MemberSpec> parse_member_spec(std::string_view text,
   return spec;
 }
 
-/// One line of the rules file, trimmed: a rule, or nothing for a blank line
-/// or a comment. Errors name the line.
-Result<std::optional<db::RuleRow>> parse_rule_line(std::string_view line,
-                                                   int lineno) {
-  auto error = [lineno](std::string_view what) {
-    return Error("rules line " + std::to_string(lineno) + ": " +
-                 std::string(what));
-  };
-  std::string_view text = trim(line);
-  if (text.empty() || text[0] == '#') return std::optional<db::RuleRow>{};
-  std::size_t eq = text.find('=');
-  if (eq == std::string_view::npos) {
-    return error("expected 'key = rate capacity [credit]'");
-  }
-  std::string_view key = trim(text.substr(0, eq));
-  // Space-separated fields, empty ones skipped; a fourth means bad format.
-  std::string_view fields[4];
-  std::size_t count = 0;
-  std::string_view rest = trim(text.substr(eq + 1));
-  while (count < 4 && !rest.empty()) {
-    const std::size_t space = rest.find(' ');
-    if (space != 0) fields[count++] = rest.substr(0, space);
-    if (space == std::string_view::npos) break;
-    rest.remove_prefix(space + 1);
-  }
-  if (key.empty() || count < 2 || count > 3) return error("bad format");
-  auto rate = parse_double(fields[0]);
-  auto capacity = parse_double(fields[1]);
-  auto credit = count == 3 ? parse_double(fields[2]) : capacity;
-  if (!rate || !capacity || !credit) return error("bad number");
-  db::RuleRow rule{.key = std::string(key), .refill_per_sec = *rate,
-                   .capacity = *capacity, .credit = *credit};
-  if (auto s = db::RuleStore::validate(rule); !s.ok()) {
-    return error(s.error().message);
-  }
-  return std::optional<db::RuleRow>(std::move(rule));
-}
-
-/// The lines in `f` (a last line without a newline counts), read through
-/// `buf`; leaves `f` rewound.
-std::size_t count_lines(std::FILE* f, std::vector<char>& buf) {
-  std::size_t lines = 0;
-  char last = '\n';
-  for (std::size_t got;
-       (got = std::fread(buf.data(), 1, buf.size(), f)) > 0;) {
-    lines += static_cast<std::size_t>(
-        std::count(buf.data(), buf.data() + got, '\n'));
-    last = buf[got - 1];
-  }
-  std::rewind(f);
-  return lines + (last != '\n');
-}
-
-/// Loads the rules file: the table is sized for the file's line count, then
-/// the file is read in fixed-size blocks, each line parsed where it lies in
-/// the block, rules committed through put_many a database write chunk at a
-/// time. A failed commit names the line the loader had reached.
-Status load_rules(db::RuleStore& store, const std::string& path) {
-  constexpr std::size_t kReadBlock = 64 * 1024;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return Error("cannot open rules file: " + path);
-  std::vector<char> buf(kReadBlock);
-  store.reserve(count_lines(f, buf));
-  std::size_t held = 0;  // an unfinished line, moved to the buffer's front
-  std::vector<db::RuleRow> chunk;
-  chunk.reserve(db::Database::kWriteChunkRows);
-  int lineno = 0;
-  auto commit = [&]() -> Status {
-    if (chunk.empty()) return Status::success();
-    auto s = store.put_many(chunk);
-    chunk.clear();
-    if (!s.ok()) {
-      return Error("rules line " + std::to_string(lineno) + ": " +
-                   s.error().message);
-    }
-    return Status::success();
-  };
-  auto take_line = [&](std::string_view line) -> Status {
-    auto rule = parse_rule_line(line, ++lineno);
-    if (!rule.ok()) return Error(rule.error().message);
-    if (!rule.value()) return Status::success();
-    chunk.push_back(std::move(*rule.value()));
-    return chunk.size() == db::Database::kWriteChunkRows ? commit()
-                                                         : Status::success();
-  };
-  Status status = Status::success();
-  for (bool eof = false; !eof && status.ok();) {
-    // A line longer than the buffer grows it.
-    if (held == buf.size()) buf.resize(buf.size() * 2);
-    const std::size_t got =
-        std::fread(buf.data() + held, 1, buf.size() - held, f);
-    eof = got == 0;  // a read error is taken as the end of the file
-    const std::string_view data(buf.data(), held + got);
-    std::size_t pos = 0;
-    for (std::size_t nl; status.ok() &&
-                         (nl = data.find('\n', pos)) != std::string_view::npos;
-         pos = nl + 1) {
-      status = take_line(data.substr(pos, nl - pos));
-    }
-    if (!status.ok()) break;
-    held = data.size() - pos;
-    if (eof && held > 0) {
-      status = take_line(data.substr(pos));  // no final newline
-    } else {
-      std::memmove(buf.data(), buf.data() + pos, held);
-    }
-  }
-  std::fclose(f);
-  if (!status.ok()) return status;
-  return commit();
-}
-
 int run_server(const Flags& flags) {
   auto listen_it = flags.find("listen");
   auto rules_it = flags.find("rules");
@@ -451,7 +341,7 @@ int run_server(const Flags& flags) {
       return 1;
     }
   }
-  if (auto s = load_rules(store, rules_it->second); !s.ok()) {
+  if (auto s = db::load_rules(store, rules_it->second); !s.ok()) {
     std::fprintf(stderr, "janusd: %s\n", s.error().message.c_str());
     return 1;
   }
