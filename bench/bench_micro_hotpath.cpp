@@ -193,7 +193,7 @@ void BM_StdMutexLockUnlock(benchmark::State& state) {
 BENCHMARK(BM_StdMutexLockUnlock);
 
 void BM_JanusMutexLockUnlock(benchmark::State& state) {
-  Mutex mu(LockRank::kQueue, "bench.mutex");
+  Mutex mu(LockRank::kPeriodic, "bench.mutex");
   for (auto _ : state) {
     mu.lock();    // sync-ok: measuring the wrapper itself
     benchmark::DoNotOptimize(&mu);

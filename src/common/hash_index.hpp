@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/hot_path.hpp"
@@ -90,6 +91,13 @@ class HashIndex {
 
   /// Free every node. The bucket array stays.
   void clear();
+
+  /// Exchange every node, and the bucket array, with `other`.
+  void swap(HashIndex& other) noexcept {
+    std::swap(key_offset_, other.key_offset_);
+    buckets_.swap(other.buckets_);
+    std::swap(size_, other.size_);
+  }
 
   /// Size the bucket array for `nodes` nodes, so that inserting that many
   /// rehashes nothing. Never shrinks it.

@@ -100,8 +100,6 @@ enum class LockRank : int {
                           // probe HTTP clients only; held while a probe RPC
                           // runs, which takes no lock. Never touched by
                           // pick())
-  kQueue = 70,            // BlockingQueue::mu_ (replication feed; HTTP
-                          // takes no lock, DESIGN.md §9.2)
   kPeriodic = 80,         // PeriodicTask::mu_ (callback runs unlocked)
   kMetricsRegistry = 90,  // MetricsRegistry::mu_
   kFaultPoint = 94,       // testing::FaultInjector per-point mu. Leaf: fault

@@ -44,7 +44,7 @@ class DbRuleSink final : public RuleSink {
     // The write list views the pass's buffer one database chunk at a time,
     // so it never outgrows a chunk.
     constexpr std::size_t kChunk = db::Database::kWriteChunkRows;
-    std::vector<db::CellWrite> writes;
+    std::vector<db::CreditWrite> writes;
     writes.reserve(std::min(credits.size(), kChunk));
     for (std::size_t at = 0; at < credits.size(); at += kChunk) {
       writes.clear();
@@ -52,7 +52,8 @@ class DbRuleSink final : public RuleSink {
                at, std::min(kChunk, credits.size() - at))) {
         writes.push_back({c.key, c.credit});
       }
-      (void)store_.checkpoint_credits(writes);  // missing rows are skipped
+      // Missing rules and unchanged credits are skipped.
+      (void)store_.checkpoint_credits(writes);
     }
   }
 

@@ -33,23 +33,23 @@ std::size_t count_lines(std::FILE* f, std::vector<char>& buf) {
   return lines + (last != '\n');
 }
 
-/// One write chunk of parsed rules: each rule's cells, and the packed rows
-/// that view them and the keys in the read block.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// One write chunk of parsed rules: packed rows that view the keys in the
+/// read block.
 class RuleChunk {
  public:
   explicit RuleChunk(RuleStore& store)
-      : store_(store),
-        merge_(store.size() > 0),
-        cells_(Database::kWriteChunkRows) {
+      : store_(store), merge_(store.size() > 0) {
     rows_.reserve(Database::kWriteChunkRows);
   }
 
   /// Add a validated rule, committing the chunk once it is full.
   Status add(const RuleView& rule, int lineno) {
-    RuleCells& cells = cells_[rows_.size()];
-    cells = RuleStore::cells(rule);
-    const PackedRow row(rule.key, cells);
-    if (merge_ && !merge_held(row, cells)) return Status::success();
+    PackedRow row(rule);
+    if (merge_ && !merge_held(row)) return Status::success();
     rows_.push_back(row);
     return rows_.size() == Database::kWriteChunkRows ? commit(lineno)
                                                      : Status::success();
@@ -59,7 +59,7 @@ class RuleChunk {
   /// `lineno`.
   Status commit(int lineno) {
     if (rows_.empty()) return Status::success();
-    auto s = store_.database().upsert_many(RuleStore::kTableName, rows_);
+    auto s = store_.database().put(rows_);
     rows_.clear();
     if (!s.ok()) {
       return Error("rules line " + std::to_string(lineno) + ": " +
@@ -70,37 +70,36 @@ class RuleChunk {
 
  private:
   /// For a key the rules already hold, keep the held credit, clamped to the
-  /// line's capacity, in `cells`. False if the line changes neither the
-  /// rate nor the capacity it holds, so there is nothing to write.
-  bool merge_held(const PackedRow& row, RuleCells& cells) const {
-    const std::optional<RuleCells> held = held_cells(row);
+  /// line's capacity, in `row`. False if the line changes neither the rate
+  /// nor the capacity it holds, so there is nothing to write.
+  bool merge_held(PackedRow& row) const {
+    const std::optional<RuleView> held = held_rule(row);
     if (!held) return true;
-    if ((*held)[0] == cells[0] && (*held)[1] == cells[1]) return false;
-    cells[2] = std::bit_cast<std::uint64_t>(
-        std::min(std::bit_cast<double>((*held)[2]),
-                 std::bit_cast<double>(cells[1])));
+    if (same_bits(held->refill_per_sec, row.rule.refill_per_sec) &&
+        same_bits(held->capacity, row.rule.capacity)) {
+      return false;
+    }
+    row.rule.credit = std::min(held->credit, row.rule.capacity);
     return true;
   }
 
-  /// The cells the rules hold for `row`'s key: the last row of this chunk
-  /// that names it, else the table's.
-  std::optional<RuleCells> held_cells(const PackedRow& row) const {
+  /// The rule held for `row`'s key, its key not to be read: the last row of
+  /// this chunk that names it, else the table's.
+  std::optional<RuleView> held_rule(const PackedRow& row) const {
     for (auto it = rows_.rbegin(); it != rows_.rend(); ++it) {
-      if (it->hash() == row.hash() && it->key() == row.key()) {
-        RuleCells out;
-        std::copy(it->cells().begin(), it->cells().end(), out.begin());
-        return out;
+      if (it->hash == row.hash && it->rule.key == row.rule.key) {
+        return it->rule;
       }
     }
-    if (auto rule = store_.get(row.key())) return RuleStore::cells(rule->view());
-    return std::nullopt;
+    std::optional<RuleView> held;
+    store_.database().table().read(
+        row.rule.key, [&](const RuleView& rule) { held = rule; });
+    return held;
   }
 
   RuleStore& store_;
-  // The database held rules before the load (a recovered WAL).
+  // The database held rules before the load (a restored snapshot and WAL).
   const bool merge_;
-  // Sized once: rows_ views these cells, so they never move.
-  std::vector<RuleCells> cells_;
   std::vector<PackedRow> rows_;
 };
 

@@ -33,14 +33,14 @@ Result<std::optional<RuleView>> parse_rule_line(std::string_view line,
 /// is first sized for the file's line count; then each block's lines are
 /// parsed where they lie into a chunk of at most Database::kWriteChunkRows
 /// packed rules, each validated once, and the chunk is committed through
-/// Database::upsert_many before the block moves. Memory stays bounded by
-/// one block and one chunk.
+/// Database::put before the block moves. Memory stays bounded by one block
+/// and one chunk.
 ///
-/// On a database that held rules before the load (a recovered WAL), each
-/// line is applied to the rules as the lines before it left them: a key
-/// already held keeps its credit, clamped to the line's capacity, and takes
-/// the line's rate and capacity; a line that changes neither writes
-/// nothing; a key not held takes the line's credit.
+/// On a database that held rules before the load (a restored snapshot and
+/// WAL), each line is applied to the rules as the lines before it left
+/// them: a key already held keeps its credit, clamped to the line's
+/// capacity, and takes the line's rate and capacity; a line that changes
+/// neither writes nothing; a key not held takes the line's credit.
 ///
 /// The first bad line stops the load with parse_rule_line's error; a
 /// failed commit names the line the loader had reached. Rules committed

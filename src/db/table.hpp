@@ -1,176 +1,131 @@
-// In-memory table with a hash primary-key index. Thread-safe: a shared_mutex
-// allows concurrent point reads (the QoS servers' first-touch lookups) while
-// writes (rule edits, check-points) take the exclusive lock. Matches the
-// paper's observation that the DB sees only a light workload (§V intro).
+// The qos_rules table (paper §III-D): "four columns — the QoS key, the refill
+// rate, the capacity of the leaky bucket, and the remaining credit in the
+// bucket", keyed by the QoS key. Thread-safe: a shared_mutex allows
+// concurrent point reads (the QoS servers' first-touch lookups) while writes
+// (rule loads, check-points) take the exclusive lock. Matches the paper's
+// observation that the DB sees only a light workload (§V intro).
 //
-// Each row lives in its node of the primary-key index (common/hash_index.hpp,
-// the index the QoS table shares), one heap block per row: the node header,
-// one 8-byte cell per non-key column (cell_bits), then the key's bytes, so
-// the key is stored once. Rows are written in that form (PackedRow: the
-// key, hashed once, and its cells); a Row is packed where it comes in
-// (insert, upsert, load). Rows come out as Row; read, scan and the write
-// visitors see the stored row in place (RowView) and build none
-// (DESIGN.md §15.2, §15.3).
+// Each rule lives in its node of the key index (common/hash_index.hpp, the
+// index the QoS table shares), one heap block per rule: the node header,
+// the refill rate, the capacity and the credit, then the key's bytes, so the
+// key is stored once. Rules are written pre-hashed (PackedRow) and read
+// where they lie (RuleView): no call builds a row (DESIGN.md §15.2, §15.3).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/hash_index.hpp"
-#include "common/result.hpp"
 #include "common/sync.hpp"
 #include "common/transparent_hash.hpp"
-#include "db/value.hpp"
 
 namespace janus::db {
 
-/// A row in the form a table stores it: the primary key, hashed once here
-/// (TransparentStringHash::hash_bytes), and one cell per non-key column
-/// (cell_bits of the schema's types). It views the key and the cells; both
-/// must outlive the write it is handed to.
-class PackedRow {
- public:
-  PackedRow(std::string_view key, std::span<const std::uint64_t> cells)
-      : key_(key),
-        hash_(TransparentStringHash::hash_bytes(key)),
-        cells_(cells) {}
-
-  std::string_view key() const { return key_; }
-  std::uint64_t hash() const { return hash_; }
-  std::span<const std::uint64_t> cells() const { return cells_; }
-
- private:
-  std::string_view key_;
-  std::uint64_t hash_;
-  std::span<const std::uint64_t> cells_;
+/// A rule whose key is viewed, not owned: what the table hands its readers,
+/// what RuleStore validates, and what the rules loader parses out of its
+/// read block.
+struct RuleView {
+  std::string_view key;
+  double refill_per_sec = 0.0;
+  double capacity = 0.0;
+  double credit = 0.0;
 };
 
-/// Rows packed for the write path: each row's cells, held here, and its
-/// PackedRow, which views them and the row's key. The rows must match a
-/// table's schema and outlive this.
-class PackedRows {
- public:
-  explicit PackedRows(std::span<const Row> rows);
-  PackedRows(const PackedRows&) = delete;  // the rows view this object's cells
-  PackedRows& operator=(const PackedRows&) = delete;
+/// One row of qos_rules. Rates/credits are doubles, like the paper's
+/// requests-per-second quotas; credit is the last check-pointed water level.
+struct RuleRow {
+  std::string key;
+  double refill_per_sec = 0.0;
+  double capacity = 0.0;
+  double credit = 0.0;
 
-  std::span<const PackedRow> rows() const { return rows_; }
+  bool operator==(const RuleRow&) const = default;
 
- private:
-  std::vector<std::uint64_t> cells_;
-  std::vector<PackedRow> rows_;
+  RuleView view() const { return {key, refill_per_sec, capacity, credit}; }
 };
 
-/// One row's new value for the column a batched update names.
-struct CellWrite {
-  std::string_view pk;
-  Value value;
+/// A rule in the form a table writes it: the rule and its key's hash,
+/// computed once here (TransparentStringHash::hash_bytes). It views the key,
+/// which must outlive the write it is handed to.
+struct PackedRow {
+  explicit PackedRow(const RuleView& r)
+      : rule(r), hash(TransparentStringHash::hash_bytes(r.key)) {}
+
+  RuleView rule;
+  std::uint64_t hash;
 };
 
-/// Sees each row a batched write stored, in order, while the table's lock is
-/// still held (the database frames its log records there).
-using RowVisitor = std::function<void(const RowView&)>;
+/// A check-point's new credit for one key.
+struct CreditWrite {
+  std::string_view key;
+  double credit = 0.0;
+};
+
+/// Sees each rule a write stored, in order, while the table's lock is still
+/// held (the database frames its log records there).
+using RuleVisitor = std::function<void(const RuleView&)>;
 
 class Table {
  public:
-  /// An error naming the column unless column 0 is a string and every other
-  /// column an int64 or a double.
-  static Status check_schema(const std::string& name, const Schema& schema);
-
-  /// Throws std::invalid_argument with check_schema's message on a schema
-  /// it refuses.
-  Table(std::string name, Schema schema);
+  Table();
 
   Table(const Table&) = delete;
   Table& operator=(const Table&) = delete;
 
-  const std::string& name() const { return name_; }
-  const Schema& schema() const { return schema_; }
+  /// Insert or overwrite each rule by key, in order, under one exclusive
+  /// lock, hashing no key. `written` sees each stored rule.
+  void put(std::span<const PackedRow> rules, const RuleVisitor& written);
 
-  /// Insert a new row. Fails if the PK already exists or the row does not
-  /// match the schema.
-  Status insert(const Row& row);
-
-  /// Insert or overwrite by PK.
-  Status upsert(const Row& row);
-
-  /// Point lookup by primary key.
-  std::optional<Row> get(std::string_view pk) const;
-
-  /// Point lookup that reads the row where it lies: `fn(row)` runs under
+  /// Point lookup that reads the rule where it lies: `fn(rule)` runs under
   /// the shared lock and must not call back into the table. Returns false
   /// if the key is absent.
   template <typename Fn>
-  bool read(std::string_view pk, Fn&& fn) const {
+  bool read(std::string_view key, Fn&& fn) const {
     ReaderLock lock(mu_);
-    const HashNode* node = find_locked(pk);
+    const HashNode* node = find_locked(key);
     if (!node) return false;
     fn(view(*node));
     return true;
   }
 
-  /// Insert or overwrite each row by PK, in order, under one exclusive
-  /// lock, hashing no key. Each row must have one cell per non-key column
-  /// (the caller checked). `written` sees each stored row.
-  void upsert_rows(std::span<const PackedRow> rows,
-                   const RowVisitor& written);
+  /// Set the credit of each rule named in `writes`, in place and in order,
+  /// under one exclusive lock. A key with no rule is skipped, and so is a
+  /// rule whose stored credit has the write's bit pattern: a check-point
+  /// that changes nothing writes nothing. `written` sees each rule written.
+  /// Returns the number of rules written.
+  std::size_t write_credits(std::span<const CreditWrite> writes,
+                            const RuleVisitor& written);
 
-  /// The index of `column` if every value in `writes` may be stored in it:
-  /// an error for an unknown column, the primary key or a wrong type.
-  Result<std::size_t> writable_column(std::string_view column,
-                                      std::span<const CellWrite> writes) const;
+  /// Delete by key; returns false if the rule did not exist.
+  bool remove(std::string_view key);
 
-  /// Set column `col` of each existing row named in `writes`, in place and
-  /// in order, under one exclusive lock; a missing PK is skipped. `col` and
-  /// the values must have passed writable_column. `written` sees each row
-  /// written. Returns the number of rows written.
-  std::size_t update_cells(std::size_t col, std::span<const CellWrite> writes,
-                           const RowVisitor& written);
-
-  /// Update a single column of an existing row. Fails on missing row,
-  /// unknown column, or type mismatch. This is the check-pointing operation
-  /// ("UPDATE qos_rules SET credit=? WHERE key=?").
-  Status update_column(std::string_view pk, std::string_view column,
-                       Value value);
-
-  /// Delete by PK; returns false if the row did not exist.
-  bool remove(std::string_view pk);
-
-  /// Full scan ("SELECT * FROM qos_rules"); visits rows in unspecified order,
-  /// each where it lies. The callback must not call back into the table.
-  void scan(const std::function<void(const RowView&)>& fn) const;
+  /// Full scan ("SELECT * FROM qos_rules"); visits rules in unspecified
+  /// order, each where it lies. The callback must not call back into the
+  /// table.
+  void scan(const RuleVisitor& fn) const;
 
   std::size_t size() const;
 
-  /// Size the index for `rows` rows, so that loading that many rehashes
+  /// Size the index for `rules` rules, so that loading that many rehashes
   /// nothing. Never shrinks it.
-  void reserve(std::size_t rows);
+  void reserve(std::size_t rules);
 
-  /// Hash buckets in the index (a power of two, 0 before the first row).
+  /// Hash buckets in the index (a power of two, 0 before the first rule).
   std::size_t bucket_count() const;
 
-  /// Copy out all rows (snapshot support).
-  std::vector<Row> dump() const;
-
-  /// Replace contents wholesale (snapshot restore). Rows must match schema.
-  Status load(std::vector<Row> rows);
+  /// Exchange every rule with `other` (a snapshot restore fills a fresh
+  /// table, then swaps it in whole).
+  void swap(Table& other);
 
  private:
-  HashNode* find_locked(std::string_view pk) const JANUS_REQUIRES_SHARED(mu_);
-  RowView view(const HashNode& node) const;
-  /// The row for `row`'s key, created if absent, with `row`'s cells. The
-  /// probe and the insert both use the row's hash.
-  const HashNode& put_locked(const PackedRow& row) JANUS_REQUIRES(mu_);
+  HashNode* find_locked(std::string_view key) const
+      JANUS_REQUIRES_SHARED(mu_);
+  static RuleView view(const HashNode& node);
 
-  std::string name_;
-  Schema schema_;
   mutable SharedMutex mu_{LockRank::kDbTable, "db.table"};
-  // Nodes hold their cells right after the header, then the key.
   HashIndex index_ JANUS_GUARDED_BY(mu_);
 };
 

@@ -127,7 +127,7 @@ Result<std::size_t> Wal::replay(
       std::fclose(f);
       return Error("wal: undecodable record: " + rec.error().message);
     }
-    apply(rec.value());
+    if (rec.value()) apply(*rec.value());
     ++applied;
   }
   std::fclose(f);

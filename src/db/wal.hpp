@@ -46,8 +46,10 @@ class Wal {
   const std::string& path() const { return path_; }
 
   /// Replay all intact records from a log file in order. Returns the number
-  /// of records applied; a trailing torn record is tolerated (truncated
-  /// write during crash), but a CRC mismatch mid-file is an error.
+  /// of intact records; one that names another table than qos_rules is
+  /// counted but not applied. A trailing torn record is tolerated
+  /// (truncated write during crash), but a CRC mismatch mid-file is an
+  /// error.
   static Result<std::size_t> replay(
       const std::string& path,
       const std::function<void(const LogRecord&)>& apply);

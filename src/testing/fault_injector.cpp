@@ -15,6 +15,7 @@ constexpr std::string_view kNames[kFaultPointCount] = {
     "net.udp.eintr",
     "lb.probe.drop",
     "lb.probe.delay",
+    "db.snapshot.sync_fail",
 };
 
 constexpr std::uint64_t kDefaultSeed = 0x6A616E7573'F417ull;  // "janus"+fault

@@ -50,6 +50,9 @@ enum class FaultPoint : std::size_t {
                           // (balancer must degrade to stale probes / RR)
   kLbProbeDelay,          // lb.probe.delay: sleep param µs before a probe is
                           // sent (slow probe plane, stale-probe pressure)
+  kDbSnapshotSyncFail,    // db.snapshot.sync_fail: a snapshot's fsync
+                          // reports failure. Last, so that every other
+                          // point keeps its decision stream (seed())
   kCount,
 };
 

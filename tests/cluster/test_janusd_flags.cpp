@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "../server/server_model.hpp"
@@ -425,6 +426,63 @@ TEST_F(JanusdWalRestartTest, CheckpointedCreditOutlivesARestart) {
   EXPECT_EQ(admitted(second, "k", 12), 0)
       << "the restart refilled a check-pointed bucket";
   terminate(second);
+  std::remove(wal.c_str());
+}
+
+TEST_F(JanusdWalRestartTest, CompactedCreditOutlivesRestarts) {
+  // A compaction folds the WAL into the snapshot. Life 2 never touches k,
+  // so after its compaction k's spent credit is only in the snapshot, and
+  // a restart that replayed the WAL alone took k's credit from the rules
+  // file again.
+  write_rules("k = 0 10\nj = 0 10\n");
+  const std::string wal = rules_path_ + ".wal";
+  const std::string snapshot = rules_path_ + ".snap";
+  std::remove(wal.c_str());
+  std::remove(snapshot.c_str());
+  const std::vector<std::string> flags = {
+      "--wal", wal, "--snapshot", snapshot, "--checkpoint-ms", "100",
+      "--compact-ms", "300"};
+
+  cluster_test::ServerProcess& first = spawn_server("first", flags, false);
+  EXPECT_EQ(admitted(first, "k", 12), 10);
+  terminate(first);
+
+  cluster_test::ServerProcess& second = spawn_server("second", flags, false);
+  EXPECT_EQ(admitted(second, "j", 3), 3);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1000));  // compactions
+  terminate(second);
+  ASSERT_GT(file_size(snapshot), 0);
+
+  cluster_test::ServerProcess& third = spawn_server("third", flags, false);
+  EXPECT_EQ(admitted(third, "k", 10), 0)
+      << "the restart refilled a bucket check-pointed before a compaction";
+  EXPECT_EQ(admitted(third, "j", 10), 7);
+  terminate(third);
+  std::remove(wal.c_str());
+  std::remove(snapshot.c_str());
+}
+
+TEST_F(JanusdWalRestartTest, IdleCheckpointsLeaveTheWalAlone) {
+  write_rules("k = 0 10\n");
+  const std::string wal = rules_path_ + ".wal";
+  std::remove(wal.c_str());
+  const std::vector<std::string> flags = {"--wal", wal, "--sync-ms", "0",
+                                          "--checkpoint-ms", "100"};
+  cluster_test::ServerProcess& server = spawn_server("idle", flags, false);
+  const long loaded = file_size(wal);
+  EXPECT_EQ(admitted(server, "k", 3), 3);
+  // The first tick after the spends writes k's credit once.
+  for (int i = 0; i < 100 && file_size(wal) == loaded; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  const long spent = file_size(wal);
+  ASSERT_GT(spent, loaded) << "no check-point wrote the spent credit";
+  // Five more ticks with no request: no credit changed, nothing written.
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  EXPECT_EQ(file_size(wal), spent)
+      << "a check-point of unchanged credits wrote the WAL";
+  terminate(server);
+  EXPECT_EQ(file_size(wal), spent) << "the final check-point wrote the WAL";
   std::remove(wal.c_str());
 }
 

@@ -129,7 +129,7 @@ TEST(SyncMutexDeathTest, MutexSelfDeadlockAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        Mutex mu(LockRank::kQueue, "common.queue");
+        Mutex mu(LockRank::kPeriodic, "common.periodic");
         MutexLock first(mu);
         mu.lock();  // second acquisition on the same thread
       },
@@ -177,7 +177,7 @@ TEST(SyncMutexTest, ReaderLocksShareAcrossThreads) {
 }
 
 TEST(SyncMutexTest, TryLockReportsContention) {
-  Mutex mu(LockRank::kQueue, "common.queue");
+  Mutex mu(LockRank::kPeriodic, "common.periodic");
   ASSERT_TRUE(mu.try_lock());
   std::thread other([&] { EXPECT_FALSE(mu.try_lock()); });
   other.join();
@@ -185,7 +185,7 @@ TEST(SyncMutexTest, TryLockReportsContention) {
 }
 
 TEST(SyncCondVarTest, WaitWakesOnNotifyAndKeepsTrackerBalanced) {
-  Mutex mu(LockRank::kQueue, "common.queue");
+  Mutex mu(LockRank::kPeriodic, "common.periodic");
   CondVar cv;
   bool ready = false;
   std::thread waiter([&] {
@@ -210,7 +210,7 @@ TEST(SyncCondVarTest, WaitWakesOnNotifyAndKeepsTrackerBalanced) {
 }
 
 TEST(SyncCondVarTest, WaitUntilTimesOut) {
-  Mutex mu(LockRank::kQueue, "common.queue");
+  Mutex mu(LockRank::kPeriodic, "common.periodic");
   CondVar cv;
   MutexLock lock(mu);
   const auto deadline =

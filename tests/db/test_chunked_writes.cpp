@@ -2,19 +2,19 @@
 // in chunks of Database::kWriteChunkRows, each chunk's records appended to
 // the WAL with one write. These tests hold it to what the per-row path did:
 // the same records, byte for byte, in the same LSN order, one LSN per row
-// written, every row shown to the observers and the standby, and a torn
-// chunk replaying only its whole records.
+// written, every row replayed by a standby that recovers the WAL, and a
+// torn chunk replaying only its whole records.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "db/database.hpp"
-#include "db/replication.hpp"
 #include "db/rule_store.hpp"
 #include "testing/fault_injector.hpp"
 
@@ -30,7 +30,7 @@ constexpr std::size_t kRows = 3 * Database::kWriteChunkRows + 17;
 
 std::string key_of(std::size_t i) { return "tenant-" + std::to_string(i); }
 
-/// Every row's key, kept alive for the CellWrite views into them.
+/// Every row's key, kept alive for the CreditWrite views into them.
 const std::vector<std::string>& all_keys() {
   static const std::vector<std::string> keys = [] {
     std::vector<std::string> out;
@@ -43,6 +43,15 @@ const std::vector<std::string>& all_keys() {
 std::vector<std::uint8_t> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Every record the WAL at `path` holds, in order.
+std::vector<LogRecord> records_of(const std::string& path) {
+  std::vector<LogRecord> out;
+  auto replayed =
+      Wal::replay(path, [&](const LogRecord& rec) { out.push_back(rec); });
+  EXPECT_TRUE(replayed.ok()) << replayed.error().message;
+  return out;
 }
 
 class ChunkedWriteTest : public ::testing::Test {
@@ -62,19 +71,15 @@ class ChunkedWriteTest : public ::testing::Test {
     return p;
   }
 
-  /// A WAL-backed database holding kRows rules, with an observer that keeps
-  /// every record it is shown.
+  /// A WAL-backed database holding kRows rules.
   struct Node {
     Database db;
     std::unique_ptr<RuleStore> store;
-    std::vector<LogRecord> seen;
   };
+
   void open(Node& node, const std::string& wal) {
     ASSERT_TRUE(node.db.enable_wal(wal).ok());
     node.store = std::make_unique<RuleStore>(node.db);
-    node.db.add_observer([&node](const LogRecord& rec) {
-      node.seen.push_back(rec);
-    });
     std::vector<RuleRow> rules;
     for (std::size_t i = 0; i < kRows; ++i) {
       rules.push_back({.key = key_of(i), .refill_per_sec = 1.0 + i,
@@ -98,12 +103,14 @@ TEST_F(ChunkedWriteTest, ChunkedCheckpointMatchesPerRowWrites) {
   Node chunked;
   open(per_row, temp_path("per_row"));
   open(chunked, temp_path("chunked"));
-  ASSERT_EQ(per_row.seen, chunked.seen) << "loading must match before the test";
+  ASSERT_EQ(records_of(paths_[0]), records_of(paths_[1]))
+      << "loading must match before the test";
 
   const std::uint64_t lsn_before = chunked.db.lsn();
-  std::vector<CellWrite> writes;
+  std::vector<CreditWrite> writes;
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    const double credit = 0.5 * static_cast<double>(i);
+    // Never a rule's loaded credit, so every row that exists is written.
+    const double credit = 0.5 * static_cast<double>(i) + 0.25;
     (void)per_row.store->checkpoint_credit(keys[i], credit);
     writes.push_back({keys[i], credit});
   }
@@ -114,10 +121,11 @@ TEST_F(ChunkedWriteTest, ChunkedCheckpointMatchesPerRowWrites) {
   // One LSN per row written, in the order the writes were given.
   EXPECT_EQ(chunked.db.lsn(), lsn_before + kRows);
   EXPECT_EQ(chunked.db.lsn(), per_row.db.lsn());
-  ASSERT_EQ(chunked.seen.size(), per_row.seen.size());
-  EXPECT_EQ(chunked.seen, per_row.seen);
-  for (std::size_t i = 1; i < chunked.seen.size(); ++i) {
-    ASSERT_EQ(chunked.seen[i].lsn, chunked.seen[i - 1].lsn + 1);
+  const std::vector<LogRecord> logged = records_of(paths_[1]);
+  EXPECT_EQ(logged, records_of(paths_[0]));
+  ASSERT_EQ(logged.size(), 2 * kRows);
+  for (std::size_t i = 1; i < logged.size(); ++i) {
+    ASSERT_EQ(logged[i].lsn, logged[i - 1].lsn + 1);
   }
   // The same credits, and the same log, byte for byte.
   for (std::size_t i = 0; i < kRows; ++i) {
@@ -127,13 +135,11 @@ TEST_F(ChunkedWriteTest, ChunkedCheckpointMatchesPerRowWrites) {
 }
 
 TEST_F(ChunkedWriteTest, StandbySeesEveryChunkedRowInOrder) {
+  // A standby is promoted by recovering the master's WAL (§III-D).
+  const std::string wal = temp_path("master");
   Database master;
-  Database standby;
   RuleStore master_store(master);
-  RuleStore standby_store(standby);
-  Replicator replicator(master, standby);
-  std::vector<std::uint64_t> lsns;
-  master.add_observer([&](const LogRecord& rec) { lsns.push_back(rec.lsn); });
+  ASSERT_TRUE(master.enable_wal(wal).ok());
 
   std::vector<RuleRow> rules;
   for (std::size_t i = 0; i < kRows; ++i) {
@@ -141,16 +147,22 @@ TEST_F(ChunkedWriteTest, StandbySeesEveryChunkedRowInOrder) {
                      .capacity = 50.0, .credit = 50.0});
   }
   ASSERT_TRUE(master_store.put_many(rules).ok());
-  std::vector<CellWrite> writes;
+  std::vector<CreditWrite> writes;
   for (std::size_t i = 0; i < kRows; ++i) {
     writes.push_back({rules[i].key, static_cast<double>(i % 50)});
   }
   ASSERT_TRUE(master_store.checkpoint_credits(writes).ok());
 
-  ASSERT_EQ(lsns.size(), 2 * kRows);
-  for (std::size_t i = 0; i < lsns.size(); ++i) ASSERT_EQ(lsns[i], i + 1);
-  EXPECT_EQ(replicator.pump(), 2 * kRows);
-  EXPECT_EQ(replicator.dropped(), 0u);
+  const std::vector<LogRecord> logged = records_of(wal);
+  ASSERT_EQ(logged.size(), 2 * kRows);
+  for (std::size_t i = 0; i < logged.size(); ++i) {
+    ASSERT_EQ(logged[i].lsn, i + 1);
+  }
+  Database standby;
+  RuleStore standby_store(standby);
+  auto replayed = standby.recover(wal);
+  ASSERT_TRUE(replayed.ok()) << replayed.error().message;
+  EXPECT_EQ(replayed.value(), 2 * kRows);
   EXPECT_EQ(standby.lsn(), master.lsn());
   for (std::size_t i = 0; i < kRows; ++i) {
     EXPECT_EQ(standby_store.get(key_of(i)), master_store.get(key_of(i)));
@@ -161,7 +173,7 @@ TEST_F(ChunkedWriteTest, WalWrittenInChunksReplaysEveryRow) {
   const std::string wal = temp_path("replay");
   Node node;
   open(node, wal);
-  std::vector<CellWrite> writes;
+  std::vector<CreditWrite> writes;
   for (std::size_t i = 0; i < kRows; ++i) {
     writes.push_back({all_keys()[i], static_cast<double>(i % 100)});
   }
@@ -184,11 +196,10 @@ TEST_F(ChunkedWriteTest, TornChunkReplaysOnlyItsWholePrefix) {
   Node node;
   open(node, wal);
   const std::uint64_t lsn_before = node.db.lsn();
-  const std::size_t seen_before = node.seen.size();
 
   // Tear the 100th record of the second chunk.
   constexpr std::size_t kTornAt = Database::kWriteChunkRows + 99;
-  std::vector<CellWrite> writes;
+  std::vector<CreditWrite> writes;
   for (std::size_t i = 0; i < kRows; ++i) {
     writes.push_back({all_keys()[i], 7.0});
   }
@@ -201,9 +212,8 @@ TEST_F(ChunkedWriteTest, TornChunkReplaysOnlyItsWholePrefix) {
     ASSERT_FALSE(written.ok());
     EXPECT_NE(written.error().message.find("torn"), std::string::npos);
   }
-  // Only the records the log holds whole were published and shown.
+  // Only the records the log holds whole were published.
   EXPECT_EQ(node.db.lsn(), lsn_before + kTornAt);
-  EXPECT_EQ(node.seen.size(), seen_before + kTornAt);
 
   Database recovered;
   RuleStore recovered_store(recovered);
@@ -220,18 +230,12 @@ TEST_F(ChunkedWriteTest, BadColumnOrValueWritesNothing) {
   Node node;
   open(node, temp_path("bad"));
   const std::uint64_t lsn_before = node.db.lsn();
-  std::vector<CellWrite> writes{{all_keys()[0], 1.0},
-                                {all_keys()[1], std::int64_t{2}}};
-  EXPECT_FALSE(node.db.update_column_many("qos_rules", "credit", writes).ok());
-  EXPECT_FALSE(node.db.update_column_many("qos_rules", "nope", writes).ok());
-  EXPECT_FALSE(node.db.update_column_many("qos_rules", "key", writes).ok());
-  EXPECT_EQ(node.db.lsn(), lsn_before);
-  EXPECT_DOUBLE_EQ(node.store->get(key_of(0))->credit, 100.0);
-
   std::vector<RuleRow> rules{{.key = "fine", .refill_per_sec = 1,
                               .capacity = 1, .credit = 1},
                              {.key = "bad", .refill_per_sec = 1,
                               .capacity = 1, .credit = 2}};
+  EXPECT_FALSE(node.store->put_many(rules).ok());
+  rules[1].credit = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(node.store->put_many(rules).ok());
   EXPECT_FALSE(node.store->get("fine").has_value());
   EXPECT_EQ(node.db.lsn(), lsn_before);

@@ -4,119 +4,109 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <optional>
+#include <span>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "common/crc32.hpp"
 
 namespace janus::db {
 namespace {
 
-Schema rules_schema() {
-  return Schema{{{"key", ColumnType::kString},
-                 {"rate", ColumnType::kDouble}}};
+RuleRow rule(const std::string& key, double rate, double credit = 1.0) {
+  return RuleRow{.key = key, .refill_per_sec = rate, .capacity = 100.0,
+                 .credit = credit};
 }
 
-TEST(DatabaseTest, CreateTableOnce) {
-  Database db;
-  EXPECT_TRUE(db.create_table("t", rules_schema()).ok());
-  EXPECT_FALSE(db.create_table("t", rules_schema()).ok());
-  EXPECT_TRUE(db.has_table("t"));
-  EXPECT_FALSE(db.has_table("u"));
+Status put(Database& db, const RuleRow& r) {
+  const PackedRow row(r.view());
+  return db.put(std::span(&row, 1));
 }
 
-TEST(DatabaseTest, TableAccessorThrowsOnMissing) {
-  Database db;
-  EXPECT_THROW(db.table("missing"), std::out_of_range);
+std::optional<RuleRow> get(const Database& db, std::string_view key) {
+  std::optional<RuleRow> out;
+  db.table().read(key, [&](const RuleView& r) {
+    out = RuleRow{.key = std::string(r.key), .refill_per_sec = r.refill_per_sec,
+                  .capacity = r.capacity, .credit = r.credit};
+  });
+  return out;
+}
+
+Result<std::size_t> write_credit(Database& db, std::string_view key,
+                                 double credit) {
+  const CreditWrite w{key, credit};
+  return db.write_credits(std::span(&w, 1));
 }
 
 TEST(DatabaseTest, UpsertGetRemove) {
   Database db;
-  ASSERT_TRUE(db.create_table("t", rules_schema()).ok());
-  ASSERT_TRUE(db.upsert("t", Row{std::string("a"), 1.0}).ok());
-  auto got = db.get("t", "a");
-  ASSERT_TRUE(got.has_value());
-  EXPECT_DOUBLE_EQ(std::get<double>((*got)[1]), 1.0);
-  ASSERT_TRUE(db.remove("t", "a").ok());
-  EXPECT_EQ(db.get("t", "a"), std::nullopt);
-}
-
-TEST(DatabaseTest, MutationsOnMissingTableFail) {
-  Database db;
-  EXPECT_FALSE(db.upsert("nope", Row{std::string("a"), 1.0}).ok());
-  EXPECT_FALSE(db.remove("nope", "a").ok());
-  EXPECT_EQ(db.get("nope", "a"), std::nullopt);
+  ASSERT_TRUE(put(db, rule("a", 1.0)).ok());
+  EXPECT_EQ(get(db, "a"), rule("a", 1.0));
+  ASSERT_TRUE(db.remove("a").ok());
+  EXPECT_EQ(get(db, "a"), std::nullopt);
 }
 
 TEST(DatabaseTest, LsnAdvancesPerCommit) {
   Database db;
-  ASSERT_TRUE(db.create_table("t", rules_schema()).ok());
   EXPECT_EQ(db.lsn(), 0u);
-  ASSERT_TRUE(db.upsert("t", Row{std::string("a"), 1.0}).ok());
+  ASSERT_TRUE(put(db, rule("a", 1.0)).ok());
   EXPECT_EQ(db.lsn(), 1u);
-  ASSERT_TRUE(db.remove("t", "a").ok());
+  ASSERT_TRUE(db.remove("a").ok());
   EXPECT_EQ(db.lsn(), 2u);
-  // Failed commits don't advance.
-  ASSERT_FALSE(db.upsert("t", Row{std::string("bad")}).ok());
-  EXPECT_EQ(db.lsn(), 2u);
-}
-
-TEST(DatabaseTest, ObserverSeesCommitsInOrder) {
-  Database db;
-  ASSERT_TRUE(db.create_table("t", rules_schema()).ok());
-  std::vector<std::uint64_t> lsns;
-  db.add_observer([&](const LogRecord& rec) { lsns.push_back(rec.lsn); });
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(db.upsert("t", Row{std::string("k" + std::to_string(i)),
-                                   1.0 * i}).ok());
-  }
-  ASSERT_EQ(lsns.size(), 5u);
-  for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(lsns[i], i + 1);
+  // Writes that write nothing don't advance: a credit for a missing key,
+  // and a credit a rule already holds.
+  ASSERT_TRUE(put(db, rule("b", 1.0, 5.0)).ok());
+  EXPECT_EQ(db.lsn(), 3u);
+  EXPECT_EQ(write_credit(db, "a", 2.0).value(), 0u);
+  EXPECT_EQ(write_credit(db, "b", 5.0).value(), 0u);
+  EXPECT_EQ(db.lsn(), 3u);
+  EXPECT_EQ(write_credit(db, "b", 4.0).value(), 1u);
+  EXPECT_EQ(db.lsn(), 4u);
 }
 
 TEST(DatabaseTest, UpdateColumnCommitsFullRow) {
+  const std::string wal = ::testing::TempDir() + "janus_dbrow_" +
+                          std::to_string(::getpid()) + ".log";
+  std::remove(wal.c_str());
   Database db;
-  ASSERT_TRUE(db.create_table("t", rules_schema()).ok());
-  ASSERT_TRUE(db.upsert("t", Row{std::string("a"), 1.0}).ok());
-  LogRecord last;
-  db.add_observer([&](const LogRecord& rec) { last = rec; });
-  ASSERT_TRUE(db.update_column("t", "a", "rate", 7.5).ok());
-  EXPECT_EQ(last.op, LogRecord::Op::kUpsert);
-  EXPECT_DOUBLE_EQ(std::get<double>(last.row[1]), 7.5);
-  EXPECT_DOUBLE_EQ(std::get<double>((*db.get("t", "a"))[1]), 7.5);
+  ASSERT_TRUE(db.enable_wal(wal).ok());
+  ASSERT_TRUE(put(db, rule("a", 1.0)).ok());
+  ASSERT_EQ(write_credit(db, "a", 7.5).value(), 1u);
+  std::vector<LogRecord> logged;
+  ASSERT_TRUE(
+      Wal::replay(wal, [&](const LogRecord& r) { logged.push_back(r); }).ok());
+  ASSERT_EQ(logged.size(), 2u);
+  EXPECT_EQ(logged[1].lsn, 2u);
+  EXPECT_EQ(logged[1].op, LogRecord::Op::kUpsert);
+  EXPECT_EQ(logged[1].rule, rule("a", 1.0, 7.5));
+  EXPECT_EQ(get(db, "a"), rule("a", 1.0, 7.5));
+  std::remove(wal.c_str());
 }
 
 TEST(DatabaseTest, UpdateColumnErrors) {
+  // The one credit write that cannot be made, to a key with no rule, is
+  // skipped: nothing written, no LSN, no rule created.
   Database db;
-  ASSERT_TRUE(db.create_table("t", rules_schema()).ok());
-  EXPECT_FALSE(db.update_column("t", "missing", "rate", 1.0).ok());
-  ASSERT_TRUE(db.upsert("t", Row{std::string("a"), 1.0}).ok());
-  EXPECT_FALSE(db.update_column("t", "a", "bogus", 1.0).ok());
-  EXPECT_FALSE(db.update_column("t", "a", "rate", std::int64_t{1}).ok());
-  EXPECT_FALSE(db.update_column("t", "a", "key", std::string("b")).ok());
-}
-
-TEST(DatabaseTest, ApplyReplicatedRecord) {
-  Database db;
-  ASSERT_TRUE(db.create_table("t", rules_schema()).ok());
-  LogRecord rec{.lsn = 44,
-                .op = LogRecord::Op::kUpsert,
-                .table = "t",
-                .row = Row{std::string("x"), 2.0},
-                .pk = {}};
-  ASSERT_TRUE(db.apply(rec).ok());
-  EXPECT_TRUE(db.get("t", "x").has_value());
-  EXPECT_EQ(db.lsn(), 44u);  // follows the master's lsn
+  EXPECT_EQ(write_credit(db, "missing", 1.0).value(), 0u);
+  EXPECT_EQ(db.lsn(), 0u);
+  ASSERT_TRUE(put(db, rule("a", 1.0)).ok());
+  EXPECT_EQ(write_credit(db, "missing", 1.0).value(), 0u);
+  EXPECT_EQ(db.lsn(), 1u);
+  EXPECT_EQ(get(db, "missing"), std::nullopt);
+  EXPECT_EQ(db.table().size(), 1u);
 }
 
 TEST(DatabaseTest, ScanAndSize) {
   Database db;
-  ASSERT_TRUE(db.create_table("t", rules_schema()).ok());
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(db.upsert("t", Row{std::string("k" + std::to_string(i)),
-                                   1.0}).ok());
+    ASSERT_TRUE(put(db, rule("k" + std::to_string(i), 1.0)).ok());
   }
-  EXPECT_EQ(db.table_size("t"), 10u);
+  EXPECT_EQ(db.table().size(), 10u);
   std::size_t visited = 0;
-  db.scan("t", [&](const Row&) { ++visited; });
+  db.table().scan([&](const RuleView&) { ++visited; });
   EXPECT_EQ(visited, 10u);
-  EXPECT_EQ(db.table_size("ghost"), 0u);
 }
 
 class DatabaseWalTest : public ::testing::Test {
@@ -129,51 +119,91 @@ class DatabaseWalTest : public ::testing::Test {
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }
+
   std::string path_;
 };
 
 TEST_F(DatabaseWalTest, RecoverRebuildsState) {
   {
     Database db;
-    ASSERT_TRUE(db.create_table("t", rules_schema()).ok());
     ASSERT_TRUE(db.enable_wal(path_).ok());
-    ASSERT_TRUE(db.upsert("t", Row{std::string("a"), 1.0}).ok());
-    ASSERT_TRUE(db.upsert("t", Row{std::string("b"), 2.0}).ok());
-    ASSERT_TRUE(db.update_column("t", "a", "rate", 9.0).ok());
-    ASSERT_TRUE(db.remove("t", "b").ok());
+    ASSERT_TRUE(put(db, rule("a", 1.0)).ok());
+    ASSERT_TRUE(put(db, rule("b", 2.0)).ok());
+    ASSERT_TRUE(write_credit(db, "a", 9.0).ok());
+    ASSERT_TRUE(db.remove("b").ok());
   }
   Database recovered;
-  ASSERT_TRUE(recovered.create_table("t", rules_schema()).ok());
   auto n = recovered.recover(path_);
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(n.value(), 4u);
   EXPECT_EQ(recovered.lsn(), 4u);
-  EXPECT_DOUBLE_EQ(std::get<double>((*recovered.get("t", "a"))[1]), 9.0);
-  EXPECT_EQ(recovered.get("t", "b"), std::nullopt);
+  EXPECT_EQ(get(recovered, "a"), rule("a", 1.0, 9.0));
+  EXPECT_EQ(get(recovered, "b"), std::nullopt);
 }
 
 TEST_F(DatabaseWalTest, RecoverThenContinueAppending) {
   {
     Database db;
-    ASSERT_TRUE(db.create_table("t", rules_schema()).ok());
     ASSERT_TRUE(db.enable_wal(path_).ok());
-    ASSERT_TRUE(db.upsert("t", Row{std::string("a"), 1.0}).ok());
+    ASSERT_TRUE(put(db, rule("a", 1.0)).ok());
   }
   {
     Database db;
-    ASSERT_TRUE(db.create_table("t", rules_schema()).ok());
     ASSERT_TRUE(db.recover(path_).ok());
     ASSERT_TRUE(db.enable_wal(path_).ok());
-    ASSERT_TRUE(db.upsert("t", Row{std::string("b"), 2.0}).ok());
+    ASSERT_TRUE(put(db, rule("b", 2.0)).ok());
     EXPECT_EQ(db.lsn(), 2u);
   }
   Database final_db;
-  ASSERT_TRUE(final_db.create_table("t", rules_schema()).ok());
   auto n = final_db.recover(path_);
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(n.value(), 2u);
-  EXPECT_TRUE(final_db.get("t", "a").has_value());
-  EXPECT_TRUE(final_db.get("t", "b").has_value());
+  EXPECT_TRUE(get(final_db, "a").has_value());
+  EXPECT_TRUE(get(final_db, "b").has_value());
+}
+
+TEST_F(DatabaseWalTest, RecoverSkipsRecordsOfAnotherTable) {
+  {
+    Database db;
+    ASSERT_TRUE(db.enable_wal(path_).ok());
+    ASSERT_TRUE(put(db, rule("a", 1.0)).ok());
+  }
+  {
+    // A record the store's first, generic encoder could write for another
+    // table: lsn, op, table, then a two-value row (string, int64).
+    ByteWriter payload;
+    payload.u64(2);
+    payload.u8(static_cast<std::uint8_t>(LogRecord::Op::kUpsert));
+    payload.str("counts");
+    payload.u32(2);
+    payload.u8(2);
+    payload.str("a");
+    payload.u8(0);
+    payload.u64(7);
+    const std::vector<std::uint8_t>& bytes = payload.bytes();
+    const std::uint32_t crc = crc32(std::string_view(
+        reinterpret_cast<const char*>(bytes.data()), bytes.size()));
+    ByteWriter frame;
+    frame.u32(static_cast<std::uint32_t>(bytes.size()));
+    frame.u32(crc);
+    std::FILE* f = std::fopen(path_.c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(frame.bytes().data(), 1, frame.bytes().size(), f);
+    std::fwrite(bytes.data(), 1, bytes.size(), f);
+    std::fclose(f);
+  }
+  {
+    Database db;
+    ASSERT_TRUE(db.recover(path_).ok());
+    ASSERT_TRUE(db.enable_wal(path_).ok());
+    ASSERT_TRUE(write_credit(db, "a", 3.0).ok());
+  }
+  Database recovered;
+  auto n = recovered.recover(path_);
+  ASSERT_TRUE(n.ok()) << n.error().message;
+  EXPECT_EQ(n.value(), 3u);  // every intact record counts
+  EXPECT_EQ(recovered.table().size(), 1u);
+  EXPECT_EQ(get(recovered, "a"), rule("a", 1.0, 3.0));
 }
 
 }  // namespace

@@ -1,10 +1,15 @@
-// Regression test for the update_column lost-update race: the read-modify-
-// write used to run as three separate critical sections (find_table +
-// Table::get, then commit), so two concurrent update_column calls touching
-// *different* columns of the same row could interleave and one write was
-// silently dropped. update_column now holds commit_mu_ across the whole RMW.
+// Puts and credit writes on the same keys, from two threads at once. Each
+// write lands where the rule lies, under the table lock, and logs the rule
+// as it then stands, in LSN order under the commit lock; so neither writer
+// loses the other's column, and replaying the WAL rebuilds the live table
+// exactly.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <bit>
+#include <cstdio>
+#include <map>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,56 +19,62 @@
 namespace janus::db {
 namespace {
 
-Schema two_counter_schema() {
-  return Schema{{{"key", ColumnType::kString},
-                 {"a", ColumnType::kInt64},
-                 {"b", ColumnType::kInt64}}};
+/// Every rule's refill rate, capacity and credit, as bits, by key.
+std::map<std::string, std::vector<std::uint64_t>> rules_of(
+    const Database& db) {
+  std::map<std::string, std::vector<std::uint64_t>> out;
+  db.table().scan([&](const RuleView& r) {
+    out[std::string(r.key)] = {std::bit_cast<std::uint64_t>(r.refill_per_sec),
+                               std::bit_cast<std::uint64_t>(r.capacity),
+                               std::bit_cast<std::uint64_t>(r.credit)};
+  });
+  return out;
 }
 
 TEST(DatabaseConcurrencyTest, ConcurrentColumnUpdatesAreNotLost) {
+  const std::string wal = ::testing::TempDir() + "janus_dbconc_" +
+                          std::to_string(::getpid()) + ".wal";
+  std::remove(wal.c_str());
+  const std::vector<std::string> keys = {"a", "b", "c"};
   Database db;
-  ASSERT_TRUE(db.create_table("t", two_counter_schema()).ok());
-  ASSERT_TRUE(
-      db.upsert("t", Row{std::string("row"), std::int64_t{0}, std::int64_t{0}})
-          .ok());
+  ASSERT_TRUE(db.enable_wal(wal).ok());
 
-  // Writer A bumps column `a` 1..N, writer B bumps column `b` 1..N, always
-  // on the same row. With the racy RMW, B's full-row upsert regularly
-  // clobbered A's freshly written `a` (and vice versa), so the final row
-  // ended below (N, N).
-  constexpr std::int64_t kIters = 400;
-  auto writer = [&db](std::string_view column) {
-    for (std::int64_t i = 1; i <= kIters; ++i) {
-      ASSERT_TRUE(db.update_column("t", "row", column, Value{i}).ok());
+  // Writer A puts each key with rate i (and resets its credit to 0); writer
+  // B writes credits 1..N into the same keys in chunks.
+  constexpr int kIters = 400;
+  std::thread puts([&] {
+    for (int i = 1; i <= kIters; ++i) {
+      std::vector<PackedRow> rows;
+      for (const std::string& key : keys) {
+        rows.emplace_back(RuleView{.key = key, .refill_per_sec = 1.0 * i,
+                                   .capacity = 1e9, .credit = 0.0});
+      }
+      ASSERT_TRUE(db.put(rows).ok());
     }
-  };
-  std::thread ta(writer, "a");
-  std::thread tb(writer, "b");
-  ta.join();
-  tb.join();
+  });
+  std::thread credits([&] {
+    for (int i = 1; i <= kIters; ++i) {
+      std::vector<CreditWrite> writes;
+      for (const std::string& key : keys) writes.push_back({key, 1.0 * i});
+      ASSERT_TRUE(db.write_credits(writes).ok());
+    }
+  });
+  puts.join();
+  credits.join();
 
-  auto row = db.get("t", "row");
-  ASSERT_TRUE(row.has_value());
-  EXPECT_EQ(std::get<std::int64_t>((*row)[1]), kIters) << "column a lost an update";
-  EXPECT_EQ(std::get<std::int64_t>((*row)[2]), kIters) << "column b lost an update";
-}
-
-TEST(DatabaseConcurrencyTest, UpdateColumnStillValidatesUnderTheLock) {
-  Database db;
-  ASSERT_TRUE(db.create_table("t", two_counter_schema()).ok());
-  ASSERT_TRUE(
-      db.upsert("t", Row{std::string("row"), std::int64_t{1}, std::int64_t{2}})
-          .ok());
-  EXPECT_FALSE(db.update_column("t", "row", "key", Value{std::string("x")}).ok());
-  EXPECT_FALSE(db.update_column("t", "row", "nope", Value{std::int64_t{1}}).ok());
-  EXPECT_FALSE(db.update_column("t", "row", "a", Value{std::string("x")}).ok());
-  EXPECT_FALSE(db.update_column("t", "gone", "a", Value{std::int64_t{1}}).ok());
-  EXPECT_FALSE(db.update_column("nope", "row", "a", Value{std::int64_t{1}}).ok());
-  // The failed attempts must not have corrupted the row.
-  auto row = db.get("t", "row");
-  ASSERT_TRUE(row.has_value());
-  EXPECT_EQ(std::get<std::int64_t>((*row)[1]), 1);
-  EXPECT_EQ(std::get<std::int64_t>((*row)[2]), 2);
+  // No credit write dropped the rate the last put wrote.
+  for (const std::string& key : keys) {
+    db.table().read(key, [&](const RuleView& r) {
+      EXPECT_EQ(r.refill_per_sec, kIters) << key;
+    });
+  }
+  Database recovered;
+  auto replayed = recovered.recover(wal);
+  ASSERT_TRUE(replayed.ok()) << replayed.error().message;
+  EXPECT_EQ(replayed.value(), db.lsn());
+  EXPECT_EQ(recovered.lsn(), db.lsn());
+  EXPECT_EQ(rules_of(recovered), rules_of(db));
+  std::remove(wal.c_str());
 }
 
 }  // namespace

@@ -4,7 +4,12 @@
 
 #include <limits>
 
-#include "db/replication.hpp"
+#include <unistd.h>
+
+#include <cstdio>
+#include <string>
+
+#include "db/serialize.hpp"
 
 namespace janus::db {
 namespace {
@@ -15,18 +20,11 @@ RuleRow sample_rule() {
       .credit = 1000.0};
 }
 
-TEST(RuleStoreTest, CreatesTableOnConstruction) {
-  Database db;
-  RuleStore store(db);
-  EXPECT_TRUE(db.has_table(RuleStore::kTableName));
-  EXPECT_EQ(store.size(), 0u);
-}
-
 TEST(RuleStoreTest, ReusesExistingTable) {
   Database db;
   RuleStore first(db);
   ASSERT_TRUE(first.put(sample_rule()).ok());
-  RuleStore second(db);  // attach, don't wipe
+  RuleStore second(db);  // the same rules, not a second table
   EXPECT_EQ(second.size(), 1u);
 }
 
@@ -149,7 +147,7 @@ TEST(RuleStoreTest, ReserveKeepsALoadFromRehashing) {
   Database db;
   RuleStore store(db);
   store.reserve(kRules);
-  const Table& table = db.table(RuleStore::kTableName);
+  const Table& table = db.table();
   const std::size_t buckets = table.bucket_count();
   std::vector<RuleRow> chunk;
   for (std::size_t i = 0; i < kRules; ++i) {
@@ -166,25 +164,51 @@ TEST(RuleStoreTest, ReserveKeepsALoadFromRehashing) {
 
 TEST(RuleStoreTest, SchemaMatchesPaperColumns) {
   // §III-D: "four columns — the QoS key, the refill rate, the capacity of
-  // the leaky bucket, and the remaining credit in the bucket."
-  Schema s = RuleStore::schema();
-  ASSERT_EQ(s.columns.size(), 4u);
-  EXPECT_EQ(s.columns[0].name, "key");
-  EXPECT_EQ(s.columns[1].name, "refill_per_sec");
-  EXPECT_EQ(s.columns[2].name, "capacity");
-  EXPECT_EQ(s.columns[3].name, "credit");
+  // the leaky bucket, and the remaining credit in the bucket." A rule is
+  // stored as that row, in that order: a string, then three doubles.
+  ByteWriter w;
+  w.rule(sample_rule().view());
+  ByteReader r(w.bytes());
+  std::uint32_t columns = 0;
+  std::uint8_t tag = 0;
+  std::string key;
+  ASSERT_TRUE(r.u32(columns));
+  EXPECT_EQ(columns, 4u);
+  ASSERT_TRUE(r.u8(tag) && r.str(key));
+  EXPECT_EQ(tag, 2);  // a string
+  EXPECT_EQ(key, "alice");
+  for (const double expected : {100.0, 1000.0, 1000.0}) {
+    double value = 0;
+    ASSERT_TRUE(r.u8(tag) && r.f64(value));
+    EXPECT_EQ(tag, 1);  // a double
+    EXPECT_EQ(value, expected);
+  }
+  EXPECT_TRUE(r.at_end());
 }
 
 TEST(RuleStoreTest, WorksThroughReplicatedDatabase) {
-  Database master, standby;
+  // A standby takes over by recovering the master's snapshot and WAL.
+  const std::string base = ::testing::TempDir() + "janus_rule_store_" +
+                           std::to_string(::getpid());
+  const std::string wal = base + ".wal";
+  const std::string snapshot = base + ".snap";
+  std::remove(wal.c_str());
+  Database master;
   RuleStore master_store(master);
-  RuleStore standby_store(standby);
-  Replicator repl(master, standby);
+  ASSERT_TRUE(master.enable_wal(wal).ok());
   ASSERT_TRUE(master_store.put(sample_rule()).ok());
-  repl.pump();
-  auto got = standby_store.get("alice");
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, sample_rule());
+  ASSERT_TRUE(master.compact_wal(snapshot).ok());
+  ASSERT_TRUE(master_store.checkpoint_credit("alice", 5.0).ok());
+
+  Database standby;
+  RuleStore standby_store(standby);
+  ASSERT_TRUE(standby.load_snapshot(snapshot).ok());
+  ASSERT_TRUE(standby.recover(wal).ok());
+  RuleRow expected = sample_rule();
+  expected.credit = 5.0;
+  EXPECT_EQ(standby_store.get("alice"), expected);
+  std::remove(wal.c_str());
+  std::remove(snapshot.c_str());
 }
 
 }  // namespace

@@ -11,6 +11,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <charconv>
 #include <cstdio>
 #include <fstream>
@@ -21,6 +23,7 @@
 
 #include "common/rng.hpp"
 #include "common/string_util.hpp"
+#include "testing/fault_injector.hpp"
 
 namespace janus::db {
 namespace {
@@ -234,12 +237,16 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
-using Rows = std::map<std::string, RuleCells>;
+/// Each rule's refill rate, capacity and credit, as bits.
+using Rows = std::map<std::string, std::array<std::uint64_t, 3>>;
 
 Rows rows_of(const Database& db) {
   Rows out;
-  db.table(RuleStore::kTableName).scan([&](const RowView& row) {
-    out[std::string(row.key())] = {row.bits(1), row.bits(2), row.bits(3)};
+  db.table().scan([&](const RuleView& rule) {
+    out[std::string(rule.key)] = {
+        std::bit_cast<std::uint64_t>(rule.refill_per_sec),
+        std::bit_cast<std::uint64_t>(rule.capacity),
+        std::bit_cast<std::uint64_t>(rule.credit)};
   });
   return out;
 }
@@ -354,16 +361,26 @@ TEST_F(RulesFileTest, TableIsSizedForTheFileBeforeTheFirstChunk) {
   const std::string text = join(rules_lines(rng), true);
   const std::size_t lines = static_cast<std::size_t>(
       std::count(text.begin(), text.end(), '\n'));
+  const std::string path = write("rules", text);
+  // The table as the first chunk was written into it: a load whose first
+  // WAL record is torn stops right after that chunk.
+  std::size_t buckets_at_first_write = 0;
+  {
+    Database first;
+    RuleStore first_store(first);
+    ASSERT_TRUE(first.enable_wal(temp_path("wal")).ok());
+    testing::FaultInjector::ArmSpec spec;
+    spec.max_fires = 1;
+    testing::ScopedFault torn(testing::FaultPoint::kDbWalPartialWrite, spec);
+    ASSERT_FALSE(load_rules(first_store, path).ok());
+    ASSERT_GT(first_store.size(), 0u);
+    ASSERT_LT(first_store.size(), lines);
+    buckets_at_first_write = first.table().bucket_count();
+  }
   Database db;
   RuleStore store(db);
-  const Table& table = db.table(RuleStore::kTableName);
-  std::size_t buckets_at_first_write = 0;
-  db.add_observer([&](const LogRecord&) {
-    if (buckets_at_first_write == 0) {
-      buckets_at_first_write = table.bucket_count();
-    }
-  });
-  ASSERT_TRUE(load_rules(store, write("rules", text)).ok());
+  const Table& table = db.table();
+  ASSERT_TRUE(load_rules(store, path).ok());
   EXPECT_GE(buckets_at_first_write, lines);
   EXPECT_EQ(table.bucket_count(), buckets_at_first_write);
 }

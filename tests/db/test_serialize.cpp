@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/rng.hpp"
 
 namespace janus::db {
@@ -52,41 +54,29 @@ TEST(ByteWriterReaderTest, SpecialDoublesSurvive) {
   EXPECT_DOUBLE_EQ(v, 5e-324);
 }
 
-TEST(ByteWriterReaderTest, ValueRoundTripAllTypes) {
-  ByteWriter w;
-  w.value(Value{std::int64_t{-7}});
-  w.value(Value{3.25});
-  w.value(Value{std::string("text")});
-  ByteReader r(w.bytes());
-  Value v;
-  EXPECT_TRUE(r.value(v));
-  EXPECT_EQ(std::get<std::int64_t>(v), -7);
-  EXPECT_TRUE(r.value(v));
-  EXPECT_DOUBLE_EQ(std::get<double>(v), 3.25);
-  EXPECT_TRUE(r.value(v));
-  EXPECT_EQ(std::get<std::string>(v), "text");
-}
-
 TEST(ByteWriterReaderTest, RowRoundTrip) {
-  Row original{std::string("pk"), 1.5, std::int64_t{42},
-               std::string("more")};
+  const RuleRow original{.key = "pk", .refill_per_sec = 1.5, .capacity = 42.0,
+                         .credit = -0.0};
   ByteWriter w;
-  w.row(original);
+  w.rule(original.view());
   ByteReader r(w.bytes());
-  Row decoded;
-  EXPECT_TRUE(r.row(decoded));
+  RuleView decoded;
+  EXPECT_TRUE(r.rule(decoded));
   EXPECT_TRUE(r.at_end());
-  EXPECT_EQ(decoded, original);
+  EXPECT_EQ(decoded.key, original.key);
+  EXPECT_EQ(decoded.refill_per_sec, original.refill_per_sec);
+  EXPECT_EQ(decoded.capacity, original.capacity);
+  EXPECT_TRUE(std::signbit(decoded.credit));
 }
 
 TEST(ByteReaderTest, TruncationFailsCleanly) {
   ByteWriter w;
-  w.row(Row{std::string("pk"), 2.0});
+  w.rule(RuleView{.key = "pk", .refill_per_sec = 2.0});
   const auto& full = w.bytes();
   for (std::size_t len = 0; len < full.size(); ++len) {
     ByteReader r(std::span(full.data(), len));
-    Row out;
-    EXPECT_FALSE(r.row(out)) << "row decoded from " << len << " bytes";
+    RuleView out;
+    EXPECT_FALSE(r.rule(out)) << "rule decoded from " << len << " bytes";
   }
 }
 
@@ -94,16 +84,23 @@ TEST(ByteReaderTest, HugeDeclaredCountRejected) {
   ByteWriter w;
   w.u32(0xFFFFFFFF);  // row with 4 billion values
   ByteReader r(w.bytes());
-  Row out;
-  EXPECT_FALSE(r.row(out));
+  RuleView out;
+  EXPECT_FALSE(r.rule(out));
+  // A key longer than the bytes that follow it.
+  ByteWriter key;
+  key.u32(4);
+  key.u8(2);  // the string tag
+  key.u32(0xFFFFFFFF);
+  ByteReader keyed(key.bytes());
+  EXPECT_FALSE(keyed.rule(out));
 }
 
 LogRecord sample_upsert() {
   LogRecord rec;
   rec.lsn = 17;
   rec.op = LogRecord::Op::kUpsert;
-  rec.table = "qos_rules";
-  rec.row = Row{std::string("alice"), 100.0, 1000.0, 950.0};
+  rec.rule = RuleRow{.key = "alice", .refill_per_sec = 100.0,
+                     .capacity = 1000.0, .credit = 950.0};
   return rec;
 }
 
@@ -114,19 +111,36 @@ TEST(LogRecordTest, UpsertRoundTrip) {
   ASSERT_GT(framed.size(), 8u);
   auto decoded = decode_record_payload(std::span(framed).subspan(8));
   ASSERT_TRUE(decoded.ok()) << decoded.error().message;
-  EXPECT_EQ(decoded.value(), rec);
+  ASSERT_TRUE(decoded.value().has_value());
+  EXPECT_EQ(*decoded.value(), rec);
 }
 
 TEST(LogRecordTest, RemoveRoundTrip) {
   LogRecord rec;
   rec.lsn = 99;
   rec.op = LogRecord::Op::kRemove;
-  rec.table = "qos_rules";
-  rec.pk = "bob";
+  rec.rule.key = "bob";
   auto framed = encode_record(rec);
   auto decoded = decode_record_payload(std::span(framed).subspan(8));
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value(), rec);
+  ASSERT_TRUE(decoded.value().has_value());
+  EXPECT_EQ(*decoded.value(), rec);
+}
+
+TEST(LogRecordTest, RecordOfAnotherTableDecodesToNothing) {
+  // lsn, op, a table name other than qos_rules, then a row of any shape.
+  ByteWriter w;
+  w.u64(5);
+  w.u8(static_cast<std::uint8_t>(LogRecord::Op::kUpsert));
+  w.str("counts");
+  w.u32(2);
+  w.u8(2);
+  w.str("k");
+  w.u8(0);
+  w.u64(7);
+  auto decoded = decode_record_payload(w.bytes());
+  ASSERT_TRUE(decoded.ok()) << decoded.error().message;
+  EXPECT_FALSE(decoded.value().has_value());
 }
 
 TEST(LogRecordTest, FrameChecksumMatchesPayload) {

@@ -4,11 +4,41 @@
 #include <cstdio>
 #include <filesystem>
 
+#include <fstream>
+#include <iterator>
+#include <map>
+#include <span>
+#include <string>
+#include <vector>
+
 #include "db/database.hpp"
 #include "db/rule_store.hpp"
+#include "testing/fault_injector.hpp"
 
 namespace janus::db {
 namespace {
+
+using testing::FaultInjector;
+using testing::FaultPoint;
+using testing::ScopedFault;
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_file(const std::string& path, std::span<const std::uint8_t> bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Every rule in `store`, by key.
+std::map<std::string, RuleRow> rules_of(const RuleStore& store) {
+  std::map<std::string, RuleRow> out;
+  store.scan([&](const RuleRow& rule) { out[rule.key] = rule; });
+  return out;
+}
 
 class SnapshotTest : public ::testing::Test {
  protected:
@@ -23,6 +53,7 @@ class SnapshotTest : public ::testing::Test {
     std::remove(wal_path_.c_str());
   }
   void TearDown() override {
+    FaultInjector::instance().disarm_all();
     std::remove(snap_path_.c_str());
     std::remove(wal_path_.c_str());
     std::remove((snap_path_ + ".tmp").c_str());
@@ -53,16 +84,22 @@ TEST_F(SnapshotTest, SnapshotAndLoadRoundTrip) {
 }
 
 TEST_F(SnapshotTest, LoadIntoMissingTableFails) {
-  Database source;
-  RuleStore rules(source);
+  // A snapshot of a table this database does not have: the store's first,
+  // generic encoder could write one.
+  ByteWriter w;
+  w.u32(0x4A444253);  // "JDBS"
+  w.u32(1);
+  w.str("counts");
+  w.u32(0);
+  write_file(snap_path_, w.bytes());
+  Database db;
+  RuleStore rules(db);
   ASSERT_TRUE(rules.put({.key = "a", .refill_per_sec = 1, .capacity = 1,
                          .credit = 1}).ok());
-  ASSERT_TRUE(source.snapshot_to(snap_path_).ok());
-
-  Database empty;  // no qos_rules table created
-  auto s = empty.load_snapshot(snap_path_);
+  auto s = db.load_snapshot(snap_path_);
   EXPECT_FALSE(s.ok());
-  EXPECT_NE(s.error().message.find("qos_rules"), std::string::npos);
+  EXPECT_NE(s.error().message.find("counts"), std::string::npos);
+  EXPECT_EQ(rules.size(), 1u);  // the table is as it was
 }
 
 TEST_F(SnapshotTest, LoadMissingFileFails) {
@@ -145,6 +182,99 @@ TEST_F(SnapshotTest, SnapshotOverwritesAtomically) {
   EXPECT_EQ(restored_rules.size(), 2u);
   EXPECT_FALSE(
       std::filesystem::exists(snap_path_ + ".tmp"));  // no litter left
+}
+
+TEST_F(SnapshotTest, RulesLargerThanABlockRoundTrip) {
+  // More bytes than one read block, with keys up to 255 bytes, so rows
+  // straddle the block boundaries.
+  Database source;
+  RuleStore rules(source);
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(rules.put({.key = std::string(i % 256, 'k') +
+                                  std::to_string(i),
+                           .refill_per_sec = i * 0.25, .capacity = 1e9,
+                           .credit = i * 0.5}).ok());
+  }
+  ASSERT_TRUE(source.snapshot_to(snap_path_).ok());
+  ASSERT_GT(std::filesystem::file_size(snap_path_), 3u * 64 * 1024);
+  Database restored;
+  RuleStore restored_rules(restored);
+  ASSERT_TRUE(restored.load_snapshot(snap_path_).ok());
+  EXPECT_EQ(rules_of(restored_rules), rules_of(rules));
+}
+
+TEST_F(SnapshotTest, TruncatedSnapshotLeavesTheTableAsItWas) {
+  Database source;
+  RuleStore rules(source);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(rules.put({.key = "k" + std::to_string(i),
+                           .refill_per_sec = 1, .capacity = 10,
+                           .credit = 1.0 * i}).ok());
+  }
+  ASSERT_TRUE(source.snapshot_to(snap_path_).ok());
+  const std::vector<std::uint8_t> whole = read_file(snap_path_);
+
+  Database db;
+  RuleStore held(db);
+  ASSERT_TRUE(held.put({.key = "held", .refill_per_sec = 2, .capacity = 4,
+                        .credit = 3}).ok());
+  const auto before = rules_of(held);
+  for (std::size_t size = 0; size < whole.size(); ++size) {
+    write_file(snap_path_, std::span(whole).first(size));
+    EXPECT_FALSE(db.load_snapshot(snap_path_).ok()) << size << " bytes";
+    ASSERT_EQ(rules_of(held), before) << size << " bytes";
+  }
+  // A row that is not a qos_rules row: the first value's tag turned from a
+  // string's into a double's.
+  std::vector<std::uint8_t> foreign = whole;
+  const std::size_t first_row = 4 + 4 + 4 + 9 + 4;  // header, name, count
+  foreign[first_row + 4] = 1;
+  write_file(snap_path_, foreign);
+  EXPECT_FALSE(db.load_snapshot(snap_path_).ok());
+  EXPECT_EQ(rules_of(held), before);
+  // The whole file replaces the table.
+  write_file(snap_path_, whole);
+  ASSERT_TRUE(db.load_snapshot(snap_path_).ok());
+  EXPECT_EQ(rules_of(held), rules_of(rules));
+}
+
+TEST_F(SnapshotTest, CompactionWhoseSnapshotSyncFailsKeepsTheWal) {
+  {
+    Database db;
+    RuleStore rules(db);
+    ASSERT_TRUE(db.enable_wal(wal_path_).ok());
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(rules.put({.key = "k" + std::to_string(i),
+                             .refill_per_sec = 0, .capacity = 10,
+                             .credit = 10}).ok());
+      ASSERT_TRUE(
+          rules.checkpoint_credit("k" + std::to_string(i), 1.0 * i).ok());
+    }
+    const std::vector<std::uint8_t> wal_before = read_file(wal_path_);
+    {
+      FaultInjector::ArmSpec spec;
+      spec.max_fires = 1;
+      ScopedFault sync_fails(FaultPoint::kDbSnapshotSyncFail, spec);
+      auto s = db.compact_wal(snap_path_);
+      ASSERT_FALSE(s.ok());
+      EXPECT_NE(s.error().message.find("fsync"), std::string::npos);
+    }
+    EXPECT_EQ(read_file(wal_path_), wal_before);
+    EXPECT_FALSE(std::filesystem::exists(snap_path_));
+    EXPECT_FALSE(std::filesystem::exists(snap_path_ + ".tmp"));
+    // The WAL still takes writes after the failed compaction.
+    ASSERT_TRUE(rules.checkpoint_credit("k0", 7.5).ok());
+  }
+  // A restart from the files recovers every credit.
+  Database recovered;
+  RuleStore recovered_rules(recovered);
+  ASSERT_FALSE(std::filesystem::exists(snap_path_));
+  ASSERT_TRUE(recovered.recover(wal_path_).ok());
+  ASSERT_EQ(recovered_rules.size(), 5u);
+  EXPECT_EQ(recovered_rules.get("k0")->credit, 7.5);
+  for (int i = 1; i < 5; ++i) {
+    EXPECT_EQ(recovered_rules.get("k" + std::to_string(i))->credit, 1.0 * i);
+  }
 }
 
 }  // namespace

@@ -4,114 +4,109 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <optional>
 #include <span>
+#include <string>
 #include <thread>
+#include <vector>
 
 namespace janus::db {
 namespace {
 
-Schema test_schema() {
-  return Schema{{{"key", ColumnType::kString},
-                 {"rate", ColumnType::kDouble},
-                 {"count", ColumnType::kInt64}}};
+RuleRow rule(const std::string& key, double rate, double capacity,
+             double credit) {
+  return RuleRow{.key = key, .refill_per_sec = rate, .capacity = capacity,
+                 .credit = credit};
 }
 
-Row row(const std::string& key, double rate, std::int64_t count) {
-  return Row{key, rate, count};
+void put(Table& t, const RuleRow& r) {
+  const PackedRow row(r.view());
+  t.put(std::span(&row, 1), [](const RuleView&) {});
 }
 
-TEST(SchemaTest, ColumnIndexLookup) {
-  Schema s = test_schema();
-  EXPECT_EQ(s.column_index("key"), 0u);
-  EXPECT_EQ(s.column_index("rate"), 1u);
-  EXPECT_EQ(s.column_index("count"), 2u);
-  EXPECT_THROW(s.column_index("missing"), std::out_of_range);
+std::optional<RuleRow> get(const Table& t, std::string_view key) {
+  std::optional<RuleRow> out;
+  t.read(key, [&](const RuleView& r) {
+    out = rule(std::string(r.key), r.refill_per_sec, r.capacity, r.credit);
+  });
+  return out;
 }
 
-TEST(SchemaTest, MatchesValidatesArityAndTypes) {
-  Schema s = test_schema();
-  EXPECT_TRUE(s.matches(row("a", 1.0, 2)));
-  EXPECT_FALSE(s.matches(Row{std::string("a"), 1.0}));            // too short
-  EXPECT_FALSE(s.matches(Row{std::string("a"), std::int64_t{1},  // wrong type
-                             std::int64_t{2}}));
-  EXPECT_FALSE(s.matches(Row{}));
-}
-
-TEST(TableTest, RequiresStringPrimaryKey) {
-  EXPECT_THROW(Table("bad", Schema{{{"id", ColumnType::kInt64}}}),
-               std::invalid_argument);
-  EXPECT_THROW(Table("empty", Schema{}), std::invalid_argument);
+std::size_t write_credit(Table& t, std::string_view key, double credit) {
+  const CreditWrite w{key, credit};
+  return t.write_credits(std::span(&w, 1), [](const RuleView&) {});
 }
 
 TEST(TableTest, InsertAndGet) {
-  Table t("t", test_schema());
-  ASSERT_TRUE(t.insert(row("a", 1.5, 10)).ok());
-  auto got = t.get("a");
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(std::get<double>((*got)[1]), 1.5);
-  EXPECT_EQ(std::get<std::int64_t>((*got)[2]), 10);
-  EXPECT_EQ(t.get("missing"), std::nullopt);
-}
-
-TEST(TableTest, InsertRejectsDuplicateKey) {
-  Table t("t", test_schema());
-  ASSERT_TRUE(t.insert(row("a", 1.0, 1)).ok());
-  auto s = t.insert(row("a", 2.0, 2));
-  EXPECT_FALSE(s.ok());
-  EXPECT_NE(s.error().message.find("duplicate"), std::string::npos);
-  // Original row unchanged.
-  EXPECT_EQ(std::get<double>((*t.get("a"))[1]), 1.0);
-}
-
-TEST(TableTest, InsertRejectsSchemaViolation) {
-  Table t("t", test_schema());
-  EXPECT_FALSE(t.insert(Row{std::string("a"), std::string("oops"),
-                            std::int64_t{1}}).ok());
-  EXPECT_EQ(t.size(), 0u);
+  Table t;
+  put(t, rule("a", 1.5, 10, 4));
+  EXPECT_EQ(get(t, "a"), rule("a", 1.5, 10, 4));
+  EXPECT_EQ(get(t, "missing"), std::nullopt);
 }
 
 TEST(TableTest, UpsertOverwrites) {
-  Table t("t", test_schema());
-  ASSERT_TRUE(t.upsert(row("a", 1.0, 1)).ok());
-  ASSERT_TRUE(t.upsert(row("a", 2.0, 2)).ok());
+  Table t;
+  put(t, rule("a", 1.0, 1, 1));
+  put(t, rule("a", 2.0, 2, 2));
   EXPECT_EQ(t.size(), 1u);
-  EXPECT_EQ(std::get<double>((*t.get("a"))[1]), 2.0);
+  EXPECT_EQ(get(t, "a"), rule("a", 2.0, 2, 2));
 }
 
 TEST(TableTest, UpdateColumn) {
-  Table t("t", test_schema());
-  ASSERT_TRUE(t.insert(row("a", 1.0, 1)).ok());
-  ASSERT_TRUE(t.update_column("a", "rate", 9.5).ok());
-  EXPECT_EQ(std::get<double>((*t.get("a"))[1]), 9.5);
-  EXPECT_EQ(std::get<std::int64_t>((*t.get("a"))[2]), 1);  // untouched
+  Table t;
+  put(t, rule("a", 1.0, 10, 10));
+  EXPECT_EQ(write_credit(t, "a", 9.5), 1u);
+  EXPECT_EQ(get(t, "a"), rule("a", 1.0, 10, 9.5));  // only the credit moved
 }
 
 TEST(TableTest, UpdateColumnErrors) {
-  Table t("t", test_schema());
-  ASSERT_TRUE(t.insert(row("a", 1.0, 1)).ok());
-  EXPECT_FALSE(t.update_column("missing", "rate", 2.0).ok());
-  EXPECT_FALSE(t.update_column("a", "nocolumn", 2.0).ok());
-  EXPECT_FALSE(t.update_column("a", "rate", std::int64_t{2}).ok());  // type
-  EXPECT_FALSE(t.update_column("a", "key", std::string("b")).ok());  // pk
+  // The one credit write that cannot be made, to a key with no rule, is
+  // skipped and creates none.
+  Table t;
+  put(t, rule("a", 1.0, 10, 1));
+  EXPECT_EQ(write_credit(t, "missing", 2.0), 0u);
+  EXPECT_EQ(get(t, "missing"), std::nullopt);
+  EXPECT_EQ(t.size(), 1u);
+  EXPECT_EQ(get(t, "a"), rule("a", 1.0, 10, 1));
+}
+
+TEST(TableTest, CreditWritesSkipUnchangedCredits) {
+  Table t;
+  put(t, rule("a", 1.0, 10, 0.0));
+  put(t, rule("b", 1.0, 10, 3.0));
+  const CreditWrite writes[] = {
+      {"missing", 1.0}, {"a", 0.0}, {"b", 3.0}, {"a", -0.0}, {"b", 4.0}};
+  std::vector<std::string> seen;
+  const std::size_t written =
+      t.write_credits(writes, [&](const RuleView& r) {
+        seen.emplace_back(r.key);
+      });
+  // -0.0 differs from 0.0 in its bits, so it is written.
+  EXPECT_EQ(written, 2u);
+  EXPECT_EQ(seen, (std::vector<std::string>{"a", "b"}));
+  EXPECT_TRUE(std::signbit(get(t, "a")->credit));
+  EXPECT_EQ(get(t, "b")->credit, 4.0);
+  EXPECT_EQ(get(t, "missing"), std::nullopt);
 }
 
 TEST(TableTest, RemoveReportsExistence) {
-  Table t("t", test_schema());
-  ASSERT_TRUE(t.insert(row("a", 1.0, 1)).ok());
+  Table t;
+  put(t, rule("a", 1.0, 1, 1));
   EXPECT_TRUE(t.remove("a"));
   EXPECT_FALSE(t.remove("a"));
-  EXPECT_EQ(t.get("a"), std::nullopt);
+  EXPECT_EQ(get(t, "a"), std::nullopt);
 }
 
 TEST(TableTest, ScanVisitsAllRows) {
-  Table t("t", test_schema());
+  Table t;
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(t.insert(row("k" + std::to_string(i), i * 1.0, i)).ok());
+    put(t, rule("k" + std::to_string(i), i * 1.0, 100, 1));
   }
-  std::int64_t sum = 0;
+  double sum = 0;
   std::size_t visits = 0;
-  t.scan([&](const RowView& r) {
-    sum += r.int64(2);
+  t.scan([&](const RuleView& r) {
+    sum += r.refill_per_sec;
     ++visits;
   });
   EXPECT_EQ(visits, 50u);
@@ -119,34 +114,37 @@ TEST(TableTest, ScanVisitsAllRows) {
 }
 
 TEST(TableTest, DumpAndLoadRoundTrip) {
-  Table a("a", test_schema());
+  // A snapshot restore fills a fresh table and swaps it in whole.
+  Table a;
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(a.insert(row("k" + std::to_string(i), i * 0.5, i)).ok());
+    put(a, rule("k" + std::to_string(i), i * 0.5, 10, 1));
   }
-  Table b("b", test_schema());
-  ASSERT_TRUE(b.insert(row("stale", 0.0, 0)).ok());
-  ASSERT_TRUE(b.load(a.dump()).ok());
+  Table b;
+  put(b, rule("stale", 0, 0, 0));
+  b.swap(a);
   EXPECT_EQ(b.size(), 20u);
-  EXPECT_EQ(b.get("stale"), std::nullopt);  // load replaces wholesale
-  EXPECT_EQ(std::get<double>((*b.get("k3"))[1]), 1.5);
+  EXPECT_EQ(get(b, "stale"), std::nullopt);  // the swap replaces wholesale
+  EXPECT_EQ(get(b, "k3"), rule("k3", 1.5, 10, 1));
+  EXPECT_EQ(a.size(), 1u);
+  EXPECT_TRUE(get(a, "stale").has_value());
 }
 
 TEST(TableTest, ReserveSizesTheIndexForTheLoad) {
   constexpr std::size_t kRows = 100'000;
-  Table t("t", test_schema());
+  Table t;
   EXPECT_EQ(t.bucket_count(), 0u);
   t.reserve(kRows);
   const std::size_t buckets = t.bucket_count();
   EXPECT_GE(buckets, kRows);
-  std::vector<Row> rows;
+  std::vector<RuleRow> rules;
   for (std::size_t i = 0; i < kRows; ++i) {
-    rows.push_back(row("k" + std::to_string(i), 0.5, 1));
+    rules.push_back(rule("k" + std::to_string(i), 0.5, 1, 1));
   }
-  const PackedRows packed(rows);
+  std::vector<PackedRow> rows;
+  for (const RuleRow& r : rules) rows.emplace_back(r.view());
   for (std::size_t at = 0; at < kRows; at += 256) {
-    t.upsert_rows(packed.rows().subspan(at, std::min<std::size_t>(
-                                                256, kRows - at)),
-                  [](const RowView&) {});
+    t.put(std::span(rows).subspan(at, std::min<std::size_t>(256, kRows - at)),
+          [](const RuleView&) {});
   }
   EXPECT_EQ(t.size(), kRows);
   EXPECT_EQ(t.bucket_count(), buckets);  // the load rehashed nothing
@@ -154,17 +152,10 @@ TEST(TableTest, ReserveSizesTheIndexForTheLoad) {
   EXPECT_EQ(t.bucket_count(), buckets);
 }
 
-TEST(TableTest, LoadValidatesSchema) {
-  Table t("t", test_schema());
-  std::vector<Row> bad{{std::string("x"), std::string("wrong"),
-                        std::int64_t{0}}};
-  EXPECT_FALSE(t.load(std::move(bad)).ok());
-}
-
 TEST(TableTest, ConcurrentReadersAndWriters) {
-  Table t("t", test_schema());
+  Table t;
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(t.insert(row("k" + std::to_string(i), 0.0, 0)).ok());
+    put(t, rule("k" + std::to_string(i), 0, 1e9, 0));
   }
   std::atomic<bool> stop{false};
   std::atomic<int> read_errors{0};
@@ -172,20 +163,17 @@ TEST(TableTest, ConcurrentReadersAndWriters) {
   for (int r = 0; r < 3; ++r) {
     threads.emplace_back([&] {
       while (!stop.load()) {
-        auto got = t.get("k50");
-        if (!got) read_errors.fetch_add(1);
+        if (!get(t, "k50")) read_errors.fetch_add(1);
       }
     });
   }
   threads.emplace_back([&] {
-    for (int i = 0; i < 5000; ++i) {
-      (void)t.update_column("k50", "count", static_cast<std::int64_t>(i));
-    }
+    for (int i = 0; i < 5000; ++i) (void)write_credit(t, "k50", i);
     stop.store(true);
   });
   for (auto& th : threads) th.join();
   EXPECT_EQ(read_errors.load(), 0);
-  EXPECT_EQ(std::get<std::int64_t>((*t.get("k50"))[2]), 4999);
+  EXPECT_EQ(get(t, "k50")->credit, 4999);
 }
 
 }  // namespace

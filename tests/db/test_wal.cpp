@@ -25,9 +25,10 @@ class WalTest : public ::testing::Test {
   LogRecord upsert(std::uint64_t lsn, const std::string& key) {
     return LogRecord{.lsn = lsn,
                      .op = LogRecord::Op::kUpsert,
-                     .table = "t",
-                     .row = Row{key, static_cast<double>(lsn)},
-                     .pk = {}};
+                     .rule = RuleRow{.key = key,
+                                     .refill_per_sec = static_cast<double>(lsn),
+                                     .capacity = 10.0,
+                                     .credit = 5.0}};
   }
 
   std::string path_;
@@ -130,9 +131,7 @@ TEST_F(WalTest, RemoveRecordsReplayInOrder) {
     ASSERT_TRUE(wal.value().append(upsert(1, "a")).ok());
     LogRecord rm{.lsn = 2,
                  .op = LogRecord::Op::kRemove,
-                 .table = "t",
-                 .row = {},
-                 .pk = "a"};
+                 .rule = RuleRow{.key = "a"}};
     ASSERT_TRUE(wal.value().append(rm).ok());
   }
   std::vector<LogRecord::Op> ops;

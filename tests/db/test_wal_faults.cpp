@@ -36,9 +36,10 @@ class WalFaultTest : public ::testing::Test {
   LogRecord upsert(std::uint64_t lsn, const std::string& key) {
     return LogRecord{.lsn = lsn,
                      .op = LogRecord::Op::kUpsert,
-                     .table = "t",
-                     .row = Row{key, static_cast<double>(lsn)},
-                     .pk = {}};
+                     .rule = RuleRow{.key = key,
+                                     .refill_per_sec = static_cast<double>(lsn),
+                                     .capacity = 10.0,
+                                     .credit = 5.0}};
   }
 
   std::string path_;

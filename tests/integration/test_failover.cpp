@@ -2,8 +2,11 @@
 // DNS health checks (§III-C), database master/standby promotion (§III-D),
 // and replacement-server warm-up from check-points (§II-D).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
-#include "db/replication.hpp"
+#include <cstdio>
+#include <string>
+
 #include "db/rule_store.hpp"
 #include "lb/dns_balancer.hpp"
 #include "router/router_node.hpp"
@@ -146,20 +149,30 @@ TEST(FailoverTest, ReplacementServerWarmsFromCheckpoint) {
 }
 
 TEST(FailoverTest, DatabasePromotionKeepsRulesAvailable) {
-  // §III-D: RDS Multi-AZ master/standby with DNS-swap promotion.
-  db::Database master, standby;
-  db::RuleStore master_store(master);
+  // §III-D: RDS Multi-AZ master/standby. The standby is promoted by
+  // recovering the master's snapshot, then the WAL written since.
+  const std::string base = ::testing::TempDir() + "janus_promote_" +
+                           std::to_string(::getpid());
+  const std::string wal = base + ".wal";
+  const std::string snapshot = base + ".snap";
+  std::remove(wal.c_str());
+  {
+    db::Database master;
+    db::RuleStore master_store(master);
+    ASSERT_TRUE(master.enable_wal(wal).ok());
+    ASSERT_TRUE(master_store.put({.key = "alice", .refill_per_sec = 50,
+                                  .capacity = 500, .credit = 500}).ok());
+    ASSERT_TRUE(master.compact_wal(snapshot).ok());
+    ASSERT_TRUE(master_store.put({.key = "bob", .refill_per_sec = 5,
+                                  .capacity = 50, .credit = 50}).ok());
+  }  // the master dies
+
+  db::Database standby;
   db::RuleStore standby_store(standby);
-  db::Replicator repl(master, standby);
-
-  ASSERT_TRUE(master_store.put({.key = "alice", .refill_per_sec = 50,
-                                .capacity = 500, .credit = 500}).ok());
-  ASSERT_TRUE(master_store.put({.key = "bob", .refill_per_sec = 5,
-                                .capacity = 50, .credit = 50}).ok());
-  repl.pump();
-
-  // Master dies; standby promotes with identical contents.
-  repl.promote();
+  ASSERT_TRUE(standby.load_snapshot(snapshot).ok());
+  ASSERT_TRUE(standby.recover(wal).ok());
+  std::remove(wal.c_str());
+  std::remove(snapshot.c_str());
   auto rule = standby_store.get("alice");
   ASSERT_TRUE(rule.has_value());
   EXPECT_DOUBLE_EQ(rule->capacity, 500.0);

@@ -458,9 +458,9 @@ TEST(HotpathAllocTest, PrequalPickIsAllocationFree) {
 }
 
 TEST(HotpathAllocTest, RuleFetchOfAShortKeyIsAllocationFree) {
-  // A first-touch or sync rule fetch reads the stored row where it lies
-  // (DESIGN.md §15.3): no Row is built, and a key of at most 15 bytes fits
-  // in the returned RuleRow's string.
+  // A first-touch or sync rule fetch reads the stored rule where it lies
+  // (DESIGN.md §15.3): nothing is built but the returned RuleRow, and a key
+  // of at most 15 bytes fits in its string.
   db::Database database;
   db::RuleStore store(database);
   const std::string key(15, 'k');
@@ -475,7 +475,7 @@ TEST(HotpathAllocTest, RuleFetchOfAShortKeyIsAllocationFree) {
     ASSERT_FALSE(store.get("absent").has_value());
   }
   EXPECT_EQ(guard.count(), 0u)
-      << "RuleStore::get allocated; a Row was built to read a row";
+      << "RuleStore::get allocated; the rule was copied out through the heap";
 }
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -564,7 +564,7 @@ TEST(HotpathAllocTest, RulesFileLoadAllocatesOneBlockPerRule) {
 #else
   // 100k rules loaded from a file as janusd loads them. Each rule costs its
   // row's node; the read block, the chunk and the bucket array are
-  // allocated once. A Row built per rule would double the count, and a
+  // allocated once. A copy built per rule would double the count, and a
   // buffer for the whole file (2.4 MB) would outgrow the bucket array.
   constexpr std::size_t kRules = 100'000;
   const std::string path =
@@ -597,7 +597,7 @@ TEST(HotpathAllocTest, RulesFileLoadAllocatesOneBlockPerRule) {
   constexpr std::size_t kChunks = kRules / db::Database::kWriteChunkRows + 1;
   EXPECT_LE(allocations, kRules + 2 * kChunks) << "heap allocations per load";
   const std::size_t bucket_array =
-      database.table(db::RuleStore::kTableName).bucket_count() *
+      database.table().bucket_count() *
       sizeof(HashNode*);
   EXPECT_LE(largest, bucket_array) << "bytes of the largest block";
   RecordProperty("allocations", std::to_string(allocations));

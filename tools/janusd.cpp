@@ -71,11 +71,14 @@
 //   10.0.0.7  = 5 20 12.5
 //
 // (db/rules_file.hpp). With --wal, a restart keeps the credit each key had
-// at its last check-point, clamped to the file's capacity.
+// at its last check-point, clamped to the file's capacity: it loads the
+// --snapshot file when there is one, then replays the WAL, then loads the
+// rules file over them.
 //
 // A SIGINT/SIGTERM stops the node cleanly.
 #include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <functional>
 #include <limits>
 #include <map>
@@ -328,8 +331,18 @@ int run_server(const Flags& flags) {
     return 2;
   }
 
+  // Restart order (DESIGN.md §15.2): the last snapshot, then the WAL
+  // written since, then the rules file over them, so that a key whose last
+  // record went into the snapshot keeps its check-pointed credit.
   db::Database database;
   db::RuleStore store(database);
+  if (auto it = flags.find("snapshot");
+      it != flags.end() && std::filesystem::exists(it->second)) {
+    if (auto s = database.load_snapshot(it->second); !s.ok()) {
+      std::fprintf(stderr, "janusd: %s\n", s.error().message.c_str());
+      return 1;
+    }
+  }
   if (auto it = flags.find("wal"); it != flags.end()) {
     if (auto n = database.recover(it->second); !n.ok()) {
       std::fprintf(stderr, "janusd: WAL recovery: %s\n",

@@ -6,10 +6,13 @@
 # router's UDP leg, the gateway's upstream pool, the end-to-end stack), the
 # datagram socket's suites (the reused receive buffer and batch headers) and
 # the metrics suites (striped counters and histograms), under the
-# JANUS_SANITIZE presets (see the top-level CMakeLists.txt).
+# JANUS_SANITIZE presets (see the top-level CMakeLists.txt). The debug
+# preset is a Debug build with no sanitizer: it runs the common suite whole,
+# so the lock-rank detector's death tests run instead of skipping, and the
+# database, admission and server suites under that detector (DESIGN.md §8).
 #
 # Usage:
-#   tools/run_sanitizers.sh                  # address, thread, undefined
+#   tools/run_sanitizers.sh                  # address, thread, undefined, debug
 #   tools/run_sanitizers.sh thread           # one preset only
 #   tools/run_sanitizers.sh --fast           # ASan, chaos+fuzz subset (CTest)
 #
@@ -33,12 +36,16 @@ presets=""
 for arg in "$@"; do
   case "$arg" in
     --fast) mode=fast ;;
-    address|thread|undefined) presets="$presets $arg" ;;
+    address|thread|undefined|debug) presets="$presets $arg" ;;
     *) echo "run_sanitizers: unknown argument '$arg'" >&2; exit 2 ;;
   esac
 done
 if [ -z "$presets" ]; then
-  if [ "$mode" = fast ]; then presets="address"; else presets="address thread undefined"; fi
+  if [ "$mode" = fast ]; then
+    presets="address"
+  else
+    presets="address thread undefined debug"
+  fi
 fi
 
 cxx=${CXX:-c++}
@@ -89,6 +96,7 @@ fi
 
 # Probe: a toolchain without sanitizer runtimes should skip, not fail.
 supports() {
+  [ "$1" = debug ] && return 0  # no sanitizer runtime needed
   printf 'int main(){return 0;}\n' \
     | "$cxx" -fsanitize="$1" -x c++ - -o /dev/null >/dev/null 2>&1
 }
@@ -138,6 +146,17 @@ run_suites() {
   fi
 }
 
+# The debug preset's suites: the lock-rank detector is on, so the common
+# suite runs whole (SyncMutexDeathTest included), beside the suites whose
+# code nests db.commit -> db.table -> db.wal and the shard locks.
+run_debug_suites() {
+  bindir=$1
+  suite common "$bindir/tests/janus_test_common" --gtest_brief=1
+  suite db "$bindir/tests/janus_test_db" --gtest_brief=1
+  suite core "$bindir/tests/janus_test_core" --gtest_brief=1
+  suite server "$bindir/tests/janus_test_server" --gtest_brief=1
+}
+
 ran=0
 for preset in $presets; do
   if ! supports "$preset"; then
@@ -147,6 +166,19 @@ for preset in $presets; do
   ran=1
   build_dir="$repo_root/build-san-$preset"
   echo "== [$preset] configure + build ($build_dir) =="
+  if [ "$preset" = debug ]; then
+    cmake -S "$repo_root" -B "$build_dir" \
+      -DCMAKE_BUILD_TYPE=Debug \
+      -DJANUS_SANITIZE= \
+      -DJANUS_SANITIZER_CTEST=OFF >/dev/null
+    cmake --build "$build_dir" -j "$jobs" \
+      --target janus_test_common janus_test_db janus_test_core \
+               janus_test_server >/dev/null
+    echo "== [$preset] run the lock-rank detector's suites =="
+    run_debug_suites "$build_dir"
+    echo "== [$preset] clean =="
+    continue
+  fi
   cmake -S "$repo_root" -B "$build_dir" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DJANUS_SANITIZE="$preset" \
