@@ -21,6 +21,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -28,7 +29,7 @@
 
 #include "cluster/coordinator.hpp"
 #include "cluster/shard_map.hpp"
-#include "db/rule_store.hpp"
+#include "db/rules_file.hpp"
 #include "net/bfd.hpp"
 #include "router/udp_qos_client.hpp"
 #include "server/cluster_agent.hpp"
@@ -49,11 +50,11 @@ struct Node {
   std::unique_ptr<server::QosServerNode> node;
   std::unique_ptr<server::ClusterAgent> agent;
 
-  static Node start(db::RuleStore& store) {
+  static Node start(const std::string& rules) {
     server::QosServerConfig cfg;
     cfg.sync_interval = Duration{0};
     cfg.checkpoint_interval = Duration{0};
-    auto node = server::QosServerNode::start({"127.0.0.1", 0}, store, cfg);
+    auto node = server::QosServerNode::start({"127.0.0.1", 0}, rules, cfg);
     if (!node.ok()) {
       std::fprintf(stderr, "bench: node start: %s\n",
                    node.error().message.c_str());
@@ -97,25 +98,30 @@ wire::QosResponse call(const net::SockAddr& addr, const std::string& key,
   return resp.ok() ? resp.value() : wire::QosResponse{};
 }
 
-void provision(db::RuleStore& store, int keys) {
+/// A rules file of `keys` keys, each with an unbounded rule; every node
+/// loads it into its own table. Returns its path.
+std::string provision(int keys) {
+  std::vector<db::RuleRow> rules;
   for (int i = 0; i < keys; ++i) {
-    auto st = store.put({.key = "t-" + std::to_string(i),
-                         .refill_per_sec = 1e9,
-                         .capacity = 1e9,
-                         .credit = 1e9});
-    if (!st.ok()) std::exit(1);
+    rules.push_back({.key = "t-" + std::to_string(i),
+                     .refill_per_sec = 1e9,
+                     .capacity = 1e9,
+                     .credit = 1e9});
   }
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("janus_bench_failover_" + std::to_string(keys) + ".rules"))
+          .string();
+  if (!db::write_rules_file(path, rules).ok()) std::exit(1);
+  return path;
 }
 
 /// One kill -> first-standby-decision round; returns latency in ms, or a
 /// negative value when the standby never answered inside the budget.
 double failover_round() {
-  db::Database db;
-  db::RuleStore store(db);
-  provision(store, 4);
-
-  Node master = Node::start(store);
-  Node standby = Node::start(store);
+  const std::string rules = provision(4);
+  Node master = Node::start(rules);
+  Node standby = Node::start(rules);
   auto responder = net::BfdResponder::start(
       {.listen = {"127.0.0.1", 0}, .timers = kBfdTimers},
       SteadyClock::instance());
@@ -173,12 +179,9 @@ double failover_round() {
 
 /// Two-member clustered decision throughput through the shard map.
 double clustered_decisions_per_sec() {
-  db::Database db;
-  db::RuleStore store(db);
-  provision(store, 16);
-
-  Node a = Node::start(store);
-  Node b = Node::start(store);
+  const std::string rules = provision(16);
+  Node a = Node::start(rules);
+  Node b = Node::start(rules);
   cluster::ShardMapHolder holder;
   cluster::CoordinatorOptions copts;
   copts.enable_bfd = false;

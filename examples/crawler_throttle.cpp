@@ -10,10 +10,12 @@
 //
 // Run: ./build/examples/example_crawler_throttle
 #include <cstdio>
+#include <filesystem>
+#include <vector>
 
 #include "app/qos_client.hpp"
 #include "common/logging.hpp"
-#include "db/rule_store.hpp"
+#include "db/rules_file.hpp"
 #include "net/http.hpp"
 #include "router/router_node.hpp"
 #include "server/qos_server_node.hpp"
@@ -23,13 +25,18 @@ using namespace janus;
 int main() {
   Logger::instance().set_level(LogLevel::kError);
 
-  db::Database database;
-  db::RuleStore rules(database);
-  (void)rules.put({.key = "ua/Googlebot/2.1", .refill_per_sec = 5.0,
-                   .capacity = 10.0, .credit = 10.0});
-  (void)rules.put({.key = "ua/anonymous", .refill_per_sec = 20.0,
-                   .capacity = 40.0, .credit = 40.0});
-  // No row for "ua/EvilScraper/0.1": the server-side default denies it.
+  // The QoS server loads its rules from a file. No rule for
+  // "ua/EvilScraper/0.1": the server-side default denies it.
+  const std::string rules =
+      (std::filesystem::temp_directory_path() / "janus_crawler.rules")
+          .string();
+  const std::vector<db::RuleRow> rows = {
+      {.key = "ua/Googlebot/2.1", .refill_per_sec = 5.0, .capacity = 10.0,
+       .credit = 10.0},
+      {.key = "ua/anonymous", .refill_per_sec = 20.0, .capacity = 40.0,
+       .credit = 40.0},
+  };
+  if (!db::write_rules_file(rules, rows).ok()) return 1;
 
   auto qos_server = server::QosServerNode::start({"127.0.0.1", 0}, rules);
   if (!qos_server.ok()) return 1;
@@ -82,5 +89,6 @@ int main() {
                   router.value()->metrics().snapshot().at("router.forwarded")),
               static_cast<long long>(router.value()->metrics().snapshot().at(
                   "router.default_replies")));
+  std::filesystem::remove(rules);
   return 0;
 }

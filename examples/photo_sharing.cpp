@@ -10,11 +10,12 @@
 //
 // Run: ./build/examples/example_photo_sharing
 #include <cstdio>
+#include <filesystem>
 #include <thread>
 
 #include "app/qos_client.hpp"
 #include "common/logging.hpp"
-#include "db/rule_store.hpp"
+#include "db/rules_file.hpp"
 #include "lb/gateway_balancer.hpp"
 #include "net/http.hpp"
 #include "router/router_node.hpp"
@@ -25,13 +26,18 @@ using namespace janus;
 int main() {
   Logger::instance().set_level(LogLevel::kError);
 
-  // --- Janus deployment: database -> 2 QoS servers -> 2 routers -> ELB. ---
-  db::Database database;
-  db::RuleStore rules(database);
+  // --- Janus deployment: rules file -> 2 QoS servers -> 2 routers -> ELB.
   // A known customer IP buys 10 req/s with a burst bucket of 20; everyone
   // else is denied by the servers' default rule.
-  (void)rules.put({.key = "127.0.0.1", .refill_per_sec = 10.0,
-                   .capacity = 20.0, .credit = 20.0});
+  const std::string rules =
+      (std::filesystem::temp_directory_path() / "janus_photo_sharing.rules")
+          .string();
+  const db::RuleRow customer{.key = "127.0.0.1", .refill_per_sec = 10.0,
+                             .capacity = 20.0, .credit = 20.0};
+  if (auto s = db::write_rules_file(rules, {&customer, 1}); !s.ok()) {
+    std::fprintf(stderr, "rules: %s\n", s.error().message.c_str());
+    return 1;
+  }
 
   std::vector<std::unique_ptr<server::QosServerNode>> qos_servers;
   auto resolver = std::make_shared<router::StaticResolver>();
@@ -119,5 +125,6 @@ int main() {
   }
   std::printf("  -> %d served, %d throttled (quota admits ~10/s)\n", ok,
               throttled);
+  std::filesystem::remove(rules);
   return 0;
 }

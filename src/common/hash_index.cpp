@@ -12,7 +12,7 @@ constexpr std::size_t kMinBuckets = 8;
 }  // namespace
 
 void HashIndex::throw_key_too_long() {
-  throw std::length_error("hash index: key longer than 2^31 - 1 bytes");
+  throw std::length_error("hash index: key longer than 2^29 - 1 bytes");
 }
 
 void HashIndex::link(HashNode* node) {

@@ -1,8 +1,8 @@
 // The intrusive hash index shared by the two tables keyed by a QoS key: the
 // QoS server's ShardedQosTable (one index per shard) and db::Table (the
 // rules table's primary key). Each key lives in one heap block, the node:
-// a 16-byte HashNode (chain link, the key's 32-bit hash, its length and one
-// owner flag), the owner's fixed-size payload, then the key's bytes at a
+// a 16-byte HashNode (chain link, the key's 32-bit hash, its length and
+// three owner flags), the owner's fixed-size payload, then the key's bytes at a
 // fixed offset. The buckets are a power-of-two array of chain heads grown to
 // keep at most one node per bucket.
 //
@@ -29,16 +29,16 @@ struct HashNode {
   HashNode* next = nullptr;
   /// The low 32 bits of the key's hash.
   std::uint32_t hash = 0;
-  std::uint32_t key_size : 31 = 0;
-  /// One bit the owner may use (the QoS table's default flag).
-  std::uint32_t flag : 1 = 0;
+  std::uint32_t key_size : 29 = 0;
+  /// Bits the owner may use (the QoS table's entry states).
+  std::uint32_t flags : 3 = 0;
 };
 static_assert(sizeof(HashNode) == 16, "a node header is 16 bytes");
 
 class HashIndex {
  public:
-  /// The longest key a node can hold (HashNode::key_size is 31 bits).
-  static constexpr std::size_t kMaxKeySize = (std::size_t{1} << 31) - 1;
+  /// The longest key a node can hold (HashNode::key_size is 29 bits).
+  static constexpr std::size_t kMaxKeySize = (std::size_t{1} << 29) - 1;
 
   /// Nodes keep their key's bytes `key_offset` bytes past their start.
   explicit HashIndex(std::size_t key_offset) : key_offset_(key_offset) {}
@@ -88,6 +88,27 @@ class HashIndex {
 
   /// Unlink the node holding `key` and free it; false if there is none.
   bool erase(std::uint64_t hash, std::string_view key);
+
+  /// Unlink and free every node for which `pred(node)` is true. Returns
+  /// the nodes freed.
+  template <typename Pred>
+  std::size_t erase_if(Pred&& pred) {
+    std::size_t freed = 0;
+    for (HashNode*& head : buckets_) {
+      for (HashNode** link = &head; *link;) {
+        HashNode* node = *link;
+        if (!pred(static_cast<const HashNode&>(*node))) {
+          link = &node->next;
+          continue;
+        }
+        *link = node->next;
+        ::operator delete(node);
+        ++freed;
+      }
+    }
+    size_ -= freed;
+    return freed;
+  }
 
   /// Free every node. The bucket array stays.
   void clear();

@@ -86,6 +86,9 @@ namespace janus {
 /// lock object — the leaf-shard case). Mirrors the DESIGN.md §8 table.
 enum class LockRank : int {
   kDbCommit = 10,         // db::Database::commit_mu_ (outermost: WAL sequence)
+  kRulesLog = 12,         // core::TableRules::mu_ (the QoS table's WAL
+                          // sequence: takes kQosShard, then kDbWal, one at
+                          // a time; never nests kDbCommit)
   kDbTable = 20,          // db::Table::mu_ (under commit during apply)
   kDbWal = 30,            // db::Wal::mu_ (under commit during append/sync)
   kQosShard = 50,         // core::ShardedQosTable per-shard mu (leaf)

@@ -8,8 +8,13 @@ namespace janus::core {
 
 AdmissionController::AdmissionController(Clock& clock, RuleSource& source,
                                          AdmissionConfig config)
+    : AdmissionController(clock, std::move(config)) {
+  source_ = &source;
+}
+
+AdmissionController::AdmissionController(Clock& clock, AdmissionConfig config)
     : clock_(clock),
-      source_(source),
+      source_(nullptr),
       config_(std::move(config)),
       table_(config_.table_shards),
       checks_(metrics_.counter("admission.checks")),
@@ -20,7 +25,8 @@ AdmissionController::AdmissionController(Clock& clock, RuleSource& source,
 
 QosEntry AdmissionController::make_entry(std::string_view key, TimePoint now) {
   fetches_.inc();
-  const std::optional<QosRule> fetched = source_.fetch(key);
+  const std::optional<QosRule> fetched =
+      source_ ? source_->fetch(key) : std::nullopt;
   if (!fetched) defaults_.inc();
   const QosRule& rule = fetched ? *fetched : config_.default_rule;
   return QosEntry::make(rule.capacity, rule.refill_per_sec,
@@ -45,20 +51,27 @@ Decision AdmissionController::decide(std::string_view key, std::uint32_t cost,
   auto run = [&](QosEntry& entry, HotKeySketch& sketch,
                  Decision::Origin origin) {
     Decision d;
+    if (entry.provisioned()) {
+      // The first decision of a loaded rule: its refill clock starts now.
+      entry.go_live(now);
+      origin = Decision::Origin::kFetched;
+    }
     d.origin = origin;
+    const std::int64_t before = entry.bucket.millicredits();
     if (lazy) entry.bucket.refill(now);
     d.allowed = consume ? entry.bucket.try_consume_no_refill(cost)
                         : entry.bucket.millicredits() >=
                               static_cast<std::int64_t>(cost) *
                                   LeakyBucket::kMillisPerCredit;
     d.remaining_millicredits = entry.bucket.millicredits();
+    if (d.remaining_millicredits != before) entry.set_credit_changed(true);
     if (sampled) {
       sketch.note(key, hash, d.allowed, FlightRecorder::kDecisionSampleWeight);
     }
     return d;
   };
 
-  // Fast path: the bucket is already cached.
+  // Fast path: the bucket is already cached, or its rule loaded.
   auto cached = table_.with_entry_prehashed(
       key, hash, [&](QosEntry& entry, HotKeySketch& sketch) {
         return run(entry, sketch, Decision::Origin::kCached);
@@ -66,6 +79,7 @@ Decision AdmissionController::decide(std::string_view key, std::uint32_t cost,
   Decision d;
   if (cached) {
     d = *cached;
+    if (d.origin == Decision::Origin::kFetched) fetches_.inc();
   } else {
     // First touch: fetch the rule from the database *outside* the shard
     // lock (a slow DB round-trip must not block other keys in the shard),
@@ -138,6 +152,7 @@ bool rule_changed(double capacity, double refill_per_sec, bool is_default,
 }  // namespace
 
 std::size_t AdmissionController::sync_now() {
+  if (!source_) return 0;
   struct CachedRule {
     std::string key;
     double capacity = 0.0;
@@ -161,7 +176,7 @@ std::size_t AdmissionController::sync_now() {
     // concurrent decisions on unrelated keys. Only a changed rule takes the
     // shard lock again, and re-checks against the live entry under it.
     for (const CachedRule& c : cached.used()) {
-      const std::optional<QosRule> fetched = source_.fetch(c.key);
+      const std::optional<QosRule> fetched = source_->fetch(c.key);
       if (!rule_changed(c.capacity, c.refill_per_sec, c.is_default, fetched)) {
         continue;
       }

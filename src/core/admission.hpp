@@ -1,7 +1,8 @@
 // AdmissionController — the QoS server's decision engine (paper §II-C/D).
 // It owns the local QoS table and implements:
 //   * check():   refill-and-consume on the key's leaky bucket,
-//   * first-touch rule fetch from the database (via RuleSource),
+//   * first-touch rule fetch from the database (via RuleSource), or, in the
+//     QoS server, from the rule loaded into the key's provisioned entry,
 //   * default rules for unknown keys,
 //   * sync_now(): periodic re-read of cached rules from the database,
 //   * checkpoint_now(): periodic write-back of current credits,
@@ -79,6 +80,10 @@ class AdmissionController {
  public:
   AdmissionController(Clock& clock, RuleSource& source,
                       AdmissionConfig config = {});
+  /// A controller whose table is its only rules store (the QoS server's):
+  /// rules are loaded into it as provisioned entries (core/table_rules.hpp)
+  /// and a key with none gets the default rule.
+  explicit AdmissionController(Clock& clock, AdmissionConfig config = {});
 
   /// Decide whether to admit `cost` units for `key` (the paper's composite
   /// read-modify-write, executed under one shard lock).
@@ -92,7 +97,8 @@ class AdmissionController {
   /// House-keeping refill pass over every bucket (periodic mode).
   void refill_all();
 
-  /// Re-read every cached rule from the database; reconfigures buckets whose
+  /// Re-read every cached rule from the RuleSource (a controller without
+  /// one reads nothing and returns 0); reconfigures buckets whose
   /// rules changed and demotes entries whose keys were deleted to the
   /// default rule. Returns the number of entries whose rule changed. Walks
   /// the table one shard at a time: a shard's keys are copied out under its
@@ -126,7 +132,7 @@ class AdmissionController {
   QosEntry make_entry(std::string_view key, TimePoint now);
 
   Clock& clock_;
-  RuleSource& source_;
+  RuleSource* source_;  // null: the table holds every rule
   AdmissionConfig config_;
   ShardedQosTable table_;
   MetricsRegistry metrics_;

@@ -75,6 +75,10 @@ class LeakyBucket {
   /// Overwrite the credit (check-point recovery). Clamped to [0, capacity].
   void set_credit(double credit);
 
+  /// Start refilling from `now`, gaining nothing for the time before it: a
+  /// loaded rule's bucket starts its clock at the key's first decision.
+  void restart_clock(TimePoint now) { last_refill_ = now; }
+
  private:
   std::int64_t capacity_milli() const;
   /// The rate in nano-credits per second.

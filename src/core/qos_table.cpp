@@ -1,6 +1,8 @@
 #include "core/qos_table.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <stdexcept>
 
 namespace janus::core {
@@ -19,7 +21,8 @@ bool ShardedQosTable::contains(std::string_view key) const {
   const std::size_t h = TransparentStringHash::hash_bytes(key);
   const Shard& shard = *shards_[shard_index_of(h)];
   MutexLock lock(shard.mu);
-  return shard.entries.find_prehashed(h, key) != nullptr;
+  const HashNode* node = shard.entries.find_prehashed(h, key);
+  return node != nullptr && !entry_of(*node).provisioned();
 }
 
 bool ShardedQosTable::erase(std::string_view key) {
@@ -30,6 +33,26 @@ bool ShardedQosTable::erase(std::string_view key) {
 }
 
 std::size_t ShardedQosTable::size() const {
+  std::size_t total = 0;
+  for (const auto& shard : shards_) {
+    MutexLock lock(shard->mu);
+    shard->entries.visit(
+        [&](const HashNode& node) { total += !entry_of(node).provisioned(); });
+  }
+  return total;
+}
+
+std::size_t ShardedQosTable::rule_count() const {
+  std::size_t total = 0;
+  for (const auto& shard : shards_) {
+    MutexLock lock(shard->mu);
+    shard->entries.visit(
+        [&](const HashNode& node) { total += !entry_of(node).is_default(); });
+  }
+  return total;
+}
+
+std::size_t ShardedQosTable::node_count() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) {
     MutexLock lock(shard->mu);
@@ -56,7 +79,22 @@ void ShardedQosTable::for_each_in_shard(
   Shard& shard = *shards_.at(index);
   MutexLock lock(shard.mu);
   const HashIndex& entries = shard.entries;
-  entries.visit([&](HashNode& node) { fn(entries.key(node), entry_of(node)); });
+  entries.visit([&](HashNode& node) {
+    QosEntry& entry = entry_of(node);
+    if (!entry.provisioned()) fn(entries.key(node), entry);
+  });
+}
+
+void ShardedQosTable::for_each_rule_in_shard(
+    std::size_t index,
+    const std::function<void(std::string_view, const QosEntry&)>& fn) const {
+  const Shard& shard = *shards_.at(index);
+  MutexLock lock(shard.mu);
+  const HashIndex& entries = shard.entries;
+  entries.visit([&](const HashNode& node) {
+    const QosEntry& entry = entry_of(node);
+    if (!entry.is_default()) fn(entries.key(node), entry);
+  });
 }
 
 std::vector<std::pair<std::string, QosEntry>> ShardedQosTable::snapshot()
@@ -66,10 +104,102 @@ std::vector<std::pair<std::string, QosEntry>> ShardedQosTable::snapshot()
     MutexLock lock(shard->mu);
     const HashIndex& entries = shard->entries;
     entries.visit([&](HashNode& node) {
-      out.emplace_back(entries.key(node), entry_of(node));
+      if (!entry_of(node).provisioned()) {
+        out.emplace_back(entries.key(node), entry_of(node));
+      }
     });
   }
   return out;
+}
+
+void ShardedQosTable::reserve(std::size_t entries) {
+  // A shard's share of the keys varies by a few standard deviations of
+  // the mean; four of them keep every shard clear of a rehash.
+  const double mean = static_cast<double>(entries) / shards_.size();
+  const auto per_shard =
+      static_cast<std::size_t>(mean + 4 * std::sqrt(mean)) + 1;
+  for (auto& shard : shards_) {
+    MutexLock lock(shard->mu);
+    shard->entries.reserve(per_shard);
+  }
+}
+
+namespace {
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+}  // namespace
+
+void ShardedQosTable::apply_rules(std::span<LoadedRule> rules, bool merge,
+                                  TimePoint now) {
+  for (std::size_t at = 0; at < rules.size();) {
+    const std::uint32_t index = rules[at].shard;
+    Shard& shard = *shards_[index];
+    MutexLock lock(shard.mu);
+    for (; at < rules.size() && rules[at].shard == index; ++at) {
+      LoadedRule& rule = rules[at];
+      HashNode* node = shard.entries.find_prehashed(rule.hash, rule.key);
+      rule.stored = true;
+      if (!node || !merge) {
+        const QosEntry loaded = QosEntry::provision(
+            rule.capacity, rule.refill_per_sec, rule.credit, now);
+        if (node) {
+          entry_of(*node) = loaded;
+        } else {
+          insert_locked(shard, rule.hash, rule.key, loaded);
+        }
+        continue;
+      }
+      QosEntry& entry = entry_of(*node);
+      if (entry.is_default()) {
+        // The key's first rule: it takes the rule and its credit.
+        entry.bucket.reconfigure(rule.capacity, rule.refill_per_sec, now);
+        entry.bucket.set_credit(rule.credit);
+        entry.set_default(false);
+      } else if (same_bits(entry.refill_per_sec(), rule.refill_per_sec) &&
+                 same_bits(entry.capacity(), rule.capacity)) {
+        rule.stored = false;
+        continue;
+      } else if (entry.provisioned()) {
+        rule.credit = std::min(entry.bucket.credit(), rule.capacity);
+        entry.bucket =
+            LeakyBucket(rule.capacity, rule.refill_per_sec, rule.credit, now);
+      } else {
+        entry.bucket.reconfigure(rule.capacity, rule.refill_per_sec, now);
+        rule.credit = entry.bucket.credit();
+      }
+      // The loader logs the rule with the credit it now holds.
+      entry.set_credit_changed(false);
+    }
+  }
+}
+
+void ShardedQosTable::provision(std::string_view key, double capacity,
+                                double refill_per_sec, double credit,
+                                TimePoint now) {
+  const std::size_t h = TransparentStringHash::hash_bytes(key);
+  Shard& shard = *shards_[shard_index_of(h)];
+  const QosEntry loaded =
+      QosEntry::provision(capacity, refill_per_sec, credit, now);
+  MutexLock lock(shard.mu);
+  if (HashNode* node = shard.entries.find_prehashed(h, key)) {
+    entry_of(*node) = loaded;
+  } else {
+    insert_locked(shard, h, key, loaded);
+  }
+}
+
+bool ShardedQosTable::retire(std::string_view key) {
+  const std::size_t h = TransparentStringHash::hash_bytes(key);
+  Shard& shard = *shards_[shard_index_of(h)];
+  MutexLock lock(shard.mu);
+  HashNode* node = shard.entries.find_prehashed(h, key);
+  if (!node) return false;
+  if (entry_of(*node).is_default()) return shard.entries.erase(h, key);
+  entry_of(*node).set_provisioned();
+  return true;
 }
 
 std::vector<HotKeyCount> ShardedQosTable::hot_keys(bool by_rejects,
@@ -96,15 +226,28 @@ std::vector<HotKeyCount> ShardedQosTable::hot_keys(bool by_rejects,
 
 void ShardedQosTable::restore(
     std::vector<std::pair<std::string, QosEntry>> entries) {
-  clear();
-  for (const auto& [key, entry] : entries) {
-    const std::size_t h = TransparentStringHash::hash_bytes(key);
-    Shard& shard = *shards_[shard_index_of(h)];
+  std::vector<std::vector<std::size_t>> by_shard(shards_.size());
+  std::vector<std::size_t> hashes(entries.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    hashes[i] = TransparentStringHash::hash_bytes(entries[i].first);
+    by_shard[shard_index_of(hashes[i])].push_back(i);
+  }
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    Shard& shard = *shards_[s];
     MutexLock lock(shard.mu);
-    if (HashNode* node = shard.entries.find_prehashed(h, key)) {
-      entry_of(*node) = entry;
-    } else {
-      insert_locked(shard, h, key, entry);
+    shard.entries.erase_if([](const HashNode& node) {
+      const QosEntry& entry = entry_of(node);
+      return !entry.provisioned() && entry.is_default();
+    });
+    shard.entries.visit(
+        [](HashNode& node) { entry_of(node).set_provisioned(); });
+    for (const std::size_t i : by_shard[s]) {
+      const auto& [key, entry] = entries[i];
+      if (HashNode* node = shard.entries.find_prehashed(hashes[i], key)) {
+        entry_of(*node) = entry;
+      } else {
+        insert_locked(shard, hashes[i], key, entry);
+      }
     }
   }
 }

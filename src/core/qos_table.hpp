@@ -10,6 +10,7 @@
 #include <memory>
 #include <new>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -26,29 +27,41 @@ namespace janus::core {
 
 /// One key's bucket and the rule it was provisioned with. In a table, an
 /// entry is the fixed part of its key's node, one heap block: the index's
-/// 16-byte header (chain link, the key's hash, its length and the default
-/// flag), then the bucket, which holds the rule's exact capacity and rate
-/// (40 B), then the key's bytes. Only creation reads a rule's starting
-/// credit, so it is not kept. A copy (make(), snapshot()) carries the
-/// bucket and the flag, never the header.
+/// 16-byte header (chain link, the key's hash, its length and the entry's
+/// three state bits), then the bucket, which holds the rule's exact
+/// capacity and rate (40 B), then the key's bytes. Only creation reads a
+/// rule's starting credit, so it is not kept. A copy (make(), snapshot())
+/// carries the bucket and the state bits, never the rest of the header.
+///
+/// An entry is *provisioned* while it holds a loaded rule that no decision
+/// has touched: its bucket holds the loaded credit and its refill clock
+/// has not started. The first decision makes it *live* (go_live). Every
+/// entry make() builds is live.
 class QosEntry : private HashNode {
  public:
   LeakyBucket bucket;
 
-  /// A bucket for (capacity, refill_per_sec) holding `credit` at `now`.
+  /// A live bucket for (capacity, refill_per_sec) holding `credit` at `now`.
   static QosEntry make(double capacity, double refill_per_sec, double credit,
                        TimePoint now, bool is_default) {
     return QosEntry(LeakyBucket(capacity, refill_per_sec, credit, now),
-                    is_default);
+                    (is_default ? kDefault : 0) | kCreditChanged);
+  }
+
+  /// A provisioned entry: a loaded rule holding `credit`.
+  static QosEntry provision(double capacity, double refill_per_sec,
+                            double credit, TimePoint now) {
+    return QosEntry(LeakyBucket(capacity, refill_per_sec, credit, now),
+                    kProvisioned);
   }
 
   // Assigning to a stored entry leaves its place in the table alone.
   QosEntry(const QosEntry& other) : HashNode(), bucket(other.bucket) {
-    flag = other.flag;
+    flags = other.flags;
   }
   QosEntry& operator=(const QosEntry& other) {
     bucket = other.bucket;
-    flag = other.flag;
+    flags = other.flags;
     return *this;
   }
 
@@ -60,14 +73,40 @@ class QosEntry : private HashNode {
 
   /// True when the rule came from the default policy (unknown key); such
   /// entries are refreshed if the key later appears in the database.
-  bool is_default() const { return flag != 0; }
-  void set_default(bool is_default) { flag = is_default ? 1 : 0; }
+  bool is_default() const { return (flags & kDefault) != 0; }
+  void set_default(bool is_default) { set(kDefault, is_default); }
+
+  /// True while no decision has touched the entry's loaded rule.
+  bool provisioned() const { return (flags & kProvisioned) != 0; }
+  /// The first decision: the entry turns live, and its bucket refills from
+  /// `now`, having gained nothing since it was loaded.
+  JANUS_HOT_PATH void go_live(TimePoint now) {
+    set(kProvisioned, false);
+    bucket.restart_clock(now);
+  }
+  /// Turn a live entry back into a provisioned one, keeping its rule and
+  /// its credit (a key that migrated out).
+  void set_provisioned() { set(kProvisioned, true); }
+
+  /// True when the bucket's credit may differ from the one the rules log
+  /// last recorded for the key; the check-point writes such credits.
+  bool credit_changed() const { return (flags & kCreditChanged) != 0; }
+  JANUS_HOT_PATH void set_credit_changed(bool changed) {
+    set(kCreditChanged, changed);
+  }
 
  private:
   friend class ShardedQosTable;
 
-  QosEntry(const LeakyBucket& b, bool is_default) : HashNode(), bucket(b) {
-    set_default(is_default);
+  static constexpr std::uint32_t kDefault = 1;
+  static constexpr std::uint32_t kProvisioned = 2;
+  static constexpr std::uint32_t kCreditChanged = 4;
+
+  QosEntry(const LeakyBucket& b, std::uint32_t state) : HashNode(), bucket(b) {
+    flags = state;
+  }
+  JANUS_HOT_PATH void set(std::uint32_t bit, bool on) {
+    flags = on ? (flags | bit) : (flags & ~bit);
   }
 };
 // The fixed part of a node: with a key of up to 16 bytes, a node asks
@@ -76,14 +115,29 @@ static_assert(sizeof(QosEntry) <= 56, "a QoS node's fixed part is 56 bytes");
 static_assert(std::is_trivially_destructible_v<QosEntry>,
               "the index frees a node without destroying it");
 
+/// One rule of a rules-file chunk, as the loader hands it to the table
+/// (ShardedQosTable::apply_rules). The key views the loader's read block.
+struct LoadedRule {
+  std::string_view key;
+  std::uint64_t hash = 0;
+  double refill_per_sec = 0.0;
+  double capacity = 0.0;
+  double credit = 0.0;
+  /// Its key's shard (ShardedQosTable::shard_index_of).
+  std::uint32_t shard = 0;
+  /// Set by apply_rules when the rule changed the table; `credit` is then
+  /// the credit the table stored.
+  bool stored = false;
+};
+
 class ShardedQosTable {
  public:
   explicit ShardedQosTable(std::size_t shard_count = 16);
 
   std::size_t shard_count() const { return shards_.size(); }
 
-  /// Run `fn` on the entry for `key` under its shard lock; returns nullopt
-  /// if the key is absent. The key is hashed exactly once: the hash picks
+  /// Run `fn` on the entry for `key`, live or provisioned, under its shard
+  /// lock; returns nullopt if the key is absent. The key is hashed exactly once: the hash picks
   /// the shard AND probes the shard's index (find_prehashed), which
   /// compares stored hashes and the key's bytes — no std::string is ever
   /// constructed.
@@ -110,8 +164,8 @@ class ShardedQosTable {
     return fn(entry_of(*node), shard.hot_keys);
   }
 
-  /// Get the entry, creating it via `factory` if absent, then run `fn` on it
-  /// under the shard lock. `factory` runs under the lock too (first-touch
+  /// Get the entry, live or provisioned, creating it via `factory` if
+  /// absent, then run `fn` on it under the shard lock. `factory` runs under the lock too (first-touch
   /// creation must be atomic with the decision that follows it). The node,
   /// the entry with its key's bytes, is allocated exactly once, and only on
   /// first touch (tests/perf/test_hotpath_allocs.cpp guards the warm path at
@@ -165,27 +219,75 @@ class ShardedQosTable {
     return (hash >> (sizeof(std::size_t) * 4)) % shards_.size();
   }
 
+  // Every call below but erase() and clear() sees live entries only: a
+  // provisioned entry counts as absent until its first decision. The
+  // with_entry calls above reach both states.
+
   bool contains(std::string_view key) const;
+  /// Drop the key's entry, live or provisioned.
   bool erase(std::string_view key);
+  /// Live entries.
   std::size_t size() const;
   void clear();
 
-  /// Visit every entry (each under its shard lock). Used by the refill
+  /// Visit every live entry (each under its shard lock). Used by the refill
   /// house-keeping thread and migration.
   void for_each(const std::function<void(std::string_view, QosEntry&)>& fn);
 
-  /// Visit the entries of shard `index` under its lock, which is released
-  /// on return. The sync and check-point passes walk the table this way, one
-  /// shard at a time, so what they copy out is one shard's worth.
+  /// Visit the live entries of shard `index` under its lock, which is
+  /// released on return. The sync and check-point passes walk the table
+  /// this way, one shard at a time, so what they copy out is one shard's
+  /// worth.
   void for_each_in_shard(
       std::size_t index,
       const std::function<void(std::string_view, QosEntry&)>& fn);
 
-  /// Snapshot of all (key, entry) pairs — the HA replication payload.
+  /// Snapshot of the live (key, entry) pairs — the HA replication payload.
   std::vector<std::pair<std::string, QosEntry>> snapshot() const;
 
-  /// Replace the whole table from a snapshot (slave catching up).
+  /// Replace the live entries with `entries` (an HA replica catching up),
+  /// one shard lock at a time: the shard's live entries are dropped, a
+  /// rule's entry turning back to provisioned with its credit, and the
+  /// shard's `entries` installed live. Provisioned rules stay.
   void restore(std::vector<std::pair<std::string, QosEntry>> entries);
+
+  // ---- the rules the table holds (DESIGN.md §15.2) -------------------------
+
+  /// Entries holding a rule (not the default policy), live or provisioned.
+  std::size_t rule_count() const;
+  /// Entries of either state.
+  std::size_t node_count() const;
+
+  /// Visit the entries of shard `index` that hold a rule, live or
+  /// provisioned, under its lock (compaction).
+  void for_each_rule_in_shard(
+      std::size_t index,
+      const std::function<void(std::string_view, const QosEntry&)>& fn)
+      const;
+
+  /// Size every shard's index for `entries` entries spread over the
+  /// shards, so that loading that many rehashes nothing.
+  void reserve(std::size_t entries);
+
+  /// Apply one chunk of the rules loader's rules, taking each shard's lock
+  /// once per run of rules of one shard: a chunk ordered by shard, each
+  /// shard's rules in file order, takes each lock once. A key not held gets a provisioned entry with the rule's
+  /// credit, and so does a held key without `merge`. With `merge` (the
+  /// table held rules before the load), a key holding a rule keeps its
+  /// credit, clamped to the new capacity, and takes the new rate and
+  /// capacity, a rule that changes neither is left alone, and a default
+  /// entry takes the rule and its credit (PR 25's rules for held keys).
+  void apply_rules(std::span<LoadedRule> rules, bool merge, TimePoint now);
+
+  /// Put the rule for `key` in a provisioned entry, replacing any entry
+  /// (snapshot and WAL recovery).
+  void provision(std::string_view key, double capacity,
+                 double refill_per_sec, double credit, TimePoint now);
+
+  /// A key leaving this table's care (migrated out): a default entry is
+  /// dropped, a rule's entry turns back to provisioned, keeping its credit.
+  /// False if the key has no entry.
+  bool retire(std::string_view key);
 
  private:
   struct Shard {
@@ -201,6 +303,9 @@ class ShardedQosTable {
 
   static QosEntry& entry_of(HashNode& node) {
     return static_cast<QosEntry&>(node);
+  }
+  static const QosEntry& entry_of(const HashNode& node) {
+    return static_cast<const QosEntry&>(node);
   }
 
   /// A node for `key` (absent from `shard`) holding a copy of `entry`.

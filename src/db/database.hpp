@@ -7,8 +7,6 @@
 // loaded over it (DESIGN.md §15.2).
 #pragma once
 
-#include <atomic>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -64,7 +62,7 @@ class Database {
   const Table& table() const { return table_; }
 
   /// Current log sequence number (monotonic; 0 = no mutations yet).
-  std::uint64_t lsn() const { return lsn_.load(std::memory_order_acquire); }
+  std::uint64_t lsn() const { return log_.lsn(); }
 
   // -- Snapshot / WAL compaction ---------------------------------------------
   // The check-pointing threads rewrite credits every few seconds (§II-D), so
@@ -90,33 +88,14 @@ class Database {
   Status snapshot_locked(const std::string& path) const
       JANUS_REQUIRES(commit_mu_);
 
-  // The records of the chunk being committed: their WAL frames back to back
-  // (record i ends at frame_ends[i]) when a WAL exists. Reused chunk to
-  // chunk, so a warm write path allocates nothing for its log.
-  struct ChunkLog {
-    std::uint64_t first_lsn = 0;
-    std::size_t count = 0;
-    bool framed = false;
-    std::vector<std::uint8_t> frames;
-    std::vector<std::size_t> frame_ends;
-
-    /// Log `op` of `rule` (its key alone for kRemove) at the next LSN.
-    void add(LogRecord::Op op, const RuleView& rule);
-  };
-  ChunkLog& begin_chunk_locked() JANUS_REQUIRES(commit_mu_);
-  /// Append the chunk's frames, then publish the LSNs of the records the
-  /// WAL holds whole.
-  Status finish_chunk_locked() JANUS_REQUIRES(commit_mu_);
-
   // Serializes the WAL sequence. Outermost database rank: commit takes the
   // table's lock (kDbTable) and the WAL lock (kDbWal) underneath.
   mutable Mutex commit_mu_{LockRank::kDbCommit, "db.commit"};
   // Its own lock guards it; every write to it holds commit_mu_ as well
   // (recover runs before any other use).
   Table table_;
-  std::unique_ptr<Wal> wal_ JANUS_GUARDED_BY(commit_mu_);
-  ChunkLog chunk_ JANUS_GUARDED_BY(commit_mu_);
-  std::atomic<std::uint64_t> lsn_{0};
+  // Every call but lsn() holds commit_mu_.
+  WalWriter log_;
 };
 
 }  // namespace janus::db

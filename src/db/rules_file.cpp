@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -37,35 +38,21 @@ bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-/// One write chunk of parsed rules: packed rows that view the keys in the
-/// read block.
-class RuleChunk {
+/// Load target of load_rules: the rules store's database.
+class StoreTarget final : public RulesTarget {
  public:
-  explicit RuleChunk(RuleStore& store)
-      : store_(store), merge_(store.size() > 0) {
-    rows_.reserve(Database::kWriteChunkRows);
-  }
+  explicit StoreTarget(RuleStore& store)
+      : store_(store), merge_(store.size() > 0) {}
 
-  /// Add a validated rule, committing the chunk once it is full.
-  Status add(const RuleView& rule, int lineno) {
-    PackedRow row(rule);
-    if (merge_ && !merge_held(row)) return Status::success();
-    rows_.push_back(row);
-    return rows_.size() == Database::kWriteChunkRows ? commit(lineno)
-                                                     : Status::success();
-  }
+  void reserve(std::size_t lines) override { store_.reserve(lines); }
 
-  /// Write the chunk's rules in one database chunk; a failure names line
-  /// `lineno`.
-  Status commit(int lineno) {
-    if (rows_.empty()) return Status::success();
-    auto s = store_.database().put(rows_);
+  Status store(std::span<const PackedRow> rules) override {
+    if (!merge_) return store_.database().put(rules);
     rows_.clear();
-    if (!s.ok()) {
-      return Error("rules line " + std::to_string(lineno) + ": " +
-                   s.error().message);
+    for (PackedRow row : rules) {
+      if (merge_held(row)) rows_.push_back(row);
     }
-    return Status::success();
+    return store_.database().put(rows_);
   }
 
  private:
@@ -102,6 +89,13 @@ class RuleChunk {
   const bool merge_;
   std::vector<PackedRow> rows_;
 };
+
+/// `value` in the shortest form std::from_chars reads back exactly.
+void append_number(std::string& out, double value) {
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value);
+  out.append(buf, ec == std::errc{} ? end : buf);
+}
 
 }  // namespace
 
@@ -141,18 +135,31 @@ Result<std::optional<RuleView>> parse_rule_line(std::string_view line,
   return std::optional<RuleView>(rule);
 }
 
-Status load_rules(RuleStore& store, const std::string& path) {
+Status parse_rules_file(const std::string& path, RulesTarget& target) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (!f) return Error("cannot open rules file: " + path);
   std::vector<char> buf(kRulesReadBlock);
-  store.reserve(count_lines(f, buf));
-  RuleChunk chunk(store);
+  target.reserve(count_lines(f, buf));
+  std::vector<PackedRow> chunk;
+  chunk.reserve(kRulesChunk);
   int lineno = 0;
+  // Store the chunk's rules; a failure names the line reached.
+  auto store = [&]() -> Status {
+    if (chunk.empty()) return Status::success();
+    auto s = target.store(chunk);
+    chunk.clear();
+    if (!s.ok()) {
+      return Error("rules line " + std::to_string(lineno) + ": " +
+                   s.error().message);
+    }
+    return Status::success();
+  };
   auto take_line = [&](std::string_view line) -> Status {
     auto rule = parse_rule_line(line, ++lineno);
     if (!rule.ok()) return Error(rule.error().message);
     if (!rule.value()) return Status::success();
-    return chunk.add(*rule.value(), lineno);
+    chunk.emplace_back(*rule.value());
+    return chunk.size() == kRulesChunk ? store() : Status::success();
   };
   Status status = Status::success();
   std::size_t held = 0;  // an unfinished line, moved to the buffer's front
@@ -172,13 +179,45 @@ Status load_rules(RuleStore& store, const std::string& path) {
     if (status.ok() && eof && pos < data.size()) {
       status = take_line(data.substr(pos));  // no final newline
     }
-    // The chunk's keys lie in this block: commit before the block moves.
-    if (status.ok()) status = chunk.commit(lineno);
+    // The chunk's keys lie in this block: store it before the block moves.
+    if (status.ok()) status = store();
     held = data.size() - pos;
     std::memmove(buf.data(), buf.data() + pos, held);
   }
   std::fclose(f);
   return status;
+}
+
+Status load_rules(RuleStore& store, const std::string& path) {
+  StoreTarget target(store);
+  return parse_rules_file(path, target);
+}
+
+Status write_rules_file(const std::string& path,
+                        std::span<const RuleRow> rules) {
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  if (!f) return Error("cannot write " + tmp);
+  std::string text;
+  for (const RuleRow& rule : rules) {
+    text += rule.key;
+    text += " = ";
+    append_number(text, rule.refill_per_sec);
+    text += ' ';
+    append_number(text, rule.capacity);
+    text += ' ';
+    append_number(text, rule.credit);
+    text += '\n';
+  }
+  const bool wrote =
+      std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
+      std::fflush(f) == 0;
+  std::fclose(f);
+  if (!wrote || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Error("cannot write " + path);
+  }
+  return Status::success();
 }
 
 }  // namespace janus::db

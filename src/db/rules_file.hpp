@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -29,22 +30,48 @@ inline constexpr std::size_t kRulesReadBlock = 64 * 1024;
 Result<std::optional<RuleView>> parse_rule_line(std::string_view line,
                                                 int lineno);
 
-/// Loads the rules file at `path` into `store` (DESIGN.md §15.2). The table
-/// is first sized for the file's line count; then each block's lines are
-/// parsed where they lie into a chunk of at most Database::kWriteChunkRows
-/// packed rules, each validated once, and the chunk is committed through
-/// Database::put before the block moves. Memory stays bounded by one block
-/// and one chunk.
+/// Where parse_rules_file hands a rules file's rules.
+class RulesTarget {
+ public:
+  virtual ~RulesTarget() = default;
+  /// Called once, before the first chunk, with the file's line count, so
+  /// that the target can size its index for the load.
+  virtual void reserve(std::size_t lines) = 0;
+  /// Store one chunk: at most kRulesChunk validated rules, in file order,
+  /// each with its key's hash. Their keys view the read block, which stays
+  /// put until this returns.
+  virtual Status store(std::span<const PackedRow> rules) = 0;
+};
+
+/// Rules per chunk.
+inline constexpr std::size_t kRulesChunk = Database::kWriteChunkRows;
+
+/// Parse the rules file at `path` into `target` (DESIGN.md §15.2). The
+/// file's lines are counted first (RulesTarget::reserve); then each block's
+/// lines are parsed where they lie into a chunk of at most kRulesChunk
+/// rules, each validated and hashed once, and the chunk is stored before
+/// the block moves. Memory stays bounded by one block and one chunk.
+///
+/// The first bad line stops the parse with parse_rule_line's error; a
+/// failed store reads `rules line <n>: ...`, n the last line read. Chunks
+/// stored before either stay.
+Status parse_rules_file(const std::string& path, RulesTarget& target);
+
+/// Loads the rules file at `path` into `store` (parse_rules_file), each
+/// chunk committed through Database::put.
 ///
 /// On a database that held rules before the load (a restored snapshot and
 /// WAL), each line is applied to the rules as the lines before it left
 /// them: a key already held keeps its credit, clamped to the line's
 /// capacity, and takes the line's rate and capacity; a line that changes
 /// neither writes nothing; a key not held takes the line's credit.
-///
-/// The first bad line stops the load with parse_rule_line's error; a
-/// failed commit names the line the loader had reached. Rules committed
-/// before either stay.
 Status load_rules(RuleStore& store, const std::string& path);
+
+/// Write `rules` to a rules file at `path`, one `key = rate capacity
+/// credit` line each, every number in the shortest form that parses back
+/// to the same double. The file is written beside `path` and renamed over
+/// it, so that a server watching `path` sees a new file.
+Status write_rules_file(const std::string& path,
+                        std::span<const RuleRow> rules);
 
 }  // namespace janus::db

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <vector>
 
@@ -132,6 +133,61 @@ Result<std::size_t> Wal::replay(
   }
   std::fclose(f);
   return applied;
+}
+
+Status WalWriter::open(const std::string& path) {
+  auto wal = Wal::open(path);
+  if (!wal.ok()) return Error(wal.error().message);
+  wal_ = std::make_unique<Wal>(std::move(wal).take());
+  return Status::success();
+}
+
+void WalWriter::begin() {
+  first_lsn_ = lsn_.load(std::memory_order_relaxed) + 1;
+  count_ = 0;
+  frames_.clear();
+  frame_ends_.clear();
+}
+
+void WalWriter::add(LogRecord::Op op, const RuleView& rule) {
+  if (wal_) {
+    append_record(frames_, first_lsn_ + count_, op, rule);
+    frame_ends_.push_back(frames_.size());
+  }
+  ++count_;
+}
+
+Status WalWriter::commit() {
+  std::size_t durable = count_;
+  Status written = Status::success();
+  if (wal_ && count_ > 0) {
+    written = wal_->append_frames(frames_, frame_ends_, durable);
+  }
+  if (durable > 0) {
+    lsn_.store(first_lsn_ + durable - 1, std::memory_order_release);
+  }
+  return written;
+}
+
+void WalWriter::advance_to(std::uint64_t lsn) {
+  if (lsn > lsn_.load(std::memory_order_relaxed)) {
+    lsn_.store(lsn, std::memory_order_release);
+  }
+}
+
+Status WalWriter::truncate() {
+  if (!wal_) return Error("compact: WAL is not enabled");
+  const std::string path = wal_->path();
+  if (std::remove(path.c_str()) != 0) {
+    return Error("compact: cannot remove " + path);
+  }
+  auto reopened = Wal::open(path);
+  if (!reopened.ok()) {
+    wal_.reset();
+    return Error(reopened.error().message);
+  }
+  wal_ = std::make_unique<Wal>(std::move(reopened).take());
+  return Status::success();
 }
 
 }  // namespace janus::db

@@ -22,7 +22,7 @@ Result<QosServerConfig> QosServerNode::validate_config(QosServerConfig config) {
 }
 
 Result<std::unique_ptr<QosServerNode>> QosServerNode::start(
-    const net::SockAddr& listen, db::RuleStore& store,
+    const net::SockAddr& listen, std::string rules_path,
     QosServerConfig config) {
   auto validated = validate_config(std::move(config));
   if (!validated.ok()) return Error(validated.error().message);
@@ -30,20 +30,23 @@ Result<std::unique_ptr<QosServerNode>> QosServerNode::start(
   if (!socket.ok()) return Error(socket.error().message);
   auto addr = socket.value().local_addr();
   if (!addr.ok()) return Error(addr.error().message);
-  return std::unique_ptr<QosServerNode>(
-      new QosServerNode(std::move(socket).take(), addr.value(), store,
-                        std::move(validated).take()));
+  std::unique_ptr<QosServerNode> node(
+      new QosServerNode(std::move(socket).take(), addr.value(),
+                        std::move(rules_path), std::move(validated).take()));
+  if (auto s = node->load_rules(); !s.ok()) return Error(s.error().message);
+  node->start_threads();
+  return node;
 }
 
 QosServerNode::QosServerNode(net::UdpSocket socket, net::SockAddr addr,
-                             db::RuleStore& store, QosServerConfig config)
+                             std::string rules_path, QosServerConfig config)
     : config_(std::move(config)),
       socket_(std::move(socket)),
       addr_(std::move(addr)),
-      source_(store),
-      sink_(store),
+      rules_path_(std::move(rules_path)),
       admission_(std::make_unique<core::AdmissionController>(
-          SteadyClock::instance(), source_, config_.admission)),
+          SteadyClock::instance(), config_.admission)),
+      rules_(admission_->table(), SteadyClock::instance()),
       received_(metrics_.counter("server.received")),
       answered_(metrics_.counter("server.answered")),
       malformed_(metrics_.counter("server.malformed")),
@@ -61,11 +64,35 @@ QosServerNode::QosServerNode(net::UdpSocket socket, net::SockAddr addr,
       migrated_out_(metrics_.counter("server.migrated_out")),
       cluster_epoch_gauge_(metrics_.gauge("server.cluster_epoch")),
       sync_pass_us_(metrics_.histogram("server.sync_pass_us")),
-      checkpoint_pass_us_(metrics_.histogram("server.checkpoint_pass_us")) {
+      checkpoint_pass_us_(metrics_.histogram("server.checkpoint_pass_us")),
+      rules_gauge_(metrics_.gauge("server.rules")),
+      rules_reloads_(metrics_.counter("server.rules_reloads")) {
   queue_wait_exemplar_.set_threshold(config_.slow_exemplar_us);
   service_exemplar_.set_threshold(config_.slow_exemplar_us);
+}
 
-  // The constructor runs on start()'s caller, so this is its mask.
+Status QosServerNode::load_rules() {
+  // Restart order (DESIGN.md §15.2): the last snapshot, then the WAL
+  // written since, then the rules file over them, so that a key whose last
+  // record went into the snapshot keeps its check-pointed credit.
+  if (auto s = rules_.restore(config_.snapshot_path, config_.wal_path);
+      !s.ok()) {
+    return s;
+  }
+  if (auto loaded = rules_.reload(rules_path_); !loaded.ok()) {
+    return loaded.error();
+  }
+  // No decision has run yet, so every entry holds a rule.
+  rules_gauge_.set(static_cast<std::int64_t>(admission_->table().node_count()));
+  return Status::success();
+}
+
+std::size_t QosServerNode::rule_count() const {
+  return static_cast<std::size_t>(rules_gauge_.value());
+}
+
+void QosServerNode::start_threads() {
+  // start() runs this on its caller, so this is its mask.
   for (std::size_t i = 0, n = net::affinity_cpus(); i < n; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
@@ -78,9 +105,20 @@ QosServerNode::QosServerNode(net::UdpSocket socket, net::SockAddr addr,
     maintenance_.push_back(std::make_unique<PeriodicTask>(
         config_.sync_interval, [this] { sync_now(); }));
   }
-  if (config_.checkpoint_interval.count() > 0) {
+  // Without a WAL a check-point has nowhere to write.
+  if (config_.checkpoint_interval.count() > 0 && rules_.logging()) {
     maintenance_.push_back(std::make_unique<PeriodicTask>(
         config_.checkpoint_interval, [this] { checkpoint_now(); }));
+  }
+  if (config_.compact_interval.count() > 0 && rules_.logging() &&
+      !config_.snapshot_path.empty()) {
+    maintenance_.push_back(std::make_unique<PeriodicTask>(
+        config_.compact_interval, [this] {
+          if (auto s = compact_now(); !s.ok()) {
+            JLOG_WARN("server: compaction failed: %s",
+                      s.error().message.c_str());
+          }
+        }));
   }
   if (config_.watchdog_interval.count() > 0) {
     maintenance_.push_back(std::make_unique<PeriodicTask>(
@@ -237,14 +275,33 @@ std::int64_t micros_since(TimePoint start) {
 
 void QosServerNode::sync_now() {
   const TimePoint start = SteadyClock::instance().now();
-  admission_->sync_now();
+  // The paper's periodic sync (§II-D) re-reads every cached rule; here the
+  // rules live in the table, so the pass is a reload of a changed file.
+  auto reloaded = rules_.reload(rules_path_);
+  if (!reloaded.ok()) {
+    // The chunks before the bad line are applied.
+    JLOG_WARN("server: rules reload: %s", reloaded.error().message.c_str());
+  } else if (reloaded.value()) {
+    rules_reloads_.inc();
+  }
+  if (!reloaded.ok() || reloaded.value()) {
+    rules_gauge_.set(
+        static_cast<std::int64_t>(admission_->table().rule_count()));
+  }
   sync_pass_us_.record(micros_since(start));
 }
 
 void QosServerNode::checkpoint_now() {
   const TimePoint start = SteadyClock::instance().now();
-  admission_->checkpoint_now(sink_);
+  rules_.checkpoint();
   checkpoint_pass_us_.record(micros_since(start));
+}
+
+Status QosServerNode::compact_now() {
+  if (config_.snapshot_path.empty()) {
+    return Error("compact: no snapshot path");
+  }
+  return rules_.compact(config_.snapshot_path);
 }
 
 void QosServerNode::stop() {
@@ -386,7 +443,8 @@ void QosServerNode::run_jobs(std::span<const JobView> jobs,
         decision = admission_->probe(r.key, r.cost);
         break;
       case wire::RequestType::kSync:
-        admission_->invalidate(r.key);
+        // Never refetches: a refetch would restore a spent bucket's
+        // credit. Rules reach a running server through the rules file.
         decision = admission_->probe(r.key, 0);
         break;
     }
@@ -546,7 +604,8 @@ std::vector<std::vector<wire::MigrationEntry>> QosServerNode::extract_disowned(
         out[owner].push_back(to_migration_entry(key, entry));
         doomed.emplace_back(key);
       });
-  for (const std::string& key : doomed) admission_->table().erase(key);
+  // The node keeps each shipped rule, provisioned, as its rules file has it.
+  for (const std::string& key : doomed) admission_->table().retire(key);
 
   std::size_t total = 0;
   for (const auto& bucket : out) total += bucket.size();
@@ -568,15 +627,23 @@ std::size_t QosServerNode::install_migrated(
                          static_cast<std::uint64_t>(now.count()));
 
   std::size_t installed = 0;
+  std::int64_t new_rules = 0;
   for (const wire::MigrationEntry& e : entries) {
     if (!core::LeakyBucket::valid(e.capacity, e.refill_per_sec, e.credit)) {
       continue;
     }
+    // A provisioned rule is overwritten too: the migrated credit is the
+    // key's, and the entry is live from here on.
     admission_->table().with_entry_or_create(
-        e.key, [&] { return from_migration_entry(e, now); },
+        e.key,
+        [&] {
+          new_rules += e.is_default ? 0 : 1;
+          return from_migration_entry(e, now);
+        },
         [&](core::QosEntry& cur) { cur = from_migration_entry(e, now); });
     ++installed;
   }
+  rules_gauge_.add(new_rules);
 
   migrated_in_.inc(static_cast<std::int64_t>(installed));
   migrated_in_count_.fetch_add(installed, std::memory_order_relaxed);

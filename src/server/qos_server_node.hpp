@@ -16,8 +16,12 @@
 // worker per datagram. Any worker decides any key under the key's shard
 // mutex, and answers over the same socket the request arrived on; the
 // server never tracks whether a response arrived — the router retries
-// (§III-B). Refill, sync, checkpoint, migration and HA snapshots are
-// locked passes over the table, run by their own threads.
+// (§III-B). Refill, sync, checkpoint, compaction, migration and HA
+// snapshots are locked passes over the table, run by their own threads.
+//
+// The table is the node's only rules store (DESIGN.md §15.2): start()
+// loads the rules file (after the snapshot and the WAL, when configured)
+// straight into it, and the sync pass reloads the file when it changes.
 //
 // Concurrency model (DESIGN.md §8): the node itself holds no locks. Shared
 // state lives behind the annotated sync layer of its parts — the table's
@@ -38,8 +42,7 @@
 #include "common/metrics.hpp"
 #include "common/periodic.hpp"
 #include "core/admission.hpp"
-#include "core/db_rule_adapter.hpp"
-#include "db/rule_store.hpp"
+#include "core/table_rules.hpp"
 #include "net/admin_server.hpp"
 #include "net/socket.hpp"
 #include "wire/cluster_codec.hpp"
@@ -52,6 +55,14 @@ struct QosServerConfig {
   Duration refill_interval = millis(10);     // only used in kPeriodic mode
   Duration sync_interval = seconds(5);       // "configurable update interval"
   Duration checkpoint_interval = seconds(5); // "configurable update interval"
+  Duration compact_interval = seconds(60);
+  /// The rules' durability (DESIGN.md §15.2); empty: none. The check-point
+  /// pass appends to the WAL, so without one the node runs no check-point
+  /// thread. A restart reads the snapshot (when its file exists), then the
+  /// WAL; the compaction pass, which needs both, folds the WAL into the
+  /// snapshot.
+  std::string wal_path;
+  std::string snapshot_path;
   /// Stalled-worker watchdog tick; <= 0 disables it. A listen socket with a
   /// queued datagram and no answered request across two consecutive ticks
   /// counts a server.watchdog_stalls, records a flight-recorder event, and
@@ -65,13 +76,15 @@ struct QosServerConfig {
 
 class QosServerNode {
  public:
-  /// Binds the UDP endpoint and starts all threads: one worker per CPU in
-  /// the calling thread's affinity mask (`net::affinity_cpus`; "N equals
-  /// the number of vCPUs", §III-C), so `taskset -c` chooses N. `store` (the
-  /// database layer) must outlive the node. The config is validated first:
-  /// table_shards == 0 is rejected.
+  /// Binds the UDP endpoint, loads the rules into the table (the snapshot
+  /// and the WAL when configured, then the rules file at `rules_path`), and
+  /// only then starts all threads: one worker per CPU in the calling
+  /// thread's affinity mask (`net::affinity_cpus`; "N equals the number of
+  /// vCPUs", §III-C), so `taskset -c` chooses N. The config is validated
+  /// first: table_shards == 0 is rejected. A file that does not load fails
+  /// the start with its error (`rules line N: ...`).
   static Result<std::unique_ptr<QosServerNode>> start(
-      const net::SockAddr& listen, db::RuleStore& store,
+      const net::SockAddr& listen, std::string rules_path,
       QosServerConfig config = {});
 
   /// The validation start() applies, exposed for tests: returns the config
@@ -100,11 +113,20 @@ class QosServerNode {
   /// decision path pays nothing for the probe surface.
   std::int64_t requests_in_flight() const;
 
+  /// Rules the table holds (the server.rules gauge, as of the last load,
+  /// reload or migration).
+  std::size_t rule_count() const;
+
   /// One maintenance pass; the periodic threads run these, tests call them
-  /// to avoid waiting on wall-clock. Each records its duration, one sample
-  /// per pass, in server.sync_pass_us / server.checkpoint_pass_us.
+  /// to avoid waiting on wall-clock. sync_now() reloads the rules file when
+  /// it changed (server.rules_reloads); checkpoint_now() logs the changed
+  /// credits to the WAL (nothing without one). Each records its duration,
+  /// one sample per pass, in server.sync_pass_us /
+  /// server.checkpoint_pass_us.
   void sync_now();
   void checkpoint_now();
+  /// Fold the WAL into the snapshot (requires both).
+  Status compact_now();
 
   // ---- cluster runtime hooks (DESIGN.md §11, driven by ClusterAgent) -------
   //
@@ -132,10 +154,12 @@ class QosServerNode {
   /// path (one clock read, only while the window is open).
   void open_migration_window(Duration window);
 
-  /// Remove every entry whose owner under `map` is not `self_index` and
-  /// return them grouped by new owner index (entries[i] -> map.members[i]).
-  /// Pass wire::kNotAMember to extract everything (this node is leaving).
-  /// Runs under the shard locks, concurrently with the workers.
+  /// Ship every live entry whose owner under `map` is not `self_index`,
+  /// grouped by new owner index (entries[i] -> map.members[i]). Pass
+  /// wire::kNotAMember to extract everything (this node is leaving). A
+  /// shipped rule's entry turns back to provisioned, so the node keeps the
+  /// rule; a shipped default entry is dropped. Runs under the shard locks,
+  /// concurrently with the workers.
   std::vector<std::vector<wire::MigrationEntry>> extract_disowned(
       const cluster::ShardMap& map, std::size_t self_index);
 
@@ -159,7 +183,10 @@ class QosServerNode {
 
  private:
   QosServerNode(net::UdpSocket socket, net::SockAddr addr,
-                db::RuleStore& store, QosServerConfig config);
+                std::string rules_path, QosServerConfig config);
+  /// start()'s load, before any thread runs.
+  Status load_rules();
+  void start_threads();
 
   static constexpr std::uint64_t kTimingSampleShift = 3;  // 1-in-8
   /// Max datagrams per recvmmsg: a worker's batch, decided and answered as
@@ -228,9 +255,9 @@ class QosServerNode {
   /// locks, flush all replies in one batched send, record timings.
   JANUS_HOT_PATH_LOCKS void run_jobs(std::span<const JobView> jobs,
                                      ReplyBuffers& buf);
-  /// True when the migration window is open and `key` is not yet locally
-  /// present — the request must be deferred (dropped) until its bucket
-  /// arrives or the window elapses.
+  /// True when the migration window is open and `key` has no live entry
+  /// (absent, or a provisioned rule) — the request must be deferred
+  /// (dropped) until its bucket arrives or the window elapses.
   bool defer_for_migration(std::string_view key);
   /// ",\"cluster\":{...}" /statusz fragment (empty outside cluster mode).
   std::string render_cluster_statusz() const;
@@ -251,9 +278,9 @@ class QosServerNode {
   QosServerConfig config_;
   net::UdpSocket socket_;
   net::SockAddr addr_;
-  core::DbRuleSource source_;
-  core::DbRuleSink sink_;
+  std::string rules_path_;
   std::unique_ptr<core::AdmissionController> admission_;
+  core::TableRules rules_;
 
   MetricsRegistry metrics_;
   Counter& received_;
@@ -278,6 +305,8 @@ class QosServerNode {
   Gauge& cluster_epoch_gauge_; // server.cluster_epoch
   HistogramMetric& sync_pass_us_;        // server.sync_pass_us
   HistogramMetric& checkpoint_pass_us_;  // server.checkpoint_pass_us
+  Gauge& rules_gauge_;                   // server.rules
+  Counter& rules_reloads_;               // server.rules_reloads
 
   // Watchdog bookkeeping; touched only from the watchdog's PeriodicTask
   // thread, so plain fields suffice. The socket is flagged only after TWO

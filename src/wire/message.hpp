@@ -13,7 +13,10 @@ namespace janus::wire {
 enum class RequestType : std::uint8_t {
   kCheck = 0,  // consume `cost` credits if available (the paper's operation)
   kProbe = 1,  // read-only: would a kCheck succeed? consumes nothing
-  kSync = 2,   // admin: force re-read of the rule from the database
+  kSync = 2,   // admin: a probe of the key's entry (cost 0). It never
+               // re-reads the rule, which would restore a spent bucket's
+               // credit; a rule change reaches a running server through
+               // its rules file and the sync tick (DESIGN.md §15.1)
 };
 
 enum class ResponseStatus : std::uint8_t {

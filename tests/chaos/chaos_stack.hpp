@@ -1,4 +1,4 @@
-// Shared mini-deployment for the chaos suite: database -> QoS server ->
+// Shared mini-deployment for the chaos suite: rules file -> QoS server ->
 // request router -> gateway balancer on real sockets, with every fault
 // point disarmed before and after each test so no schedule leaks across
 // cases. Kept to one node per layer so per-layer counters are exact.
@@ -9,8 +9,8 @@
 #include <memory>
 #include <string>
 
+#include "../support/temp_rules.hpp"
 #include "cluster/shard_map.hpp"
-#include "db/rule_store.hpp"
 #include "lb/gateway_balancer.hpp"
 #include "router/router_node.hpp"
 #include "server/qos_server_node.hpp"
@@ -33,13 +33,11 @@ class ChaosStackTest : public ::testing::Test {
   void SetUp() override {
     testing::FaultInjector::instance().disarm_all();
 
-    store_ = std::make_unique<db::RuleStore>(db_);
-
     server::QosServerConfig scfg;
     scfg.sync_interval = Duration{0};
     scfg.checkpoint_interval = Duration{0};
     auto server = server::start_in_model(server_model_, {"127.0.0.1", 0},
-                                         *store_, scfg);
+                                         rules_.path(), scfg);
     ASSERT_TRUE(server.ok()) << server.error().message;
     server_ = std::move(server).take();
 
@@ -80,9 +78,11 @@ class ChaosStackTest : public ::testing::Test {
     testing::FaultInjector::instance().disarm_all();
   }
 
+  /// Give `key` a rule in the server's rules file, and reload it.
   void provision(const std::string& key, double capacity) {
-    ASSERT_TRUE(store_->put({.key = key, .refill_per_sec = 0,
-                             .capacity = capacity, .credit = capacity}).ok());
+    rules_.put({.key = key, .refill_per_sec = 0, .capacity = capacity,
+                .credit = capacity});
+    server_->sync_now();
   }
 
   /// GET /qos?key=... against `addr`; returns the body ("TRUE"/"FALSE").
@@ -104,8 +104,7 @@ class ChaosStackTest : public ::testing::Test {
   lb::RoutingPolicy gateway_policy_ = lb::RoutingPolicy::kRoundRobin;
   cluster::ShardMapHolder holder_;
 
-  db::Database db_;
-  std::unique_ptr<db::RuleStore> store_;
+  test_support::TempRules rules_;
   std::unique_ptr<server::QosServerNode> server_;
   std::unique_ptr<router::RouterNode> router_;
   std::unique_ptr<lb::GatewayBalancer> gateway_;

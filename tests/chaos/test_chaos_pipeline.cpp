@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include "chaos_stack.hpp"
+#include "db/rule_store.hpp"
 #include "net/http.hpp"
 
 namespace janus::chaos {
@@ -230,16 +231,14 @@ TEST(ChaosWalRecoveryTest, ReplayRecoversPreCrashState) {
   std::remove(path.c_str());
 
   {
-    db::Database db;
-    ASSERT_TRUE(db.enable_wal(path).ok());
-    db::RuleStore store(db);
-    ASSERT_TRUE(store.put({.key = "tenant", .refill_per_sec = 0,
-                           .capacity = 10, .credit = 10}).ok());
-
+    test_support::TempRules rules({{.key = "tenant", .refill_per_sec = 0,
+                                    .capacity = 10, .credit = 10}});
     server::QosServerConfig scfg;
     scfg.sync_interval = Duration{0};
     scfg.checkpoint_interval = Duration{0};
-    auto server = server::QosServerNode::start({"127.0.0.1", 0}, store, scfg);
+    scfg.wal_path = path;
+    auto server =
+        server::QosServerNode::start({"127.0.0.1", 0}, rules.path(), scfg);
     ASSERT_TRUE(server.ok()) << server.error().message;
 
     auto resolver = std::make_shared<router::StaticResolver>();
@@ -272,8 +271,9 @@ TEST(ChaosWalRecoveryTest, ReplayRecoversPreCrashState) {
     server.value()->stop();
   }
 
-  // Restart: fresh database, same WAL. The torn tail is discarded and the
-  // state is exactly the last durable checkpoint — not the lost one.
+  // Restart: fresh database, same WAL (the server's rules log writes the
+  // database's records). The torn tail is discarded and the state is
+  // exactly the last durable checkpoint — not the lost one.
   db::Database recovered;
   db::RuleStore store2(recovered);
   auto n = recovered.recover(path);

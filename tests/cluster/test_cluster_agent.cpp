@@ -17,7 +17,7 @@
 #include "cluster/coordinator.hpp"
 #include "cluster/frame_io.hpp"
 #include "cluster/shard_map.hpp"
-#include "db/rule_store.hpp"
+#include "../support/temp_rules.hpp"
 #include "router/udp_qos_client.hpp"
 #include "server/cluster_agent.hpp"
 #include "server/qos_server_node.hpp"
@@ -51,13 +51,13 @@ class ClusterAgentTest : public ::testing::Test {
  protected:
   void SetUp() override {
     testing::FaultInjector::instance().disarm_all();
-    store_ = std::make_unique<db::RuleStore>(db_);
     // Closed economy: zero refill, so credit can only move, never grow.
+    // Every node loads the same rules file into its own table.
     for (int i = 0; i < 16; ++i) {
-      ASSERT_TRUE(store_->put({.key = "t-" + std::to_string(i),
-                               .refill_per_sec = 0,
-                               .capacity = 100,
-                               .credit = 100}).ok());
+      rules_.put({.key = "t-" + std::to_string(i),
+                  .refill_per_sec = 0,
+                  .capacity = 100,
+                  .credit = 100});
     }
   }
 
@@ -71,7 +71,8 @@ class ClusterAgentTest : public ::testing::Test {
     QosServerConfig cfg;
     cfg.sync_interval = Duration{0};
     cfg.checkpoint_interval = Duration{0};
-    auto node = start_in_model(server_model_, {"127.0.0.1", 0}, *store_, cfg);
+    auto node = start_in_model(server_model_, {"127.0.0.1", 0}, rules_.path(),
+                               cfg);
     EXPECT_TRUE(node.ok()) << node.error().message;
     auto bundle = std::make_unique<NodeBundle>();
     bundle->node = std::move(node).take();
@@ -129,8 +130,7 @@ class ClusterAgentTest : public ::testing::Test {
 
   /// Execution-model variant of every node start_node() launches.
   ServerModel server_model_ = ServerModel::kSharedQueue;
-  db::Database db_;
-  std::unique_ptr<db::RuleStore> store_;
+  test_support::TempRules rules_;
   std::vector<std::unique_ptr<NodeBundle>> bundles_;
   cluster::ShardMapHolder holder_;
   std::unique_ptr<cluster::ClusterCoordinator> coordinator_;

@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <string>
 #include <thread>
@@ -20,6 +21,7 @@
 #include "../server/server_model.hpp"
 #include "cluster_fixture.hpp"
 #include "common/clock.hpp"
+#include "net/http.hpp"
 #include "router/udp_qos_client.hpp"
 
 namespace janus {
@@ -375,6 +377,68 @@ TEST(JanusdRulesFileTest, CrlfLinesAndNoFinalNewlineAreAccepted) {
   EXPECT_FALSE(out.exited) << out.output;
   EXPECT_NE(out.output.find("(4003 rules, "), std::string::npos)
       << out.output;
+}
+
+// ---- reloading the rules file ------------------------------------------
+
+class JanusdRulesReloadTest : public cluster_test::ClusterFixture {
+ protected:
+  /// TRUE verdicts for `requests` calls of `key` on `server`.
+  static int admitted(const cluster_test::ServerProcess& server,
+                      const std::string& key, int requests) {
+    router::UdpClientConfig ccfg;
+    ccfg.timeout = millis(500);
+    router::UdpQosClient client(ccfg);
+    int trues = 0;
+    for (int i = 0; i < requests; ++i) {
+      wire::QosRequest req;
+      req.key = key;
+      auto resp = client.call(server.udp, req);
+      EXPECT_TRUE(resp.ok()) << (resp.ok() ? "" : resp.error().message);
+      trues += resp.ok() && resp.value().allowed;
+    }
+    return trues;
+  }
+
+  /// The value of `metric` on the admin endpoint's Prometheus page.
+  static long metric(const net::SockAddr& admin, const std::string& metric) {
+    net::HttpClient http(admin, millis(1000));
+    auto page = http.get("/metrics");
+    if (!page.ok()) return -1;
+    const std::string& body = page.value().body;
+    const std::size_t at = body.find("\n" + metric + "{");
+    if (at == std::string::npos) return -1;
+    const std::size_t value = body.find("} ", at);
+    return value == std::string::npos ? -1 : std::atol(&body[value + 2]);
+  }
+};
+
+TEST_F(JanusdRulesReloadTest, RuleEditReachesARunningServer) {
+  // The sync tick reloads an edited rules file: k keeps its spent credit,
+  // clamped to its new capacity, and a key new to the file leaves the
+  // default rule behind. No restart.
+  write_rules("k = 0 10\n");
+  cluster_test::ServerProcess& server = spawn_server(
+      "reload", {"--sync-ms", "100", "--admin", "127.0.0.1:0"}, false);
+  const net::SockAddr admin =
+      wait_for_addr(server, "QoS server admin endpoint on ");
+  EXPECT_EQ(metric(admin, "janus_server_rules"), 1);
+  EXPECT_EQ(metric(admin, "janus_server_rules_reloads"), 0);
+  EXPECT_EQ(admitted(server, "k", 3), 3);
+  EXPECT_EQ(admitted(server, "n", 2), 0) << "n had a rule before the edit";
+
+  // Rewritten in place: its size and mtime change.
+  write_rules("k = 0 2\nn = 0 3\n");
+  long reloads = 0;
+  for (int i = 0; i < 100 && reloads < 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    reloads = metric(admin, "janus_server_rules_reloads");
+  }
+  ASSERT_EQ(reloads, 1) << "no sync tick reloaded the edited file";
+  EXPECT_EQ(metric(admin, "janus_server_rules"), 2);
+  EXPECT_EQ(admitted(server, "k", 5), 2);
+  EXPECT_EQ(admitted(server, "n", 5), 3);
+  terminate(server);
 }
 
 // ---- restarting on a WAL ------------------------------------------------

@@ -236,9 +236,11 @@ TEST_P(QosTablePropertyTest, TableMatchesAMapOfEntries) {
     const bool allowed = e.bucket.try_consume_no_refill(cost);
     return std::make_pair(allowed, fields(e));
   };
+  // The live entries, the ones visits, contains, size and snapshots see.
   auto oracle_visit = [&](std::size_t shard) {
     Visit out;
     for (auto& [key, entry] : oracle) {
+      if (entry.provisioned()) continue;
       if (shard == shards ||
           table.shard_index_of(TransparentStringHash::hash_bytes(key)) ==
               shard) {
@@ -247,6 +249,10 @@ TEST_P(QosTablePropertyTest, TableMatchesAMapOfEntries) {
     }
     return sorted(std::move(out));
   };
+  auto oracle_live = [&](const std::string& key) {
+    const auto it = oracle.find(key);
+    return it != oracle.end() && !it->second.provisioned();
+  };
 
   for (int step = 0; step < 6000; ++step) {
     now += Duration{static_cast<std::int64_t>(rng.next_below(50'000'000))};
@@ -254,7 +260,7 @@ TEST_P(QosTablePropertyTest, TableMatchesAMapOfEntries) {
     const auto cost = static_cast<std::uint32_t>(rng.next_below(3));
     SCOPED_TRACE(::testing::Message() << "step " << step << " key of "
                                       << key.size() << " bytes");
-    switch (rng.next_below(20)) {
+    switch (rng.next_below(22)) {
       case 0: case 1: case 2: case 3: case 4: case 5: {
         const QosEntry fresh = random_entry();
         bool made = false;
@@ -282,7 +288,7 @@ TEST_P(QosTablePropertyTest, TableMatchesAMapOfEntries) {
         break;
       }
       case 10: case 11:
-        ASSERT_EQ(table.contains(key), oracle.contains(key));
+        ASSERT_EQ(table.contains(key), oracle_live(key));
         break;
       case 12: case 13:
         ASSERT_EQ(table.erase(key), oracle.erase(key) == 1);
@@ -297,8 +303,9 @@ TEST_P(QosTablePropertyTest, TableMatchesAMapOfEntries) {
           seen.emplace_back(std::string(k), fields(e));
         });
         for (auto& [k, entry] : oracle) {
-          if (table.shard_index_of(TransparentStringHash::hash_bytes(k)) !=
-              shard) {
+          if (entry.provisioned() ||
+              table.shard_index_of(TransparentStringHash::hash_bytes(k)) !=
+                  shard) {
             continue;
           }
           if (demote) entry.set_default(!entry.is_default());
@@ -316,21 +323,30 @@ TEST_P(QosTablePropertyTest, TableMatchesAMapOfEntries) {
         break;
       }
       case 16: {  // restore a changed copy of the state, duplicates included
+        // The live entries are replaced: a default one goes, a rule's
+        // turns back to provisioned; provisioned rules stay.
+        std::erase_if(oracle, [](const auto& kv) {
+          return !kv.second.provisioned() && kv.second.is_default();
+        });
+        for (auto& [k, entry] : oracle) entry.set_provisioned();
         std::vector<std::pair<std::string, QosEntry>> entries;
-        std::unordered_map<std::string, QosEntry> restored;
         for (int i = 0; i < 40; ++i) {
           const std::string& k = keys[rng.next_below(keys.size())];
           const QosEntry e = random_entry();
           entries.emplace_back(k, e);
-          restored.insert_or_assign(k, e);
+          oracle.insert_or_assign(k, e);
         }
         table.restore(std::move(entries));
-        oracle = std::move(restored);
         break;
       }
-      case 17:
-        ASSERT_EQ(table.size(), oracle.size());
+      case 17: {
+        ASSERT_EQ(table.size(), oracle_visit(shards).size());
+        std::size_t rules = 0;
+        for (const auto& [k, entry] : oracle) rules += !entry.is_default();
+        ASSERT_EQ(table.rule_count(), rules);
+        ASSERT_EQ(table.node_count(), oracle.size());
         break;
+      }
       case 18:
         if (rng.chance(0.05)) {
           table.clear();
@@ -351,9 +367,29 @@ TEST_P(QosTablePropertyTest, TableMatchesAMapOfEntries) {
         }
         break;
       }
+      case 20: {  // a key migrating out
+        const auto it = oracle.find(key);
+        ASSERT_EQ(table.retire(key), it != oracle.end());
+        if (it == oracle.end()) break;
+        if (it->second.is_default()) {
+          oracle.erase(it);
+        } else {
+          it->second.set_provisioned();
+        }
+        break;
+      }
+      case 21: {  // a rule restored from a snapshot or a WAL record
+        const double capacity = rng.uniform(0.0, 50.0);
+        const double rate = rng.uniform(0.0, 20.0);
+        const double credit = rng.uniform(0.0, capacity);
+        table.provision(key, capacity, rate, credit, now);
+        oracle.insert_or_assign(
+            key, QosEntry::provision(capacity, rate, credit, now));
+        break;
+      }
     }
   }
-  ASSERT_EQ(table.size(), oracle.size());
+  ASSERT_EQ(table.size(), oracle_visit(shards).size());
   Visit all;
   table.for_each([&](std::string_view k, QosEntry& e) {
     all.emplace_back(std::string(k), fields(e));

@@ -1,8 +1,8 @@
 // A QoS server's lives over one WAL and one snapshot, in process (§II-D,
-// DESIGN.md §15.2). Each life restores a new Database as janusd does (the
-// snapshot when its file exists, then the WAL, then the rules file over
-// them) and spends credit through an AdmissionController, with check-points
-// and compactions at random. Rules refill nothing, so only the credit a
+// DESIGN.md §15.2). Each life restores a new QoS table as the server does
+// (TableRules: the snapshot when its file exists, then the WAL, then the
+// rules file over them) and spends credit through its AdmissionController,
+// with check-points and compactions at random. Rules refill nothing, so only the credit a
 // life starts with can admit: over all lives a key admits at most its
 // capacity, plus what an abruptly ended life admitted after its last
 // check-point (the window the paper's design gives up by construction).
@@ -18,9 +18,7 @@
 #include "common/clock.hpp"
 #include "common/rng.hpp"
 #include "core/admission.hpp"
-#include "core/db_rule_adapter.hpp"
-#include "db/rule_store.hpp"
-#include "db/rules_file.hpp"
+#include "core/table_rules.hpp"
 
 namespace janus::core {
 namespace {
@@ -59,14 +57,10 @@ class RestartLivesTest : public ::testing::Test {
     std::remove((snapshot_ + ".tmp").c_str());
   }
 
-  /// Restore `db` from the files as janusd's restart does.
-  void restore(db::Database& db, db::RuleStore& store) {
-    if (std::filesystem::exists(snapshot_)) {
-      ASSERT_TRUE(db.load_snapshot(snapshot_).ok());
-    }
-    ASSERT_TRUE(db.recover(wal_).ok());
-    ASSERT_TRUE(db.enable_wal(wal_).ok());
-    ASSERT_TRUE(db::load_rules(store, rules_).ok());
+  /// Restore `rules`' table from the files as the server's start does.
+  void restore(TableRules& rules) {
+    ASSERT_TRUE(rules.restore(snapshot_, wal_).ok());
+    ASSERT_TRUE(rules.load(rules_).ok());
   }
 
   static AdmissionConfig config() {
@@ -83,23 +77,20 @@ class RestartLivesTest : public ::testing::Test {
 };
 
 TEST_F(RestartLivesTest, IdleCheckpointAppendsNoWalBytes) {
-  db::Database db;
-  db::RuleStore store(db);
-  restore(db, store);
-  DbRuleSource source(store);
-  DbRuleSink sink(store);
-  AdmissionController ac(clock_, source, config());
+  AdmissionController ac(clock_, config());
+  TableRules rules(ac.table(), clock_);
+  restore(rules);
   for (const std::string& key : kKeys) ac.check(key, 3);
-  EXPECT_EQ(ac.checkpoint_now(sink), kKeys.size());
+  EXPECT_EQ(rules.checkpoint(), kKeys.size());
   const auto written = std::filesystem::file_size(wal_);
   ASSERT_GT(written, 0u);
   for (int pass = 0; pass < 3; ++pass) {
-    // Every entry is still handed to the sink; none is written.
-    EXPECT_EQ(ac.checkpoint_now(sink), kKeys.size());
+    // No credit changed: nothing is written.
+    EXPECT_EQ(rules.checkpoint(), 0u);
     EXPECT_EQ(std::filesystem::file_size(wal_), written) << "pass " << pass;
   }
   ac.check("a", 1);
-  EXPECT_EQ(ac.checkpoint_now(sink), kKeys.size());
+  EXPECT_EQ(rules.checkpoint(), 1u);
   EXPECT_GT(std::filesystem::file_size(wal_), written);
 }
 
@@ -113,15 +104,12 @@ TEST_F(RestartLivesTest, CreditNeverOutlivesItsCapacityAcrossLives) {
     std::map<std::string, int> lost;      // TRUE no check-point recorded
     const int lives = 3 + static_cast<int>(rng.next_below(4));
     for (int life = 0; life < lives; ++life) {
-      db::Database db;
-      db::RuleStore store(db);
-      restore(db, store);
-      DbRuleSource source(store);
-      DbRuleSink sink(store);
-      AdmissionController ac(clock_, source, config());
+      AdmissionController ac(clock_, config());
+      TableRules rules(ac.table(), clock_);
+      restore(rules);
       std::map<std::string, int> since_checkpoint;
       auto checkpoint = [&] {
-        ac.checkpoint_now(sink);
+        rules.checkpoint();
         since_checkpoint.clear();
       };
       for (int op = 4 + static_cast<int>(rng.next_below(12)); op > 0; --op) {
@@ -135,7 +123,7 @@ TEST_F(RestartLivesTest, CreditNeverOutlivesItsCapacityAcrossLives) {
         } else if (roll < 9) {
           checkpoint();
         } else {
-          ASSERT_TRUE(db.compact_wal(snapshot_).ok());
+          ASSERT_TRUE(rules.compact(snapshot_).ok());
         }
       }
       switch (static_cast<End>(rng.next_below(3))) {
@@ -153,7 +141,7 @@ TEST_F(RestartLivesTest, CreditNeverOutlivesItsCapacityAcrossLives) {
           std::filesystem::copy_file(
               wal_, wal_copy_,
               std::filesystem::copy_options::overwrite_existing);
-          ASSERT_TRUE(db.compact_wal(snapshot_).ok());
+          ASSERT_TRUE(rules.compact(snapshot_).ok());
           std::filesystem::rename(wal_copy_, wal_);
           break;
       }

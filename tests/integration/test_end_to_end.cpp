@@ -1,9 +1,18 @@
 // Full-stack integration on real sockets: database -> QoS servers ->
 // request routers -> gateway balancer -> ab workload client / app wrapper.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "app/qos_client.hpp"
-#include "db/rule_store.hpp"
+#include "../support/temp_rules.hpp"
+#include "db/wal.hpp"
 #include "lb/gateway_balancer.hpp"
 #include "router/router_node.hpp"
 #include "server/qos_server_node.hpp"
@@ -20,15 +29,16 @@ namespace {
 class EndToEndTest : public ::testing::TestWithParam<lb::RoutingPolicy> {
  protected:
   void SetUp() override {
-    store_ = std::make_unique<db::RuleStore>(db_);
-
-    // Two QoS servers.
+    // Two QoS servers, each loading the rules file into its own table and
+    // logging to its own WAL.
     for (int i = 0; i < 2; ++i) {
       server::QosServerConfig cfg;
       cfg.sync_interval = Duration{0};
       cfg.checkpoint_interval = Duration{0};
-      auto server = server::QosServerNode::start({"127.0.0.1", 0}, *store_,
-                                                 cfg);
+      cfg.wal_path = wal_path(i);
+      std::remove(cfg.wal_path.c_str());
+      auto server = server::QosServerNode::start({"127.0.0.1", 0},
+                                                 rules_.path(), cfg);
       ASSERT_TRUE(server.ok()) << server.error().message;
       servers_.push_back(std::move(server).take());
     }
@@ -60,16 +70,33 @@ class EndToEndTest : public ::testing::TestWithParam<lb::RoutingPolicy> {
     gateway_ = std::move(gateway).take();
   }
 
-  db::Database db_;
-  std::unique_ptr<db::RuleStore> store_;
+  void TearDown() override {
+    for (std::size_t i = 0; i < servers_.size(); ++i) {
+      servers_[i]->stop();
+      std::remove(wal_path(i).c_str());
+    }
+  }
+
+  static std::string wal_path(std::size_t server) {
+    return ::testing::TempDir() + "janus_e2e_" + std::to_string(::getpid()) +
+           "_" + std::to_string(server) + ".wal";
+  }
+
+  /// Write `rule` to the rules file; each server's sync pass reloads it.
+  void put_rule(const db::RuleRow& rule) {
+    rules_.put(rule);
+    for (auto& server : servers_) server->sync_now();
+  }
+
+  test_support::TempRules rules_;
   std::vector<std::unique_ptr<server::QosServerNode>> servers_;
   std::vector<std::unique_ptr<router::RouterNode>> routers_;
   std::unique_ptr<lb::GatewayBalancer> gateway_;
 };
 
 TEST_P(EndToEndTest, QuotaEnforcedThroughFullStack) {
-  ASSERT_TRUE(store_->put({.key = "alice", .refill_per_sec = 0,
-                           .capacity = 10, .credit = 10}).ok());
+  put_rule({.key = "alice", .refill_per_sec = 0, .capacity = 10,
+            .credit = 10});
   net::HttpClient client(gateway_->addr());
   int allowed = 0, denied = 0;
   for (int i = 0; i < 20; ++i) {
@@ -84,8 +111,8 @@ TEST_P(EndToEndTest, QuotaEnforcedThroughFullStack) {
 TEST_P(EndToEndTest, QuotaSharedAcrossRouterNodes) {
   // The same key through *different* routers hits the same bucket — the
   // architecture's central consistency property (§II-B).
-  ASSERT_TRUE(store_->put({.key = "shared", .refill_per_sec = 0,
-                           .capacity = 6, .credit = 6}).ok());
+  put_rule({.key = "shared", .refill_per_sec = 0, .capacity = 6,
+            .credit = 6});
   net::HttpClient via_r0(routers_[0]->addr());
   net::HttpClient via_r1(routers_[1]->addr());
   int allowed = 0;
@@ -102,7 +129,13 @@ TEST_P(EndToEndTest, AbWorkloadDrivesTheStack) {
   workload::RuleCorpusConfig corpus;
   corpus.rule_count = 200;
   workload::SequentialKeys keys;
-  ASSERT_EQ(workload::provision_rules(*store_, keys, corpus), 200u);
+  std::vector<db::RuleRow> corpus_rules;
+  for (std::uint64_t i = 0; i < corpus.rule_count; ++i) {
+    corpus_rules.push_back(workload::make_rule(keys, i, corpus));
+  }
+  rules_.put_many(corpus_rules);
+  for (auto& server : servers_) server->sync_now();
+  for (auto& server : servers_) ASSERT_EQ(server->rule_count(), 200u);
 
   workload::AbConfig ab;
   ab.threads = 2;
@@ -120,8 +153,8 @@ TEST_P(EndToEndTest, AbWorkloadDrivesTheStack) {
 
 TEST_P(EndToEndTest, PhpStyleWrapperIntegration) {
   // The §IV use case: wrap an existing app with qos_check(REMOTE_ADDR).
-  ASSERT_TRUE(store_->put({.key = "198.51.100.7", .refill_per_sec = 0,
-                           .capacity = 3, .credit = 3}).ok());
+  put_rule({.key = "198.51.100.7", .refill_per_sec = 0, .capacity = 3,
+            .credit = 3});
   app::QosClient qos(gateway_->addr());
   int served = 0, throttled = 0;
   for (int i = 0; i < 6; ++i) {
@@ -137,36 +170,49 @@ TEST_P(EndToEndTest, PhpStyleWrapperIntegration) {
 }
 
 TEST_P(EndToEndTest, RuleChangesPropagateViaSync) {
-  ASSERT_TRUE(store_->put({.key = "upgraded", .refill_per_sec = 0,
-                           .capacity = 1, .credit = 1}).ok());
+  put_rule({.key = "upgraded", .refill_per_sec = 0, .capacity = 1,
+            .credit = 1});
   net::HttpClient client(gateway_->addr());
   ASSERT_TRUE(client.get("/qos?key=upgraded").ok());
   auto denied = client.get("/qos?key=upgraded");
   ASSERT_TRUE(denied.ok());
   EXPECT_EQ(denied.value().body, "FALSE");
 
-  // Tenant buys a bigger plan; servers re-read rules on their sync tick.
-  ASSERT_TRUE(store_->put({.key = "upgraded", .refill_per_sec = 0,
-                           .capacity = 100, .credit = 100}).ok());
-  for (auto& server : servers_) server->sync_now();
+  // Tenant buys a bigger plan: a higher rate. Servers reload the edited
+  // rules file on their sync tick; the spent credit is kept (a reload never
+  // hands a held key a new credit) and the new rate refills it.
+  put_rule({.key = "upgraded", .refill_per_sec = 1000, .capacity = 100,
+            .credit = 100});
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
   auto after = client.get("/qos?key=upgraded");
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.value().body, "TRUE");
 }
 
 TEST_P(EndToEndTest, CheckpointPersistsCreditsToDatabase) {
-  ASSERT_TRUE(store_->put({.key = "ckpt", .refill_per_sec = 0,
-                           .capacity = 10, .credit = 10}).ok());
+  // The server that owns the key logs its spent credit to its WAL; the
+  // other never touched it, so its WAL holds only the loaded rule.
+  put_rule({.key = "ckpt", .refill_per_sec = 0, .capacity = 10,
+            .credit = 10});
   net::HttpClient client(gateway_->addr());
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(client.get("/qos?key=ckpt").ok());
   for (auto& server : servers_) server->checkpoint_now();
-  EXPECT_DOUBLE_EQ(store_->get("ckpt")->credit, 6.0);
+  std::vector<double> last;
+  for (std::size_t i = 0; i < servers_.size(); ++i) {
+    double credit = -1;
+    ASSERT_TRUE(db::Wal::replay(wal_path(i), [&](const db::LogRecord& rec) {
+                  if (rec.rule.key == "ckpt") credit = rec.rule.credit;
+                }).ok());
+    last.push_back(credit);
+  }
+  std::sort(last.begin(), last.end());
+  EXPECT_EQ(last, (std::vector<double>{6.0, 10.0}));
 }
 
 TEST_P(EndToEndTest, BurstCreditSemanticsEndToEnd) {
   // §II-C's burst example scaled down: rate 5/s, capacity 20.
-  ASSERT_TRUE(store_->put({.key = "burst", .refill_per_sec = 5,
-                           .capacity = 20, .credit = 20}).ok());
+  put_rule({.key = "burst", .refill_per_sec = 5, .capacity = 20,
+            .credit = 20});
   net::HttpClient client(gateway_->addr());
   int initial_burst = 0;
   for (int i = 0; i < 25; ++i) {

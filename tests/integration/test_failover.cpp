@@ -1,12 +1,16 @@
 // Failure-injection integration tests: QoS-server master/slave failover via
 // DNS health checks (§III-C), database master/standby promotion (§III-D),
-// and replacement-server warm-up from check-points (§II-D).
+// and replacement-server warm-up from check-points (§II-D). Every server
+// loads its rules from a file into its own table; none shares rules with
+// another.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
+#include "../support/temp_rules.hpp"
 #include "db/rule_store.hpp"
 #include "lb/dns_balancer.hpp"
 #include "router/router_node.hpp"
@@ -40,15 +44,13 @@ class LiveDnsResolver final : public router::Resolver {
 };
 
 TEST(FailoverTest, QosServerMasterSlaveFailover) {
-  db::Database db;
-  db::RuleStore store(db);
-  ASSERT_TRUE(store.put({.key = "alice", .refill_per_sec = 0,
-                         .capacity = 10, .credit = 10}).ok());
-
-  auto master = server::QosServerNode::start({"127.0.0.1", 0}, store,
+  // Master and slave each load the same rules file.
+  test_support::TempRules rules({{.key = "alice", .refill_per_sec = 0,
+                                  .capacity = 10, .credit = 10}});
+  auto master = server::QosServerNode::start({"127.0.0.1", 0}, rules.path(),
                                              quiet_server_config());
   ASSERT_TRUE(master.ok());
-  auto slave = server::QosServerNode::start({"127.0.0.1", 0}, store,
+  auto slave = server::QosServerNode::start({"127.0.0.1", 0}, rules.path(),
                                             quiet_server_config());
   ASSERT_TRUE(slave.ok());
 
@@ -103,15 +105,19 @@ TEST(FailoverTest, QosServerMasterSlaveFailover) {
 }
 
 TEST(FailoverTest, ReplacementServerWarmsFromCheckpoint) {
-  // §II-D: without HA, a replacement server re-initializes lazily from the
-  // database, starting each bucket at its last check-pointed credit.
-  db::Database db;
-  db::RuleStore store(db);
-  ASSERT_TRUE(store.put({.key = "alice", .refill_per_sec = 0,
-                         .capacity = 10, .credit = 10}).ok());
+  // §II-D: without HA, a replacement server starts each bucket at its last
+  // check-pointed credit: it restores the WAL the original logged to, then
+  // loads the same rules file over it.
+  test_support::TempRules rules({{.key = "alice", .refill_per_sec = 0,
+                                  .capacity = 10, .credit = 10}});
+  const std::string wal = ::testing::TempDir() + "janus_replacement_" +
+                          std::to_string(::getpid()) + ".wal";
+  std::remove(wal.c_str());
+  server::QosServerConfig cfg = quiet_server_config();
+  cfg.wal_path = wal;
 
-  auto original = server::QosServerNode::start({"127.0.0.1", 0}, store,
-                                               quiet_server_config());
+  auto original =
+      server::QosServerNode::start({"127.0.0.1", 0}, rules.path(), cfg);
   ASSERT_TRUE(original.ok());
   auto resolver = std::make_shared<router::StaticResolver>();
   resolver->add("qos-0.janus", original.value()->addr());
@@ -129,8 +135,8 @@ TEST(FailoverTest, ReplacementServerWarmsFromCheckpoint) {
   original.value()->stop();
 
   // Replacement takes over the same DNS name (new address).
-  auto replacement = server::QosServerNode::start({"127.0.0.1", 0}, store,
-                                                  quiet_server_config());
+  auto replacement =
+      server::QosServerNode::start({"127.0.0.1", 0}, rules.path(), cfg);
   ASSERT_TRUE(replacement.ok());
   auto resolver2 = std::make_shared<router::StaticResolver>();
   resolver2->add("qos-0.janus", replacement.value()->addr());
@@ -146,6 +152,8 @@ TEST(FailoverTest, ReplacementServerWarmsFromCheckpoint) {
     if (resp.value().body == "TRUE") ++allowed;
   }
   EXPECT_EQ(allowed, 3);  // exactly the check-pointed credits
+  replacement.value()->stop();
+  std::remove(wal.c_str());
 }
 
 TEST(FailoverTest, DatabasePromotionKeepsRulesAvailable) {
@@ -171,15 +179,18 @@ TEST(FailoverTest, DatabasePromotionKeepsRulesAvailable) {
   db::RuleStore standby_store(standby);
   ASSERT_TRUE(standby.load_snapshot(snapshot).ok());
   ASSERT_TRUE(standby.recover(wal).ok());
-  std::remove(wal.c_str());
-  std::remove(snapshot.c_str());
   auto rule = standby_store.get("alice");
   ASSERT_TRUE(rule.has_value());
   EXPECT_DOUBLE_EQ(rule->capacity, 500.0);
 
-  // A QoS server pointed at the promoted database works immediately.
-  auto server = server::QosServerNode::start({"127.0.0.1", 0}, standby_store,
-                                             quiet_server_config());
+  // A QoS server restoring the same files works immediately: its table
+  // reads the database's snapshot and WAL formats.
+  test_support::TempRules no_rules;
+  server::QosServerConfig cfg = quiet_server_config();
+  cfg.snapshot_path = snapshot;
+  cfg.wal_path = wal;
+  auto server =
+      server::QosServerNode::start({"127.0.0.1", 0}, no_rules.path(), cfg);
   ASSERT_TRUE(server.ok());
   auto resolver = std::make_shared<router::StaticResolver>();
   resolver->add("qos-0.janus", server.value()->addr());
@@ -189,24 +200,29 @@ TEST(FailoverTest, DatabasePromotionKeepsRulesAvailable) {
                                           resolver, rcfg);
   ASSERT_TRUE(router.ok());
   net::HttpClient client(router.value()->addr());
-  auto resp = client.get("/qos?key=bob");
-  ASSERT_TRUE(resp.ok());
-  EXPECT_EQ(resp.value().body, "TRUE");
+  for (const char* key : {"alice", "bob"}) {
+    auto resp = client.get(std::string("/qos?key=") + key);
+    ASSERT_TRUE(resp.ok());
+    EXPECT_EQ(resp.value().body, "TRUE") << key;
+  }
+  EXPECT_EQ(server.value()->rule_count(), 2u);
+  server.value()->stop();
+  std::remove(wal.c_str());
+  std::remove(snapshot.c_str());
 }
 
 TEST(FailoverTest, LocalizedServerFailureDoesNotAffectOtherPartitions) {
   // §II-D: "a failed QoS server is a localized failure."
-  db::Database db;
-  db::RuleStore store(db);
+  std::vector<db::RuleRow> keys;
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(store.put({.key = "k" + std::to_string(i),
-                           .refill_per_sec = 0, .capacity = 100,
-                           .credit = 100}).ok());
+    keys.push_back({.key = "k" + std::to_string(i), .refill_per_sec = 0,
+                    .capacity = 100, .credit = 100});
   }
+  test_support::TempRules rules(keys);
 
-  auto s0 = server::QosServerNode::start({"127.0.0.1", 0}, store,
+  auto s0 = server::QosServerNode::start({"127.0.0.1", 0}, rules.path(),
                                          quiet_server_config());
-  auto s1 = server::QosServerNode::start({"127.0.0.1", 0}, store,
+  auto s1 = server::QosServerNode::start({"127.0.0.1", 0}, rules.path(),
                                          quiet_server_config());
   ASSERT_TRUE(s0.ok() && s1.ok());
   auto resolver = std::make_shared<router::StaticResolver>();

@@ -10,8 +10,8 @@
 
 #include "common/flight_recorder.hpp"
 #include "common/json_lint.hpp"
+#include "../support/temp_rules.hpp"
 #include "common/logging.hpp"
-#include "db/rule_store.hpp"
 #include "lb/gateway_balancer.hpp"
 #include "router/router_node.hpp"
 #include "server/qos_server_node.hpp"
@@ -22,8 +22,6 @@ namespace {
 class ObservabilityTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    store_ = std::make_unique<db::RuleStore>(db_);
-
     for (int i = 0; i < 2; ++i) {
       server::QosServerConfig cfg;
       cfg.sync_interval = Duration{0};
@@ -31,8 +29,8 @@ class ObservabilityTest : public ::testing::Test {
       // Every request is "slow" relative to a zero threshold, so the
       // exemplar assertions below do not depend on real latency.
       cfg.slow_exemplar_us = 0;
-      auto server = server::QosServerNode::start({"127.0.0.1", 0}, *store_,
-                                                 cfg);
+      auto server = server::QosServerNode::start({"127.0.0.1", 0},
+                                                 rules_.path(), cfg);
       ASSERT_TRUE(server.ok()) << server.error().message;
       auto admin = server.value()->start_admin({"127.0.0.1", 0},
                                                "qos-" + std::to_string(i));
@@ -78,8 +76,8 @@ class ObservabilityTest : public ::testing::Test {
   }
 
   void drive_traffic(int n) {
-    ASSERT_TRUE(store_->put({.key = "tenant", .refill_per_sec = 0,
-                             .capacity = 1000, .credit = 1000}).ok());
+    put_rule({.key = "tenant", .refill_per_sec = 0, .capacity = 1000,
+              .credit = 1000});
     net::HttpClient client(gateway_->addr());
     for (int i = 0; i < n; ++i) {
       auto resp = client.get("/qos?key=tenant");
@@ -91,8 +89,8 @@ class ObservabilityTest : public ::testing::Test {
   /// (gateway, router, router.udp, server.worker) emit span events for
   /// `trace_id`.
   void drive_traced(int n, const std::string& trace_id) {
-    ASSERT_TRUE(store_->put({.key = "traced", .refill_per_sec = 0,
-                             .capacity = 100000, .credit = 100000}).ok());
+    put_rule({.key = "traced", .refill_per_sec = 0, .capacity = 100000,
+              .credit = 100000});
     net::HttpClient client(gateway_->addr(), millis(2000));
     for (int i = 0; i < n; ++i) {
       net::HttpRequest req;
@@ -103,8 +101,13 @@ class ObservabilityTest : public ::testing::Test {
     }
   }
 
-  db::Database db_;
-  std::unique_ptr<db::RuleStore> store_;
+  /// Write `rule` to the rules file; each server's sync pass reloads it.
+  void put_rule(const db::RuleRow& rule) {
+    rules_.put(rule);
+    for (auto& server : servers_) server->sync_now();
+  }
+
+  test_support::TempRules rules_;
   std::vector<std::unique_ptr<server::QosServerNode>> servers_;
   std::vector<net::SockAddr> server_admins_;
   std::unique_ptr<router::RouterNode> router_;
@@ -166,8 +169,8 @@ TEST_F(ObservabilityTest, HealthzOnEveryLayer) {
 }
 
 TEST_F(ObservabilityTest, TracePropagatesRouterToServerAndBack) {
-  ASSERT_TRUE(store_->put({.key = "traced", .refill_per_sec = 0,
-                           .capacity = 100, .credit = 100}).ok());
+  put_rule({.key = "traced", .refill_per_sec = 0, .capacity = 100,
+            .credit = 100});
 
   Logger& log = Logger::instance();
   const LogLevel saved = log.level();

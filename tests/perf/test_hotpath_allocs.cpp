@@ -27,6 +27,7 @@
 #include "common/metrics.hpp"
 #include "core/admission.hpp"
 #include "core/qos_table.hpp"
+#include "core/table_rules.hpp"
 #include "db/rule_store.hpp"
 #include "db/rules_file.hpp"
 #include "lb/prequal.hpp"
@@ -601,6 +602,125 @@ TEST(HotpathAllocTest, RulesFileLoadAllocatesOneBlockPerRule) {
       sizeof(HashNode*);
   EXPECT_LE(largest, bucket_array) << "bytes of the largest block";
   RecordProperty("allocations", std::to_string(allocations));
+#endif
+}
+
+/// A rules file of `rules` rules with perfbench's 10-byte keys, as the
+/// QoS server loads it; returns its path.
+std::string write_rules_file(std::size_t rules) {
+  const std::string path =
+      ::testing::TempDir() + "janus_allocs_server_" +
+      std::to_string(::getpid()) + ".rules";
+  std::string text;
+  for (std::size_t i = 0; i < rules; ++i) {
+    text += std::to_string(1'500'000'000 + i) + " = 10 100 100\n";
+  }
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f != nullptr) {
+    std::fwrite(text.data(), 1, text.size(), f);
+    std::fclose(f);
+  }
+  return path;
+}
+
+TEST(HotpathAllocTest, FirstDecisionOfALoadedKeyIsAllocationFree) {
+  // The QoS server's first touch of a loaded rule finds it in its
+  // provisioned entry and makes it live in place: no fetch, no node.
+  const std::string path = write_rules_file(64);
+  ManualClock clock;
+  AdmissionConfig cfg;
+  cfg.table_shards = 16;
+  AdmissionController ac(clock, cfg);
+  core::TableRules rules(ac.table(), clock);
+  const auto loaded = rules.load(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+  warm_flight_recorder();
+
+  std::vector<std::string> keys;
+  for (int i = 0; i < 64; ++i) keys.push_back(std::to_string(1'500'000'000 + i));
+  AllocGuard guard;
+  for (const std::string& key : keys) {
+    const auto d = ac.check(key, 1);
+    ASSERT_TRUE(d.allowed);
+    ASSERT_EQ(d.origin, core::Decision::Origin::kFetched);
+  }
+  EXPECT_EQ(guard.count(), 0u)
+      << "the first decision of a loaded rule allocated";
+}
+
+TEST(HotpathAllocTest, ServerTableLoadAllocatesOneBlockPerRule) {
+#ifdef JANUS_MALLOC_REPLACED
+  GTEST_SKIP() << "this build's sanitizer replaces malloc; its memory checks "
+                  "are skipped with the heap-byte ones";
+#else
+  // 100k rules loaded from a file into the QoS server's 16-shard table, as
+  // janusd loads them. Each rule costs its entry's node; the read block,
+  // the parser's chunk, the table's chunk and the shards' bucket arrays
+  // are allocated once. A copy built per rule would double the count, a
+  // shard index grown by doubling would add its rehashes, and a buffer for
+  // the whole file (2.4 MB) would outgrow the read block.
+  constexpr std::size_t kRules = 100'000;
+  constexpr std::size_t kShards = 16;
+  const std::string path = write_rules_file(kRules);
+  ManualClock clock;
+  AdmissionConfig cfg;
+  cfg.table_shards = kShards;
+  AdmissionController ac(clock, cfg);
+  core::TableRules rules(ac.table(), clock);
+  std::uint64_t allocations = 0;
+  std::size_t largest = 0;
+  Result<std::size_t> loaded = std::size_t{0};
+  {
+    AllocGuard guard;
+    loaded = rules.load(path);
+    allocations = guard.count();
+    largest = guard.largest();
+  }
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+  ASSERT_EQ(ac.table().rule_count(), kRules);
+  EXPECT_LE(allocations, kRules + 3 + kShards) << "heap allocations per load";
+  EXPECT_LE(largest, db::kRulesReadBlock) << "bytes of the largest block";
+  RecordProperty("allocations", std::to_string(allocations));
+#endif
+}
+
+TEST(HotpathAllocTest, ServerKeyCostsAtMost96Bytes) {
+#ifdef JANUS_MALLOC_REPLACED
+  GTEST_SKIP() << "this build's sanitizer replaces malloc, which mallinfo2 "
+                  "does not see";
+#else
+  // What a key costs the QoS server in all, loaded and then live: 100k
+  // rules loaded into its 16-shard table, then every key decided. One heap
+  // block per key (the entry holds the rule), plus the bucket arrays.
+  // Before the rules table folded into the QoS table, a touched key cost a
+  // rules row and an entry: 165.1 B.
+  constexpr std::size_t kKeys = 100'000;
+  const std::string path = write_rules_file(kKeys);
+  auto heap_bytes = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return info.uordblks + info.hblkhd;
+  };
+  ManualClock clock;
+  AdmissionConfig cfg;
+  cfg.table_shards = 16;
+  const std::size_t before = heap_bytes();
+  AdmissionController ac(clock, cfg);
+  core::TableRules rules(ac.table(), clock);
+  ASSERT_TRUE(rules.load(path).ok());
+  std::remove(path.c_str());
+  const double loaded =
+      static_cast<double>(heap_bytes() - before) / kKeys;
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(ac.check(std::to_string(1'500'000'000 + i)).allowed);
+  }
+  ASSERT_EQ(ac.table_size(), kKeys);
+  const double live = static_cast<double>(heap_bytes() - before) / kKeys;
+  EXPECT_LE(loaded, 96.0) << "bytes of heap per loaded key";
+  EXPECT_LE(live, 96.0) << "bytes of heap per live key";
+  RecordProperty("bytes_per_loaded_key", std::to_string(loaded));
+  RecordProperty("bytes_per_live_key", std::to_string(live));
 #endif
 }
 

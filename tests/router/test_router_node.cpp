@@ -8,7 +8,7 @@
 #include <chrono>
 #include <thread>
 
-#include "db/rule_store.hpp"
+#include "../support/temp_rules.hpp"
 #include "net/http.hpp"
 #include "server/qos_server_node.hpp"
 #include "wire/http_codec.hpp"
@@ -20,15 +20,11 @@ namespace {
 class RouterNodeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    store_ = std::make_unique<db::RuleStore>(db_);
-    ASSERT_TRUE(store_->put({.key = "alice", .refill_per_sec = 0,
-                             .capacity = 5, .credit = 5}).ok());
-
     server::QosServerConfig server_cfg;
     server_cfg.sync_interval = Duration{0};        // no background threads
     server_cfg.checkpoint_interval = Duration{0};  // in unit tests
-    auto server = server::QosServerNode::start({"127.0.0.1", 0}, *store_,
-                                               server_cfg);
+    auto server = server::QosServerNode::start({"127.0.0.1", 0},
+                                               rules_.path(), server_cfg);
     ASSERT_TRUE(server.ok()) << server.error().message;
     server_ = std::move(server).take();
 
@@ -43,8 +39,8 @@ class RouterNodeTest : public ::testing::Test {
     router_ = std::move(router).take();
   }
 
-  db::Database db_;
-  std::unique_ptr<db::RuleStore> store_;
+  test_support::TempRules rules_{{{.key = "alice", .refill_per_sec = 0,
+                                   .capacity = 5, .credit = 5}}};
   /// Shard map a test may attach to router_; declared first so it outlives
   /// the router.
   cluster::ShardMapHolder shard_map_;
@@ -195,12 +191,12 @@ TEST_F(RouterNodeTest, MetricsCountTraffic) {
 
 TEST_F(RouterNodeTest, TwoServersPartitionKeys) {
   // Second server with a different rule set; keys split by CRC32 mod 2.
-  db::Database db2;
-  db::RuleStore store2(db2);
+  test_support::TempRules rules2;
   server::QosServerConfig cfg;
   cfg.sync_interval = Duration{0};
   cfg.checkpoint_interval = Duration{0};
-  auto server2 = server::QosServerNode::start({"127.0.0.1", 0}, store2, cfg);
+  auto server2 = server::QosServerNode::start({"127.0.0.1", 0}, rules2.path(),
+                                              cfg);
   ASSERT_TRUE(server2.ok());
 
   auto resolver = std::make_shared<StaticResolver>();
@@ -236,12 +232,15 @@ TEST_F(RouterNodeTest, ManyKeepAliveConnectionsEachUnderTenMs) {
   // RCU grace period, tens of ms, on whichever connect needs it first.
   const int high = ::fcntl(STDERR_FILENO, F_DUPFD, 4 * kConnections);
   if (high >= 0) ::close(high);
+  std::vector<db::RuleRow> rules;
   for (int c = 0; c < kConnections; ++c) {
-    ASSERT_TRUE(store_->put({.key = "conn" + std::to_string(c),
-                             .refill_per_sec = 0,
-                             .capacity = kRounds,
-                             .credit = kRounds}).ok());
+    rules.push_back({.key = "conn" + std::to_string(c),
+                     .refill_per_sec = 0,
+                     .capacity = kRounds,
+                     .credit = kRounds});
   }
+  rules_.put_many(rules);
+  server_->sync_now();
   std::vector<std::unique_ptr<net::HttpClient>> clients;
   for (int c = 0; c < kConnections; ++c) {
     clients.push_back(
@@ -272,12 +271,15 @@ TEST_F(RouterNodeTest, ConcurrentRequestsGetTheirOwnVerdicts) {
   // (a retry charges twice until the server dedupes).
   constexpr int kKeys = 32;
   constexpr int kRequestsPerKey = 40;
+  std::vector<db::RuleRow> rules;
   for (int i = 0; i < kKeys; ++i) {
-    ASSERT_TRUE(store_->put({.key = "iso" + std::to_string(i),
-                             .refill_per_sec = 0.001,
-                             .capacity = static_cast<double>(i + 1),
-                             .credit = static_cast<double>(i + 1)}).ok());
+    rules.push_back({.key = "iso" + std::to_string(i),
+                     .refill_per_sec = 0.001,
+                     .capacity = static_cast<double>(i + 1),
+                     .credit = static_cast<double>(i + 1)});
   }
+  rules_.put_many(rules);
+  server_->sync_now();
   auto resolver = std::make_shared<StaticResolver>();
   resolver->add("qos-0.janus", server_->addr());
   RouterConfig cfg;

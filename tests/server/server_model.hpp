@@ -16,7 +16,6 @@
 #include <string>
 
 #include "core/admission.hpp"
-#include "db/rule_store.hpp"
 #include "net/socket.hpp"
 #include "server/qos_server_node.hpp"
 
@@ -91,8 +90,8 @@ enum class ServerModel {
 /// every other field as the test configured it, and start the one-worker
 /// variant from a thread pinned to one CPU.
 inline Result<std::unique_ptr<QosServerNode>> start_in_model(
-    ServerModel model, const net::SockAddr& listen, db::RuleStore& store,
-    QosServerConfig cfg) {
+    ServerModel model, const net::SockAddr& listen,
+    const std::string& rules_path, QosServerConfig cfg) {
   switch (model) {
     case ServerModel::kSharedQueue:
     case ServerModel::kOneWorkerSharedQueue:
@@ -104,7 +103,7 @@ inline Result<std::unique_ptr<QosServerNode>> start_in_model(
       cfg.admission.refill_mode = core::RefillMode::kPeriodic;
       break;
   }
-  auto start = [&] { return QosServerNode::start(listen, store, cfg); };
+  auto start = [&] { return QosServerNode::start(listen, rules_path, cfg); };
   return model == ServerModel::kOneWorkerSharedQueue ? on_one_cpu(start)
                                                      : start();
 }

@@ -4,32 +4,37 @@
 
 #include <limits>
 
-#include "core/db_rule_adapter.hpp"
-#include "db/rule_store.hpp"
+#include "../support/temp_rules.hpp"
+#include "core/table_rules.hpp"
 #include "db/serialize.hpp"
 
 namespace janus::server {
 namespace {
 
+/// A master and a replica, each loading the same rules file into its own
+/// table, as two janusd servers do.
 class HaTest : public ::testing::Test {
  protected:
   HaTest()
-      : store_(db_),
-        source_(store_),
-        master_(clock_, source_, core::AdmissionConfig{}),
-        slave_(clock_, source_, core::AdmissionConfig{}) {}
+      : master_(clock_, core::AdmissionConfig{}),
+        slave_(clock_, core::AdmissionConfig{}),
+        master_rules_(master_.table(), clock_),
+        slave_rules_(slave_.table(), clock_) {}
 
+  /// Give `key` a rule in the file, and load the file into both tables.
   void provision(const std::string& key, double capacity, double rate) {
-    ASSERT_TRUE(store_.put({.key = key, .refill_per_sec = rate,
-                            .capacity = capacity, .credit = capacity}).ok());
+    rules_.put({.key = key, .refill_per_sec = rate, .capacity = capacity,
+                .credit = capacity});
+    ASSERT_TRUE(master_rules_.load(rules_.path()).ok());
+    ASSERT_TRUE(slave_rules_.load(rules_.path()).ok());
   }
 
   ManualClock clock_;
-  db::Database db_;
-  db::RuleStore store_;
-  core::DbRuleSource source_;
+  test_support::TempRules rules_;
   core::AdmissionController master_;
   core::AdmissionController slave_;
+  core::TableRules master_rules_;
+  core::TableRules slave_rules_;
 };
 
 TEST_F(HaTest, SerializeRestoreRoundTrip) {
@@ -221,8 +226,39 @@ TEST_F(HaTest, SlimEntriesRoundTripExactly) {
     });
     EXPECT_TRUE(same.has_value()) << key << " missing on the slave";
   });
-  // A sync on the slave finds nothing to change: the exact rule survived.
-  EXPECT_EQ(slave_.sync_now(), 0u);
+  // Loading the file again on the slave changes no rule: the exact rule
+  // survived.
+  auto reloaded = slave_rules_.load(rules_.path());
+  ASSERT_TRUE(reloaded.ok());
+  EXPECT_EQ(reloaded.value(), 0u);
+}
+
+TEST_F(HaTest, ReplicaKeepsItsRulesForKeysTheMasterNeverTouched) {
+  // The master ships its live entries only; the replica's restore replaces
+  // its live entries and keeps its own loaded rules, so after a failover a
+  // key the master never touched is decided by its file rule, not by the
+  // default rule (deny-all here).
+  provision("alice", 100, 0);
+  provision("bob", 2, 0);
+  master_.check("alice");
+  master_.check("unknown");
+  slave_.check("bob");  // a replica's own live entry is replaced
+
+  const auto bytes = serialize_table(master_.table());
+  auto restored = restore_table(slave_.table(), bytes, clock_.now());
+  ASSERT_TRUE(restored.ok()) << restored.error().message;
+  EXPECT_EQ(restored.value(), master_.table_size());
+  EXPECT_EQ(restored.value(), 2u);
+  EXPECT_FALSE(slave_.table().contains("bob"));
+  EXPECT_EQ(slave_.table().rule_count(), 2u);
+
+  const auto bob = slave_.check("bob");
+  EXPECT_TRUE(bob.allowed);
+  EXPECT_EQ(bob.origin, core::Decision::Origin::kFetched);
+  EXPECT_EQ(bob.remaining_millicredits, 0);  // the replica's spent credit
+  const auto alice = slave_.check("alice");
+  EXPECT_TRUE(alice.allowed);
+  EXPECT_EQ(alice.remaining_millicredits, 98'000);
 }
 
 }  // namespace

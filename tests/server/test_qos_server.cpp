@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,6 +18,8 @@
 #include "common/flight_recorder.hpp"
 #include "common/json_lint.hpp"
 #include "net/affinity.hpp"
+#include "../support/temp_rules.hpp"
+#include "db/wal.hpp"
 #include "router/udp_qos_client.hpp"
 #include "server_model.hpp"
 #include "testing/fault_injector.hpp"
@@ -23,20 +30,12 @@ namespace {
 
 class QosServerTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    store_ = std::make_unique<db::RuleStore>(db_);
-    ASSERT_TRUE(store_->put({.key = "alice", .refill_per_sec = 100,
-                             .capacity = 10, .credit = 10}).ok());
-    ASSERT_TRUE(store_->put({.key = "bob", .refill_per_sec = 0,
-                             .capacity = 1, .credit = 1}).ok());
-  }
-
   std::unique_ptr<QosServerNode> start_server(
       QosServerConfig cfg = {},
       ServerModel model = ServerModel::kSharedQueue) {
     cfg.sync_interval = Duration{0};
     cfg.checkpoint_interval = Duration{0};
-    auto server = start_in_model(model, {"127.0.0.1", 0}, *store_, cfg);
+    auto server = start_in_model(model, {"127.0.0.1", 0}, rules_.path(), cfg);
     EXPECT_TRUE(server.ok()) << server.error().message;
     return std::move(server).take();
   }
@@ -56,8 +55,10 @@ class QosServerTest : public ::testing::Test {
     return resp.value();
   }
 
-  db::Database db_;
-  std::unique_ptr<db::RuleStore> store_;
+  test_support::TempRules rules_{{
+      {.key = "alice", .refill_per_sec = 100, .capacity = 10, .credit = 10},
+      {.key = "bob", .refill_per_sec = 0, .capacity = 1, .credit = 1},
+  }};
 };
 
 /// End-to-end behaviors of the execution model, in each of its variants
@@ -123,32 +124,73 @@ TEST_P(QosServerModeTest, MalformedDatagramGetsMalformedStatus) {
   EXPECT_EQ(server->metrics().snapshot().at("server.malformed"), 1);
 }
 
-TEST_P(QosServerModeTest, SyncRequestInvalidatesCachedRule) {
+TEST_P(QosServerModeTest, SyncRequestNeverRefillsASpentBucket) {
+  // kSync used to drop the key's entry, so the next decision refetched the
+  // rule with its loaded (or last check-pointed) credit: any sender could
+  // buy a spent bucket back. Five rounds of four checks and a kSync on a
+  // rate-0 rule of capacity 3 admit exactly 3.
+  rules_.put({.key = "k", .refill_per_sec = 0, .capacity = 3, .credit = 3});
   auto server = start_server();
-  EXPECT_TRUE(call(server->addr(), "bob").allowed);
-  EXPECT_FALSE(call(server->addr(), "bob").allowed);
-  // Operator resets bob's quota in the DB, then forces invalidation.
-  ASSERT_TRUE(store_->put({.key = "bob", .refill_per_sec = 0,
-                           .capacity = 5, .credit = 5}).ok());
-  call(server->addr(), "bob", wire::RequestType::kSync);
-  EXPECT_TRUE(call(server->addr(), "bob").allowed);  // fresh rule fetched
+  int admitted = 0;
+  for (int round = 0; round < 5; ++round) {
+    for (int i = 0; i < 4; ++i) admitted += call(server->addr(), "k").allowed;
+    const auto synced = call(server->addr(), "k", wire::RequestType::kSync);
+    EXPECT_EQ(synced.status, wire::ResponseStatus::kOk);
+    EXPECT_EQ(synced.remaining_millicredits, 0) << "round " << round;
+  }
+  EXPECT_EQ(admitted, 3);
 }
 
 TEST_P(QosServerModeTest, SyncNowPicksUpRuleChanges) {
+  // A rule edited in the file reaches the bucket on the next sync pass: bob
+  // is spent at rate 0, then given a fast rate, which refills him.
   auto server = start_server();
   EXPECT_TRUE(call(server->addr(), "bob").allowed);
   EXPECT_FALSE(call(server->addr(), "bob").allowed);
-  ASSERT_TRUE(store_->put({.key = "bob", .refill_per_sec = 0,
-                           .capacity = 3, .credit = 3}).ok());
+  rules_.put({.key = "bob", .refill_per_sec = 1000, .capacity = 3,
+              .credit = 3});
   server->sync_now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  if (GetParam() == ServerModel::kPeriodicRefillSharedQueue) {
+    server->admission().refill_all();
+  }
   EXPECT_TRUE(call(server->addr(), "bob").allowed);
+  EXPECT_EQ(server->metrics().snapshot().at("server.rules_reloads"), 1);
+  // A key new to the file leaves the default rule (deny-all) behind.
+  EXPECT_FALSE(call(server->addr(), "dave").allowed);
+  rules_.put({.key = "dave", .refill_per_sec = 0, .capacity = 2,
+              .credit = 2});
+  server->sync_now();
+  EXPECT_TRUE(call(server->addr(), "dave").allowed);
+  EXPECT_TRUE(call(server->addr(), "dave").allowed);
+  EXPECT_FALSE(call(server->addr(), "dave").allowed);
+  EXPECT_EQ(server->rule_count(), 3u);
 }
 
 TEST_P(QosServerModeTest, CheckpointWritesCreditsBack) {
-  auto server = start_server();
+  // The check-point logs bob's spent credit to the WAL; an idle pass after
+  // it writes nothing.
+  const std::string wal = ::testing::TempDir() + "janus_server_ckpt_" +
+                          std::to_string(::getpid()) + ".wal";
+  std::remove(wal.c_str());
+  QosServerConfig cfg;
+  cfg.wal_path = wal;
+  auto server = start_server(cfg);
   call(server->addr(), "bob");
   server->checkpoint_now();
-  EXPECT_DOUBLE_EQ(store_->get("bob")->credit, 0.0);
+  auto last_credit = [&] {
+    std::optional<double> credit;
+    EXPECT_TRUE(db::Wal::replay(wal, [&](const db::LogRecord& rec) {
+                  if (rec.rule.key == "bob") credit = rec.rule.credit;
+                }).ok());
+    return credit;
+  };
+  EXPECT_EQ(last_credit(), 0.0);
+  const auto bytes = std::filesystem::file_size(wal);
+  server->checkpoint_now();
+  EXPECT_EQ(std::filesystem::file_size(wal), bytes);
+  server->stop();
+  std::remove(wal.c_str());
 }
 
 TEST_P(QosServerModeTest, MetricsCountTraffic) {
@@ -161,8 +203,8 @@ TEST_P(QosServerModeTest, MetricsCountTraffic) {
 }
 
 TEST_P(QosServerModeTest, ConcurrentClientsNeverOverAdmit) {
-  ASSERT_TRUE(store_->put({.key = "shared", .refill_per_sec = 0,
-                           .capacity = 100, .credit = 100}).ok());
+  rules_.put({.key = "shared", .refill_per_sec = 0, .capacity = 100,
+              .credit = 100});
   auto server = start_server();
 
   constexpr int kThreads = 4;
@@ -202,8 +244,8 @@ TEST_P(QosServerModeTest, StopIsIdempotentAndFast) {
 }
 
 TEST_P(QosServerModeTest, PeriodicRefillModeWorksEndToEnd) {
-  ASSERT_TRUE(store_->put({.key = "tick", .refill_per_sec = 1000,
-                           .capacity = 2, .credit = 0}).ok());
+  rules_.put({.key = "tick", .refill_per_sec = 1000, .capacity = 2,
+              .credit = 0});
   QosServerConfig cfg;
   cfg.admission.refill_mode = core::RefillMode::kPeriodic;
   cfg.refill_interval = millis(5);
@@ -442,8 +484,8 @@ TEST_F(QosServerTest, RepliesReachEachOfSeveralClients) {
 TEST_F(QosServerTest, MigrationRoundTripKeepsEveryEntryField) {
   // A leaving node hands its whole table to a new owner; the slim entries
   // (exact capacity and rate, credit, is_default) arrive unchanged.
-  ASSERT_TRUE(store_->put({.key = "fine", .refill_per_sec = 0.123456,
-                           .capacity = 12.34567, .credit = 12.34567}).ok());
+  rules_.put({.key = "fine", .refill_per_sec = 0.123456,
+              .capacity = 12.34567, .credit = 12.34567});
   auto from = start_server();
   auto to = start_server();
   from->admission().check("alice", 3);
@@ -475,7 +517,83 @@ TEST_F(QosServerTest, MigrationRoundTripKeepsEveryEntryField) {
       "fine", [](core::QosEntry& e) { return e.capacity(); });
   ASSERT_TRUE(fine.has_value());
   EXPECT_EQ(*fine, 12.34567);
-  EXPECT_EQ(to->admission().sync_now(), 0u);
+  // The file did not change: a sync pass leaves the migrated entries alone.
+  auto credit_of = [&](const std::string& key) {
+    return to->admission().table().with_entry(
+        key, [](core::QosEntry& e) { return e.bucket.millicredits(); });
+  };
+  const auto alice = credit_of("alice");
+  to->sync_now();
+  EXPECT_EQ(to->metrics().snapshot().at("server.rules_reloads"), 0);
+  EXPECT_EQ(credit_of("alice"), alice);
+}
+
+TEST_F(QosServerTest, MigrationWindowDefersAProvisionedKey) {
+  // A key whose rule waits provisioned has no live bucket: while the
+  // inbound-migration window is open its request is dropped, as an absent
+  // key's is, and the migrated entry decides it once installed. Deciding it
+  // from the loaded rule would spend the file's credit beside the credit in
+  // flight from the old owner.
+  auto server = start_server();
+  server->set_cluster_epoch(1);
+  server->open_migration_window(seconds(30));
+  router::UdpClientConfig ccfg;
+  ccfg.timeout = millis(50);
+  ccfg.max_retries = 1;  // one attempt
+  router::UdpQosClient client(ccfg);
+  wire::QosRequest req;
+  req.key = "bob";
+  req.epoch = 1;
+  auto deferred = client.call(server->addr(), req);
+  ASSERT_TRUE(deferred.ok()) << deferred.error().message;
+  EXPECT_EQ(deferred.value().status, wire::ResponseStatus::kDefaultReply)
+      << "bob was decided";
+  const auto snap = server->metrics().snapshot();
+  EXPECT_EQ(snap.at("server.cluster_deferred"), 1);
+  EXPECT_EQ(server->admission().metrics().snapshot().at("admission.checks"),
+            0);
+
+  // The old owner spent bob: it arrives with 0 of the file's 1 credit.
+  ASSERT_EQ(server->install_migrated({wire::MigrationEntry{
+                .key = "bob", .capacity = 1, .refill_per_sec = 0,
+                .credit = 0, .is_default = false}}),
+            1u);
+  auto resp = client.call(server->addr(), req);
+  ASSERT_TRUE(resp.ok()) << resp.error().message;
+  EXPECT_FALSE(resp.value().allowed);
+  EXPECT_EQ(server->rule_count(), 2u);
+}
+
+TEST_F(QosServerTest, AKeyRegainedWithoutItsEntryKeepsItsFileRule) {
+  // After extract_disowned the member still holds each shipped rule. A key
+  // it regains without a migrated entry (its new owner died before handing
+  // it back) is decided by that rule and its credit, never by the default
+  // rule, which here would admit 1000.
+  QosServerConfig cfg;
+  cfg.admission.default_rule = core::limited_access_default(1000, 0);
+  auto server = start_server(cfg);
+  EXPECT_TRUE(call(server->addr(), "bob").allowed);  // bob's one credit
+  EXPECT_TRUE(call(server->addr(), "stranger").allowed);  // default rule
+
+  const cluster::ShardMap map{
+      .epoch = 1,
+      .members = {cluster::Member{
+          .name = "qos-1", .udp_addr = {}, .cluster_addr = {}}}};
+  const auto outgoing = server->extract_disowned(map, wire::kNotAMember);
+  ASSERT_EQ(outgoing[0].size(), 2u);
+  EXPECT_EQ(server->admission().table_size(), 0u);
+  EXPECT_EQ(server->rule_count(), 2u);  // alice and bob stay held
+
+  const auto bob = server->admission().check("bob");
+  EXPECT_FALSE(bob.allowed) << "bob came back with the default rule";
+  EXPECT_EQ(bob.origin, core::Decision::Origin::kFetched);
+  EXPECT_EQ(bob.remaining_millicredits, 0);
+  const auto alice = server->admission().check("alice");
+  EXPECT_EQ(alice.origin, core::Decision::Origin::kFetched);
+  EXPECT_EQ(alice.remaining_millicredits, 9'000);  // capacity 10, not 1000
+  // The dropped default entry is made anew from the default rule.
+  EXPECT_EQ(server->admission().check("stranger").origin,
+            core::Decision::Origin::kDefault);
 }
 
 TEST_F(QosServerTest, EachHouseKeepingPassRecordsOneSample) {
@@ -564,7 +682,7 @@ TEST_F(QosServerTest, AdminExposesSocketQueueSignals) {
 TEST_F(QosServerTest, StartSurfacesValidationError) {
   QosServerConfig cfg;
   cfg.admission.table_shards = 0;
-  auto server = QosServerNode::start({"127.0.0.1", 0}, *store_, cfg);
+  auto server = QosServerNode::start({"127.0.0.1", 0}, rules_.path(), cfg);
   ASSERT_FALSE(server.ok());
   EXPECT_NE(server.error().message.find("table_shards"), std::string::npos);
 }

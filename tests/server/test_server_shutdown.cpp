@@ -16,7 +16,7 @@
 #include <thread>
 #include <vector>
 
-#include "db/rule_store.hpp"
+#include "../support/temp_rules.hpp"
 #include "net/socket.hpp"
 #include "server/qos_server_node.hpp"
 #include "server_model.hpp"
@@ -28,14 +28,8 @@ namespace {
 /// Parameterized on the execution model's variants (server_model.hpp).
 class ServerShutdownTest : public ::testing::TestWithParam<ServerModel> {
  protected:
-  void SetUp() override {
-    store_ = std::make_unique<db::RuleStore>(db_);
-    ASSERT_TRUE(store_->put({.key = "tenant", .refill_per_sec = 1000,
-                             .capacity = 1000, .credit = 1000}).ok());
-  }
-
-  db::Database db_;
-  std::unique_ptr<db::RuleStore> store_;
+  test_support::TempRules rules_{{{.key = "tenant", .refill_per_sec = 1000,
+                                   .capacity = 1000, .credit = 1000}}};
 };
 
 std::int64_t counter_value(QosServerNode& node, const std::string& name) {
@@ -50,7 +44,7 @@ TEST_P(ServerShutdownTest, StopMidBlastStrandsNoAcceptedJobs) {
     cfg.sync_interval = Duration{0};
     cfg.checkpoint_interval = Duration{0};
     cfg.watchdog_interval = Duration{0};
-    auto started = start_in_model(GetParam(), {"127.0.0.1", 0}, *store_, cfg);
+    auto started = start_in_model(GetParam(), {"127.0.0.1", 0}, rules_.path(), cfg);
     ASSERT_TRUE(started.ok()) << started.error().message;
     auto node = std::move(started).take();
 
@@ -96,7 +90,7 @@ TEST_P(ServerShutdownTest, StopOnIdleServerIsCleanAndIdempotent) {
   QosServerConfig cfg;
   cfg.sync_interval = Duration{0};
   cfg.checkpoint_interval = Duration{0};
-  auto started = start_in_model(GetParam(), {"127.0.0.1", 0}, *store_, cfg);
+  auto started = start_in_model(GetParam(), {"127.0.0.1", 0}, rules_.path(), cfg);
   ASSERT_TRUE(started.ok()) << started.error().message;
   auto node = std::move(started).take();
   node->stop();
@@ -109,13 +103,12 @@ TEST(ServerStopLatencyTest, StopWakesBlockedWorkersEachUnderTenMs) {
   // Workers wait in recv_many without a timeout; stop() ends every blocked
   // wait by shutting the socket's receive side. A worker that only noticed
   // stopping_ on a poll timeout would hold stop() for up to that period.
-  db::Database db;
-  db::RuleStore store(db);
+  test_support::TempRules rules;
   QosServerConfig cfg;
   cfg.sync_interval = Duration{0};
   cfg.checkpoint_interval = Duration{0};
   for (int round = 0; round < 5; ++round) {
-    auto started = QosServerNode::start({"127.0.0.1", 0}, store, cfg);
+    auto started = QosServerNode::start({"127.0.0.1", 0}, rules.path(), cfg);
     ASSERT_TRUE(started.ok()) << started.error().message;
     auto node = std::move(started).take();
     // Long enough for every worker to block in its receive.

@@ -70,15 +70,17 @@
 //   tenant-42 = 100 1000
 //   10.0.0.7  = 5 20 12.5
 //
-// (db/rules_file.hpp). With --wal, a restart keeps the credit each key had
-// at its last check-point, clamped to the file's capacity: it loads the
-// --snapshot file when there is one, then replays the WAL, then loads the
-// rules file over them.
+// (db/rules_file.hpp). The server loads it straight into its QoS table,
+// its only rules store, and on each --sync-ms tick loads it again when the
+// file changed (size, mtime or inode), so a rule edit needs no restart.
+// With --wal, a restart keeps the credit each key had at its last
+// check-point, clamped to the file's capacity: it loads the --snapshot file
+// when there is one, then replays the WAL, then loads the rules file over
+// them. Without --wal there is no check-point.
 //
 // A SIGINT/SIGTERM stops the node cleanly.
 #include <csignal>
 #include <cstdio>
-#include <filesystem>
 #include <functional>
 #include <limits>
 #include <map>
@@ -92,8 +94,6 @@
 #include "common/metrics.hpp"
 #include "common/periodic.hpp"
 #include "common/string_util.hpp"
-#include "db/rule_store.hpp"
-#include "db/rules_file.hpp"
 #include "lb/gateway_balancer.hpp"
 #include "net/bfd.hpp"
 #include "router/router_node.hpp"
@@ -331,51 +331,31 @@ int run_server(const Flags& flags) {
     return 2;
   }
 
-  // Restart order (DESIGN.md §15.2): the last snapshot, then the WAL
-  // written since, then the rules file over them, so that a key whose last
-  // record went into the snapshot keeps its check-pointed credit.
-  db::Database database;
-  db::RuleStore store(database);
-  if (auto it = flags.find("snapshot");
-      it != flags.end() && std::filesystem::exists(it->second)) {
-    if (auto s = database.load_snapshot(it->second); !s.ok()) {
-      std::fprintf(stderr, "janusd: %s\n", s.error().message.c_str());
-      return 1;
-    }
-  }
-  if (auto it = flags.find("wal"); it != flags.end()) {
-    if (auto n = database.recover(it->second); !n.ok()) {
-      std::fprintf(stderr, "janusd: WAL recovery: %s\n",
-                   n.error().message.c_str());
-      return 1;
-    }
-    if (auto s = database.enable_wal(it->second); !s.ok()) {
-      std::fprintf(stderr, "janusd: %s\n", s.error().message.c_str());
-      return 1;
-    }
-  }
-  if (auto s = db::load_rules(store, rules_it->second); !s.ok()) {
-    std::fprintf(stderr, "janusd: %s\n", s.error().message.c_str());
-    return 1;
-  }
-
   server::QosServerConfig cfg;
   cfg.admission.table_shards =
       static_cast<std::size_t>(int_flag(flags, "shards", 16));
   cfg.sync_interval = millis(int_flag(flags, "sync-ms", 5000));
   cfg.checkpoint_interval = millis(int_flag(flags, "checkpoint-ms", 5000));
+  cfg.compact_interval = millis(int_flag(flags, "compact-ms", 60000));
   cfg.admission.default_rule = core::limited_access_default(
       real_flag(flags, "default-capacity", 0.0),
       real_flag(flags, "default-rate", 0.0));
+  if (auto it = flags.find("wal"); it != flags.end()) cfg.wal_path = it->second;
+  if (auto it = flags.find("snapshot"); it != flags.end()) {
+    cfg.snapshot_path = it->second;
+  }
 
-  auto node = server::QosServerNode::start(listen.value(), store, cfg);
+  // The node loads the snapshot, the WAL and the rules file into its table
+  // before its first worker starts (DESIGN.md §15.2).
+  auto node =
+      server::QosServerNode::start(listen.value(), rules_it->second, cfg);
   if (!node.ok()) {
     std::fprintf(stderr, "janusd: %s\n", node.error().message.c_str());
     return 1;
   }
   std::printf("janusd: QoS server on %s (%zu rules, %zu workers)\n",
-              node.value()->addr().to_string().c_str(), store.size(),
-              node.value()->worker_count());
+              node.value()->addr().to_string().c_str(),
+              node.value()->rule_count(), node.value()->worker_count());
   // Flushed line-by-line: cluster test fixtures parse bound ports from a
   // pipe, where stdout is block-buffered by default.
   std::fflush(stdout);
@@ -479,27 +459,11 @@ int run_server(const Flags& flags) {
   }
   std::fflush(stdout);
 
-  // Optional WAL compaction: periodic snapshot + log truncation, so the
-  // check-point churn does not grow the WAL without bound.
-  std::unique_ptr<PeriodicTask> compactor;
-  if (auto snap = flags.find("snapshot");
-      snap != flags.end() && flags.count("wal")) {
-    const std::string snap_path = snap->second;
-    const auto compact_every = millis(int_flag(flags, "compact-ms", 60000));
-    compactor = std::make_unique<PeriodicTask>(
-        compact_every, [&database, snap_path] {
-          if (auto s = database.compact_wal(snap_path); !s.ok()) {
-            JLOG_WARN("compaction failed: %s", s.error().message.c_str());
-          }
-        });
-  }
-
   while (!g_stop) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
   std::printf("janusd: stopping\n");
   if (stats_task) stats_task->stop();
-  if (compactor) compactor->stop();
   // The agent drives migration passes over the node's table, so it stops
   // before the final checkpoint.
   if (cluster_agent) cluster_agent->stop();

@@ -9,7 +9,8 @@
 # JANUS_SANITIZE presets (see the top-level CMakeLists.txt). The debug
 # preset is a Debug build with no sanitizer: it runs the common suite whole,
 # so the lock-rank detector's death tests run instead of skipping, and the
-# database, admission and server suites under that detector (DESIGN.md §8).
+# database, admission, server, integration (HA and failover) and chaos (WAL
+# recovery) suites under that detector (DESIGN.md §8).
 #
 # Usage:
 #   tools/run_sanitizers.sh                  # address, thread, undefined, debug
@@ -148,13 +149,16 @@ run_suites() {
 
 # The debug preset's suites: the lock-rank detector is on, so the common
 # suite runs whole (SyncMutexDeathTest included), beside the suites whose
-# code nests db.commit -> db.table -> db.wal and the shard locks.
+# code nests db.commit -> db.table -> db.wal, core.rules_log -> the shard
+# locks -> db.wal, and the shard locks: HA, failover and WAL chaos included.
 run_debug_suites() {
   bindir=$1
   suite common "$bindir/tests/janus_test_common" --gtest_brief=1
   suite db "$bindir/tests/janus_test_db" --gtest_brief=1
   suite core "$bindir/tests/janus_test_core" --gtest_brief=1
   suite server "$bindir/tests/janus_test_server" --gtest_brief=1
+  suite integration "$bindir/tests/janus_test_integration" --gtest_brief=1
+  suite chaos "$bindir/tests/janus_test_chaos" --gtest_brief=1
 }
 
 ran=0
@@ -173,7 +177,8 @@ for preset in $presets; do
       -DJANUS_SANITIZER_CTEST=OFF >/dev/null
     cmake --build "$build_dir" -j "$jobs" \
       --target janus_test_common janus_test_db janus_test_core \
-               janus_test_server >/dev/null
+               janus_test_server janus_test_integration \
+               janus_test_chaos >/dev/null
     echo "== [$preset] run the lock-rank detector's suites =="
     run_debug_suites "$build_dir"
     echo "== [$preset] clean =="
