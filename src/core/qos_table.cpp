@@ -61,6 +61,15 @@ std::size_t ShardedQosTable::node_count() const {
   return total;
 }
 
+std::size_t ShardedQosTable::bucket_count() const {
+  std::size_t total = 0;
+  for (const auto& shard : shards_) {
+    MutexLock lock(shard->mu);
+    total += shard->entries.bucket_count();
+  }
+  return total;
+}
+
 void ShardedQosTable::clear() {
   for (auto& shard : shards_) {
     MutexLock lock(shard->mu);
@@ -132,14 +141,17 @@ bool same_bits(double a, double b) {
 
 }  // namespace
 
-void ShardedQosTable::apply_rules(std::span<LoadedRule> rules, bool merge,
+void ShardedQosTable::apply_rules(std::span<LoadedRule> rules,
+                                  const ShardGroups& groups, bool merge,
                                   TimePoint now) {
-  for (std::size_t at = 0; at < rules.size();) {
-    const std::uint32_t index = rules[at].shard;
-    Shard& shard = *shards_[index];
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const std::uint32_t first = groups.runs[s];
+    const std::uint32_t last = groups.runs[s + 1];
+    if (first == last) continue;
+    Shard& shard = *shards_[s];
     MutexLock lock(shard.mu);
-    for (; at < rules.size() && rules[at].shard == index; ++at) {
-      LoadedRule& rule = rules[at];
+    for (std::uint32_t at = first; at < last; ++at) {
+      LoadedRule& rule = rules[groups.order[at]];
       HashNode* node = shard.entries.find_prehashed(rule.hash, rule.key);
       rule.stored = true;
       if (!node || !merge) {
@@ -226,12 +238,13 @@ std::vector<HotKeyCount> ShardedQosTable::hot_keys(bool by_rejects,
 
 void ShardedQosTable::restore(
     std::vector<std::pair<std::string, QosEntry>> entries) {
-  std::vector<std::vector<std::size_t>> by_shard(shards_.size());
   std::vector<std::size_t> hashes(entries.size());
   for (std::size_t i = 0; i < entries.size(); ++i) {
     hashes[i] = TransparentStringHash::hash_bytes(entries[i].first);
-    by_shard[shard_index_of(hashes[i])].push_back(i);
   }
+  ShardGroups groups;
+  group_by_shard(
+      hashes.size(), [&](std::size_t i) { return hashes[i]; }, groups);
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
     MutexLock lock(shard.mu);
@@ -241,7 +254,8 @@ void ShardedQosTable::restore(
     });
     shard.entries.visit(
         [](HashNode& node) { entry_of(node).set_provisioned(); });
-    for (const std::size_t i : by_shard[s]) {
+    for (std::uint32_t at = groups.runs[s]; at < groups.runs[s + 1]; ++at) {
+      const std::size_t i = groups.order[at];
       const auto& [key, entry] = entries[i];
       if (HashNode* node = shard.entries.find_prehashed(hashes[i], key)) {
         entry_of(*node) = entry;

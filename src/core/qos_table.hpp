@@ -5,6 +5,7 @@
 // and shards>1 quantifies the fix (ablation bench A2).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -123,11 +124,18 @@ struct LoadedRule {
   double refill_per_sec = 0.0;
   double capacity = 0.0;
   double credit = 0.0;
-  /// Its key's shard (ShardedQosTable::shard_index_of).
-  std::uint32_t shard = 0;
   /// Set by apply_rules when the rule changed the table; `credit` is then
   /// the credit the table stored.
   bool stored = false;
+};
+
+/// A batch of keys grouped by shard (ShardedQosTable::group_by_shard),
+/// kept by a caller from batch to batch so that grouping allocates nothing.
+struct ShardGroups {
+  /// The batch's indices, shard by shard, each shard's in batch order.
+  std::vector<std::uint32_t> order;
+  /// Shard s's indices are order[runs[s] .. runs[s + 1]).
+  std::vector<std::uint32_t> runs;
 };
 
 class ShardedQosTable {
@@ -219,6 +227,32 @@ class ShardedQosTable {
     return (hash >> (sizeof(std::size_t) * 4)) % shards_.size();
   }
 
+  /// Group a batch of `count` keys by shard, `hash_of(i)` the hash of the
+  /// i-th, so that a pass over the batch takes each shard's lock once: a
+  /// stable counting sort on the shard index.
+  template <typename HashOf>
+  void group_by_shard(std::size_t count, HashOf&& hash_of,
+                      ShardGroups& groups) const {
+    const std::size_t shards = shards_.size();
+    groups.runs.assign(shards + 1, 0);
+    groups.order.resize(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      ++groups.runs[shard_index_of(hash_of(i)) + 1];
+    }
+    for (std::size_t s = 1; s <= shards; ++s) {
+      groups.runs[s] += groups.runs[s - 1];
+    }
+    // Each placement moves its shard's start one on, so that runs[s] ends
+    // at shard s + 1's start; moving runs up a slot gives the starts back.
+    for (std::size_t i = 0; i < count; ++i) {
+      groups.order[groups.runs[shard_index_of(hash_of(i))]++] =
+          static_cast<std::uint32_t>(i);
+    }
+    std::copy_backward(groups.runs.begin(), groups.runs.end() - 2,
+                       groups.runs.end() - 1);
+    groups.runs[0] = 0;
+  }
+
   // Every call below but erase() and clear() sees live entries only: a
   // provisioned entry counts as absent until its first decision. The
   // with_entry calls above reach both states.
@@ -257,6 +291,8 @@ class ShardedQosTable {
   std::size_t rule_count() const;
   /// Entries of either state.
   std::size_t node_count() const;
+  /// The shards' index buckets, in all (what reserve() sized).
+  std::size_t bucket_count() const;
 
   /// Visit the entries of shard `index` that hold a rule, live or
   /// provisioned, under its lock (compaction).
@@ -269,15 +305,17 @@ class ShardedQosTable {
   /// shards, so that loading that many rehashes nothing.
   void reserve(std::size_t entries);
 
-  /// Apply one chunk of the rules loader's rules, taking each shard's lock
-  /// once per run of rules of one shard: a chunk ordered by shard, each
-  /// shard's rules in file order, takes each lock once. A key not held gets a provisioned entry with the rule's
-  /// credit, and so does a held key without `merge`. With `merge` (the
-  /// table held rules before the load), a key holding a rule keeps its
-  /// credit, clamped to the new capacity, and takes the new rate and
-  /// capacity, a rule that changes neither is left alone, and a default
-  /// entry takes the rule and its credit (PR 25's rules for held keys).
-  void apply_rules(std::span<LoadedRule> rules, bool merge, TimePoint now);
+  /// Apply one chunk of the rules loader's rules, grouped by `groups`
+  /// (group_by_shard), each shard's lock taken once and each shard's rules
+  /// applied in file order. A key not held gets a provisioned entry with
+  /// the rule's credit, and so does a held key without `merge`. With
+  /// `merge` (the table held rules before the load), a key holding a rule
+  /// keeps its credit, clamped to the new capacity, and takes the new rate
+  /// and capacity, a rule that changes neither is left alone, and a
+  /// default entry takes the rule and its credit (PR 25's rules for held
+  /// keys).
+  void apply_rules(std::span<LoadedRule> rules, const ShardGroups& groups,
+                   bool merge, TimePoint now);
 
   /// Put the rule for `key` in a provisioned entry, replacing any entry
   /// (snapshot and WAL recovery).

@@ -3,104 +3,14 @@
 #include <sys/stat.h>
 
 #include <algorithm>
-#include <array>
 #include <filesystem>
+#include <memory>
 #include <span>
-#include <utility>
 
 #include "db/rules_file.hpp"
 #include "db/snapshot.hpp"
 
 namespace janus::core {
-
-namespace {
-
-/// The rules file's target: the chunk's rules applied to the table, then
-/// the ones that changed it logged.
-class TableTarget final : public db::RulesTarget {
- public:
-  TableTarget(ShardedQosTable& table, db::WalWriter& log, TimePoint now)
-      : table_(table), log_(log), now_(now),
-        merge_(table.node_count() > 0) {
-    rules_.reserve(db::kRulesChunk);
-  }
-
-  void reserve(std::size_t lines) override { table_.reserve(lines); }
-
-  Status store(std::span<const db::PackedRow> rows) override {
-    // Order the chunk by shard, file order within a shard, so that
-    // apply_rules takes each shard's lock once: (shard, line) packed in one
-    // integer, put in order by a stable counting sort per byte of the
-    // shard (a comparison sort of random shards mispredicts most branches,
-    // and cost a fifth of the load), then the rules laid out in that order.
-    static_assert(db::kRulesChunk <= 256);
-    const std::size_t n = rows.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto shard =
-          static_cast<std::uint32_t>(table_.shard_index_of(rows[i].hash));
-      order_[i] = shard << 8 | static_cast<std::uint32_t>(i);
-    }
-    const std::size_t last_shard = table_.shard_count() - 1;
-    sort_by_byte(n, 8);
-    for (int shift = 16; shift <= 24 && (last_shard >> (shift - 8)) != 0;
-         shift += 8) {
-      sort_by_byte(n, shift);
-    }
-    rules_.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      const db::PackedRow& row = rows[order_[i] & 0xFF];
-      rules_.push_back({.key = row.rule.key,
-                        .hash = row.hash,
-                        .refill_per_sec = row.rule.refill_per_sec,
-                        .capacity = row.rule.capacity,
-                        .credit = row.rule.credit,
-                        .shard = order_[i] >> 8});
-    }
-    table_.apply_rules(rules_, merge_, now_);
-    if (log_.enabled()) log_.begin();
-    for (const LoadedRule& rule : rules_) {
-      if (!rule.stored) continue;
-      ++stored_;
-      if (log_.enabled()) {
-        log_.add(db::LogRecord::Op::kUpsert,
-                 {.key = rule.key,
-                  .refill_per_sec = rule.refill_per_sec,
-                  .capacity = rule.capacity,
-                  .credit = rule.credit});
-      }
-    }
-    return log_.enabled() ? log_.commit() : Status::success();
-  }
-
-  std::size_t stored() const { return stored_; }
-
- private:
-  /// Stable counting sort of order_[0, n) by the byte at `shift`.
-  void sort_by_byte(std::size_t n, int shift) {
-    std::array<std::uint16_t, 256> start{};
-    for (std::size_t i = 0; i < n; ++i) ++start[(order_[i] >> shift) & 0xFF];
-    std::uint16_t sum = 0;
-    for (std::uint16_t& s : start) {
-      sum = static_cast<std::uint16_t>(sum + std::exchange(s, sum));
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      sorted_[start[(order_[i] >> shift) & 0xFF]++] = order_[i];
-    }
-    std::copy_n(sorted_.begin(), n, order_.begin());
-  }
-
-  ShardedQosTable& table_;
-  db::WalWriter& log_;
-  const TimePoint now_;
-  // The table held entries before the load (a restart's or a reload).
-  const bool merge_;
-  std::array<std::uint32_t, db::kRulesChunk> order_;
-  std::array<std::uint32_t, db::kRulesChunk> sorted_;
-  std::vector<LoadedRule> rules_;
-  std::size_t stored_ = 0;
-};
-
-}  // namespace
 
 Status TableRules::restore(const std::string& snapshot_path,
                            const std::string& wal_path) {
@@ -146,11 +56,66 @@ TableRules::FileStamp TableRules::stamp_of(const std::string& path) {
 }
 
 Result<std::size_t> TableRules::load_locked(const std::string& path) {
-  // Stamped before it is read: a file replaced mid-load is loaded again.
-  loaded_ = stamp_of(path);
-  TableTarget target(table_, log_, clock_.now());
-  if (auto s = db::parse_rules_file(path, target); !s.ok()) return s.error();
-  return target.stored();
+  // Stamped before it is opened: a file replaced from here on loads again.
+  const FileStamp stamp = stamp_of(path);
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
+      std::fopen(path.c_str(), "rb"), &std::fclose);
+  if (!file) {
+    loaded_ = stamp;
+    return Error("cannot open rules file: " + path);
+  }
+  ChunkLoad load{.now = clock_.now(), .merge = table_.node_count() > 0};
+  Status checked = Status::success();
+  if (load.merge || log_.enabled()) {
+    // The whole file is checked before any of it is applied; the pass that
+    // applies it reads the same open file.
+    checked = db::parse_rules_file(
+        file.get(),
+        [](std::span<const db::PackedRow>) { return Status::success(); });
+    // A writer still at work on the file: the next reload tries again.
+    if (stamp_of(path) != stamp) {
+      return Error("rules file changed while it was read: " + path);
+    }
+  }
+  loaded_ = stamp;  // a bad file is tried once
+  if (!checked.ok()) return checked.error();
+  table_.reserve(db::count_lines(file.get()));
+  rules_.reserve(db::kRulesChunk);
+  auto applied = db::parse_rules_file(
+      file.get(), [this, &load](std::span<const db::PackedRow> rows) {
+        return apply_chunk(rows, load);
+      });
+  if (!applied.ok()) return applied.error();
+  return load.stored;
+}
+
+Status TableRules::apply_chunk(std::span<const db::PackedRow> rows,
+                               ChunkLoad& load) {
+  rules_.clear();
+  for (const db::PackedRow& row : rows) {
+    rules_.push_back({.key = row.rule.key,
+                      .hash = row.hash,
+                      .refill_per_sec = row.rule.refill_per_sec,
+                      .capacity = row.rule.capacity,
+                      .credit = row.rule.credit});
+  }
+  table_.group_by_shard(
+      rules_.size(), [this](std::size_t i) { return rules_[i].hash; },
+      groups_);
+  table_.apply_rules(rules_, groups_, load.merge, load.now);
+  if (log_.enabled()) log_.begin();
+  for (const LoadedRule& rule : rules_) {
+    if (!rule.stored) continue;
+    ++load.stored;
+    if (log_.enabled()) {
+      log_.add(db::LogRecord::Op::kUpsert,
+               {.key = rule.key,
+                .refill_per_sec = rule.refill_per_sec,
+                .capacity = rule.capacity,
+                .credit = rule.credit});
+    }
+  }
+  return log_.enabled() ? log_.commit() : Status::success();
 }
 
 Result<std::size_t> TableRules::load(const std::string& path) {

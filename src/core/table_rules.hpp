@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,7 @@
 #include "common/result.hpp"
 #include "common/sync.hpp"
 #include "core/qos_table.hpp"
+#include "db/table.hpp"
 #include "db/wal.hpp"
 
 namespace janus::core {
@@ -50,20 +52,28 @@ class TableRules {
                  const std::string& wal_path);
 
   /// Load the rules file at `path` into the table, a chunk at a time
-  /// (ShardedQosTable::apply_rules): the table is sized for the file's line
-  /// count first, each rule costs one parse, one hash and at most one node,
-  /// and each shard's lock is taken once per chunk. A table that held
-  /// entries before the load merges: a held key keeps its credit, clamped
-  /// to the new capacity. With a WAL, each rule that changed the table is
-  /// logged as a kUpsert record, one WAL write per chunk. Returns the rules
-  /// that changed the table; the first bad line stops the load with its
-  /// error, keeping the chunks before it.
+  /// (db::parse_rules_file, ShardedQosTable::apply_rules): the table is
+  /// sized for the file's line count first, each rule costs one parse, one
+  /// hash and at most one node, and each shard's lock is taken once per
+  /// chunk. A table that held entries before the load merges: a held key
+  /// keeps its credit, clamped to the new capacity. With a WAL, each rule
+  /// that changed the table is logged as a kUpsert record, one WAL write
+  /// per chunk, in file order. Returns the rules that changed the table.
+  ///
+  /// A load into a table that holds entries, or with a WAL, parses the
+  /// whole file before it applies any of it, both passes reading the one
+  /// open file: a bad line fails the load with its error and changes
+  /// neither the table nor the WAL, and a file whose size, mtime or inode
+  /// moved during the first pass (a writer still at work, or a new file
+  /// renamed over it) fails the load unapplied. A start-up load into an
+  /// empty table without a WAL applies each chunk as it is parsed: on an
+  /// error the caller gives the table up.
   Result<std::size_t> load(const std::string& path);
 
   /// The sync pass (§II-D) as a reload: load(path) when the file at `path`
   /// is not the one the last load() read (its size, mtime or inode
-  /// differs). Returns whether it loaded. A load records the file it read
-  /// whether or not it succeeded, so a bad file is tried once.
+  /// differs). Returns whether it loaded. A bad file is tried once: a load
+  /// records the file it read unless the file moved while it was read.
   Result<bool> reload(const std::string& path);
 
   /// The check-point (§II-D): with a WAL, log the credit of each live,
@@ -103,11 +113,28 @@ class TableRules {
   Result<std::size_t> load_locked(const std::string& path)
       JANUS_REQUIRES(mu_);
 
+  /// One load's state, for apply_chunk.
+  struct ChunkLoad {
+    TimePoint now;
+    // The table held entries before the load (a restart's or a reload).
+    bool merge = false;
+    // Rules that changed the table.
+    std::size_t stored = 0;
+  };
+  /// Apply one chunk of the file to the table, then log the rules that
+  /// changed it.
+  Status apply_chunk(std::span<const db::PackedRow> rows, ChunkLoad& load)
+      JANUS_REQUIRES(mu_);
+
   ShardedQosTable& table_;
   Clock& clock_;
   mutable Mutex mu_{LockRank::kRulesLog, "core.rules_log"};
   FileStamp loaded_ JANUS_GUARDED_BY(mu_);
   db::WalWriter log_ JANUS_GUARDED_BY(mu_);
+  // A chunk's rules in file order and their grouping by shard, reused
+  // chunk to chunk and load to load.
+  std::vector<LoadedRule> rules_ JANUS_GUARDED_BY(mu_);
+  ShardGroups groups_ JANUS_GUARDED_BY(mu_);
   // The check-point's copy-out slots, reused shard to shard and pass to
   // pass (with their keys' heap buffers).
   std::vector<CreditCopy> copies_ JANUS_GUARDED_BY(mu_);

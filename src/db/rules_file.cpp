@@ -1,7 +1,5 @@
 #include "db/rules_file.hpp"
 
-#include <algorithm>
-#include <bit>
 #include <charconv>
 #include <cstdio>
 #include <cstring>
@@ -12,83 +10,6 @@
 namespace janus::db {
 
 namespace {
-
-/// The lines in `f` (a last line without a newline counts), read through
-/// `buf`; leaves `f` rewound.
-std::size_t count_lines(std::FILE* f, std::vector<char>& buf) {
-  std::size_t lines = 0;
-  char last = '\n';
-  for (std::size_t got;
-       (got = std::fread(buf.data(), 1, buf.size(), f)) > 0;) {
-    // memchr skips a line's bytes many at a time; std::count reads them
-    // one by one (3x slower over perfbench's rules files).
-    const char* const end = buf.data() + got;
-    for (const char* p = buf.data();
-         (p = static_cast<const char*>(std::memchr(p, '\n', end - p)));
-         ++p) {
-      ++lines;
-    }
-    last = end[-1];
-  }
-  std::rewind(f);
-  return lines + (last != '\n');
-}
-
-bool same_bits(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-/// Load target of load_rules: the rules store's database.
-class StoreTarget final : public RulesTarget {
- public:
-  explicit StoreTarget(RuleStore& store)
-      : store_(store), merge_(store.size() > 0) {}
-
-  void reserve(std::size_t lines) override { store_.reserve(lines); }
-
-  Status store(std::span<const PackedRow> rules) override {
-    if (!merge_) return store_.database().put(rules);
-    rows_.clear();
-    for (PackedRow row : rules) {
-      if (merge_held(row)) rows_.push_back(row);
-    }
-    return store_.database().put(rows_);
-  }
-
- private:
-  /// For a key the rules already hold, keep the held credit, clamped to the
-  /// line's capacity, in `row`. False if the line changes neither the rate
-  /// nor the capacity it holds, so there is nothing to write.
-  bool merge_held(PackedRow& row) const {
-    const std::optional<RuleView> held = held_rule(row);
-    if (!held) return true;
-    if (same_bits(held->refill_per_sec, row.rule.refill_per_sec) &&
-        same_bits(held->capacity, row.rule.capacity)) {
-      return false;
-    }
-    row.rule.credit = std::min(held->credit, row.rule.capacity);
-    return true;
-  }
-
-  /// The rule held for `row`'s key, its key not to be read: the last row of
-  /// this chunk that names it, else the table's.
-  std::optional<RuleView> held_rule(const PackedRow& row) const {
-    for (auto it = rows_.rbegin(); it != rows_.rend(); ++it) {
-      if (it->hash == row.hash && it->rule.key == row.rule.key) {
-        return it->rule;
-      }
-    }
-    std::optional<RuleView> held;
-    store_.database().table().read(
-        row.rule.key, [&](const RuleView& rule) { held = rule; });
-    return held;
-  }
-
-  RuleStore& store_;
-  // The database held rules before the load (a restored snapshot and WAL).
-  const bool merge_;
-  std::vector<PackedRow> rows_;
-};
 
 /// `value` in the shortest form std::from_chars reads back exactly.
 void append_number(std::string& out, double value) {
@@ -135,18 +56,35 @@ Result<std::optional<RuleView>> parse_rule_line(std::string_view line,
   return std::optional<RuleView>(rule);
 }
 
-Status parse_rules_file(const std::string& path, RulesTarget& target) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return Error("cannot open rules file: " + path);
+std::size_t count_lines(std::FILE* file) {
+  std::rewind(file);
+  char buf[16 * 1024];
+  std::size_t lines = 0;
+  char last = '\n';
+  for (std::size_t got; (got = std::fread(buf, 1, sizeof(buf), file)) > 0;) {
+    // memchr skips a line's bytes many at a time; std::count reads them
+    // one by one (3x slower over perfbench's rules files).
+    const char* const end = buf + got;
+    for (const char* p = buf;
+         (p = static_cast<const char*>(std::memchr(p, '\n', end - p)));
+         ++p) {
+      ++lines;
+    }
+    last = end[-1];
+  }
+  return lines + (last != '\n');
+}
+
+Status parse_rules_file(std::FILE* file, const RulesChunkFn& store) {
+  std::rewind(file);
   std::vector<char> buf(kRulesReadBlock);
-  target.reserve(count_lines(f, buf));
   std::vector<PackedRow> chunk;
   chunk.reserve(kRulesChunk);
   int lineno = 0;
   // Store the chunk's rules; a failure names the line reached.
-  auto store = [&]() -> Status {
+  auto flush = [&]() -> Status {
     if (chunk.empty()) return Status::success();
-    auto s = target.store(chunk);
+    auto s = store(chunk);
     chunk.clear();
     if (!s.ok()) {
       return Error("rules line " + std::to_string(lineno) + ": " +
@@ -159,7 +97,7 @@ Status parse_rules_file(const std::string& path, RulesTarget& target) {
     if (!rule.ok()) return Error(rule.error().message);
     if (!rule.value()) return Status::success();
     chunk.emplace_back(*rule.value());
-    return chunk.size() == kRulesChunk ? store() : Status::success();
+    return chunk.size() == kRulesChunk ? flush() : Status::success();
   };
   Status status = Status::success();
   std::size_t held = 0;  // an unfinished line, moved to the buffer's front
@@ -167,7 +105,7 @@ Status parse_rules_file(const std::string& path, RulesTarget& target) {
     // A line longer than the buffer grows it.
     if (held == buf.size()) buf.resize(buf.size() * 2);
     const std::size_t got =
-        std::fread(buf.data() + held, 1, buf.size() - held, f);
+        std::fread(buf.data() + held, 1, buf.size() - held, file);
     eof = got == 0;  // a read error is taken as the end of the file
     const std::string_view data(buf.data(), held + got);
     std::size_t pos = 0;
@@ -180,17 +118,11 @@ Status parse_rules_file(const std::string& path, RulesTarget& target) {
       status = take_line(data.substr(pos));  // no final newline
     }
     // The chunk's keys lie in this block: store it before the block moves.
-    if (status.ok()) status = store();
+    if (status.ok()) status = flush();
     held = data.size() - pos;
     std::memmove(buf.data(), buf.data() + pos, held);
   }
-  std::fclose(f);
   return status;
-}
-
-Status load_rules(RuleStore& store, const std::string& path) {
-  StoreTarget target(store);
-  return parse_rules_file(path, target);
 }
 
 Status write_rules_file(const std::string& path,

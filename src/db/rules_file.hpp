@@ -1,5 +1,5 @@
-// The rules file `janusd server --rules` loads into qos_rules (§III-D): one
-// rule per line, `key = rate capacity [credit]`, e.g.
+// The rules file `janusd server --rules` loads into its QoS table (§III-D):
+// one rule per line, `key = rate capacity [credit]`, e.g.
 //
 //   tenant-42 = 100 1000
 //   10.0.0.7  = 5 20 12.5
@@ -10,6 +10,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdio>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -30,42 +32,29 @@ inline constexpr std::size_t kRulesReadBlock = 64 * 1024;
 Result<std::optional<RuleView>> parse_rule_line(std::string_view line,
                                                 int lineno);
 
-/// Where parse_rules_file hands a rules file's rules.
-class RulesTarget {
- public:
-  virtual ~RulesTarget() = default;
-  /// Called once, before the first chunk, with the file's line count, so
-  /// that the target can size its index for the load.
-  virtual void reserve(std::size_t lines) = 0;
-  /// Store one chunk: at most kRulesChunk validated rules, in file order,
-  /// each with its key's hash. Their keys view the read block, which stays
-  /// put until this returns.
-  virtual Status store(std::span<const PackedRow> rules) = 0;
-};
-
 /// Rules per chunk.
 inline constexpr std::size_t kRulesChunk = Database::kWriteChunkRows;
 
-/// Parse the rules file at `path` into `target` (DESIGN.md §15.2). The
-/// file's lines are counted first (RulesTarget::reserve); then each block's
-/// lines are parsed where they lie into a chunk of at most kRulesChunk
-/// rules, each validated and hashed once, and the chunk is stored before
-/// the block moves. Memory stays bounded by one block and one chunk.
+/// The lines in the rules file open as `file`, from its start (a last
+/// line without a newline counts), so that a loader can size its index
+/// before the first chunk.
+std::size_t count_lines(std::FILE* file);
+
+/// What parse_rules_file hands each chunk to: at most kRulesChunk
+/// validated rules, in file order, each with its key's hash. Their keys
+/// view the read block, which stays put until it returns.
+using RulesChunkFn = std::function<Status(std::span<const PackedRow>)>;
+
+/// Parse the rules file open as `file`, from its first line (DESIGN.md
+/// §15.2): each block's lines are parsed where they lie into a chunk of at
+/// most kRulesChunk rules, each validated and hashed once, and the chunk
+/// goes to `store` before the block moves. Memory stays bounded by one
+/// block and one chunk. A `store` that does nothing checks the whole file.
 ///
 /// The first bad line stops the parse with parse_rule_line's error; a
 /// failed store reads `rules line <n>: ...`, n the last line read. Chunks
 /// stored before either stay.
-Status parse_rules_file(const std::string& path, RulesTarget& target);
-
-/// Loads the rules file at `path` into `store` (parse_rules_file), each
-/// chunk committed through Database::put.
-///
-/// On a database that held rules before the load (a restored snapshot and
-/// WAL), each line is applied to the rules as the lines before it left
-/// them: a key already held keeps its credit, clamped to the line's
-/// capacity, and takes the line's rate and capacity; a line that changes
-/// neither writes nothing; a key not held takes the line's credit.
-Status load_rules(RuleStore& store, const std::string& path);
+Status parse_rules_file(std::FILE* file, const RulesChunkFn& store);
 
 /// Write `rules` to a rules file at `path`, one `key = rate capacity
 /// credit` line each, every number in the shortest form that parses back

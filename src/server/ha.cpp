@@ -108,10 +108,12 @@ void HaSnapshotServer::loop() {
 
 HaReplicaClient::HaReplicaClient(net::SockAddr master,
                                  core::AdmissionController& admission,
-                                 Clock& clock, Duration interval)
+                                 Clock& clock, Duration interval,
+                                 std::function<void()> on_restored)
     : master_(std::move(master)),
       admission_(admission),
       clock_(clock),
+      on_restored_(std::move(on_restored)),
       task_(interval, [this] {
         if (replicate_once().ok()) {
           ok_.fetch_add(1, std::memory_order_relaxed);
@@ -139,8 +141,10 @@ Result<std::size_t> HaReplicaClient::replicate_once() {
   for (int i = 0; i < 4; ++i) expected |= std::uint32_t{data[i]} << (8 * i);
   if (data.size() - 4 != expected) return Error("ha: truncated snapshot");
 
-  return restore_table(admission_.table(),
-                       std::span(data).subspan(4), clock_.now());
+  auto restored = restore_table(admission_.table(),
+                               std::span(data).subspan(4), clock_.now());
+  if (restored.ok() && on_restored_) on_restored_();
+  return restored;
 }
 
 }  // namespace janus::server

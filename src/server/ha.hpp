@@ -15,6 +15,7 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <thread>
 
@@ -61,8 +62,11 @@ class HaSnapshotServer {
 /// Slave side: pulls a snapshot from the master every `interval`.
 class HaReplicaClient {
  public:
+  /// `on_restored`, when set, runs after each restore, on the replication
+  /// thread (janusd recounts its server's rules with it).
   HaReplicaClient(net::SockAddr master, core::AdmissionController& admission,
-                  Clock& clock, Duration interval);
+                  Clock& clock, Duration interval,
+                  std::function<void()> on_restored = {});
 
   /// One replication round; returns entries restored, or an error if the
   /// master is unreachable (the health checker counts these).
@@ -79,6 +83,7 @@ class HaReplicaClient {
   net::SockAddr master_;
   core::AdmissionController& admission_;
   Clock& clock_;
+  std::function<void()> on_restored_;
   std::atomic<std::size_t> ok_{0};
   std::atomic<std::size_t> failed_{0};
   PeriodicTask task_;

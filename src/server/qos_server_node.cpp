@@ -79,16 +79,21 @@ Status QosServerNode::load_rules() {
       !s.ok()) {
     return s;
   }
-  if (auto loaded = rules_.reload(rules_path_); !loaded.ok()) {
+  if (auto loaded = rules_.load(rules_path_); !loaded.ok()) {
     return loaded.error();
   }
-  // No decision has run yet, so every entry holds a rule.
+  // No decision has run yet, so every entry holds a rule: the shards'
+  // sizes count them without a walk of the table.
   rules_gauge_.set(static_cast<std::int64_t>(admission_->table().node_count()));
   return Status::success();
 }
 
 std::size_t QosServerNode::rule_count() const {
   return static_cast<std::size_t>(rules_gauge_.value());
+}
+
+void QosServerNode::recount_rules() {
+  rules_gauge_.set(static_cast<std::int64_t>(admission_->table().rule_count()));
 }
 
 void QosServerNode::start_threads() {
@@ -279,15 +284,12 @@ void QosServerNode::sync_now() {
   // rules live in the table, so the pass is a reload of a changed file.
   auto reloaded = rules_.reload(rules_path_);
   if (!reloaded.ok()) {
-    // The chunks before the bad line are applied.
+    // A bad file applies nothing; a failed WAL write stops the load.
     JLOG_WARN("server: rules reload: %s", reloaded.error().message.c_str());
   } else if (reloaded.value()) {
     rules_reloads_.inc();
   }
-  if (!reloaded.ok() || reloaded.value()) {
-    rules_gauge_.set(
-        static_cast<std::int64_t>(admission_->table().rule_count()));
-  }
+  if (!reloaded.ok() || reloaded.value()) recount_rules();
   sync_pass_us_.record(micros_since(start));
 }
 
@@ -627,7 +629,6 @@ std::size_t QosServerNode::install_migrated(
                          static_cast<std::uint64_t>(now.count()));
 
   std::size_t installed = 0;
-  std::int64_t new_rules = 0;
   for (const wire::MigrationEntry& e : entries) {
     if (!core::LeakyBucket::valid(e.capacity, e.refill_per_sec, e.credit)) {
       continue;
@@ -635,15 +636,11 @@ std::size_t QosServerNode::install_migrated(
     // A provisioned rule is overwritten too: the migrated credit is the
     // key's, and the entry is live from here on.
     admission_->table().with_entry_or_create(
-        e.key,
-        [&] {
-          new_rules += e.is_default ? 0 : 1;
-          return from_migration_entry(e, now);
-        },
+        e.key, [&] { return from_migration_entry(e, now); },
         [&](core::QosEntry& cur) { cur = from_migration_entry(e, now); });
     ++installed;
   }
-  rules_gauge_.add(new_rules);
+  recount_rules();
 
   migrated_in_.inc(static_cast<std::int64_t>(installed));
   migrated_in_count_.fetch_add(installed, std::memory_order_relaxed);

@@ -114,8 +114,11 @@ class QosServerNode {
   std::int64_t requests_in_flight() const;
 
   /// Rules the table holds (the server.rules gauge, as of the last load,
-  /// reload or migration).
+  /// reload, migration or recount_rules()).
   std::size_t rule_count() const;
+  /// Set the server.rules gauge from the table, after a change the node
+  /// did not make itself (an HA replica's restore).
+  void recount_rules();
 
   /// One maintenance pass; the periodic threads run these, tests call them
   /// to avoid waiting on wall-clock. sync_now() reloads the rules file when

@@ -297,9 +297,9 @@ TEST(JanusdRoleFlagsTest, KnownServerFlagsStartTheNodeWithHa) {
 
 // ---- the rules file -----------------------------------------------------
 //
-// The loader reads the file in fixed-size blocks and commits rules in the
-// database's write chunks; the grammar, its error messages and their line
-// numbers are the ones the line-at-a-time loader had.
+// The loader reads the file in fixed-size blocks and applies its rules to
+// the QoS table in chunks of 256; the grammar, its error messages and their
+// line numbers are the ones the line-at-a-time loader had.
 
 /// Write `text` to a rules file named after the running test and `tag`.
 std::string rules_file(const std::string& tag, const std::string& text) {
@@ -364,6 +364,17 @@ TEST(JanusdRulesFileTest, MalformedLineIsRejectedWithItsNumber) {
     EXPECT_EQ(out.code, 1) << "row " << i << ":\n" << out.output;
     EXPECT_EQ(out.output, rows[i].message) << "row " << i;
   }
+}
+
+TEST(JanusdRulesFileTest, MissingFileIsRejected) {
+  const std::string path = ::testing::TempDir() + "janusd_no_such_rules_" +
+                           std::to_string(::getpid()) + ".conf";
+  std::remove(path.c_str());
+  const Outcome out = run_janusd(
+      {"server", "--listen", "127.0.0.1:0", "--rules", path}, seconds(10));
+  ASSERT_TRUE(out.exited) << "started:\n" << out.output;
+  EXPECT_EQ(out.code, 1) << out.output;
+  EXPECT_EQ(out.output, "janusd: cannot open rules file: " + path + "\n");
 }
 
 TEST(JanusdRulesFileTest, CrlfLinesAndNoFinalNewlineAreAccepted) {

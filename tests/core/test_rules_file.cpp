@@ -1,12 +1,12 @@
-// The rules loader (db/rules_file.hpp, DESIGN.md §15.2) parses each read
-// block's lines where they lie into packed write chunks. These tests hold it
-// to the loader it replaced, kept below as the reference (each line parsed
-// into a RuleRow and stored with its own RuleStore::put): the same rows, bit
-// for bit, the same WAL bytes and LSNs, and the same error for a bad line,
-// wherever the read blocks and the write chunks fall. On a database that
-// already holds rules (a recovered WAL) a held key keeps its credit.
-#include "db/rules_file.hpp"
-
+// The QoS server's rules loader (core::TableRules::load over
+// db/rules_file.hpp, DESIGN.md §15.2) parses each read block's lines where
+// they lie into chunks applied to the table's shards. These tests hold it to
+// the line-by-line loader kept below as the reference (each line parsed into
+// a RuleRow and stored with its own RuleStore::put): the same rules, each
+// credit to the millicredit as the bucket keeps it, the same WAL bytes and
+// LSNs, and the same error for a bad line, wherever the read blocks and the
+// chunks fall. On a table that already holds rules (a restored WAL, or a
+// reload) a held key keeps its credit.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -18,15 +18,25 @@
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/string_util.hpp"
+#include "core/table_rules.hpp"
+#include "db/rule_store.hpp"
+#include "db/rules_file.hpp"
+#include "db/wal.hpp"
 #include "testing/fault_injector.hpp"
 
-namespace janus::db {
+namespace janus::core {
 namespace {
+
+using db::Database;
+using db::kRulesReadBlock;
+using db::RuleRow;
+using db::RuleStore;
 
 // ---- the reference --------------------------------------------------------
 
@@ -237,17 +247,38 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
-/// Each rule's refill rate, capacity and credit, as bits.
-using Rows = std::map<std::string, std::array<std::uint64_t, 3>>;
+/// Each rule's refill rate and capacity, as bits, and its credit in
+/// millicredits, as a bucket holds it.
+using Rules = std::map<std::string, std::array<std::uint64_t, 3>>;
 
-Rows rows_of(const Database& db) {
-  Rows out;
-  db.table().scan([&](const RuleView& rule) {
-    out[std::string(rule.key)] = {
-        std::bit_cast<std::uint64_t>(rule.refill_per_sec),
-        std::bit_cast<std::uint64_t>(rule.capacity),
-        std::bit_cast<std::uint64_t>(rule.credit)};
+std::array<std::uint64_t, 3> rule_bits(double refill_per_sec, double capacity,
+                                       std::int64_t millicredits) {
+  return {std::bit_cast<std::uint64_t>(refill_per_sec),
+          std::bit_cast<std::uint64_t>(capacity),
+          static_cast<std::uint64_t>(millicredits)};
+}
+
+Rules rules_of(const Database& db) {
+  Rules out;
+  db.table().scan([&](const db::RuleView& rule) {
+    const LeakyBucket bucket(rule.capacity, rule.refill_per_sec, rule.credit,
+                             TimePoint{});
+    out[std::string(rule.key)] =
+        rule_bits(rule.refill_per_sec, rule.capacity, bucket.millicredits());
   });
+  return out;
+}
+
+Rules rules_of(const ShardedQosTable& table) {
+  Rules out;
+  for (std::size_t s = 0; s < table.shard_count(); ++s) {
+    table.for_each_rule_in_shard(
+        s, [&](std::string_view key, const QosEntry& entry) {
+          out[std::string(key)] =
+              rule_bits(entry.refill_per_sec(), entry.capacity(),
+                        entry.bucket.millicredits());
+        });
+  }
   return out;
 }
 
@@ -278,8 +309,33 @@ class RulesFileTest : public ::testing::Test {
     return path;
   }
 
+  /// `rules` into `table`, each provisioned as a restored WAL leaves it.
+  void hold(ShardedQosTable& table, const std::vector<RuleRow>& rules) {
+    for (const RuleRow& r : rules) {
+      table.provision(r.key, r.capacity, r.refill_per_sec, r.credit,
+                      clock_.now());
+    }
+  }
+
+  /// Every record in the WAL at `path`.
+  static std::size_t records(const std::string& path) {
+    std::size_t count = 0;
+    EXPECT_TRUE(
+        db::Wal::replay(path, [&](const db::LogRecord&) { ++count; }).ok());
+    return count;
+  }
+
   std::vector<std::string> paths_;
+  ManualClock clock_;
 };
+
+/// The rule `table` holds for `key`, its credit as the bucket keeps it.
+std::optional<RuleRow> get(ShardedQosTable& table, const std::string& key) {
+  return table.with_entry(key, [&](QosEntry& e) {
+    return RuleRow{.key = key, .refill_per_sec = e.refill_per_sec(),
+                   .capacity = e.capacity(), .credit = e.bucket.credit()};
+  });
+}
 
 // ---- equivalence -----------------------------------------------------------
 
@@ -296,16 +352,16 @@ TEST_F(RulesFileTest, LoadsWhatTheLineByLineLoaderLoaded) {
     ASSERT_TRUE(reference_db.enable_wal(reference_wal).ok());
     ASSERT_TRUE(reference_load(reference, text).ok());
 
-    Database db;
-    RuleStore store(db);
+    ShardedQosTable table(4);
+    TableRules rules(table, clock_);
     const std::string wal = temp_path("wal" + std::to_string(seed));
-    ASSERT_TRUE(db.enable_wal(wal).ok());
-    const Status loaded = load_rules(store, path);
+    ASSERT_TRUE(rules.restore("", wal).ok());
+    const auto loaded = rules.load(path);
     ASSERT_TRUE(loaded.ok()) << loaded.error().message;
 
-    EXPECT_GT(store.size(), 500u);
-    EXPECT_EQ(rows_of(db), rows_of(reference_db));
-    EXPECT_EQ(db.lsn(), reference_db.lsn());
+    EXPECT_GT(table.rule_count(), 500u);
+    EXPECT_EQ(rules_of(table), rules_of(reference_db));
+    EXPECT_EQ(loaded.value(), reference_db.lsn()) << "a record per rule line";
     EXPECT_EQ(read_file(wal), read_file(reference_wal));
   }
 }
@@ -348,11 +404,24 @@ TEST_F(RulesFileTest, BadLineFailsAsTheLineByLineLoaderFailed) {
     const Status expected = reference_load(reference, text);
     ASSERT_FALSE(expected.ok());
 
-    Database db;
-    RuleStore store(db);
-    const Status got = load_rules(store, path);
+    // Into an empty table, applied chunk by chunk as it is parsed.
+    ShardedQosTable table(4);
+    TableRules rules(table, clock_);
+    const auto got = rules.load(path);
     ASSERT_FALSE(got.ok());
     EXPECT_EQ(got.error().message, expected.error().message);
+
+    // Into a table that holds a rule, checked whole first: the same error,
+    // and the table as it was.
+    ShardedQosTable held(4);
+    hold(held, {{.key = "k", .refill_per_sec = 1, .capacity = 9,
+                 .credit = 4}});
+    TableRules checked(held, clock_);
+    const auto refused = checked.load(path);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.error().message, expected.error().message);
+    EXPECT_EQ(held.node_count(), 1u);
+    EXPECT_EQ(get(held, "k"), (RuleRow{"k", 1, 9, 4}));
   }
 }
 
@@ -362,81 +431,79 @@ TEST_F(RulesFileTest, TableIsSizedForTheFileBeforeTheFirstChunk) {
   const std::size_t lines = static_cast<std::size_t>(
       std::count(text.begin(), text.end(), '\n'));
   const std::string path = write("rules", text);
-  // The table as the first chunk was written into it: a load whose first
-  // WAL record is torn stops right after that chunk.
+  // The table as the first chunk was applied to it: a load whose first WAL
+  // record is torn stops right after that chunk.
   std::size_t buckets_at_first_write = 0;
   {
-    Database first;
-    RuleStore first_store(first);
-    ASSERT_TRUE(first.enable_wal(temp_path("wal")).ok());
+    ShardedQosTable first(4);
+    TableRules first_rules(first, clock_);
+    ASSERT_TRUE(first_rules.restore("", temp_path("wal")).ok());
     testing::FaultInjector::ArmSpec spec;
     spec.max_fires = 1;
     testing::ScopedFault torn(testing::FaultPoint::kDbWalPartialWrite, spec);
-    ASSERT_FALSE(load_rules(first_store, path).ok());
-    ASSERT_GT(first_store.size(), 0u);
-    ASSERT_LT(first_store.size(), lines);
-    buckets_at_first_write = first.table().bucket_count();
+    ASSERT_FALSE(first_rules.load(path).ok());
+    ASSERT_GT(first.rule_count(), 0u);
+    ASSERT_LT(first.rule_count(), lines);
+    buckets_at_first_write = first.bucket_count();
   }
-  Database db;
-  RuleStore store(db);
-  const Table& table = db.table();
-  ASSERT_TRUE(load_rules(store, path).ok());
+  ShardedQosTable table(4);
+  TableRules rules(table, clock_);
+  ASSERT_TRUE(rules.load(path).ok());
   EXPECT_GE(buckets_at_first_write, lines);
   EXPECT_EQ(table.bucket_count(), buckets_at_first_write);
 }
 
-// ---- a database that already holds rules ------------------------------------
+// ---- a table that already holds rules ---------------------------------------
 
 TEST_F(RulesFileTest, HeldKeysKeepTheirCreditClampedToTheFile) {
-  Database db;
-  RuleStore store(db);
-  ASSERT_TRUE(store.put({.key = "same", .refill_per_sec = 1, .capacity = 10,
-                         .credit = 3}).ok());
-  ASSERT_TRUE(store.put({.key = "smaller", .refill_per_sec = 1,
-                         .capacity = 10, .credit = 8}).ok());
-  ASSERT_TRUE(store.put({.key = "faster", .refill_per_sec = 1,
-                         .capacity = 10, .credit = 4}).ok());
-  ASSERT_TRUE(store.put({.key = "absent", .refill_per_sec = 2,
-                         .capacity = 20, .credit = 5}).ok());
-  const std::uint64_t lsn = db.lsn();
+  ShardedQosTable table(4);
+  TableRules rules(table, clock_);
+  const std::string wal = temp_path("wal");
+  ASSERT_TRUE(rules.restore("", wal).ok());
+  hold(table, {{"same", 1, 10, 3},
+               {"smaller", 1, 10, 8},
+               {"faster", 1, 10, 4},
+               {"absent", 2, 20, 5}});
 
-  ASSERT_TRUE(load_rules(store, write("rules",
-                                      "same = 1 10\n"
-                                      "smaller = 1 5 5\n"
-                                      "faster = 2 10 10\n"
-                                      "new = 1 10 7\n"))
-                  .ok());
-  EXPECT_EQ(store.get("same"), (RuleRow{"same", 1, 10, 3}));
-  EXPECT_EQ(store.get("smaller"), (RuleRow{"smaller", 1, 5, 5}));
-  EXPECT_EQ(store.get("faster"), (RuleRow{"faster", 2, 10, 4}));
-  EXPECT_EQ(store.get("new"), (RuleRow{"new", 1, 10, 7}));
-  EXPECT_EQ(store.get("absent"), (RuleRow{"absent", 2, 20, 5}));
-  EXPECT_EQ(db.lsn(), lsn + 3) << "a rule whose rate and capacity are "
-                                  "unchanged must write nothing";
+  const auto loaded = rules.load(write("rules",
+                                       "same = 1 10\n"
+                                       "smaller = 1 5 5\n"
+                                       "faster = 2 10 10\n"
+                                       "new = 1 10 7\n"));
+  ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+  EXPECT_EQ(get(table, "same"), (RuleRow{"same", 1, 10, 3}));
+  EXPECT_EQ(get(table, "smaller"), (RuleRow{"smaller", 1, 5, 5}));
+  EXPECT_EQ(get(table, "faster"), (RuleRow{"faster", 2, 10, 4}));
+  EXPECT_EQ(get(table, "new"), (RuleRow{"new", 1, 10, 7}));
+  EXPECT_EQ(get(table, "absent"), (RuleRow{"absent", 2, 20, 5}));
+  EXPECT_EQ(loaded.value(), 3u);
+  EXPECT_EQ(records(wal), 3u) << "a rule whose rate and capacity are "
+                                 "unchanged must write nothing";
 }
 
 TEST_F(RulesFileTest, HeldRulesTakeRepeatedKeysInOrderAcrossChunksAndBlocks) {
-  // Between the two lines for `twice`: nothing, more than a write chunk, and
-  // more than a read block of other rules. Each later line sees the rule the
+  // Between the two lines for `twice`: nothing, more than a chunk, and more
+  // than a read block of other rules. Each later line sees the rule the
   // earlier one left, so the result is the same for every gap.
   for (const std::size_t gap : {std::size_t{0}, std::size_t{300},
                                 std::size_t{5'000}}) {
     SCOPED_TRACE("gap " + std::to_string(gap));
-    Database db;
-    RuleStore store(db);
-    ASSERT_TRUE(store.put({.key = "held", .refill_per_sec = 1,
-                           .capacity = 10, .credit = 2}).ok());
+    ShardedQosTable table(4);
+    TableRules rules(table, clock_);
+    const std::string wal = temp_path("wal" + std::to_string(gap));
+    ASSERT_TRUE(rules.restore("", wal).ok());
+    hold(table, {{.key = "held", .refill_per_sec = 1, .capacity = 10,
+                  .credit = 2}});
     std::string text = "twice = 1 10 6\nheld = 1 4\n";
     for (std::size_t i = 0; i < gap; ++i) {
       text += "filler-" + std::to_string(i) + " = 1 2\n";
     }
     text += "twice = 1 10 9\nheld = 3 4\ntwice = 1 5\n";
-    const std::uint64_t lsn = db.lsn();
-    ASSERT_TRUE(load_rules(store, write("rules", text)).ok());
-    EXPECT_EQ(store.get("twice"), (RuleRow{"twice", 1, 5, 5}));
-    EXPECT_EQ(store.get("held"), (RuleRow{"held", 3, 4, 2}));
+    ASSERT_TRUE(rules.load(write("rules" + std::to_string(gap), text)).ok());
+    EXPECT_EQ(get(table, "twice"), (RuleRow{"twice", 1, 5, 5}));
+    EXPECT_EQ(get(table, "held"), (RuleRow{"held", 3, 4, 2}));
     // twice (new), held (capacity), held (rate), twice (capacity), fillers.
-    EXPECT_EQ(db.lsn(), lsn + 4 + gap);
+    EXPECT_EQ(records(wal), 4 + gap);
   }
 }
 
@@ -446,27 +513,33 @@ TEST_F(RulesFileTest, ReloadingTheFileOnItsRecoveredWalWritesNothing) {
   for (int i = 0; i < 3'000; ++i) {
     text += rule_line(rng, "tenant-" + std::to_string(i));
   }
-  const std::string rules = write("rules", text);
+  const std::string path = write("rules", text);
   const std::string wal = temp_path("wal");
-  Rows first;
+  Rules first;
   {
-    Database db;
-    RuleStore store(db);
-    ASSERT_TRUE(db.enable_wal(wal).ok());
-    ASSERT_TRUE(load_rules(store, rules).ok());
-    ASSERT_TRUE(store.checkpoint_credit("tenant-5", 0.0).ok());
-    first = rows_of(db);
+    ShardedQosTable table(4);
+    TableRules rules(table, clock_);
+    ASSERT_TRUE(rules.restore("", wal).ok());
+    ASSERT_TRUE(rules.load(path).ok());
+    // tenant-5 spends its credit, and a check-point logs it.
+    table.with_entry("tenant-5", [&](QosEntry& e) {
+      e.go_live(clock_.now());
+      e.bucket.set_credit(0.0);
+      e.set_credit_changed(true);
+      return true;
+    });
+    ASSERT_EQ(rules.checkpoint(), 1u);
+    first = rules_of(table);
   }
   const std::vector<std::uint8_t> logged = read_file(wal);
-  Database db;
-  RuleStore store(db);
-  ASSERT_TRUE(db.recover(wal).ok());
-  ASSERT_TRUE(db.enable_wal(wal).ok());
-  ASSERT_TRUE(load_rules(store, rules).ok());
-  EXPECT_EQ(rows_of(db), first);
-  EXPECT_EQ(store.get("tenant-5")->credit, 0.0);
+  ShardedQosTable table(4);
+  TableRules rules(table, clock_);
+  ASSERT_TRUE(rules.restore("", wal).ok());
+  ASSERT_TRUE(rules.load(path).ok());
+  EXPECT_EQ(rules_of(table), first);
+  EXPECT_EQ(get(table, "tenant-5")->credit, 0.0);
   EXPECT_EQ(read_file(wal), logged);
 }
 
 }  // namespace
-}  // namespace janus::db
+}  // namespace janus::core

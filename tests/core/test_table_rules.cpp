@@ -329,29 +329,69 @@ TEST_F(TableRulesTest, CompactionWritesTheDatabasesSnapshotFormat) {
                                          .capacity = 5, .credit = 3}));
 }
 
-TEST_F(TableRulesTest, AFailedLoadNamesItsLineAndKeepsTheChunksBefore) {
+TEST_F(TableRulesTest, AFailedReloadChangesNeitherTheTableNorTheWal) {
+  // The file edited into a bad line past its first two chunks: the reload
+  // names the line and applies none of the file, so no held credit is
+  // clamped and the WAL is not written. The same file is not tried again;
+  // the mended file loads.
   static_assert(db::kRulesChunk == 256);
-  std::string text;
-  for (int i = 0; i < 600; ++i) {
-    text += "t" + std::to_string(i) + " = 1 2\n";
-  }
-  text += "bad = 1\n";
   const std::string path = ::testing::TempDir() + "janus_bad_rules_" +
                            std::to_string(::getpid()) + ".conf";
-  {
-    std::FILE* f = std::fopen(path.c_str(), "w");
+  auto rewrite = [&](int capacity, bool bad) {
+    std::string text;
+    for (int i = 0; i < 600; ++i) {
+      text += "t" + std::to_string(i) + " = 0 " + std::to_string(capacity) +
+              "\n";
+    }
+    if (bad) text += "bad = 1\n";
+    text += "late = 0 1\n";
+    const std::string tmp = path + ".tmp";
+    std::FILE* f = std::fopen(tmp.c_str(), "w");
     ASSERT_NE(f, nullptr);
     std::fputs(text.c_str(), f);
     std::fclose(f);
-  }
+    ASSERT_EQ(std::rename(tmp.c_str(), path.c_str()), 0);
+  };
+  rewrite(10, false);
+  AdmissionController ac(clock_, config());
+  TableRules rules(ac.table(), clock_);
+  ASSERT_TRUE(rules.restore(snapshot_, wal_).ok());
+  ASSERT_TRUE(rules.load(path).ok());
+  for (int i = 0; i < 3; ++i) ac.check("t0");
+  ASSERT_EQ(rules.checkpoint(), 1u);
+  const auto wal_bytes = std::filesystem::file_size(wal_);
+
+  rewrite(5, true);
+  auto reloaded = rules.reload(path);
+  ASSERT_FALSE(reloaded.ok());
+  EXPECT_EQ(reloaded.error().message, "rules line 601: bad format");
+  EXPECT_EQ(millicredits(ac, "t0"), 7000);
+  EXPECT_EQ(millicredits(ac, "t599"), 10000);
+  EXPECT_EQ(ac.table().rule_count(), 601u);
+  EXPECT_EQ(std::filesystem::file_size(wal_), wal_bytes);
+  auto again = rules.reload(path);
+  ASSERT_TRUE(again.ok());
+  EXPECT_FALSE(again.value()) << "a bad file is tried once";
+
+  rewrite(5, false);
+  reloaded = rules.reload(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(reloaded.ok()) << reloaded.error().message;
+  EXPECT_TRUE(reloaded.value());
+  EXPECT_EQ(millicredits(ac, "t0"), 5000);
+  EXPECT_EQ(millicredits(ac, "t599"), 5000);
+  EXPECT_EQ(records().size(), 1u + 601u + 600u);
+}
+
+TEST_F(TableRulesTest, AMissingFileFailsTheLoad) {
+  const std::string path = ::testing::TempDir() + "janus_no_such_rules_" +
+                           std::to_string(::getpid()) + ".conf";
+  std::remove(path.c_str());
   AdmissionController ac(clock_, config());
   TableRules rules(ac.table(), clock_);
   auto loaded = rules.load(path);
-  std::remove(path.c_str());
   ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.error().message, "rules line 601: bad format");
-  // Two whole chunks were stored; the third, with the bad line, was not.
-  EXPECT_EQ(ac.table().rule_count(), 2 * db::kRulesChunk);
+  EXPECT_EQ(loaded.error().message, "cannot open rules file: " + path);
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "../support/temp_rules.hpp"
 #include "db/wal.hpp"
 #include "router/udp_qos_client.hpp"
+#include "server/ha.hpp"
 #include "server_model.hpp"
 #include "testing/fault_injector.hpp"
 #include "wire/codec.hpp"
@@ -594,6 +595,51 @@ TEST_F(QosServerTest, AKeyRegainedWithoutItsEntryKeepsItsFileRule) {
   // The dropped default entry is made anew from the default rule.
   EXPECT_EQ(server->admission().check("stranger").origin,
             core::Decision::Origin::kDefault);
+}
+
+TEST_F(QosServerTest, RulesGaugeFollowsTheTable) {
+  // server.rules is counted from the table after each change: a migrated
+  // rule over a live default entry adds one, a migrated default entry over
+  // a provisioned rule takes one away, and an HA replica's restore keeps
+  // the replica's rules and adds the master's.
+  auto server = start_server();
+  auto gauge = [&] {
+    return server->metrics().snapshot_gauges().at("server.rules");
+  };
+  EXPECT_EQ(gauge(), 2);
+  EXPECT_FALSE(server->admission().check("stranger").allowed);  // default
+  ASSERT_EQ(server->install_migrated({wire::MigrationEntry{
+                .key = "stranger", .capacity = 5, .refill_per_sec = 0,
+                .credit = 5, .is_default = false}}),
+            1u);
+  EXPECT_EQ(server->admission().table().rule_count(), 3u);
+  EXPECT_EQ(gauge(), 3);
+  ASSERT_EQ(server->install_migrated({wire::MigrationEntry{
+                .key = "bob", .capacity = 0, .refill_per_sec = 0,
+                .credit = 0, .is_default = true}}),
+            1u);
+  EXPECT_EQ(server->admission().table().rule_count(), 2u);
+  EXPECT_EQ(server->rule_count(), 2u);
+  EXPECT_EQ(gauge(), 2);
+
+  ManualClock clock;
+  core::AdmissionController master(clock, core::AdmissionConfig{});
+  for (const char* key : {"m1", "m2", "m3"}) {
+    master.table().with_entry_or_create(
+        key,
+        [&] { return core::QosEntry::make(9, 0, 9, clock.now(), false); },
+        [](core::QosEntry&) {});
+  }
+  auto ha = HaSnapshotServer::start({"127.0.0.1", 0}, master);
+  ASSERT_TRUE(ha.ok()) << ha.error().message;
+  HaReplicaClient replica(ha.value()->addr(), server->admission(), clock,
+                          seconds(3600), [&] { server->recount_rules(); });
+  ASSERT_TRUE(replica.replicate_once().ok());
+  replica.stop();
+  // The master's three live rules, and alice and stranger, provisioned
+  // here; bob's live default entry is dropped.
+  EXPECT_EQ(server->admission().table().rule_count(), 5u);
+  EXPECT_EQ(gauge(), 5);
 }
 
 TEST_F(QosServerTest, EachHouseKeepingPassRecordsOneSample) {

@@ -402,7 +402,8 @@ int run_server(const Flags& flags) {
     }
     ha_replica = std::make_unique<server::HaReplicaClient>(
         addr.value(), srv.admission(), SteadyClock::instance(),
-        millis(int_flag(flags, "ha-ms", 500)));
+        millis(int_flag(flags, "ha-ms", 500)),
+        [&srv] { srv.recount_rules(); });
     std::printf("janusd: ha replica pulling from %s\n",
                 it->second.c_str());
   }
